@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import MarkovGame, Mdp, StrategyProfile, induced_mdp
+from .games import (
+    MarkovGame,
+    Mdp,
+    StrategyProfile,
+    check_discount,
+    induced_mdp,
+)
 from .mdp import evaluate_policy
 from .metrics import (
     TOTAL_VARIATION,
@@ -51,11 +57,6 @@ class RobustnessReport:
     ipm_kind: str
 
 
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"discount {gamma!r} outside the open interval (0, 1)")
-
-
 def _check_nonnegative(**values: float) -> None:
     for name, value in values.items():
         if value < 0:
@@ -87,7 +88,7 @@ def alpha_bound_instance(epsilon: float, delta_term: float,
                          gamma: float) -> float:
     """Instance bound 2 (epsilon + gamma Delta / (1 - gamma))."""
     _check_nonnegative(epsilon=epsilon, delta_term=delta_term)
-    _check_gamma(gamma)
+    check_discount(gamma)
     return 2.0 * (epsilon + gamma * delta_term / (1.0 - gamma))
 
 
@@ -95,7 +96,7 @@ def alpha_bound_ipm(epsilon: float, delta: float, rho: float,
                     gamma: float) -> float:
     """IPM bound 2 (epsilon + gamma delta rho / (1 - gamma))."""
     _check_nonnegative(epsilon=epsilon, delta=delta, rho=rho)
-    _check_gamma(gamma)
+    check_discount(gamma)
     return 2.0 * (epsilon + gamma * delta * rho / (1.0 - gamma))
 
 
@@ -103,7 +104,7 @@ def alpha_bound_tv(epsilon: float, delta: float, span_reward: float,
                    gamma: float) -> float:
     """Total-variation worst case: rho bounded by the reward span."""
     _check_nonnegative(epsilon=epsilon, delta=delta, span_reward=span_reward)
-    _check_gamma(gamma)
+    check_discount(gamma)
     return 2.0 * (epsilon + gamma * delta * span_reward / (1.0 - gamma))
 
 
@@ -114,7 +115,7 @@ def alpha_bound_w(epsilon: float, delta: float, l_r: float, l_p: float,
     Only meaningful when gamma L_P < 1; otherwise raises.
     """
     _check_nonnegative(epsilon=epsilon, delta=delta, l_r=l_r, l_p=l_p)
-    _check_gamma(gamma)
+    check_discount(gamma)
     if gamma * l_p >= 1.0:
         raise ValueError(
             f"bound inapplicable: gamma * L_P = {gamma * l_p!r} >= 1"
@@ -126,7 +127,7 @@ def lipschitz_value_bound(l_r: float, l_p: float, gamma: float) -> float:
     """Bound (1 - gamma) L_r / (1 - gamma L_P) on the optimal value's
     Lipschitz constant; requires gamma L_P < 1."""
     _check_nonnegative(l_r=l_r, l_p=l_p)
-    _check_gamma(gamma)
+    check_discount(gamma)
     if gamma * l_p >= 1.0:
         raise ValueError(
             f"bound inapplicable: gamma * L_P = {gamma * l_p!r} >= 1"
@@ -165,7 +166,7 @@ def _sample_size_real(alpha: float, p: float, span_reward: float,
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     if span_reward < 0:
         raise ValueError("span_reward must be nonnegative")
-    _check_gamma(gamma)
+    check_discount(gamma)
     scale = (gamma / (1.0 - gamma)) * span_reward
     return scale * scale * 2.0 * math.log(2.0 * union_count / p) / (alpha * alpha)
 

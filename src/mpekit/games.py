@@ -264,6 +264,10 @@ def metric_violations(metric: np.ndarray, atol: float = 1e-12) -> list[str]:
     metric = np.asarray(metric, dtype=np.float64)
     if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
         return [f"metric is not square: shape {metric.shape}"]
+    bad = ~np.isfinite(metric)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        return [f"metric entry ({i}, {j}) is not finite"]
     n = metric.shape[0]
     diag = np.abs(np.diag(metric))
     if np.any(diag > atol):
@@ -307,15 +311,20 @@ def _stochastic_violations(transitions, row_name) -> list[str]:
     return out
 
 
+def _discount_violations(gamma: float) -> list[str]:
+    # NaN and infinities fail the comparison, so they are rejected too.
+    if 0.0 < gamma < 1.0:
+        return []
+    return [f"discount {gamma!r} outside the open interval (0, 1)"]
+
+
 def validate_game(game: MarkovGame) -> list[str]:
     """Check every model invariant; returns an empty list iff all hold.
 
     Each violation names the offending index and the rule it breaks.
     Violations are data, not failures: this never raises.
     """
-    out = []
-    if not 0.0 < game.discount < 1.0:
-        out.append(f"discount {game.discount!r} outside the open interval (0, 1)")
+    out = _discount_violations(game.discount)
     for i in range(game.num_players):
         bad = ~np.isfinite(game.rewards[i])
         if np.any(bad):
@@ -337,9 +346,7 @@ def validate_game(game: MarkovGame) -> list[str]:
 
 def validate_mdp(mdp: Mdp) -> list[str]:
     """Same stochasticity and range checks as :func:`validate_game`."""
-    out = []
-    if not 0.0 < mdp.discount < 1.0:
-        out.append(f"discount {mdp.discount!r} outside the open interval (0, 1)")
+    out = _discount_violations(mdp.discount)
     bad = ~np.isfinite(mdp.rewards)
     if np.any(bad):
         s, a = np.argwhere(bad)[0]
@@ -355,6 +362,13 @@ def validate_mdp(mdp: Mdp) -> list[str]:
     if mdp.metric is not None:
         out.extend(metric_violations(mdp.metric))
     return out
+
+
+def check_discount(gamma: float) -> None:
+    """Raise ``ValueError`` unless gamma lies in the open interval (0, 1)."""
+    violations = _discount_violations(gamma)
+    if violations:
+        raise ValueError(violations[0])
 
 
 def check_profile(game: MarkovGame, profile: StrategyProfile) -> None:
@@ -469,8 +483,8 @@ def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
     """Parse a game document.
 
     Raises:
-        GameFormatError: malformed JSON or missing/ill-typed fields; the
-            message carries the offending line or key.
+        GameFormatError: malformed JSON, or missing, unknown or ill-typed
+            fields or keys; the message carries the offending line or key.
         GameValidationError: the document parses but violates invariants
             (only when ``validate`` is true; violations are listed, never
             silently repaired).
@@ -544,6 +558,14 @@ def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
                     )
                 rew[i, s, j] = _number(rew_doc[i][key],
                                        f"rewards[{i + 1}]['{key}']")
+    known = {f"{state}|{label}" for state in states for label in labels}
+    fields = {"transitions": trans_doc}
+    fields.update((f"rewards of player {i + 1}", entries)
+                  for i, entries in enumerate(rew_doc))
+    for where, entries in fields.items():
+        for key in entries:
+            if key not in known:
+                raise GameFormatError(f"{where} has unknown key '{key}'")
 
     metric = None
     if "metric" in doc:

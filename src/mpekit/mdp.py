@@ -2,20 +2,18 @@
 
 Rewards are normalized: every backup scales the stage reward by (1 - gamma),
 so value functions stay inside the reward range. Policy evaluation is a
-direct linear solve; optimal values come from value iteration with a
-certified a-posteriori stopping rule.
+direct linear solve; optimal values come from Howard policy iteration, exact
+and finite (Puterman, *Markov Decision Processes*, 1994, section 6.4).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .games import MarkovStrategy, Mdp, ValueFunction
+from .games import MarkovStrategy, Mdp, ValueFunction, check_discount
 
-#: Default solve tolerance; small relative to every quantity of interest.
+#: Default tolerance for clamping noise and deciding equilibria.
 DEFAULT_TOL = 1e-10
-
-_MAX_SWEEPS = 5_000_000
 
 
 def _check_dims(mdp: Mdp, strategy: MarkovStrategy | None = None,
@@ -65,45 +63,48 @@ def strategy_rewards(mdp: Mdp, strategy: MarkovStrategy) -> np.ndarray:
     return (strategy.probabilities * mdp.rewards).sum(axis=1)
 
 
+def _policy_values(mdp: Mdp, p_pi: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
+    check_discount(mdp.discount)
+    gamma = mdp.discount
+    matrix = np.eye(mdp.num_states) - gamma * p_pi
+    return np.linalg.solve(matrix, (1.0 - gamma) * r_pi)
+
+
 def evaluate_policy(mdp: Mdp, strategy: MarkovStrategy) -> ValueFunction:
     """The unique fixed point of the fixed-strategy operator.
 
     Solves (I - gamma P_pi) V = (1 - gamma) r_pi directly, so the result is
     exact up to linear-algebra roundoff. The system is nonsingular for any
-    discount below one.
+    discount in (0, 1); any other discount raises ``ValueError``.
     """
-    gamma = mdp.discount
-    p_pi = strategy_transitions(mdp, strategy)
-    r_pi = strategy_rewards(mdp, strategy)
-    matrix = np.eye(mdp.num_states) - gamma * p_pi
-    return ValueFunction(np.linalg.solve(matrix, (1.0 - gamma) * r_pi))
+    return ValueFunction(_policy_values(mdp, strategy_transitions(mdp, strategy),
+                                        strategy_rewards(mdp, strategy)))
 
 
 def solve_optimal(mdp: Mdp, tol: float = DEFAULT_TOL
                   ) -> tuple[ValueFunction, MarkovStrategy]:
     """Optimal value function and a deterministic greedy strategy.
 
-    Value iteration runs until successive sweeps differ by at most
-    tol * (1 - gamma) / (2 gamma), which certifies a final value error of at
-    most tol. Greedy ties break toward the lowest action index.
+    Howard policy iteration: evaluate exactly, then switch the states whose
+    greedy action gains more than a roundoff margin (so ties cannot cycle),
+    until none does. Greedy ties break toward the lowest action index.
+    ``tol`` need only be positive; a discount outside (0, 1) raises.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    gamma = mdp.discount
-    threshold = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else np.inf
-    values = np.zeros(mdp.num_states)
-    for _ in range(_MAX_SWEEPS):
-        updated = _action_values(mdp, values).max(axis=1)
-        change = np.max(np.abs(updated - values))
-        values = updated
-        if change <= threshold:
+    states = np.arange(mdp.num_states)
+    policy = np.argmax(mdp.rewards, axis=1)
+    while True:
+        values = _policy_values(mdp, mdp.transitions[states, policy],
+                                mdp.rewards[states, policy])
+        q = _action_values(mdp, values)
+        margin = 1e-13 * max(1.0, np.abs(q).max())
+        improve = q.max(axis=1) > q[states, policy] + margin
+        if not improve.any():
             break
-    else:
-        raise RuntimeError("value iteration failed to converge")
-    greedy = np.argmax(_action_values(mdp, values), axis=1)
-    probs = np.zeros((mdp.num_states, mdp.num_actions))
-    probs[np.arange(mdp.num_states), greedy] = 1.0
-    return ValueFunction(values), MarkovStrategy(probs)
+        policy = np.where(improve, np.argmax(q, axis=1), policy)
+    greedy = np.eye(mdp.num_actions)[np.argmax(q, axis=1)]
+    return ValueFunction(values), MarkovStrategy(greedy)
 
 
 def alpha_optimality(mdp: Mdp, strategy: MarkovStrategy,
@@ -112,8 +113,6 @@ def alpha_optimality(mdp: Mdp, strategy: MarkovStrategy,
 
     Zero (up to tol) exactly for optimal strategies.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     optimal, _ = solve_optimal(mdp, tol)
     achieved = evaluate_policy(mdp, strategy)
     return float(np.max(optimal.values - achieved.values))

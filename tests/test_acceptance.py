@@ -9,6 +9,7 @@ seeds. Reference constants are frozen here at their published precision.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,8 @@ REF_INSTANCE_BOUNDS = np.array([0.034112, 0.029900])
 REF_TV_BOUNDS = np.array([0.034116, 0.029903])
 REF_W1_BOUNDS = np.array([0.048231, 0.039782])
 REF_SAMPLE_SIZE = 111_227
+# records.csv of the 50-trial desk run at master_seed 2024, byte for byte.
+GOLDEN_RECORDS = Path(__file__).parent / "golden" / "desk_records_seed2024.csv"
 
 
 def check(criterion: str, label: str, condition: bool) -> None:
@@ -183,6 +186,9 @@ def test_criterion_7_desk_scale_experiment(original_game):
           bool(np.all(summary.alpha_median <= 1e-3)))
     check("criterion 7", "every trial's solver converged",
           summary.convergence_rate == 1.0)
+    check("criterion 7",
+          f"records.csv byte-identical to {GOLDEN_RECORDS.name}",
+          records_csv(records).encode() == GOLDEN_RECORDS.read_bytes())
 
 
 @pytest.mark.skipif(os.environ.get("MPEKIT_FULL_REPRO") != "1",

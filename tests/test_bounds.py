@@ -118,8 +118,8 @@ class TestBoundArithmetic:
             lipschitz_value_bound(1.0, 2.0, 0.9)
 
     def test_gamma_range_enforced(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, 1.0, -0.5, 2.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="discount"):
                 alpha_bound_instance(0.1, 0.1, bad)
 
     def test_negative_inputs_rejected(self):

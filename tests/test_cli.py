@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +292,27 @@ class TestExperiment:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli_bundled_pair.txt"
+
+
+def test_bundled_pair_stdout_matches_golden(capsys, game_files, tmp_path):
+    """solve, certify and bound (TV, W1) print exactly the stored bytes."""
+    paths = {"original.json": game_files["original"],
+             "perturbed.json": game_files["perturbed"],
+             "profile.json": tmp_path / "profile.json"}
+    commands = [
+        ["solve", "perturbed.json"],
+        ["certify", "original.json", "profile.json"],
+        ["bound", "original.json", "perturbed.json", "--ipm", "tv"],
+        ["bound", "original.json", "perturbed.json", "--ipm", "w1"],
+    ]
+    transcript = []
+    for argv in commands:
+        code, out, _ = run(capsys, [str(paths.get(arg, arg)) for arg in argv])
+        assert code == 0
+        if argv[0] == "solve":
+            paths["profile.json"].write_text(out)
+        transcript.append(f"$ mpekit {' '.join(argv)}\n{out}")
+    assert "".join(transcript).encode() == GOLDEN_CLI.read_bytes()

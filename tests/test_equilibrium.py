@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,18 @@ class TestCertifyProfile:
             certify_profile(game, profile, tol=0.0)
         with pytest.raises(ValueError):
             certify_profile(game, StrategyProfile(profile.strategies[:1]))
+
+
+class TestDiscountGuard:
+    @pytest.mark.parametrize("gamma", [1.5, 1.0])
+    def test_invalid_discount_fails_fast(self, original_game, perturbed_mpe,
+                                         gamma):
+        # Constructed directly, so validate_game never sees the discount.
+        game = dataclasses.replace(original_game, discount=gamma)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="discount"):
+            certify_profile(game, perturbed_mpe.profile)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsMpe:

@@ -79,6 +79,15 @@ class TestValidation:
         skewed = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
         assert any("triangle" in v for v in metric_violations(skewed))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_metric_names_first_entry(self, bad):
+        assert metric_violations(np.full((3, 3), bad)) == [
+            "metric entry (0, 0) is not finite"]
+        metric = default_line_metric(3)
+        metric[2, 1] = bad
+        assert metric_violations(metric) == [
+            "metric entry (2, 1) is not finite"]
+
     def test_game_with_bad_metric_reports_it(self):
         game = tiny_game(metric=[[0.0, 0.0], [0.0, 0.0]])
         assert any("distinct" in v for v in validate_game(game))
@@ -122,6 +131,20 @@ class TestParsing:
         doc = json.loads(serialize_game(tiny_game()))
         del doc["rewards"][0]["a|x"]
         with pytest.raises(GameFormatError, match="player 1.*a\\|x"):
+            parse_game(json.dumps(doc))
+
+    def test_unknown_transition_key_named(self):
+        doc = json.loads(serialize_game(tiny_game()))
+        doc["transitions"]["bogus|x,y"] = [1.0, 0.0]
+        with pytest.raises(GameFormatError,
+                           match="transitions .*unknown key 'bogus\\|x,y'"):
+            parse_game(json.dumps(doc))
+
+    def test_unknown_reward_key_names_player_and_key(self):
+        doc = json.loads(serialize_game(tiny_game()))
+        doc["rewards"][0]["bogus|x,y"] = 0.0
+        with pytest.raises(GameFormatError,
+                           match="player 1 .*unknown key 'bogus\\|x,y'"):
             parse_game(json.dumps(doc))
 
     def test_bad_json_reports_position(self):

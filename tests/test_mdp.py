@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
     best_deterministic_value,
@@ -29,6 +32,25 @@ BEST_P2 = [0.7280, 0.7158, 0.7171]
 def single_state_mdp(reward, gamma):
     return Mdp(states=("s",), actions=("a",), transitions=[[[1.0]]],
                rewards=[[reward]], discount=gamma)
+
+
+@st.composite
+def small_mdps(draw):
+    """MDPs with S <= 6, A <= 3 and gamma in [0.5, 0.999].
+
+    Drawn entries repeat often (zeros, equal rewards), so ties and sparse,
+    absorbing transitions are well represented.
+    """
+    s = draw(st.integers(1, 6))
+    a = draw(st.integers(1, 3))
+    weights = draw(arrays(np.float64, (s, a, s), elements=st.floats(0.0, 1.0)))
+    weights[weights.sum(axis=-1) == 0.0] = 1.0
+    rewards = draw(arrays(np.float64, (s, a), elements=st.floats(-1.0, 1.0)))
+    return Mdp(states=tuple(str(i) for i in range(s)),
+               actions=tuple(str(i) for i in range(a)),
+               transitions=weights / weights.sum(axis=-1, keepdims=True),
+               rewards=rewards,
+               discount=draw(st.floats(0.5, 0.999)))
 
 
 class TestBellmanPolicy:
@@ -178,6 +200,33 @@ class TestSolveOptimal:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             solve_optimal(single_state_mdp(0.0, 0.9), 0.0)
+
+
+class TestPolicyIterationProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(small_mdps())
+    def test_exact_optimum(self, mdp):
+        value, greedy = solve_optimal(mdp)
+        v = value.values
+        margin = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+        backup = bellman_optimal(mdp, value).values
+        assert np.max(np.abs(backup - v)) <= margin
+        assert np.all(v >= best_deterministic_value(mdp) - margin)
+        achieved = evaluate_policy(mdp, greedy).values
+        assert np.max(np.abs(achieved - v)) <= margin
+
+
+class TestDiscountGuard:
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.5, np.nan, np.inf,
+                                       -np.inf])
+    def test_planners_reject_discount_outside_open_unit_interval(self, gamma):
+        mdp = single_state_mdp(1.0, gamma)
+        with pytest.raises(ValueError, match="discount"):
+            evaluate_policy(mdp, MarkovStrategy([[1.0]]))
+        with pytest.raises(ValueError, match="discount"):
+            solve_optimal(mdp)
+        with pytest.raises(ValueError, match="discount"):
+            alpha_optimality(mdp, MarkovStrategy([[1.0]]))
 
 
 class TestAlphaOptimality:
