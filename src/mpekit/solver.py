@@ -8,9 +8,13 @@ continuation values), then certifies whatever profile it lands on against
 the input game. Non-convergence is reported, with the best certified
 iterate still returned so the caller can decide.
 
-Stage games are solved exactly by support enumeration, with deterministic
-selection (smallest support first, then lexicographic), which keeps the
-iteration and the experiments reproducible bit for bit.
+Each sweep builds the stage games of every state in one vectorized pass.
+They are solved exactly by support enumeration, with deterministic selection
+(smallest support first, then lexicographic), which keeps the iteration and
+the experiments reproducible bit for bit. The pure profiles, first in that
+order and the usual outcome, are checked all at once from one array of
+deviation gains; only a stage game without a pure equilibrium pays for the
+per-support linear solves.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import CertificateAlpha, certify_profile
-from .games import MarkovGame, MarkovStrategy, StrategyProfile, ValueFunction
+from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
+                    ValueFunction, check_discount)
 
 _NASH_TOL = 1e-9
 
@@ -41,6 +46,22 @@ class SolveResult:
     converged: bool
 
 
+def _stage_payoffs(game: MarkovGame, values, states=slice(None)
+                   ) -> np.ndarray:
+    """Both players' one-shot payoffs at ``states``: shape (2, ..., A1, A2).
+
+    ``values[i]`` is player i's value vector. Entry (a1, a2) for player i is
+    (1 - gamma) r_i + (gamma P[s, j]) @ v_i.
+    ``np.vecdot`` rounds each row's product exactly as that per-row ``@``
+    does; a batched matmul or einsum does not.
+    """
+    gamma = game.discount
+    cont = gamma * game.transitions[states]
+    payoffs = np.stack([(1.0 - gamma) * game.rewards[i, states]
+                        + np.vecdot(cont, values[i]) for i in range(2)])
+    return payoffs.reshape(payoffs.shape[:-1] + game.action_counts)
+
+
 def stage_game(game: MarkovGame, values, state: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """One-shot payoff matrices at a state, given continuation values.
@@ -56,57 +77,62 @@ def stage_game(game: MarkovGame, values, state: int
             for v in values]
     if len(vals) != 2:
         raise ValueError("need one value vector per player")
-    gamma = game.discount
-    counts = game.action_counts
-    payoff_a = np.zeros(counts)
-    payoff_b = np.zeros(counts)
-    for j, (a1, a2) in enumerate(game.joint_actions()):
-        cont = game.transitions[state, j]
-        payoff_a[a1, a2] = ((1.0 - gamma) * game.rewards[0, state, j]
-                            + gamma * cont @ vals[0])
-        payoff_b[a1, a2] = ((1.0 - gamma) * game.rewards[1, state, j]
-                            + gamma * cont @ vals[1])
+    payoff_a, payoff_b = _stage_payoffs(game, vals, state)
     return payoff_a, payoff_b
+
+
+def _equalizer(block: np.ndarray) -> np.ndarray | None:
+    """Mixture over the columns of ``block`` that makes every row pay the
+    same, with that payoff appended, or None if no exact solution exists.
+
+    A square system is solved directly (a singular one raises
+    ``LinAlgError``); a rectangular one by least squares, accepted only if
+    its residual is within tolerance.
+    """
+    k, l = block.shape
+    system = np.zeros((k + 1, l + 1))
+    system[:k, :l] = block
+    system[:k, l] = -1.0
+    system[k, :l] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    if k == l:
+        return np.linalg.solve(system, rhs)
+    solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    if np.abs(system @ solution - rhs).max() > _NASH_TOL:
+        return None
+    return solution
 
 
 def _support_candidate(payoff_a, payoff_b, rows, cols):
     """Mixed pair supported on (rows, cols), or None if the equalizing
     system has no acceptable solution."""
-    k1, k2 = len(rows), len(cols)
-    # Column player's mixture equalizes the row player's supported payoffs.
-    m1 = np.zeros((k1 + 1, k2 + 1))
-    m1[:k1, :k2] = payoff_a[np.ix_(rows, cols)]
-    m1[:k1, k2] = -1.0
-    m1[k1, :k2] = 1.0
-    rhs1 = np.zeros(k1 + 1)
-    rhs1[k1] = 1.0
-    # Row player's mixture equalizes the column player's supported payoffs.
-    m2 = np.zeros((k2 + 1, k1 + 1))
-    m2[:k2, :k1] = payoff_b[np.ix_(rows, cols)].T
-    m2[:k2, k1] = -1.0
-    m2[k2, :k1] = 1.0
-    rhs2 = np.zeros(k2 + 1)
-    rhs2[k2] = 1.0
+    rows, cols = list(rows), list(cols)
+    # Column player's mixture equalizes the row player's supported payoffs,
+    # and the row player's mixture the column player's.
+    block_a = payoff_a[rows][:, cols]
+    block_b = payoff_b[rows][:, cols].T
     try:
-        if k1 == k2:
-            sol1 = np.linalg.solve(m1, rhs1)
-            sol2 = np.linalg.solve(m2, rhs2)
+        # On a rectangular support the taller block is overdetermined and
+        # usually fails its residual, so it goes first and spares the other
+        # least-squares solve. Both must pass, so the order decides nothing.
+        if len(rows) < len(cols):
+            sol2 = _equalizer(block_b)
+            sol1 = None if sol2 is None else _equalizer(block_a)
         else:
-            sol1 = np.linalg.lstsq(m1, rhs1, rcond=None)[0]
-            sol2 = np.linalg.lstsq(m2, rhs2, rcond=None)[0]
-            if np.max(np.abs(m1 @ sol1 - rhs1)) > _NASH_TOL:
-                return None
-            if np.max(np.abs(m2 @ sol2 - rhs2)) > _NASH_TOL:
-                return None
+            sol1 = _equalizer(block_a)
+            sol2 = None if sol1 is None else _equalizer(block_b)
     except np.linalg.LinAlgError:
         return None
-    y_support, x_support = sol1[:k2], sol2[:k1]
-    if np.any(y_support < -_NASH_TOL) or np.any(x_support < -_NASH_TOL):
+    if sol1 is None or sol2 is None:
+        return None
+    y_support, x_support = sol1[:len(cols)], sol2[:len(rows)]
+    if (y_support < -_NASH_TOL).any() or (x_support < -_NASH_TOL).any():
         return None
     x = np.zeros(payoff_a.shape[0])
     y = np.zeros(payoff_a.shape[1])
-    x[list(rows)] = np.clip(x_support, 0.0, None)
-    y[list(cols)] = np.clip(y_support, 0.0, None)
+    x[rows] = np.clip(x_support, 0.0, None)
+    y[cols] = np.clip(y_support, 0.0, None)
     x /= x.sum()
     y /= y.sum()
     return x, y
@@ -119,6 +145,12 @@ def _deviation_gain(payoff_a, payoff_b, x, y) -> float:
                float(col_payoffs.max() - col_payoffs @ y))
 
 
+def _one_hot(size: int, index: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[index] = 1.0
+    return out
+
+
 def bimatrix_nash(payoff_a, payoff_b
                   ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """A Nash equilibrium of a finite two-player game, by support enumeration.
@@ -126,10 +158,14 @@ def bimatrix_nash(payoff_a, payoff_b
     Support pairs are scanned in a fixed order (total support size, then row
     support size, then lexicographic supports) and the first pair passing
     the deviation check within 1e-9 is returned, which makes the selection
-    deterministic and biased toward pure equilibria. Existence is guaranteed
-    for finite games, so the scan cannot come up empty; on numerically
-    degenerate input the candidate with the smallest deviation gain is
-    returned.
+    deterministic and biased toward pure equilibria. The pure pairs come
+    first in that order and are scanned at once: the deviation gain of cell
+    (r, c) is max(colmax(A)[c] - A[r, c], rowmax(B)[r] - B[r, c]), and the
+    first row-major cell within 1e-9 is returned, exactly as the pair-by-pair
+    check would find it. Only when no cell passes are the mixed supports
+    enumerated. Existence is guaranteed for finite games, so the scan cannot
+    come up empty; on numerically degenerate input the candidate with the
+    smallest deviation gain (the earliest on ties) is returned.
 
     Returns:
         (x, y, (payoff_x, payoff_y)) with x, y mixed strategies.
@@ -138,12 +174,21 @@ def bimatrix_nash(payoff_a, payoff_b
     payoff_b = np.asarray(payoff_b, dtype=np.float64)
     if payoff_a.shape != payoff_b.shape or payoff_a.ndim != 2:
         raise ValueError("payoff matrices must share a 2-D shape")
-    if not (np.all(np.isfinite(payoff_a)) and np.all(np.isfinite(payoff_b))):
+    if not (np.isfinite(payoff_a).all() and np.isfinite(payoff_b).all()):
         raise ValueError("payoff entries must be finite")
     m, n = payoff_a.shape
-    fallback = None
-    fallback_gain = np.inf
-    for total in range(2, m + n + 1):
+    pure_gain = np.maximum(payoff_a.max(axis=0) - payoff_a,
+                           payoff_b.max(axis=1, keepdims=True) - payoff_b)
+    passing = np.flatnonzero(pure_gain <= _NASH_TOL)
+    if passing.size:
+        r, c = divmod(int(passing[0]), n)
+        x, y = _one_hot(m, r), _one_hot(n, c)
+        # The products, not A[r, c] itself: they turn a -0.0 cell into 0.0.
+        return x, y, (float(x @ payoff_a @ y), float(x @ payoff_b @ y))
+    r, c = divmod(int(pure_gain.argmin()), n)
+    fallback = (_one_hot(m, r), _one_hot(n, c))
+    fallback_gain = pure_gain[r, c]
+    for total in range(3, m + n + 1):
         for k1 in range(max(1, total - n), min(m, total - 1) + 1):
             k2 = total - k1
             for rows in itertools.combinations(range(m), k1):
@@ -167,12 +212,12 @@ def _iterate(game: MarkovGame, v: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One sweep of equilibrium value iteration; returns (v', pi1, pi2)."""
     num_states = game.num_states
+    payoffs = _stage_payoffs(game, v)
     new_v = np.zeros_like(v)
     pi1 = np.zeros((num_states, game.action_counts[0]))
     pi2 = np.zeros((num_states, game.action_counts[1]))
     for s in range(num_states):
-        payoff_a, payoff_b = stage_game(game, list(v), s)
-        x, y, (pay_x, pay_y) = bimatrix_nash(payoff_a, payoff_b)
+        x, y, (pay_x, pay_y) = bimatrix_nash(payoffs[0, s], payoffs[1, s])
         pi1[s], pi2[s] = x, y
         new_v[0, s], new_v[1, s] = pay_x, pay_y
     return new_v, pi1, pi2
@@ -188,15 +233,19 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     the certified gap is at most tol. If the sweep budget runs out, the
     iteration restarts from seeded random values (up to two restarts) and
     the best certified iterate seen anywhere is returned.
+
+    Raises ``ValueError`` before any sweep for a discount outside (0, 1),
+    a tol that is not positive (NaN included) or a max_iter below 1.
     """
     if game.num_players != 2:
         raise ValueError("two-player solver only")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_discount(game.discount)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     gamma = game.discount
-    threshold = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else np.inf
+    threshold = tol * (1.0 - gamma) / (2.0 * gamma)
     rng = np.random.default_rng(seed)
     rmin, rmax = float(game.rewards.min()), float(game.rewards.max())
 

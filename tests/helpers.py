@@ -161,3 +161,80 @@ def nash_deviation_gain(payoff_a, payoff_b, x, y) -> float:
     row = payoff_a @ y
     col = x @ payoff_b
     return max(float(row.max() - x @ row), float(col.max() - col @ y))
+
+
+def _reference_support_candidate(payoff_a, payoff_b, rows, cols, tol):
+    """The pair-by-pair support solve ``bimatrix_nash`` was first written
+    with: both equalizing systems are built and solved before either is
+    checked."""
+    k1, k2 = len(rows), len(cols)
+    # Column player's mixture equalizes the row player's supported payoffs.
+    m1 = np.zeros((k1 + 1, k2 + 1))
+    m1[:k1, :k2] = payoff_a[np.ix_(rows, cols)]
+    m1[:k1, k2] = -1.0
+    m1[k1, :k2] = 1.0
+    rhs1 = np.zeros(k1 + 1)
+    rhs1[k1] = 1.0
+    # Row player's mixture equalizes the column player's supported payoffs.
+    m2 = np.zeros((k2 + 1, k1 + 1))
+    m2[:k2, :k1] = payoff_b[np.ix_(rows, cols)].T
+    m2[:k2, k1] = -1.0
+    m2[k2, :k1] = 1.0
+    rhs2 = np.zeros(k2 + 1)
+    rhs2[k2] = 1.0
+    try:
+        if k1 == k2:
+            sol1 = np.linalg.solve(m1, rhs1)
+            sol2 = np.linalg.solve(m2, rhs2)
+        else:
+            sol1 = np.linalg.lstsq(m1, rhs1, rcond=None)[0]
+            sol2 = np.linalg.lstsq(m2, rhs2, rcond=None)[0]
+            if np.max(np.abs(m1 @ sol1 - rhs1)) > tol:
+                return None
+            if np.max(np.abs(m2 @ sol2 - rhs2)) > tol:
+                return None
+    except np.linalg.LinAlgError:
+        return None
+    y_support, x_support = sol1[:k2], sol2[:k1]
+    if np.any(y_support < -tol) or np.any(x_support < -tol):
+        return None
+    x = np.zeros(payoff_a.shape[0])
+    y = np.zeros(payoff_a.shape[1])
+    x[list(rows)] = np.clip(x_support, 0.0, None)
+    y[list(cols)] = np.clip(y_support, 0.0, None)
+    x /= x.sum()
+    y /= y.sum()
+    return x, y
+
+
+def reference_bimatrix_nash(payoff_a, payoff_b, tol=1e-9):
+    """Plain support enumeration, one support pair at a time, pure pairs
+    included: the oracle for ``mpekit.solver.bimatrix_nash``'s selection.
+
+    Pairs are scanned by total support size, then row support size, then
+    lexicographically; the first passing the deviation check within tol is
+    returned, else the one with the smallest gain (the earliest on ties).
+    """
+    payoff_a = np.asarray(payoff_a, dtype=np.float64)
+    payoff_b = np.asarray(payoff_b, dtype=np.float64)
+    m, n = payoff_a.shape
+    fallback = None
+    fallback_gain = np.inf
+    for total in range(2, m + n + 1):
+        for k1 in range(max(1, total - n), min(m, total - 1) + 1):
+            k2 = total - k1
+            for rows in itertools.combinations(range(m), k1):
+                for cols in itertools.combinations(range(n), k2):
+                    candidate = _reference_support_candidate(
+                        payoff_a, payoff_b, rows, cols, tol)
+                    if candidate is None:
+                        continue
+                    x, y = candidate
+                    gain = nash_deviation_gain(payoff_a, payoff_b, x, y)
+                    if gain <= tol:
+                        return x, y, (float(x @ payoff_a @ y),
+                                      float(x @ payoff_b @ y))
+                    if gain < fallback_gain:
+                        fallback, fallback_gain = (x, y), gain
+    x, y = fallback
+    return x, y, (float(x @ payoff_a @ y), float(x @ payoff_b @ y))

@@ -1,11 +1,42 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from helpers import nash_deviation_gain, random_game
+from helpers import nash_deviation_gain, random_game, reference_bimatrix_nash
+from mpekit import solver
 from mpekit.equilibrium import certify_profile, is_mpe
 from mpekit.games import MarkovGame
 from mpekit.solver import bimatrix_nash, solve_mpe, stage_game
+
+#: One unit in the last place of 1e8 (about 1.5e-8).
+ULP_1E8 = float(np.spacing(1e8))
+
+#: Payoff entries for the oracle property: uniform floats; small integers,
+#: whose ties make degenerate and rectangular supports; floats at 1e8, where
+#: roundoff exceeds the 1e-9 deviation tolerance, so no support passes and
+#: the smallest-gain fallback is returned; and 1e8 plus a few units in the
+#: last place, where pure and mixed candidates tie for that smallest gain.
+PAYOFF_ENTRIES = (
+    st.floats(-1.0, 1.0),
+    st.integers(-2, 2).map(float),
+    st.floats(-1.0, 1.0).map(lambda v: v * 1e8),
+    st.integers(-2, 2).map(lambda k: 1e8 + k * ULP_1E8),
+)
+
+
+@st.composite
+def bimatrix_games(draw):
+    """Payoff pairs of shape up to 4x4, both drawn from one entry family."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    entries = draw(st.sampled_from(PAYOFF_ENTRIES))
+    return (draw(arrays(np.float64, shape, elements=entries)),
+            draw(arrays(np.float64, shape, elements=entries)))
 
 
 def matrix_game_value(payoffs):
@@ -71,6 +102,28 @@ class TestStageGame:
             assert x @ payoff_a @ y == pytest.approx(values[0][s], abs=1e-6)
             assert x @ payoff_b @ y == pytest.approx(values[1][s], abs=1e-6)
 
+    def test_matches_per_joint_action_formula_bit_for_bit(self):
+        # The sweep builds every state at once and stage_game one state;
+        # both must round exactly as (1 - gamma) r + (gamma P[s, j]) @ v.
+        rng = np.random.default_rng(21)
+        for counts in [(1, 1), (2, 2), (2, 3), (4, 3)]:
+            for num_states in (1, 3, 8, 40):
+                game = random_game(rng, num_states, counts,
+                                   discount=rng.uniform(0.05, 0.999))
+                gamma = game.discount
+                v = rng.uniform(-3.0, 3.0, size=(2, num_states))
+                swept = solver._stage_payoffs(game, v)
+                for s in range(num_states):
+                    expected = np.zeros((2,) + counts)
+                    for j, (a1, a2) in enumerate(game.joint_actions()):
+                        for i in range(2):
+                            expected[i, a1, a2] = (
+                                (1.0 - gamma) * game.rewards[i, s, j]
+                                + (gamma * game.transitions[s, j]) @ v[i])
+                    built = np.stack(stage_game(game, list(v), s))
+                    assert built.tobytes() == expected.tobytes()
+                    assert swept[:, s].tobytes() == expected.tobytes()
+
     def test_rejects_non_two_player(self):
         rng = np.random.default_rng(0)
         solo = random_game(rng, action_counts=(2,))
@@ -123,6 +176,27 @@ class TestBimatrixNash:
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
         assert first[2] == second[2]
+
+    @settings(max_examples=400, deadline=None)
+    @given(bimatrix_games())
+    @example((np.array([[2.0, -2.0], [-1.0, 2.0], [-1.0, -2.0], [1.0, 0.0]]),
+              np.array([[1.0, 2.0], [1.0, -1.0], [0.0, 2.0], [2.0, 2.0]])))
+    @example((1e8 + ULP_1E8 * np.array([[-1.0, 2.0], [0.0, -1.0]]),
+              1e8 + ULP_1E8 * np.array([[1.0, 0.0], [-2.0, 0.0]])))
+    @example((np.array([[-0.0, -1.0]]), np.array([[-0.0, -1.0]])))
+    def test_matches_pair_by_pair_enumeration_bit_for_bit(self, game):
+        # The first example selects a rectangular (1, 2) support. In the
+        # second no support passes and the pure cell (0, 0) ties a mixed
+        # pair for the smallest gain; the earlier, pure one is returned. In
+        # the third the selected cell holds -0.0, and the payoff is 0.0.
+        payoff_a, payoff_b = game
+        x, y, payoffs = bimatrix_nash(payoff_a, payoff_b)
+        ref_x, ref_y, ref_payoffs = reference_bimatrix_nash(payoff_a,
+                                                            payoff_b)
+        assert x.tobytes() == ref_x.tobytes()
+        assert y.tobytes() == ref_y.tobytes()
+        assert (np.array(payoffs).tobytes()
+                == np.array(ref_payoffs).tobytes())
 
     def test_rejects_malformed_input(self):
         with pytest.raises(ValueError, match="shape"):
@@ -202,6 +276,20 @@ class TestSolveMpe:
             solve_mpe(random_game(rng, action_counts=(2, 2, 2)))
         with pytest.raises(ValueError):
             solve_mpe(random_game(rng), tol=0.0)
+
+    def test_rejects_nan_tol(self, perturbed_game):
+        with pytest.raises(ValueError, match="tol"):
+            solve_mpe(perturbed_game, tol=float("nan"), max_iter=200)
+
+    @pytest.mark.parametrize("gamma", [1.5, 1.0, np.nan])
+    def test_rejects_discount_outside_open_unit_interval_at_once(
+            self, perturbed_game, gamma):
+        # Construction checks shapes only, so the solver guards the discount.
+        game = replace(perturbed_game, discount=gamma)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="discount"):
+            solve_mpe(game)
+        assert time.perf_counter() - start < 1.0
 
     def test_non_convergence_still_returns_certificate(self, perturbed_game):
         result = solve_mpe(perturbed_game, tol=1e-13, max_iter=3)
