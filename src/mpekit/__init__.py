@@ -11,15 +11,12 @@ from .bounds import (
     RobustnessReport,
     alpha_bound_instance,
     alpha_bound_ipm,
-    alpha_bound_tv,
     alpha_bound_w,
     delta_term,
     hoeffding_tail,
     lipschitz_value_bound,
-    mdp_alpha_bound,
     robustness_report,
     sample_size_game,
-    sample_size_mdp,
 )
 from .equilibrium import (
     CertificateAlpha,
@@ -32,7 +29,6 @@ from .experiments import (
     ExperimentRecord,
     ExperimentSummary,
     estimate_model,
-    generative_sample,
     records_csv,
     run_experiments,
     run_trial,
@@ -44,12 +40,10 @@ from .games import (
     GameValidationError,
     MarkovGame,
     MarkovStrategy,
-    Mdp,
     StrategyProfile,
     ValueFunction,
     bundled_game,
     default_line_metric,
-    effective_metric,
     induced_mdp,
     parse_game,
     parse_profile,
@@ -58,7 +52,6 @@ from .games import (
     serialize_game,
     serialize_profile,
     validate_game,
-    validate_mdp,
 )
 from .mdp import (
     alpha_optimality,
@@ -92,7 +85,6 @@ __all__ = [
     "GameValidationError",
     "MarkovGame",
     "MarkovStrategy",
-    "Mdp",
     "RobustnessReport",
     "SolveResult",
     "StrategyProfile",
@@ -101,7 +93,6 @@ __all__ = [
     "WASSERSTEIN",
     "alpha_bound_instance",
     "alpha_bound_ipm",
-    "alpha_bound_tv",
     "alpha_bound_w",
     "alpha_optimality",
     "bellman_optimal",
@@ -111,19 +102,16 @@ __all__ = [
     "certify_profile",
     "default_line_metric",
     "delta_term",
-    "effective_metric",
     "estimate_model",
     "evaluate_policy",
     "game_approx_params",
     "game_bellman_player",
     "game_lipschitz_constants",
-    "generative_sample",
     "hoeffding_tail",
     "induced_mdp",
     "is_mpe",
     "lipschitz_constant",
     "lipschitz_value_bound",
-    "mdp_alpha_bound",
     "parse_game",
     "parse_profile",
     "read_game",
@@ -133,7 +121,6 @@ __all__ = [
     "run_experiments",
     "run_trial",
     "sample_size_game",
-    "sample_size_mdp",
     "serialize_game",
     "serialize_profile",
     "solve_mpe",
@@ -144,6 +131,5 @@ __all__ = [
     "summary_csv",
     "tv_distance",
     "validate_game",
-    "validate_mdp",
     "wasserstein1",
 ]

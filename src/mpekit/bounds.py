@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (
-    MarkovGame,
-    Mdp,
-    StrategyProfile,
-    check_discount,
-    induced_mdp,
-)
+from .games import MarkovGame, StrategyProfile, check_discount, induced_mdp
 from .mdp import evaluate_policy
 from .metrics import (
     TOTAL_VARIATION,
@@ -63,12 +57,13 @@ def _check_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
-def delta_term(g: MarkovGame | Mdp, g_hat: MarkovGame | Mdp, v_hat) -> float:
+def delta_term(g: MarkovGame, g_hat: MarkovGame, v_hat) -> float:
     """Worst expected-value gap of a fixed vector under two kernels.
 
     max over (state, action) of |sum_s' (P - P_hat)(s'|s, a) v_hat(s')|.
-    Accepts games or MDPs of identical shape; v_hat is any per-state vector
-    (equilibrium values are the usual choice, but not required).
+    Accepts games of identical shape, one-player games (MDPs) included;
+    v_hat is any per-state vector (equilibrium values are the usual choice,
+    but not required).
     """
     v = np.asarray(getattr(v_hat, "values", v_hat), dtype=np.float64)
     if g.transitions.shape != g_hat.transitions.shape:
@@ -100,14 +95,6 @@ def alpha_bound_ipm(epsilon: float, delta: float, rho: float,
     return 2.0 * (epsilon + gamma * delta * rho / (1.0 - gamma))
 
 
-def alpha_bound_tv(epsilon: float, delta: float, span_reward: float,
-                   gamma: float) -> float:
-    """Total-variation worst case: rho bounded by the reward span."""
-    _check_nonnegative(epsilon=epsilon, delta=delta, span_reward=span_reward)
-    check_discount(gamma)
-    return 2.0 * (epsilon + gamma * delta * span_reward / (1.0 - gamma))
-
-
 def alpha_bound_w(epsilon: float, delta: float, l_r: float, l_p: float,
                   gamma: float) -> float:
     """Wasserstein worst case 2 (epsilon + gamma L_r delta / (1 - gamma L_P)).
@@ -133,16 +120,6 @@ def lipschitz_value_bound(l_r: float, l_p: float, gamma: float) -> float:
             f"bound inapplicable: gamma * L_P = {gamma * l_p!r} >= 1"
         )
     return (1.0 - gamma) * l_r / (1.0 - gamma * l_p)
-
-
-def mdp_alpha_bound(epsilon: float, delta_term: float, gamma: float) -> float:
-    """Single-agent counterpart of :func:`alpha_bound_instance`.
-
-    Same arithmetic, kept as its own entry point: here the bound reads on
-    the suboptimality of a perturbed-model optimal strategy in the original
-    MDP.
-    """
-    return alpha_bound_instance(epsilon, delta_term, gamma)
 
 
 def hoeffding_tail(n: int, gap: float, span_h: float) -> float:
@@ -171,23 +148,12 @@ def _sample_size_real(alpha: float, p: float, span_reward: float,
     return scale * scale * 2.0 * math.log(2.0 * union_count / p) / (alpha * alpha)
 
 
-def sample_size_mdp(alpha: float, p: float, span_reward: float,
-                    num_states: int, num_actions: int, gamma: float) -> int:
-    """Per-pair sample count sufficient for an alpha-optimal plug-in policy
-    with probability 1 - p. Ceiling with a floor of one sample."""
-    if num_states < 1 or num_actions < 1:
-        raise ValueError("num_states and num_actions must be positive")
-    real = _sample_size_real(alpha, p, span_reward,
-                             num_states * num_actions, gamma)
-    return max(1, math.ceil(real))
-
-
 def sample_size_game(alpha: float, p: float, span_reward: float,
                      num_states: int, action_counts: list[int],
                      num_players: int, gamma: float) -> int:
     """Per-pair sample count sufficient for a plug-in equilibrium of the
     sampled game to be an alpha-equilibrium of the true game with
-    probability 1 - p. Reduces to :func:`sample_size_mdp` for one player."""
+    probability 1 - p. With one player this is the MDP sample size."""
     if num_states < 1 or num_players < 1:
         raise ValueError("num_states and num_players must be positive")
     if len(action_counts) != num_players or any(c < 1 for c in action_counts):
@@ -239,8 +205,8 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
     if ipm_kind == TOTAL_VARIATION:
         rhos = [span(v) for v in value_vectors]
         corollary = np.array([
-            alpha_bound_tv(params.epsilon, params.delta,
-                           span(g_hat.rewards[i]), gamma)
+            alpha_bound_ipm(params.epsilon, params.delta,
+                            span(g_hat.rewards[i]), gamma)
             for i in range(num_players)
         ])
     elif ipm_kind == WASSERSTEIN:

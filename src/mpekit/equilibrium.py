@@ -78,7 +78,7 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile,
     Per-player certifications are independent; results are assembled in
     player order.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     alphas = np.zeros(game.num_players)
     values = []

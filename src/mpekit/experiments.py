@@ -62,18 +62,6 @@ class ExperimentSummary:
     alpha_mean: np.ndarray | None
 
 
-def generative_sample(game: MarkovGame, state: int,
-                      joint_action: tuple[int, ...],
-                      rng: np.random.Generator) -> int:
-    """Draw one next state from P(.|state, joint_action) by inverse CDF."""
-    if not 0 <= state < game.num_states:
-        raise ValueError(f"state {state} out of range [0, {game.num_states})")
-    j = game.joint_action_index(tuple(joint_action))
-    cdf = np.cumsum(game.transitions[state, j])
-    draw = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(draw, game.num_states - 1)
-
-
 def pair_stream(root: np.random.SeedSequence, state: int,
                 pair_index: int, num_pairs: int) -> np.random.Generator:
     """Counter-based generator for one (state, action) pair under a root seed.

@@ -1,11 +1,12 @@
-"""Data model for finite Markov games, MDPs, strategies, and value functions.
+"""Data model for finite Markov games, strategies, and value functions.
 
+An MDP is a one-player :class:`MarkovGame`.
 All containers freeze their arrays after construction, so instances are
 immutable and safe to share across threads. Construction only enforces shape
 consistency; probabilistic invariants (row stochasticity, discount range,
-metric axioms) are checked by :func:`validate_game` / :func:`validate_mdp`,
-which report violations as data instead of raising. Invalid rows are never
-silently renormalized.
+metric axioms) are checked by :func:`validate_game`, which reports
+violations as data instead of raising. Invalid rows are never silently
+renormalized.
 
 Joint actions are ordered lexicographically by player index and then by
 per-player action index. This fixes both iteration order and the key order
@@ -140,47 +141,6 @@ class MarkovGame:
 
 
 @dataclass(frozen=True, eq=False)
-class Mdp:
-    """A finite discounted Markov decision process."""
-
-    states: tuple[str, ...]
-    actions: tuple[str, ...]
-    transitions: np.ndarray
-    rewards: np.ndarray
-    discount: float
-    metric: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "actions", tuple(self.actions))
-        s, a = len(self.states), len(self.actions)
-        trans = _frozen_array(self.transitions)
-        rew = _frozen_array(self.rewards)
-        if trans.shape != (s, a, s):
-            raise ValueError(
-                f"transitions shape {trans.shape} != expected {(s, a, s)}"
-            )
-        if rew.shape != (s, a):
-            raise ValueError(f"rewards shape {rew.shape} != expected {(s, a)}")
-        object.__setattr__(self, "transitions", trans)
-        object.__setattr__(self, "rewards", rew)
-        object.__setattr__(self, "discount", float(self.discount))
-        if self.metric is not None:
-            metric = _frozen_array(self.metric)
-            if metric.shape != (s, s):
-                raise ValueError(f"metric shape {metric.shape} != expected {(s, s)}")
-            object.__setattr__(self, "metric", metric)
-
-    @property
-    def num_states(self) -> int:
-        return len(self.states)
-
-    @property
-    def num_actions(self) -> int:
-        return len(self.actions)
-
-
-@dataclass(frozen=True, eq=False)
 class MarkovStrategy:
     """A randomized state-feedback strategy: ``probabilities[s, a]``.
 
@@ -249,13 +209,6 @@ def default_line_metric(num_states: int) -> np.ndarray:
     """The index-distance metric d(s, s') = |index(s) - index(s')|."""
     idx = np.arange(num_states)
     return np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-
-
-def effective_metric(model: MarkovGame | Mdp) -> np.ndarray:
-    """The model's metric, defaulting to index distance when absent."""
-    if model.metric is not None:
-        return model.metric
-    return default_line_metric(model.num_states)
 
 
 def metric_violations(metric: np.ndarray, atol: float = 1e-12) -> list[str]:
@@ -344,26 +297,6 @@ def validate_game(game: MarkovGame) -> list[str]:
     return out
 
 
-def validate_mdp(mdp: Mdp) -> list[str]:
-    """Same stochasticity and range checks as :func:`validate_game`."""
-    out = _discount_violations(mdp.discount)
-    bad = ~np.isfinite(mdp.rewards)
-    if np.any(bad):
-        s, a = np.argwhere(bad)[0]
-        out.append(
-            f"reward at (state {mdp.states[s]!r}, action {mdp.actions[a]!r}) "
-            "is not finite"
-        )
-
-    def row_name(s, a):
-        return f"(state {mdp.states[s]!r}, action {mdp.actions[a]!r})"
-
-    out.extend(_stochastic_violations(mdp.transitions, row_name))
-    if mdp.metric is not None:
-        out.extend(metric_violations(mdp.metric))
-    return out
-
-
 def check_discount(gamma: float) -> None:
     """Raise ``ValueError`` unless gamma lies in the open interval (0, 1)."""
     violations = _discount_violations(gamma)
@@ -387,13 +320,14 @@ def check_profile(game: MarkovGame, profile: StrategyProfile) -> None:
             )
 
 
-def induced_mdp(game: MarkovGame, profile: StrategyProfile, player: int) -> Mdp:
+def induced_mdp(game: MarkovGame, profile: StrategyProfile,
+                player: int) -> MarkovGame:
     """The single-agent problem a player faces when the others fix strategies.
 
-    The returned MDP keeps the player's own action set; its transitions and
-    rewards average the game's over the other players' randomization:
-    mixing two opponent strategies mixes the induced model with the same
-    weights.
+    The returned MDP is a one-player game with the player's own action set
+    and rewards of shape ``(1, S, A_player)``; its transitions and rewards
+    average the game's over the other players' randomization: mixing two
+    opponent strategies mixes the induced model with the same weights.
     """
     check_profile(game, profile)
     if not 0 <= player < game.num_players:
@@ -410,14 +344,8 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile, player: int) -> Mdp:
         own = joint[player]
         trans[:, own, :] += weight[:, None] * game.transitions[:, j, :]
         rew[:, own] += weight * game.rewards[player, :, j]
-    return Mdp(
-        states=game.states,
-        actions=game.action_sets[player],
-        transitions=trans,
-        rewards=rew,
-        discount=game.discount,
-        metric=game.metric,
-    )
+    return MarkovGame(game.states, (game.action_sets[player],), trans,
+                      rew[None], game.discount, game.metric)
 
 
 # ---------------------------------------------------------------------------

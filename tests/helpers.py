@@ -12,21 +12,14 @@ import itertools
 
 import numpy as np
 
-from mpekit.games import MarkovGame, MarkovStrategy, Mdp, StrategyProfile
+from mpekit.games import MarkovGame, MarkovStrategy, StrategyProfile
 
 
 def random_mdp(rng, num_states=3, num_actions=2, discount=0.9,
-               reward_low=0.0, reward_high=1.0) -> Mdp:
-    transitions = rng.dirichlet(np.ones(num_states),
-                                size=(num_states, num_actions))
-    rewards = rng.uniform(reward_low, reward_high, size=(num_states, num_actions))
-    return Mdp(
-        states=tuple(str(s) for s in range(num_states)),
-        actions=tuple(str(a) for a in range(num_actions)),
-        transitions=transitions,
-        rewards=rewards,
-        discount=discount,
-    )
+               reward_low=0.0, reward_high=1.0) -> MarkovGame:
+    """A random MDP: a one-player game with ``num_actions`` actions."""
+    return random_game(rng, num_states, (num_actions,), discount,
+                       reward_low, reward_high)
 
 
 def random_game(rng, num_states=3, action_counts=(2, 2), discount=0.9,
@@ -85,20 +78,22 @@ def deterministic_policies(num_states, num_actions):
         yield MarkovStrategy(probs)
 
 
-def policy_value_direct(mdp: Mdp, strategy: MarkovStrategy) -> np.ndarray:
+def policy_value_direct(mdp: MarkovGame,
+                        strategy: MarkovStrategy) -> np.ndarray:
     """Policy value by direct matrix inversion, independent of the library."""
     pi = strategy.probabilities
     p_pi = np.einsum("sa,sat->st", pi, mdp.transitions)
-    r_pi = (pi * mdp.rewards).sum(axis=1)
+    r_pi = (pi * mdp.rewards[0]).sum(axis=1)
     gamma = mdp.discount
     return np.linalg.inv(np.eye(mdp.num_states) - gamma * p_pi) \
         @ ((1.0 - gamma) * r_pi)
 
 
-def best_deterministic_value(mdp: Mdp) -> np.ndarray:
+def best_deterministic_value(mdp: MarkovGame) -> np.ndarray:
     """Componentwise best value over every deterministic strategy."""
     best = None
-    for strategy in deterministic_policies(mdp.num_states, mdp.num_actions):
+    for strategy in deterministic_policies(mdp.num_states,
+                                           mdp.action_counts[0]):
         value = policy_value_direct(mdp, strategy)
         best = value if best is None else np.maximum(best, value)
     return best

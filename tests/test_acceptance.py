@@ -23,7 +23,6 @@ from helpers import (
 from mpekit.bounds import (
     alpha_bound_instance,
     delta_term,
-    mdp_alpha_bound,
     robustness_report,
     sample_size_game,
 )
@@ -31,8 +30,8 @@ from mpekit.cli import main as cli_main
 from mpekit.equilibrium import certify_profile
 from mpekit.experiments import records_csv, run_experiments, summarize
 from mpekit.games import (
+    MarkovGame,
     MarkovStrategy,
-    Mdp,
     ValueFunction,
     default_line_metric,
     induced_mdp,
@@ -212,7 +211,7 @@ def test_criterion_8_bellman_contraction():
         v1 = ValueFunction(rng.normal(size=mdp.num_states))
         v2 = ValueFunction(rng.normal(size=mdp.num_states))
         strategy = MarkovStrategy(
-            rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states))
+            rng.dirichlet(np.ones(mdp.action_counts[0]), size=mdp.num_states))
         gap = np.max(np.abs(v1.values - v2.values))
         fixed = np.max(np.abs(bellman_policy(mdp, strategy, v1).values
                               - bellman_policy(mdp, strategy, v2).values))
@@ -314,8 +313,8 @@ def test_criterion_8_perturbation_soundness():
         noise = rng.uniform(0.0, 0.08)
         mix = rng.dirichlet(np.ones(mdp.num_states),
                             size=mdp.transitions.shape[:2])
-        approx = Mdp(
-            states=mdp.states, actions=mdp.actions,
+        approx = MarkovGame(
+            states=mdp.states, action_sets=mdp.action_sets,
             transitions=(1 - noise) * mdp.transitions + noise * mix,
             rewards=mdp.rewards + rng.uniform(-0.02, 0.02,
                                               size=mdp.rewards.shape),
@@ -323,9 +322,9 @@ def test_criterion_8_perturbation_soundness():
         value_hat, policy_hat = solve_optimal(approx, 1e-10)
         certified = alpha_optimality(mdp, policy_hat, 1e-10)
         epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
-        bound = mdp_alpha_bound(epsilon,
-                                delta_term(mdp, approx, value_hat.values),
-                                mdp.discount)
+        bound = alpha_bound_instance(epsilon,
+                                     delta_term(mdp, approx, value_hat.values),
+                                     mdp.discount)
         ok &= certified <= bound + 1e-8
         if not ok:
             break

@@ -8,18 +8,15 @@ from mpekit.bounds import (
     _sample_size_real,
     alpha_bound_instance,
     alpha_bound_ipm,
-    alpha_bound_tv,
     alpha_bound_w,
     delta_term,
     hoeffding_tail,
     lipschitz_value_bound,
-    mdp_alpha_bound,
     robustness_report,
     sample_size_game,
-    sample_size_mdp,
 )
 from mpekit.equilibrium import certify_profile
-from mpekit.games import Mdp, default_line_metric
+from mpekit.games import MarkovGame, default_line_metric
 from mpekit.mdp import alpha_optimality, solve_optimal
 from mpekit.metrics import (
     TOTAL_VARIATION,
@@ -101,8 +98,9 @@ class TestBoundArithmetic:
             0.029891, abs=1e-6)
 
     def test_tv_bound_plug_in(self):
-        assert alpha_bound_tv(0.0, 0.0, 5.0, 0.9) == 0.0
-        assert alpha_bound_tv(0.01, 0.05, 0.9, 0.9) == pytest.approx(0.83)
+        # rho is bounded by the reward span
+        assert alpha_bound_ipm(0.0, 0.0, 5.0, 0.9) == 0.0
+        assert alpha_bound_ipm(0.01, 0.05, 0.9, 0.9) == pytest.approx(0.83)
 
     def test_w_bound_plug_in(self):
         assert alpha_bound_w(0.0, 0.0, 1.0, 0.5, 0.9) == 0.0
@@ -126,10 +124,8 @@ class TestBoundArithmetic:
         with pytest.raises(ValueError):
             alpha_bound_ipm(-0.01, 0.05, 1.0, 0.9)
 
-    def test_mdp_alpha_bound_shares_arithmetic(self):
-        assert mdp_alpha_bound(0.01, 0.000784, 0.9) == alpha_bound_instance(
-            0.01, 0.000784, 0.9)
-        assert mdp_alpha_bound(0.01, 0.000784, 0.9) == pytest.approx(
+    def test_instance_bound_reference_input(self):
+        assert alpha_bound_instance(0.01, 0.000784, 0.9) == pytest.approx(
             0.034112, abs=1e-12)
 
 
@@ -154,12 +150,12 @@ class TestLipschitzValueBound:
                 for a in range(2):
                     transitions[s, a] = (0.8 * anchor
                                          + 0.2 * rng.dirichlet(np.ones(3)))
-            mdp = Mdp(states=("0", "1", "2"), actions=("a", "b"),
-                      transitions=transitions,
-                      rewards=rng.uniform(0, 1, size=(3, 2)),
-                      discount=0.9)
+            mdp = MarkovGame(states=("0", "1", "2"), action_sets=[("a", "b")],
+                             transitions=transitions,
+                             rewards=[rng.uniform(0, 1, size=(3, 2))],
+                             discount=0.9)
             l_r = max(
-                lipschitz_constant(mdp.rewards[:, a], metric)
+                lipschitz_constant(mdp.rewards[0][:, a], metric)
                 for a in range(2))
             l_p = max(
                 wasserstein1(mdp.transitions[s1, a], mdp.transitions[s2, a],
@@ -220,10 +216,10 @@ class TestSampleSizes:
 
     def test_single_player_reduces_to_mdp_formula(self):
         assert sample_size_game(0.1, 0.01, 0.9, 3, [4], 1, 0.9) == \
-            sample_size_mdp(0.1, 0.01, 0.9, 3, 4, 0.9)
+            math.ceil(_sample_size_real(0.1, 0.01, 0.9, 3 * 4, 0.9))
 
     def test_constant_rewards_floor_at_one(self):
-        assert sample_size_mdp(0.1, 0.01, 0.0, 3, 4, 0.9) == 1
+        assert sample_size_game(0.1, 0.01, 0.0, 3, [4], 1, 0.9) == 1
         assert sample_size_game(0.1, 0.01, 0.0, 3, [2, 2], 2, 0.9) == 1
 
     def test_halving_p_adds_fixed_increment(self):
@@ -250,7 +246,7 @@ class TestSampleSizes:
         with pytest.raises(ValueError):
             sample_size_game(0.1, 0.01, 0.9, 3, [2], 2, 0.9)
         with pytest.raises(ValueError):
-            sample_size_mdp(0.1, 0.01, 0.9, 0, 4, 0.9)
+            sample_size_game(0.1, 0.01, 0.9, 0, [4], 1, 0.9)
 
 
 class TestRobustnessReport:
@@ -345,14 +341,14 @@ class TestSoundness:
             mix = rng.dirichlet(np.ones(mdp.num_states),
                                 size=mdp.transitions.shape[:2])
             transitions = (1 - noise_p) * mdp.transitions + noise_p * mix
-            approx = Mdp(states=mdp.states, actions=mdp.actions,
-                         transitions=transitions, rewards=rewards,
-                         discount=mdp.discount)
+            approx = MarkovGame(states=mdp.states, action_sets=mdp.action_sets,
+                                transitions=transitions, rewards=rewards,
+                                discount=mdp.discount)
             value_hat, policy_hat = solve_optimal(approx, 1e-10)
             certified = alpha_optimality(mdp, policy_hat, 1e-10)
             epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
             gap = delta_term(mdp, approx, value_hat.values)
-            bound = mdp_alpha_bound(epsilon, gap, mdp.discount)
+            bound = alpha_bound_instance(epsilon, gap, mdp.discount)
             assert certified <= bound + 1e-8
 
     def test_game_bound_covers_certified_equilibrium_gap(self, original_game,

@@ -15,12 +15,17 @@ from mpekit.equilibrium import (
 from mpekit.games import (
     MarkovGame,
     MarkovStrategy,
-    Mdp,
     StrategyProfile,
     ValueFunction,
+    induced_mdp,
 )
-from mpekit.mdp import alpha_optimality, bellman_optimal, bellman_policy, \
-    solve_optimal
+from mpekit.mdp import (
+    alpha_optimality,
+    bellman_optimal,
+    bellman_policy,
+    evaluate_policy,
+    solve_optimal,
+)
 
 # Frozen certified gaps of the solved perturbed-game equilibrium, measured
 # on the original bundled game.
@@ -53,15 +58,13 @@ class TestPlayerBackup:
         game = random_game(rng, action_counts=(3,))
         profile = random_profile(rng, game)
         v = ValueFunction(rng.normal(size=3))
-        mdp = Mdp(states=game.states, actions=game.action_sets[0],
-                  transitions=game.transitions, rewards=game.rewards[0],
-                  discount=game.discount)
+        # A one-player game is an MDP, so the MDP operators take it as is.
         fixed = game_bellman_player(game, profile, 0, v, MODE_FIXED)
         assert np.allclose(
             fixed.values,
-            bellman_policy(mdp, profile.strategies[0], v).values)
+            bellman_policy(game, profile.strategies[0], v).values)
         best = game_bellman_player(game, profile, 0, v, MODE_BEST_RESPONSE)
-        assert np.allclose(best.values, bellman_optimal(mdp, v).values)
+        assert np.allclose(best.values, bellman_optimal(game, v).values)
 
     def test_equilibrium_values_are_fixed_points(self, perturbed_game,
                                                  perturbed_mpe):
@@ -111,10 +114,7 @@ class TestCertifyProfile:
     def test_single_player_optimal_strategy_has_zero_gap(self):
         rng = np.random.default_rng(3)
         game = random_game(rng, action_counts=(3,))
-        mdp = Mdp(states=game.states, actions=game.action_sets[0],
-                  transitions=game.transitions, rewards=game.rewards[0],
-                  discount=game.discount)
-        _, greedy = solve_optimal(mdp, 1e-10)
+        _, greedy = solve_optimal(game, 1e-10)
         certificate = certify_profile(game, StrategyProfile((greedy,)))
         assert abs(certificate.per_player_alpha[0]) <= 2e-10
 
@@ -122,12 +122,9 @@ class TestCertifyProfile:
         rng = np.random.default_rng(4)
         game = random_game(rng, action_counts=(3,))
         strategy = random_strategy(rng, 3, 3)
-        mdp = Mdp(states=game.states, actions=game.action_sets[0],
-                  transitions=game.transitions, rewards=game.rewards[0],
-                  discount=game.discount)
         certificate = certify_profile(game, StrategyProfile((strategy,)))
         assert certificate.per_player_alpha[0] == pytest.approx(
-            alpha_optimality(mdp, strategy, 1e-10), abs=1e-10)
+            alpha_optimality(game, strategy, 1e-10), abs=1e-10)
 
     def test_best_response_dominates_componentwise(self):
         rng = np.random.default_rng(5)
@@ -196,6 +193,37 @@ class TestDiscountGuard:
         with pytest.raises(ValueError, match="discount"):
             certify_profile(game, perturbed_mpe.profile)
         assert time.perf_counter() - start < 1.0
+
+
+class TestFailFast:
+    def test_nan_tol_rejected_by_every_entry_point(self, perturbed_game,
+                                                   perturbed_mpe):
+        profile = perturbed_mpe.profile
+        mdp = induced_mdp(perturbed_game, profile, 0)
+        calls = (lambda: certify_profile(perturbed_game, profile, np.nan),
+                 lambda: is_mpe(perturbed_game, profile, np.nan),
+                 lambda: solve_optimal(mdp, np.nan),
+                 lambda: alpha_optimality(mdp, profile.strategies[0], np.nan))
+        for call in calls:
+            with pytest.raises(ValueError, match="tol"):
+                call()
+
+    @pytest.mark.parametrize("field, index", [("rewards", (0, 0, 0)),
+                                              ("transitions", (0, 0))])
+    def test_non_finite_model_entry_raises(self, original_game, perturbed_mpe,
+                                           field, index):
+        # Constructed directly, so validate_game never sees the NaN.
+        array = getattr(original_game, field).copy()
+        array[index] = np.nan
+        game = dataclasses.replace(original_game, **{field: array})
+        profile = perturbed_mpe.profile
+        mdp = induced_mdp(game, profile, 0)
+        calls = (lambda: certify_profile(game, profile),
+                 lambda: evaluate_policy(mdp, profile.strategies[0]),
+                 lambda: solve_optimal(mdp))
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite"):
+                call()
 
 
 class TestIsMpe:

@@ -3,7 +3,6 @@ import pytest
 
 from mpekit.experiments import (
     estimate_model,
-    generative_sample,
     pair_stream,
     records_csv,
     run_experiments,
@@ -35,16 +34,12 @@ def delta_row_game():
 class TestGenerativeSample:
     def test_deterministic_row_always_hits_its_state(self):
         game = delta_row_game()
-        rng = np.random.Generator(np.random.Philox(0))
-        draws = {generative_sample(game, 0, (0, 0), rng) for _ in range(100)}
-        assert draws == {1}
+        _, model = estimate_model(game, 100, np.random.SeedSequence(0))
+        assert np.array_equal(model.counts[:, 0], 100 * game.transitions[:, 0])
 
     def test_frequencies_match_row_within_three_sigma(self):
-        game = delta_row_game()
-        rng = np.random.Generator(np.random.Philox(1))
         n = 1_000_000
         row = np.array([0.4, 0.4, 0.2])
-        counts = np.zeros(3)
         gen = pair_stream(np.random.SeedSequence(1), 0, 1, 2)
         cdf = np.cumsum(row)
         draws = np.minimum(np.searchsorted(cdf, gen.random(n), "right"), 2)
@@ -52,29 +47,13 @@ class TestGenerativeSample:
         for k in range(3):
             sigma = np.sqrt(n * row[k] * (1 - row[k]))
             assert abs(counts[k] - n * row[k]) <= 3 * sigma
-        # the scalar API agrees with the vectorized draw stream
-        gen_again = pair_stream(np.random.SeedSequence(1), 0, 1, 2)
-        scalar_draws = [generative_sample(game, 0, (1, 0), gen_again)
-                        for _ in range(1000)]
-        assert scalar_draws == list(draws[:1000])
 
     def test_fixed_seed_reproduces_sequence(self):
-        game = delta_row_game()
-        first = [generative_sample(game, 1, (1, 0),
-                                   np.random.Generator(np.random.Philox(5)))
-                 for _ in range(1)]
-        second = [generative_sample(game, 1, (1, 0),
-                                    np.random.Generator(np.random.Philox(5)))
-                  for _ in range(1)]
-        assert first == second
-
-    def test_rejects_out_of_range(self):
-        game = delta_row_game()
-        rng = np.random.Generator(np.random.Philox(0))
-        with pytest.raises(ValueError):
-            generative_sample(game, 9, (0, 0), rng)
-        with pytest.raises(ValueError):
-            generative_sample(game, 0, (2, 0), rng)
+        # Streams are derived from the root without consuming it.
+        root = np.random.SeedSequence(5)
+        first = pair_stream(root, 1, 1, 2).random(10)
+        assert np.array_equal(pair_stream(root, 1, 1, 2).random(10), first)
+        assert not np.array_equal(pair_stream(root, 1, 0, 2).random(10), first)
 
 
 class TestEstimateModel:

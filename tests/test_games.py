@@ -11,7 +11,6 @@ from mpekit.games import (
     MarkovStrategy,
     StrategyProfile,
     default_line_metric,
-    effective_metric,
     induced_mdp,
     metric_violations,
     parse_game,
@@ -19,8 +18,8 @@ from mpekit.games import (
     serialize_game,
     serialize_profile,
     validate_game,
-    validate_mdp,
 )
+from mpekit.metrics import comparison_metric
 
 
 def tiny_game(**overrides):
@@ -95,10 +94,11 @@ class TestValidation:
     def test_validate_mdp_mirrors_game_checks(self):
         from helpers import random_mdp
 
+        # An MDP is a one-player game, validated by the same function.
         mdp = random_mdp(np.random.default_rng(0))
-        assert validate_mdp(mdp) == []
+        assert validate_game(mdp) == []
         bad = random_mdp(np.random.default_rng(0), discount=1.0)
-        assert any("discount" in v for v in validate_mdp(bad))
+        assert any("discount" in v for v in validate_game(bad))
 
 
 class TestParsing:
@@ -239,8 +239,8 @@ class TestInducedMdp:
         game = random_game(rng, num_states=3, action_counts=(3,))
         profile = random_profile(rng, game)
         mdp = induced_mdp(game, profile, 0)
-        assert np.allclose(mdp.transitions, game.transitions)
-        assert np.allclose(mdp.rewards, game.rewards[0])
+        assert np.array_equal(mdp.transitions, game.transitions)
+        assert np.array_equal(mdp.rewards, game.rewards)
 
     def test_deterministic_opponent_selects_slices(self):
         rng = np.random.default_rng(2)
@@ -252,7 +252,7 @@ class TestInducedMdp:
             j = game.joint_action_index((a1, 1))
             assert np.allclose(mdp.transitions[:, a1, :],
                                game.transitions[:, j, :])
-            assert np.allclose(mdp.rewards[:, a1], game.rewards[0, :, j])
+            assert np.allclose(mdp.rewards[0, :, a1], game.rewards[0, :, j])
 
     def test_two_state_hand_computed_mix(self):
         # One state pair, opponent mixes 0.25/0.75 between the two columns.
@@ -271,7 +271,7 @@ class TestInducedMdp:
         mdp = induced_mdp(game, profile, 0)
         assert np.allclose(mdp.transitions[0, 0], [0.25, 0.75])
         assert np.allclose(mdp.transitions[1, 0], [0.3, 0.7])
-        assert np.allclose(mdp.rewards[:, 0], [2.5, 3.0])
+        assert np.allclose(mdp.rewards[0, :, 0], [2.5, 3.0])
 
     def test_linear_in_opponent_mixture(self):
         rng = np.random.default_rng(7)
@@ -324,7 +324,8 @@ class TestInducedMdp:
 
 
 def test_effective_metric_defaults_to_index_distance(original_game):
-    metric = effective_metric(original_game)
+    metric = comparison_metric(original_game, original_game)
     assert np.array_equal(metric, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     carried = tiny_game(metric=[[0.0, 2.0], [2.0, 0.0]])
-    assert np.array_equal(effective_metric(carried), [[0, 2], [2, 0]])
+    assert np.array_equal(comparison_metric(carried, carried),
+                          [[0, 2], [2, 0]])

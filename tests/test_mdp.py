@@ -8,9 +8,10 @@ from helpers import (
     best_deterministic_value,
     deterministic_policies,
     policy_value_direct,
+    random_game,
     random_mdp,
 )
-from mpekit.games import MarkovStrategy, Mdp, ValueFunction, induced_mdp
+from mpekit.games import MarkovGame, MarkovStrategy, ValueFunction, induced_mdp
 from mpekit.mdp import (
     alpha_optimality,
     bellman_optimal,
@@ -30,8 +31,9 @@ BEST_P2 = [0.7280, 0.7158, 0.7171]
 
 
 def single_state_mdp(reward, gamma):
-    return Mdp(states=("s",), actions=("a",), transitions=[[[1.0]]],
-               rewards=[[reward]], discount=gamma)
+    return MarkovGame(states=("s",), action_sets=[("a",)],
+                      transitions=[[[1.0]]], rewards=[[[reward]]],
+                      discount=gamma)
 
 
 @st.composite
@@ -46,11 +48,11 @@ def small_mdps(draw):
     weights = draw(arrays(np.float64, (s, a, s), elements=st.floats(0.0, 1.0)))
     weights[weights.sum(axis=-1) == 0.0] = 1.0
     rewards = draw(arrays(np.float64, (s, a), elements=st.floats(-1.0, 1.0)))
-    return Mdp(states=tuple(str(i) for i in range(s)),
-               actions=tuple(str(i) for i in range(a)),
-               transitions=weights / weights.sum(axis=-1, keepdims=True),
-               rewards=rewards,
-               discount=draw(st.floats(0.5, 0.999)))
+    transitions = weights / weights.sum(axis=-1, keepdims=True)
+    return MarkovGame(states=tuple(str(i) for i in range(s)),
+                      action_sets=[tuple(str(i) for i in range(a))],
+                      transitions=transitions, rewards=[rewards],
+                      discount=draw(st.floats(0.5, 0.999)))
 
 
 class TestBellmanPolicy:
@@ -67,13 +69,13 @@ class TestBellmanPolicy:
         strategy = MarkovStrategy(rng.dirichlet(np.ones(2), size=3))
         out = bellman_policy(mdp, strategy, ValueFunction(np.zeros(3)))
         expected = (1 - mdp.discount) * (strategy.probabilities
-                                         * mdp.rewards).sum(axis=1)
+                                         * mdp.rewards[0]).sum(axis=1)
         assert np.allclose(out.values, expected)
 
     def test_two_state_cycle_by_hand(self):
-        mdp = Mdp(states=("l", "r"), actions=("go",),
-                  transitions=[[[0.0, 1.0]], [[1.0, 0.0]]],
-                  rewards=[[1.0], [0.0]], discount=0.5)
+        mdp = MarkovGame(states=("l", "r"), action_sets=[("go",)],
+                         transitions=[[[0.0, 1.0]], [[1.0, 0.0]]],
+                         rewards=[[[1.0], [0.0]]], discount=0.5)
         out = bellman_policy(mdp, MarkovStrategy([[1.0], [1.0]]),
                              ValueFunction([0.0, 0.0]))
         assert np.allclose(out.values, [0.5, 0.0])
@@ -101,14 +103,14 @@ class TestBellmanOptimal:
         mdp = random_mdp(rng)
         out = bellman_optimal(mdp, ValueFunction(np.zeros(3)))
         assert np.allclose(out.values,
-                           (1 - mdp.discount) * mdp.rewards.max(axis=1))
+                           (1 - mdp.discount) * mdp.rewards[0].max(axis=1))
 
     def test_two_state_two_action_tableau(self):
         # state 0: action 0 pays 1 and stays, action 1 pays 0 and moves;
         # state 1: action 0 pays 0 and stays, action 1 pays 2 and moves.
-        mdp = Mdp(states=("0", "1"), actions=("stay", "move"),
-                  transitions=[[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
-                  rewards=[[1.0, 0.0], [0.0, 2.0]], discount=0.5)
+        mdp = MarkovGame(states=("0", "1"), action_sets=[("stay", "move")],
+                         transitions=[[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                         rewards=[[[1.0, 0.0], [0.0, 2.0]]], discount=0.5)
         out = bellman_optimal(mdp, ValueFunction([10.0, 20.0]))
         # by hand: state 0: max(0.5 + 5, 0 + 10) = 10; state 1: max(10, 1 + 5) = 10
         assert np.allclose(out.values, [10.0, 10.0])
@@ -191,9 +193,9 @@ class TestSolveOptimal:
             assert np.allclose(achieved.values, oracle, atol=1e-9)
 
     def test_greedy_ties_break_low(self):
-        mdp = Mdp(states=("s",), actions=("a", "b"),
-                  transitions=[[[1.0], [1.0]]], rewards=[[1.0, 1.0]],
-                  discount=0.5)
+        mdp = MarkovGame(states=("s",), action_sets=[("a", "b")],
+                         transitions=[[[1.0], [1.0]]], rewards=[[[1.0, 1.0]]],
+                         discount=0.5)
         _, strategy = solve_optimal(mdp, 1e-10)
         assert np.array_equal(strategy.probabilities, [[1.0, 0.0]])
 
@@ -229,6 +231,19 @@ class TestDiscountGuard:
             alpha_optimality(mdp, MarkovStrategy([[1.0]]))
 
 
+def test_planners_reject_a_game_of_two_players():
+    game = random_game(np.random.default_rng(13))
+    strategy = MarkovStrategy(np.full((3, 2), 0.5))
+    v = ValueFunction(np.zeros(3))
+    calls = (lambda: bellman_policy(game, strategy, v),
+             lambda: bellman_optimal(game, v),
+             lambda: evaluate_policy(game, strategy),
+             lambda: solve_optimal(game))
+    for call in calls:
+        with pytest.raises(ValueError, match="2 players"):
+            call()
+
+
 class TestAlphaOptimality:
     def test_zero_for_computed_optimum(self):
         rng = np.random.default_rng(7)
@@ -240,10 +255,10 @@ class TestAlphaOptimality:
     def test_dominant_action_gap_matches_enumeration(self):
         # action 0 dominates everywhere; the uniform strategy leaves value
         # on the table, measured exactly by enumerating all 4 policies.
-        mdp = Mdp(states=("0", "1"), actions=("good", "bad"),
-                  transitions=[[[0.7, 0.3], [0.3, 0.7]],
-                               [[0.6, 0.4], [0.1, 0.9]]],
-                  rewards=[[1.0, 0.2], [0.8, 0.1]], discount=0.8)
+        mdp = MarkovGame(states=("0", "1"), action_sets=[("good", "bad")],
+                         transitions=[[[0.7, 0.3], [0.3, 0.7]],
+                                      [[0.6, 0.4], [0.1, 0.9]]],
+                         rewards=[[[1.0, 0.2], [0.8, 0.1]]], discount=0.8)
         uniform = MarkovStrategy(np.full((2, 2), 0.5))
         gap = alpha_optimality(mdp, uniform, 1e-10)
         oracle = np.max(best_deterministic_value(mdp)
@@ -262,7 +277,8 @@ class TestOperatorProperties:
             v1 = ValueFunction(rng.normal(size=mdp.num_states))
             v2 = ValueFunction(rng.normal(size=mdp.num_states))
             strategy = MarkovStrategy(
-                rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states))
+                rng.dirichlet(np.ones(mdp.action_counts[0]),
+                              size=mdp.num_states))
             gap = np.max(np.abs(v1.values - v2.values))
             fixed_gap = np.max(np.abs(
                 bellman_policy(mdp, strategy, v1).values
@@ -289,8 +305,8 @@ class TestOperatorProperties:
             mdp = random_mdp(rng, reward_low=-2.0, reward_high=3.0)
             strategy = MarkovStrategy(rng.dirichlet(np.ones(2), size=3))
             value = evaluate_policy(mdp, strategy).values
-            assert np.all(value >= mdp.rewards.min() - 1e-10)
-            assert np.all(value <= mdp.rewards.max() + 1e-10)
+            assert np.all(value >= mdp.rewards[0].min() - 1e-10)
+            assert np.all(value <= mdp.rewards[0].max() + 1e-10)
 
     def test_optimal_value_span_bounded_by_reward_span(self):
         rng = np.random.default_rng(11)
@@ -298,7 +314,7 @@ class TestOperatorProperties:
             mdp = random_mdp(rng, reward_low=-1.0, reward_high=2.0)
             value, _ = solve_optimal(mdp, 1e-10)
             value_span = value.values.max() - value.values.min()
-            reward_span = mdp.rewards.max() - mdp.rewards.min()
+            reward_span = mdp.rewards[0].max() - mdp.rewards[0].min()
             assert value_span <= reward_span + 1e-9
 
     def test_optimal_dominates_every_policy(self):
