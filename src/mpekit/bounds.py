@@ -197,6 +197,10 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
             np.asarray(getattr(v, "values", v), dtype=np.float64)
             for v in values
         ]
+        for player, v in enumerate(value_vectors):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(
+                    f"value vector of player index {player} is not finite")
 
     deltas = np.array([delta_term(g, g_hat, v) for v in value_vectors])
     instance = np.array([

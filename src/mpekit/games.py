@@ -154,6 +154,9 @@ class MarkovStrategy:
         probs = _frozen_array(self.probabilities)
         if probs.ndim != 2:
             raise ValueError(f"strategy must be 2-D, got shape {probs.shape}")
+        if not np.all(np.isfinite(probs)):
+            s, a = np.argwhere(~np.isfinite(probs))[0]
+            raise ValueError(f"non-finite probability at state {s}, action {a}")
         if np.any(probs < 0):
             s, a = np.argwhere(probs < 0)[0]
             raise ValueError(f"negative probability at state {s}, action {a}")
@@ -235,13 +238,12 @@ def metric_violations(metric: np.ndarray, atol: float = 1e-12) -> list[str]:
         i, j = np.argwhere(off <= 0)[0]
         out.append(f"metric d(s,s') <= 0 for distinct states ({i}, {j})")
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if metric[i, k] > metric[i, j] + metric[j, k] + atol:
-                    out.append(
-                        f"metric triangle inequality fails on ({i}, {j}, {k})"
-                    )
-                    return out
+        # bad[j, k]: d(i, k) > d(i, j) + d(j, k) + atol, summed in that order
+        bad = metric[i] > metric[i][:, None] + metric + atol
+        if np.any(bad):
+            j, k = np.argwhere(bad)[0]
+            out.append(f"metric triangle inequality fails on ({i}, {j}, {k})")
+            return out
     return out
 
 

@@ -48,12 +48,34 @@ class ApproximationParams:
 
 
 def _check_distribution(name: str, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D probability vector")
-    if np.any(p < -_DIST_ATOL) or abs(float(p.sum()) - 1.0) > _DIST_ATOL:
-        raise ValueError(f"{name} is not a probability distribution")
+    """Probability vectors along the last axis, clipped at zero.
+
+    NaN fails both comparisons, so a row with a NaN entry is rejected too.
+    """
+    ok = np.all(p >= -_DIST_ATOL, axis=-1) & (np.abs(p.sum(-1) - 1.0)
+                                              <= _DIST_ATOL)
+    if not np.all(ok):
+        where = f" at row {np.argwhere(~ok)[0].tolist()}" if p.ndim > 1 else ""
+        raise ValueError(f"{name} is not a probability distribution{where}")
     return np.clip(p, 0.0, None)
+
+
+def _checked_rows(game: MarkovGame, name: str) -> np.ndarray:
+    """A game's transition rows, clipped at zero, once its rewards and rows
+    pass their checks."""
+    bad = np.argwhere(~np.isfinite(game.rewards))
+    if bad.size:
+        raise ValueError(f"{name}: reward {bad[0].tolist()} is not finite")
+    return _check_distribution(f"transitions of {name}", game.transitions)
+
+
+def _check_pair(mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    if mu.ndim != 1 or mu.shape != nu.shape:
+        raise ValueError("mu and nu must be 1-D probability vectors of one "
+                         f"length, got shapes {mu.shape} and {nu.shape}")
+    return _check_distribution("mu", mu), _check_distribution("nu", nu)
 
 
 def _check_metric(metric: np.ndarray, size: int) -> np.ndarray:
@@ -66,13 +88,14 @@ def _check_metric(metric: np.ndarray, size: int) -> np.ndarray:
     return metric
 
 
+def _tv(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Total variation along the last axis of checked distributions."""
+    return 0.5 * np.abs(mu - nu).sum(-1)
+
+
 def tv_distance(mu, nu) -> float:
     """Total variation distance, i.e. half the L1 difference; in [0, 1]."""
-    mu = _check_distribution("mu", mu)
-    nu = _check_distribution("nu", nu)
-    if mu.shape != nu.shape:
-        raise ValueError(f"length mismatch: {mu.shape[0]} vs {nu.shape[0]}")
-    return float(0.5 * np.abs(mu - nu).sum())
+    return float(_tv(*_check_pair(mu, nu)))
 
 
 def _line_embedding(metric: np.ndarray) -> np.ndarray | None:
@@ -91,14 +114,6 @@ def _line_embedding(metric: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _w1_line(mu: np.ndarray, nu: np.ndarray, coords: np.ndarray) -> float:
-    """Exact 1-D transport cost: integral of |CDF difference|."""
-    order = np.argsort(coords, kind="stable")
-    gaps = np.diff(coords[order])
-    cum = np.cumsum(mu[order] - nu[order])[:-1]
-    return float(np.abs(cum) @ gaps)
-
-
 def _w1_lp(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
     """Exact transportation LP over couplings with marginals mu, nu."""
     n = len(mu)
@@ -114,6 +129,24 @@ def _w1_lp(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
     return float(result.fun)
 
 
+def _w1(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """Wasserstein-1 along the last axis of checked distributions: on a line
+    metric the integral of |CDF difference|, else one exact LP per row."""
+    mu, nu = np.broadcast_arrays(mu, nu)
+    coords = _line_embedding(metric)
+    if coords is None:
+        out = np.empty(mu.shape[:-1])
+        for row in np.ndindex(out.shape):
+            out[row] = _w1_lp(mu[row], nu[row], metric)
+        return out
+    order = np.argsort(coords, kind="stable")
+    # np.vecdot sums a C-contiguous row exactly as the 1-D dot product does;
+    # the fancy-indexed cumulative sum is not C-contiguous.
+    cum = np.ascontiguousarray(
+        np.abs(np.cumsum((mu - nu)[..., order[:-1]], axis=-1)))
+    return np.vecdot(cum, np.diff(coords[order]))
+
+
 def wasserstein1(mu, nu, metric) -> float:
     """Wasserstein-1 distance between two distributions on a finite metric.
 
@@ -122,15 +155,8 @@ def wasserstein1(mu, nu, metric) -> float:
     does), the cumulative-mass formula gives the exact answer directly;
     otherwise an exact LP is solved.
     """
-    mu = _check_distribution("mu", mu)
-    nu = _check_distribution("nu", nu)
-    if mu.shape != nu.shape:
-        raise ValueError(f"length mismatch: {mu.shape[0]} vs {nu.shape[0]}")
-    metric = _check_metric(metric, len(mu))
-    coords = _line_embedding(metric)
-    if coords is not None:
-        return _w1_line(mu, nu, coords)
-    return _w1_lp(mu, nu, metric)
+    mu, nu = _check_pair(mu, nu)
+    return float(_w1(mu, nu, _check_metric(metric, len(mu))))
 
 
 def span(f) -> float:
@@ -164,7 +190,13 @@ def _shared_shape(g: MarkovGame, g_hat: MarkovGame) -> None:
 
 
 def comparison_metric(g: MarkovGame, g_hat: MarkovGame) -> np.ndarray:
-    """Metric used to compare two games: theirs if present, else index line."""
+    """Metric used to compare two games: theirs if present, else index line.
+
+    Raises ``ValueError`` when both games carry metrics and they differ.
+    """
+    if g.metric is not None and g_hat.metric is not None \
+            and not np.array_equal(g.metric, g_hat.metric):
+        raise ValueError("games carry different state metrics")
     if g.metric is not None:
         return g.metric
     if g_hat.metric is not None:
@@ -178,21 +210,19 @@ def game_approx_params(g: MarkovGame, g_hat: MarkovGame,
 
     epsilon is the max absolute reward difference over players, states, and
     joint actions; delta is the max IPM between matching transition rows.
+    A non-finite reward or a row that is not a distribution raises.
     """
     if ipm_kind not in IPM_KINDS:
         raise ValueError(f"unknown IPM kind {ipm_kind!r}")
     _shared_shape(g, g_hat)
+    rows = _checked_rows(g, "g"), _checked_rows(g_hat, "g_hat")
     epsilon = float(np.max(np.abs(g.rewards - g_hat.rewards)))
-    metric = comparison_metric(g, g_hat) if ipm_kind == WASSERSTEIN else None
-    delta = 0.0
-    for s in range(g.num_states):
-        for j in range(g.num_joint_actions):
-            if ipm_kind == TOTAL_VARIATION:
-                d = tv_distance(g.transitions[s, j], g_hat.transitions[s, j])
-            else:
-                d = wasserstein1(g.transitions[s, j], g_hat.transitions[s, j],
-                                 metric)
-            delta = max(delta, d)
+    if ipm_kind == TOTAL_VARIATION:
+        gaps = _tv(*rows)
+    else:
+        gaps = _w1(*rows, _check_metric(comparison_metric(g, g_hat),
+                                        g.num_states))
+    delta = max(0.0, float(gaps.max()))
     return ApproximationParams(epsilon=epsilon, delta=delta, ipm_kind=ipm_kind)
 
 
@@ -204,23 +234,21 @@ def game_lipschitz_constants(game: MarkovGame,
     L_r bounds reward differences across states (same action, any player)
     relative to the metric; L_P bounds the Wasserstein distance between
     transition rows across states. The game must carry a metric unless one
-    is passed explicitly.
+    is passed explicitly. A non-finite reward or a row that is not a
+    distribution raises.
     """
     if metric is None:
         if game.metric is None:
             raise ValueError("game has no state metric")
         metric = game.metric
     metric = _check_metric(metric, game.num_states)
+    rows = _checked_rows(game, "game")
+    rewards = game.rewards
     l_r = 0.0
     l_p = 0.0
-    for s1 in range(game.num_states):
-        for s2 in range(s1 + 1, game.num_states):
-            d = metric[s1, s2]
-            for j in range(game.num_joint_actions):
-                gap = float(np.max(np.abs(game.rewards[:, s1, j]
-                                          - game.rewards[:, s2, j])))
-                l_r = max(l_r, gap / d)
-                w = wasserstein1(game.transitions[s1, j],
-                                 game.transitions[s2, j], metric)
-                l_p = max(l_p, w / d)
+    for s1 in range(game.num_states - 1):
+        d = metric[s1, s1 + 1:, None]
+        gap = np.max(np.abs(rewards[:, s1, None] - rewards[:, s1 + 1:]), axis=0)
+        l_r = max(l_r, float(np.max(gap / d)))
+        l_p = max(l_p, float(np.max(_w1(rows[s1], rows[s1 + 1:], metric) / d)))
     return l_r, l_p

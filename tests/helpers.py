@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 
 from mpekit.games import MarkovGame, MarkovStrategy, StrategyProfile
+from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding, _w1_lp
 
 
 def random_mdp(rng, num_states=3, num_actions=2, discount=0.9,
@@ -233,3 +234,93 @@ def reference_bimatrix_nash(payoff_a, payoff_b, tol=1e-9):
                         fallback, fallback_gain = (x, y), gain
     x, y = fallback
     return x, y, (float(x @ payoff_a @ y), float(x @ payoff_b @ y))
+
+
+def reference_metric_violations(metric, atol=1e-12) -> list[str]:
+    """``metric_violations`` as first written, with its triple-loop triangle
+    check: the oracle for the array form's list of messages."""
+    out = []
+    metric = np.asarray(metric, dtype=np.float64)
+    if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
+        return [f"metric is not square: shape {metric.shape}"]
+    bad = ~np.isfinite(metric)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        return [f"metric entry ({i}, {j}) is not finite"]
+    n = metric.shape[0]
+    diag = np.abs(np.diag(metric))
+    if np.any(diag > atol):
+        s = int(np.argmax(diag > atol))
+        out.append(f"metric d(s,s) != 0 at state index {s}")
+    asym = np.abs(metric - metric.T)
+    if np.any(asym > atol):
+        i, j = np.argwhere(asym > atol)[0]
+        out.append(f"metric not symmetric at ({i}, {j})")
+    off = metric + np.eye(n)  # exclude the diagonal from positivity
+    if np.any(off <= 0):
+        i, j = np.argwhere(off <= 0)[0]
+        out.append(f"metric d(s,s') <= 0 for distinct states ({i}, {j})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if metric[i, k] > metric[i, j] + metric[j, k] + atol:
+                    out.append(
+                        f"metric triangle inequality fails on ({i}, {j}, {k})"
+                    )
+                    return out
+    return out
+
+
+def _reference_row(p) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p < -1e-9) or abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError("not a probability distribution")
+    return np.clip(p, 0.0, None)
+
+
+def _reference_ipm(mu, nu, ipm_kind, metric) -> float:
+    """One row pair at a time, as ``tv_distance`` and ``wasserstein1`` were
+    first written: half the L1 difference, the 1-D cumulative-mass dot
+    product on a line metric, else the transport LP."""
+    mu, nu = _reference_row(mu), _reference_row(nu)
+    if ipm_kind == TOTAL_VARIATION:
+        return float(0.5 * np.abs(mu - nu).sum())
+    coords = _line_embedding(metric)
+    if coords is None:
+        return _w1_lp(mu, nu, metric)
+    order = np.argsort(coords, kind="stable")
+    gaps = np.diff(coords[order])
+    cum = np.cumsum(mu[order] - nu[order])[:-1]
+    return float(np.abs(cum) @ gaps)
+
+
+def reference_game_approx_params(g, g_hat, ipm_kind, metric):
+    """(epsilon, delta) by the per-row loop ``game_approx_params`` was first
+    written with."""
+    epsilon = float(np.max(np.abs(g.rewards - g_hat.rewards)))
+    delta = 0.0
+    for s in range(g.num_states):
+        for j in range(g.num_joint_actions):
+            delta = max(delta, _reference_ipm(g.transitions[s, j],
+                                              g_hat.transitions[s, j],
+                                              ipm_kind, metric))
+    return epsilon, delta
+
+
+def reference_game_lipschitz_constants(game, metric):
+    """(L_r, L_P) by the loop over state pairs and joint actions
+    ``game_lipschitz_constants`` was first written with."""
+    l_r = 0.0
+    l_p = 0.0
+    for s1 in range(game.num_states):
+        for s2 in range(s1 + 1, game.num_states):
+            d = metric[s1, s2]
+            for j in range(game.num_joint_actions):
+                gap = float(np.max(np.abs(game.rewards[:, s1, j]
+                                          - game.rewards[:, s2, j])))
+                l_r = max(l_r, gap / d)
+                w = _reference_ipm(game.transitions[s1, j],
+                                   game.transitions[s2, j], WASSERSTEIN,
+                                   metric)
+                l_p = max(l_p, w / d)
+    return l_r, l_p

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import perturb_game, random_game, random_mdp
+from helpers import perturb_game, random_game, random_mdp, random_profile
 from mpekit.bounds import (
     _sample_size_real,
     alpha_bound_instance,
@@ -16,7 +19,7 @@ from mpekit.bounds import (
     sample_size_game,
 )
 from mpekit.equilibrium import certify_profile
-from mpekit.games import MarkovGame, default_line_metric
+from mpekit.games import MarkovGame, StrategyProfile, default_line_metric
 from mpekit.mdp import alpha_optimality, solve_optimal
 from mpekit.metrics import (
     TOTAL_VARIATION,
@@ -293,6 +296,16 @@ class TestRobustnessReport:
         with pytest.raises(ValueError, match="exactly one"):
             robustness_report(original_game, perturbed_game, TOTAL_VARIATION)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, original_game, perturbed_game,
+                                        equilibrium_values, bad):
+        values = [equilibrium_values[0], equilibrium_values[1].copy()]
+        values[1][2] = bad
+        for kind in (TOTAL_VARIATION, WASSERSTEIN):
+            with pytest.raises(ValueError, match="player index 1 is not finite"):
+                robustness_report(original_game, perturbed_game, kind,
+                                  values=values)
+
     def test_ladder_monotone_on_random_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -323,6 +336,50 @@ class TestRobustnessReport:
             assert gap <= tv_params.delta * span(value) + 1e-12
             assert gap <= w_params.delta * lipschitz_constant(value,
                                                               metric) + 1e-12
+
+
+@st.composite
+def ladder_cases(draw):
+    """A game pair, a profile for the nearby game and the IPM kind.
+
+    Transitions lean towards one shared row, so gamma L_P < 1 and the
+    Wasserstein corollary exists in most draws. Two-player pairs get a random
+    profile. One-player pairs get the nearby game's optimal strategy: the
+    Wasserstein corollary caps the IPM tier only for a value whose Lipschitz
+    constant obeys ``lipschitz_value_bound``, which holds for optimal values
+    but not for every profile's values.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    players = draw(st.integers(1, 2))
+    size = draw(st.integers(2, 6))
+    game = random_game(rng, size, (2,) * players,
+                       draw(st.floats(0.05, 0.95)))
+    lean = draw(st.floats(0.0, 0.5))
+    shared = rng.dirichlet(np.ones(size))
+    metric = draw(st.sampled_from([None, "shuffled line"]))
+    if metric is not None:
+        x = rng.permutation(size) * rng.uniform(0.5, 2.0)
+        metric = np.abs(x[:, None] - x[None, :])
+    game = replace(game, metric=metric,
+                   transitions=lean * game.transitions + (1 - lean) * shared)
+    near = perturb_game(rng, game)
+    if players == 1:
+        profile = StrategyProfile((solve_optimal(near, 1e-10)[1],))
+    else:
+        profile = random_profile(rng, near)
+    return game, near, profile, draw(st.sampled_from([TOTAL_VARIATION,
+                                                       WASSERSTEIN]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder_cases())
+def test_bound_ladder_is_monotone(case):
+    game, near, profile, kind = case
+    report = robustness_report(game, near, kind, profile=profile)
+    assert np.all(report.alpha_instance <= report.alpha_ipm + 1e-12)
+    if report.alpha_corollary is not None and (kind == TOTAL_VARIATION
+                                               or game.num_players == 1):
+        assert np.all(report.alpha_ipm <= report.alpha_corollary + 1e-12)
 
 
 class TestSoundness:

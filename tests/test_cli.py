@@ -92,6 +92,33 @@ class TestCertify:
         assert code == 1
         assert "strategies" in err
 
+    def test_nan_in_profile_exits_two(self, capsys, game_files, tmp_path):
+        nan_profile = tmp_path / "nan.json"
+        nan_profile.write_text('{"strategies": [[[NaN, 1.0], [0.5, 0.5], '
+                               '[0.5, 0.5]], [[1.0, 0.0], [1.0, 0.0], '
+                               '[1.0, 0.0]]]}')
+        code, out, err = run(capsys, [
+            "certify", str(game_files["original"]), str(nan_profile)])
+        assert code == 2
+        assert out == ""
+        assert "player 1: non-finite probability at state 0, action 0" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "original", "profile", "--tol", "0"],
+     "error: tol must be positive"),
+    (["solve", "perturbed", "--tol", "-1"], "error: tol must be positive"),
+    (["solve", "perturbed", "--max-iter", "0"],
+     "error: max_iter must be positive"),
+], ids=["certify-tol", "solve-tol", "solve-max-iter"])
+def test_library_checks_surface_as_exit_one(capsys, game_files, profile_file,
+                                            argv, message):
+    paths = dict(game_files, profile=profile_file)
+    code, out, err = run(capsys, [str(paths.get(arg, arg)) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+
 
 class TestBound:
     def test_tv_report_solves_equilibrium(self, capsys, game_files):
@@ -155,6 +182,19 @@ class TestBound:
             "--ipm", "tv", "--values", str(values_path)])
         assert code == 1
         assert "players" in err
+
+    def test_nan_in_values_file_exits_one(self, capsys, game_files, tmp_path,
+                                          perturbed_mpe):
+        values_path = tmp_path / "nan_values.json"
+        values = [list(v.values) for v in perturbed_mpe.values]
+        values[0][1] = float("nan")
+        values_path.write_text(json.dumps({"values": values}))
+        code, out, err = run(capsys, [
+            "bound", str(game_files["original"]), str(game_files["perturbed"]),
+            "--ipm", "tv", "--values", str(values_path)])
+        assert code == 1
+        assert out == ""
+        assert "player index 0 is not finite" in err
 
 
 class TestSolve:

@@ -1,9 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import random_game, random_profile, random_strategy
+from helpers import (
+    random_game,
+    random_profile,
+    random_strategy,
+    reference_metric_violations,
+)
 from mpekit.games import (
     GameFormatError,
     GameValidationError,
@@ -20,6 +29,14 @@ from mpekit.games import (
     validate_game,
 )
 from mpekit.metrics import comparison_metric
+
+#: d(0, 2) is exactly (d(0, 1) + d(1, 2)) + 1e-12, the triangle bound at the
+#: default atol; summed as d(0, 1) + (d(1, 2) + 1e-12) the bound rounds one
+#: unit lower and d(0, 2) would exceed it.
+_D01, _D12 = 3.850873528939438, 0.5307316087968483
+_D02 = (_D01 + _D12) + 1e-12
+TRIANGLE_EDGE = np.array([[0.0, _D01, _D02], [_D01, 0.0, _D12],
+                          [_D02, _D12, 0.0]])
 
 
 def tiny_game(**overrides):
@@ -86,6 +103,23 @@ class TestValidation:
         metric[2, 1] = bad
         assert metric_violations(metric) == [
             "metric entry (2, 1) is not finite"]
+
+    @settings(max_examples=300, deadline=None)
+    @example(TRIANGLE_EDGE, False)
+    @given(st.integers(1, 7).flatmap(lambda n: arrays(
+        np.float64, (n, n), elements=st.one_of(
+            st.integers(0, 4).map(float),
+            st.floats(0.0, 4.0, allow_nan=False),
+            st.sampled_from([1.0 + 1e-12, 2.0 - 1e-12, 2e-12])))),
+        st.booleans())
+    def test_same_messages_as_the_triple_loop(self, metric, symmetrize):
+        # Small integers give exact ties d(i, k) = d(i, j) + d(j, k); the
+        # near-integers land within or just beyond atol of them. The example
+        # pins the order of summation.
+        if symmetrize:
+            metric = np.triu(metric, 1) + np.triu(metric, 1).T
+        assert metric_violations(metric) == reference_metric_violations(
+            metric)
 
     def test_game_with_bad_metric_reports_it(self):
         game = tiny_game(metric=[[0.0, 0.0], [0.0, 0.0]])
@@ -210,6 +244,11 @@ class TestParsing:
         with pytest.raises(GameFormatError, match="player 1"):
             parse_profile(json.dumps({"strategies": [[[0.5, 0.4]]]}))
 
+    def test_profile_rejects_nan_literal(self):
+        # json.loads accepts the NaN literal.
+        with pytest.raises(GameFormatError, match="player 2: non-finite"):
+            parse_profile('{"strategies": [[[1.0, 0.0]], [[NaN, 1.0]]]}')
+
 
 class TestStrategies:
     def test_rows_must_be_distributions(self):
@@ -217,6 +256,13 @@ class TestStrategies:
             MarkovStrategy([[0.5, 0.4]])
         with pytest.raises(ValueError, match="negative"):
             MarkovStrategy([[1.5, -0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        # NaN passes both "< 0" and "|sum - 1| > atol", so it needs its own
+        # check.
+        with pytest.raises(ValueError, match="state 1, action 0"):
+            MarkovStrategy([[0.5, 0.5], [bad, bad]])
 
     def test_arrays_are_frozen(self):
         strategy = MarkovStrategy([[0.5, 0.5]])
@@ -329,3 +375,21 @@ def test_effective_metric_defaults_to_index_distance(original_game):
     carried = tiny_game(metric=[[0.0, 2.0], [2.0, 0.0]])
     assert np.array_equal(comparison_metric(carried, carried),
                           [[0, 2], [2, 0]])
+
+
+def test_comparison_metric_rejects_two_different_metrics(original_game,
+                                                         perturbed_game):
+    # Taking the first game's metric would make the W1 delta of this pair
+    # 0.10 or 0.15 depending on argument order.
+    line = replace(original_game, metric=default_line_metric(3))
+    skewed = replace(perturbed_game,
+                     metric=[[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    for pair in ((line, skewed), (skewed, line)):
+        with pytest.raises(ValueError, match="different state metrics"):
+            comparison_metric(*pair)
+    assert np.array_equal(comparison_metric(perturbed_game, skewed),
+                          skewed.metric)
+    assert np.array_equal(comparison_metric(skewed, perturbed_game),
+                          skewed.metric)
+    same = replace(perturbed_game, metric=default_line_metric(3))
+    assert np.array_equal(comparison_metric(line, same), line.metric)

@@ -1,13 +1,25 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import transport_cost_tree_oracle
-from mpekit.games import default_line_metric
+from helpers import (
+    perturb_game,
+    random_game,
+    reference_game_approx_params,
+    reference_game_lipschitz_constants,
+    transport_cost_tree_oracle,
+)
+from mpekit import metrics
+from mpekit.games import MarkovGame, default_line_metric, metric_violations
 from mpekit.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
     ApproximationParams,
-    _w1_line,
+    _w1,
     _w1_lp,
     game_approx_params,
     game_lipschitz_constants,
@@ -18,6 +30,10 @@ from mpekit.metrics import (
 )
 
 LINE3 = default_line_metric(3)
+
+#: Every comparison with NaN is false, so these rows pass a check written
+#: as ``p < -atol or |sum - 1| > atol``.
+NAN_ROWS = ([np.nan, 1.0], [np.nan, np.nan])
 
 
 def random_metric(rng, size):
@@ -44,6 +60,11 @@ class TestTvDistance:
         with pytest.raises(ValueError, match="distribution"):
             tv_distance([0.5, 0.6], [0.5, 0.5])
 
+    @pytest.mark.parametrize("row", NAN_ROWS)
+    def test_nan_row_rejected(self, row):
+        with pytest.raises(ValueError, match="mu is not a probability"):
+            tv_distance(row, [0.0, 1.0])
+
 
 class TestWasserstein:
     def test_identical_distributions(self):
@@ -56,11 +77,10 @@ class TestWasserstein:
 
     def test_line_path_matches_lp_path(self):
         rng = np.random.default_rng(0)
-        coords = np.arange(3, dtype=float)
         for _ in range(100):
             mu = rng.dirichlet(np.ones(3))
             nu = rng.dirichlet(np.ones(3))
-            assert _w1_line(mu, nu, coords) == pytest.approx(
+            assert _w1(mu, nu, LINE3) == pytest.approx(
                 _w1_lp(mu, nu, LINE3), abs=1e-9)
 
     @pytest.mark.parametrize("size,count", [(2, 40), (3, 40), (4, 12)])
@@ -109,6 +129,11 @@ class TestWasserstein:
     def test_rejects_broken_metric(self):
         with pytest.raises(ValueError, match="axioms"):
             wasserstein1([0.5, 0.5], [0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("row", NAN_ROWS)
+    def test_nan_row_rejected(self, row):
+        with pytest.raises(ValueError, match="nu is not a probability"):
+            wasserstein1([0.0, 1.0], row, default_line_metric(2))
 
 
 class TestFunctionals:
@@ -290,3 +315,132 @@ class TestGameLipschitzConstants:
     def test_missing_metric_rejected(self, original_game):
         with pytest.raises(ValueError, match="metric"):
             game_lipschitz_constants(original_game)
+
+
+def with_nan_row(game: MarkovGame) -> MarkovGame:
+    transitions = game.transitions.copy()
+    transitions[1, 2] = [np.nan, 1.0, 0.0]
+    return replace(game, transitions=transitions)
+
+
+class TestCheckedOnce:
+    """Each game-level call checks its metric and rows once, up front."""
+
+    @pytest.mark.parametrize("kind", [TOTAL_VARIATION, WASSERSTEIN])
+    def test_nan_transition_row_rejected(self, original_game, kind):
+        # max(0.0, nan) is 0.0: a NaN row reaching the max reads as no gap.
+        broken = with_nan_row(original_game)
+        with pytest.raises(ValueError, match=r"g_hat is not .* row \[1, 2\]"):
+            game_approx_params(original_game, broken, kind)
+        with pytest.raises(ValueError, match=r"of g is not .* row \[1, 2\]"):
+            game_approx_params(broken, original_game, kind)
+
+    def test_nan_transition_row_rejected_by_lipschitz(self, original_game):
+        with pytest.raises(ValueError, match=r"not .* row \[1, 2\]"):
+            game_lipschitz_constants(with_nan_row(original_game), LINE3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reward_rejected(self, original_game, perturbed_game,
+                                        bad):
+        # A NaN makes its block of state pairs NaN, which max(l_r, nan) drops.
+        rewards = perturbed_game.rewards.copy()
+        rewards[0, 1, 2] = bad
+        broken = replace(perturbed_game, rewards=rewards)
+        for kind in (TOTAL_VARIATION, WASSERSTEIN):
+            with pytest.raises(ValueError,
+                               match=r"g_hat: reward \[0, 1, 2\] is not"):
+                game_approx_params(original_game, broken, kind)
+        with pytest.raises(ValueError, match=r"reward \[0, 1, 2\] is not"):
+            game_lipschitz_constants(broken, LINE3)
+
+    def test_metric_checked_once_and_no_per_row_calls(self, monkeypatch,
+                                                      original_game,
+                                                      perturbed_game):
+        checks = []
+
+        def counting(metric, *args):
+            checks.append(np.shape(metric))
+            return metric_violations(metric, *args)
+
+        def per_row_call(*args):
+            raise AssertionError("a public distance was called per row")
+
+        monkeypatch.setattr(metrics, "metric_violations", counting)
+        monkeypatch.setattr(metrics, "tv_distance", per_row_call)
+        monkeypatch.setattr(metrics, "wasserstein1", per_row_call)
+        game_approx_params(original_game, perturbed_game, TOTAL_VARIATION)
+        assert checks == []
+        game_approx_params(original_game, perturbed_game, WASSERSTEIN)
+        assert checks == [(3, 3)]
+        game_lipschitz_constants(perturbed_game, LINE3)
+        assert checks == [(3, 3), (3, 3)]
+
+    def test_hundred_states_finish_within_seconds(self):
+        rng = np.random.default_rng(0)
+        game = replace(random_game(rng, 100, (3, 3)),
+                       metric=default_line_metric(100))
+        near = perturb_game(rng, game)
+        start = time.perf_counter()
+        game_lipschitz_constants(near)
+        game_approx_params(game, near, WASSERSTEIN)
+        assert time.perf_counter() - start < 5.0
+
+
+@st.composite
+def game_pairs(draw):
+    """A game, a nearby game and the metric they share.
+
+    Metrics are the index line, a shuffled and scaled line (both take the
+    closed form) or distances between random planar points (the LP; at most
+    5 states, to keep LPs few). Rows have exact zeros, entries of -1e-11 that
+    the check clips, and rows the nearby game leaves unchanged.
+    """
+    kind = draw(st.sampled_from(["line", "shuffled line", "plane"]))
+    size = draw(st.integers(2, 5 if kind == "plane" else 13))
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1,
+                                 max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "line":
+        metric = default_line_metric(size)
+    elif kind == "shuffled line":
+        x = rng.permutation(size) * rng.uniform(0.1, 3.0)
+        metric = np.abs(x[:, None] - x[None, :])
+    else:
+        points = rng.normal(size=(size, 2))
+        metric = np.linalg.norm(points[:, None] - points[None], axis=2)
+    joint = int(np.prod(counts))
+    rows = rng.dirichlet(np.ones(size), size=(2, size, joint))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[..., 0] += 1.0 - rows.sum(-1)
+    rows[..., -1] -= 1e-11
+    rows[..., 0] += 1e-11
+    same = rng.random((size, joint)) < 0.3
+    rows[1][same] = rows[0][same]
+    rewards = rng.uniform(-1.0, 1.0, size=(2, len(counts), size, joint))
+    games = [MarkovGame(tuple(str(s) for s in range(size)),
+                        tuple(tuple(str(a) for a in range(c)) for c in counts),
+                        rows[k], rewards[k], 0.9, metric) for k in (0, 1)]
+    return games[0], games[1], metric
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestMatchesPerRowReference:
+    """All rows at once give the per-row loops' results bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(game_pairs())
+    def test_game_level_results(self, pair):
+        g, g_hat, metric = pair
+        for kind in (TOTAL_VARIATION, WASSERSTEIN):
+            params = game_approx_params(g, g_hat, kind)
+            epsilon, delta = reference_game_approx_params(g, g_hat, kind,
+                                                          metric)
+            assert same_bits(params.epsilon, epsilon)
+            assert same_bits(params.delta, delta)
+        for mine, ref in zip(game_lipschitz_constants(g_hat),
+                             reference_game_lipschitz_constants(g_hat,
+                                                                metric)):
+            assert same_bits(mine, ref)
