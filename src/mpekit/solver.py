@@ -2,19 +2,28 @@
 
 Best-response dynamics in general-sum games are not a contraction, so no
 iterative scheme is guaranteed to converge. The contract here is therefore
-the certificate, not the iteration: the solver runs equilibrium value
-iteration (per state, solve the one-shot game whose payoffs fold in the
-continuation values), then certifies whatever profile it lands on against
-the input game. Non-convergence is reported, with the best certified
-iterate still returned so the caller can decide.
+the certificate, not the iteration: the solver runs one scheme, certifies
+the profile it lands on against the input game, and falls back to a second
+scheme when the certificate fails. Non-convergence is reported, with the
+best certified profile still returned so the caller can decide.
 
-Each sweep builds the stage games of every state in one vectorized pass.
+The first scheme is game policy iteration (Pollatschek and Avi-Itzhak,
+*Management Science* 15(7), 1969): evaluate the current profile exactly
+with one linear solve, then re-solve every state's one-shot game whose
+payoffs fold in those values. It usually settles in a few dozen steps, but
+in general-sum games it can cycle. The fallback is equilibrium value
+iteration, which re-solves the one-shot games at its own running values
+until they settle, with seeded restarts.
+
+Each step builds the stage games of every state in one vectorized pass.
 They are solved exactly by support enumeration, with deterministic selection
 (smallest support first, then lexicographic), which keeps the iteration and
 the experiments reproducible bit for bit. The pure profiles, first in that
 order and the usual outcome, are checked all at once from one array of
 deviation gains; only a stage game without a pure equilibrium pays for the
-per-support linear solves.
+per-support linear solves. Deviation gains and residuals are judged
+against 1e-9 times the largest payoff magnitude (at least 1), so stage
+games with large payoffs keep their equilibria.
 """
 
 from __future__ import annotations
@@ -27,8 +36,16 @@ import numpy as np
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
                     ValueFunction, check_discount)
+from .mdp import _policy_values
 
 _NASH_TOL = 1e-9
+#: Value-iteration sweeps from zero values before policy iteration starts.
+_WARM_SWEEPS = 3
+#: Exact profile evaluations allowed to policy iteration.
+_MAX_EVALUATIONS = 60
+
+#: A certified candidate: (gap, profile, certificate).
+_Certified = tuple[float, StrategyProfile, CertificateAlpha]
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +54,8 @@ class SolveResult:
 
     ``certificate`` is always computed against the input game;
     ``converged`` means the certified gap met the requested tolerance.
+    ``iterations`` counts value-iteration sweeps plus exact policy
+    evaluations.
     """
 
     profile: StrategyProfile
@@ -81,13 +100,13 @@ def stage_game(game: MarkovGame, values, state: int
     return payoff_a, payoff_b
 
 
-def _equalizer(block: np.ndarray) -> np.ndarray | None:
+def _equalizer(block: np.ndarray, tol: float) -> np.ndarray | None:
     """Mixture over the columns of ``block`` that makes every row pay the
     same, with that payoff appended, or None if no exact solution exists.
 
     A square system is solved directly (a singular one raises
     ``LinAlgError``); a rectangular one by least squares, accepted only if
-    its residual is within tolerance.
+    its residual is within tol.
     """
     k, l = block.shape
     system = np.zeros((k + 1, l + 1))
@@ -99,14 +118,15 @@ def _equalizer(block: np.ndarray) -> np.ndarray | None:
     if k == l:
         return np.linalg.solve(system, rhs)
     solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    if np.abs(system @ solution - rhs).max() > _NASH_TOL:
+    if np.abs(system @ solution - rhs).max() > tol:
         return None
     return solution
 
 
-def _support_candidate(payoff_a, payoff_b, rows, cols):
+def _support_candidate(payoff_a, payoff_b, rows, cols, tol):
     """Mixed pair supported on (rows, cols), or None if the equalizing
-    system has no acceptable solution."""
+    system has no solution within tol or a support probability below
+    -1e-9."""
     rows, cols = list(rows), list(cols)
     # Column player's mixture equalizes the row player's supported payoffs,
     # and the row player's mixture the column player's.
@@ -117,11 +137,11 @@ def _support_candidate(payoff_a, payoff_b, rows, cols):
         # usually fails its residual, so it goes first and spares the other
         # least-squares solve. Both must pass, so the order decides nothing.
         if len(rows) < len(cols):
-            sol2 = _equalizer(block_b)
-            sol1 = None if sol2 is None else _equalizer(block_a)
+            sol2 = _equalizer(block_b, tol)
+            sol1 = None if sol2 is None else _equalizer(block_a, tol)
         else:
-            sol1 = _equalizer(block_a)
-            sol2 = None if sol1 is None else _equalizer(block_b)
+            sol1 = _equalizer(block_a, tol)
+            sol2 = None if sol1 is None else _equalizer(block_b, tol)
     except np.linalg.LinAlgError:
         return None
     if sol1 is None or sol2 is None:
@@ -157,12 +177,15 @@ def bimatrix_nash(payoff_a, payoff_b
 
     Support pairs are scanned in a fixed order (total support size, then row
     support size, then lexicographic supports) and the first pair passing
-    the deviation check within 1e-9 is returned, which makes the selection
-    deterministic and biased toward pure equilibria. The pure pairs come
-    first in that order and are scanned at once: the deviation gain of cell
-    (r, c) is max(colmax(A)[c] - A[r, c], rowmax(B)[r] - B[r, c]), and the
-    first row-major cell within 1e-9 is returned, exactly as the pair-by-pair
-    check would find it. Only when no cell passes are the mixed supports
+    the deviation check within tol = 1e-9 max(1, max|A|, max|B|) is
+    returned, which makes the selection deterministic and biased toward pure
+    equilibria. The same tol bounds the residual of a rectangular support's
+    equalizing system; a support probability below -1e-9 rejects the
+    support whatever the scale. The pure pairs come first in that order and
+    are scanned at once: the deviation gain of cell (r, c) is
+    max(colmax(A)[c] - A[r, c], rowmax(B)[r] - B[r, c]), and the first
+    row-major cell within tol is returned, exactly as the pair-by-pair check
+    would find it. Only when no cell passes are the mixed supports
     enumerated. Existence is guaranteed for finite games, so the scan cannot
     come up empty; on numerically degenerate input the candidate with the
     smallest deviation gain (the earliest on ties) is returned.
@@ -177,9 +200,11 @@ def bimatrix_nash(payoff_a, payoff_b
     if not (np.isfinite(payoff_a).all() and np.isfinite(payoff_b).all()):
         raise ValueError("payoff entries must be finite")
     m, n = payoff_a.shape
+    tol = _NASH_TOL * max(1.0, np.abs(payoff_a).max(),
+                          np.abs(payoff_b).max())
     pure_gain = np.maximum(payoff_a.max(axis=0) - payoff_a,
                            payoff_b.max(axis=1, keepdims=True) - payoff_b)
-    passing = np.flatnonzero(pure_gain <= _NASH_TOL)
+    passing = np.flatnonzero(pure_gain <= tol)
     if passing.size:
         r, c = divmod(int(passing[0]), n)
         x, y = _one_hot(m, r), _one_hot(n, c)
@@ -194,12 +219,12 @@ def bimatrix_nash(payoff_a, payoff_b
             for rows in itertools.combinations(range(m), k1):
                 for cols in itertools.combinations(range(n), k2):
                     candidate = _support_candidate(payoff_a, payoff_b,
-                                                   rows, cols)
+                                                   rows, cols, tol)
                     if candidate is None:
                         continue
                     x, y = candidate
                     gain = _deviation_gain(payoff_a, payoff_b, x, y)
-                    if gain <= _NASH_TOL:
+                    if gain <= tol:
                         return x, y, (float(x @ payoff_a @ y),
                                       float(x @ payoff_b @ y))
                     if gain < fallback_gain:
@@ -223,27 +248,56 @@ def _iterate(game: MarkovGame, v: np.ndarray
     return new_v, pi1, pi2
 
 
-def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
-              seed: int = 0) -> SolveResult:
-    """Compute and certify a Markov perfect equilibrium of a two-player game.
+def _profile_values(game: MarkovGame, pi1: np.ndarray, pi2: np.ndarray
+                    ) -> np.ndarray:
+    """Both players' exact values under a profile: shape (2, S).
 
-    Equilibrium value iteration from zero values, stopping once successive
-    sweeps differ by at most tol (1 - gamma) / (2 gamma). The resulting
-    profile is certified against the input game; ``converged`` is true iff
-    the certified gap is at most tol. If the sweep budget runs out, the
-    iteration restarts from seeded random values (up to two restarts) and
-    the best certified iterate seen anywhere is returned.
-
-    Raises ``ValueError`` before any sweep for a discount outside (0, 1),
-    a tol that is not positive (NaN included) or a max_iter below 1.
+    One solve of (I - gamma P_pi) V = (1 - gamma) r_pi, with the two
+    players' reward vectors as its two right-hand sides.
     """
-    if game.num_players != 2:
-        raise ValueError("two-player solver only")
-    check_discount(game.discount)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    joint = (pi1[:, :, None] * pi2[:, None, :]).reshape(game.num_states, -1)
+    p_pi = np.einsum("sj,sjt->st", joint, game.transitions)
+    r_pi = np.einsum("sj,isj->si", joint, game.rewards)
+    return _policy_values(game, p_pi, r_pi).T
+
+
+def _policy_iteration(game: MarkovGame, max_iter: int
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Game policy iteration from a few warm sweeps; returns (pi1, pi2,
+    sweeps plus evaluations).
+
+    Each step evaluates the profile exactly and re-solves every stage game
+    at those values. It stops once two evaluations agree within roundoff,
+    not on a repeated profile: mixed stage strategies jitter in the last
+    bit, so they need never repeat exactly.
+    """
+    v = np.zeros((2, game.num_states))
+    steps = 0
+    for _ in range(min(_WARM_SWEEPS, max_iter)):
+        v, pi1, pi2 = _iterate(game, v)
+        steps += 1
+    previous = None
+    for _ in range(_MAX_EVALUATIONS):
+        v = _profile_values(game, pi1, pi2)
+        steps += 1
+        if previous is not None and (np.abs(v - previous).max()
+                                     <= 1e-13 * max(1.0, np.abs(v).max())):
+            break
+        previous = v
+        _, pi1, pi2 = _iterate(game, v)
+    return pi1, pi2, steps
+
+
+def _value_iteration(game: MarkovGame, tol: float, max_iter: int, seed: int,
+                     best: _Certified) -> tuple[_Certified, int]:
+    """Equilibrium value iteration with seeded restarts; returns the best
+    (gap, profile, certificate) seen, ``best`` included, and the sweeps.
+
+    Sweeps run from zero values until successive values differ by at most
+    tol (1 - gamma) / (2 gamma), or for max_iter sweeps. Up to ten snapshots
+    of the attempt are certified, latest first. If none meets tol, the
+    iteration restarts from seeded random values (up to two restarts).
+    """
     gamma = game.discount
     threshold = tol * (1.0 - gamma) / (2.0 * gamma)
     rng = np.random.default_rng(seed)
@@ -251,7 +305,6 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
 
     snapshot_every = max(1, max_iter // 10)
     iterations = 0
-    best: tuple[float, StrategyProfile, CertificateAlpha] | None = None
 
     for attempt in range(3):
         if attempt == 0:
@@ -281,7 +334,7 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
             )
             certificate = certify_profile(game, profile)
             gap = certificate.max_alpha
-            if best is None or gap < best[0]:
+            if gap < best[0]:
                 best = (gap, profile, certificate)
             if gap <= tol:
                 break
@@ -290,6 +343,47 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
         # Either the sweeps cycled, or they settled on a profile that still
         # fails the certificate; the next attempt restarts from random
         # values inside the reward envelope.
+    return best, iterations
+
+
+def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
+              seed: int = 0) -> SolveResult:
+    """Compute and certify a Markov perfect equilibrium of a two-player game.
+
+    Game policy iteration first: three sweeps of equilibrium value
+    iteration from zero values, then up to 60 rounds of evaluating the
+    profile exactly and re-solving every stage game at those values, until
+    two evaluations agree within roundoff. Its profile is certified against
+    the input game. If the gap exceeds tol (policy iteration can cycle in
+    general-sum games), equilibrium value iteration runs: sweeps from zero
+    values until successive values differ by at most
+    tol (1 - gamma) / (2 gamma), then up to two restarts from seeded random
+    values when the sweep budget runs out. The best certified profile seen
+    anywhere, the policy-iteration one included, is returned; ``converged``
+    is true iff its certified gap is at most tol.
+
+    ``max_iter`` bounds the warm sweeps and the sweeps of each
+    value-iteration attempt. ``SolveResult.iterations`` counts every sweep
+    plus every exact evaluation.
+
+    Raises ``ValueError`` before any sweep for a discount outside (0, 1),
+    a tol that is not positive (NaN included) or a max_iter below 1.
+    """
+    if game.num_players != 2:
+        raise ValueError("two-player solver only")
+    check_discount(game.discount)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+
+    pi1, pi2, iterations = _policy_iteration(game, max_iter)
+    profile = StrategyProfile((MarkovStrategy(pi1), MarkovStrategy(pi2)))
+    certificate = certify_profile(game, profile)
+    best = (certificate.max_alpha, profile, certificate)
+    if best[0] > tol:
+        best, sweeps = _value_iteration(game, tol, max_iter, seed, best)
+        iterations += sweeps
 
     gap, profile, certificate = best
     return SolveResult(

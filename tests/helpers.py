@@ -12,8 +12,10 @@ import itertools
 
 import numpy as np
 
+from mpekit.equilibrium import certify_profile
 from mpekit.games import MarkovGame, MarkovStrategy, StrategyProfile
 from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding, _w1_lp
+from mpekit.solver import SolveResult, _stage_payoffs, bimatrix_nash
 
 
 def random_mdp(rng, num_states=3, num_actions=2, discount=0.9,
@@ -162,7 +164,8 @@ def nash_deviation_gain(payoff_a, payoff_b, x, y) -> float:
 def _reference_support_candidate(payoff_a, payoff_b, rows, cols, tol):
     """The pair-by-pair support solve ``bimatrix_nash`` was first written
     with: both equalizing systems are built and solved before either is
-    checked."""
+    checked. Residuals are judged against tol, support probabilities against
+    an absolute -1e-9."""
     k1, k2 = len(rows), len(cols)
     # Column player's mixture equalizes the row player's supported payoffs.
     m1 = np.zeros((k1 + 1, k2 + 1))
@@ -192,7 +195,7 @@ def _reference_support_candidate(payoff_a, payoff_b, rows, cols, tol):
     except np.linalg.LinAlgError:
         return None
     y_support, x_support = sol1[:k2], sol2[:k1]
-    if np.any(y_support < -tol) or np.any(x_support < -tol):
+    if np.any(y_support < -1e-9) or np.any(x_support < -1e-9):
         return None
     x = np.zeros(payoff_a.shape[0])
     y = np.zeros(payoff_a.shape[1])
@@ -234,6 +237,74 @@ def reference_bimatrix_nash(payoff_a, payoff_b, tol=1e-9):
                         fallback, fallback_gain = (x, y), gain
     x, y = fallback
     return x, y, (float(x @ payoff_a @ y), float(x @ payoff_b @ y))
+
+
+def _reference_sweep(game, v):
+    """One sweep of equilibrium value iteration; returns (v', pi1, pi2)."""
+    payoffs = _stage_payoffs(game, v)
+    new_v = np.zeros_like(v)
+    pi1 = np.zeros((game.num_states, game.action_counts[0]))
+    pi2 = np.zeros((game.num_states, game.action_counts[1]))
+    for s in range(game.num_states):
+        x, y, (pay_x, pay_y) = bimatrix_nash(payoffs[0, s], payoffs[1, s])
+        pi1[s], pi2[s] = x, y
+        new_v[0, s], new_v[1, s] = pay_x, pay_y
+    return new_v, pi1, pi2
+
+
+def reference_solve_mpe(game, tol=1e-8, max_iter=10_000, seed=0):
+    """Equilibrium value iteration with seeded restarts, as
+    ``mpekit.solver.solve_mpe`` was written before game policy iteration:
+    the oracle for its coverage.
+
+    Sweeps run from zero values until successive values differ by at most
+    tol (1 - gamma) / (2 gamma); up to ten snapshots of each attempt are
+    certified, latest first, and up to two restarts draw values inside the
+    reward envelope. The best certified iterate is returned.
+    """
+    gamma = game.discount
+    threshold = tol * (1.0 - gamma) / (2.0 * gamma)
+    rng = np.random.default_rng(seed)
+    rmin, rmax = float(game.rewards.min()), float(game.rewards.max())
+    snapshot_every = max(1, max_iter // 10)
+    iterations = 0
+    best = None
+    for attempt in range(3):
+        if attempt == 0:
+            v = np.zeros((2, game.num_states))
+        else:
+            v = rng.uniform(rmin, rmax, size=(2, game.num_states))
+        candidates = []
+        for sweep in range(max_iter):
+            new_v, pi1, pi2 = _reference_sweep(game, v)
+            change = float(np.max(np.abs(new_v - v)))
+            v = new_v
+            iterations += 1
+            if change <= threshold:
+                break
+            if (sweep + 1) % snapshot_every == 0:
+                candidates.append((pi1.copy(), pi2.copy()))
+        candidates.append((pi1, pi2))
+        seen = set()
+        for cand1, cand2 in reversed(candidates):
+            key = (cand1.tobytes(), cand2.tobytes())
+            if key in seen:
+                continue
+            seen.add(key)
+            profile = StrategyProfile(
+                (MarkovStrategy(cand1), MarkovStrategy(cand2)))
+            certificate = certify_profile(game, profile)
+            gap = certificate.max_alpha
+            if best is None or gap < best[0]:
+                best = (gap, profile, certificate)
+            if gap <= tol:
+                break
+        if best[0] <= tol:
+            break
+    gap, profile, certificate = best
+    return SolveResult(profile=profile, values=certificate.per_player_value,
+                       certificate=certificate, iterations=iterations,
+                       converged=gap <= tol)
 
 
 def reference_metric_violations(metric, atol=1e-12) -> list[str]:

@@ -220,10 +220,16 @@ class TestSolve:
         assert "player,alpha" in err
 
     def test_non_convergence_exits_one_with_certificate(self, capsys,
-                                                        game_files):
+                                                        tmp_path):
+        from helpers import random_game
+
+        # Neither policy nor value iteration certifies this game: its best
+        # certified gap is about 0.035.
+        game = random_game(np.random.default_rng(21), 3, (2, 2), 0.9)
+        path = tmp_path / "uncertified.json"
+        path.write_text(serialize_game(game))
         code, out, err = run(capsys, [
-            "solve", str(game_files["perturbed"]), "--tol", "1e-13",
-            "--max-iter", "2"])
+            "solve", str(path), "--max-iter", "300"])
         assert code == 1
         assert "converged=false" in err
         assert "player,alpha" in err  # certificate still attached

@@ -39,6 +39,32 @@ TRIANGLE_EDGE = np.array([[0.0, _D01, _D02], [_D01, 0.0, _D12],
                           [_D02, _D12, 0.0]])
 
 
+@st.composite
+def serializable_games(draw):
+    """Valid games of up to 4 states and 3 players with up to 3 actions
+    each: stochastic rows from normalized positive weights, rewards over
+    many magnitudes, and a line metric on distinct points or none."""
+    num_states = draw(st.integers(1, 4))
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1,
+                                 max_size=3)))
+    num_joint = int(np.prod(counts))
+    weights = draw(arrays(np.float64, (num_states, num_joint, num_states),
+                          elements=st.floats(0.01, 1.0)))
+    rewards = draw(arrays(np.float64, (len(counts), num_states, num_joint),
+                          elements=st.floats(-1e6, 1e6)))
+    points = draw(st.none() | arrays(np.float64, num_states, unique=True,
+                                     elements=st.floats(-100.0, 100.0)))
+    return MarkovGame(
+        states=tuple(f"s{k}" for k in range(num_states)),
+        action_sets=tuple(tuple(f"a{k}" for k in range(c)) for c in counts),
+        transitions=weights / weights.sum(axis=-1, keepdims=True),
+        rewards=rewards,
+        discount=draw(st.floats(0.01, 0.99)),
+        metric=(None if points is None
+                else np.abs(points[:, None] - points[None, :])),
+    )
+
+
 def tiny_game(**overrides):
     base = dict(
         states=("a", "b"),
@@ -225,6 +251,22 @@ class TestParsing:
             assert serialize_game(reparsed) == doc
             assert np.array_equal(reparsed.transitions, rounded.transitions)
             assert np.array_equal(reparsed.rewards, rounded.rewards)
+
+    @settings(max_examples=150, deadline=None)
+    @given(serializable_games())
+    def test_parse_inverts_serialize(self, game):
+        doc = serialize_game(game)
+        reparsed = parse_game(doc)
+        assert reparsed.states == game.states
+        assert reparsed.action_sets == game.action_sets
+        assert reparsed.discount == game.discount
+        assert reparsed.transitions.tobytes() == game.transitions.tobytes()
+        assert reparsed.rewards.tobytes() == game.rewards.tobytes()
+        if game.metric is None:
+            assert reparsed.metric is None
+        else:
+            assert reparsed.metric.tobytes() == game.metric.tobytes()
+        assert serialize_game(reparsed) == doc
 
     def test_round_trip_preserves_metric(self):
         game = tiny_game(metric=default_line_metric(2))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from helpers import nash_deviation_gain, random_game, reference_bimatrix_nash
+from helpers import (nash_deviation_gain, random_game,
+                     reference_bimatrix_nash, reference_solve_mpe)
 from mpekit import solver
 from mpekit.equilibrium import certify_profile, is_mpe
 from mpekit.games import MarkovGame
@@ -19,9 +20,9 @@ ULP_1E8 = float(np.spacing(1e8))
 
 #: Payoff entries for the oracle property: uniform floats; small integers,
 #: whose ties make degenerate and rectangular supports; floats at 1e8, where
-#: roundoff exceeds the 1e-9 deviation tolerance, so no support passes and
-#: the smallest-gain fallback is returned; and 1e8 plus a few units in the
-#: last place, where pure and mixed candidates tie for that smallest gain.
+#: roundoff exceeds an absolute 1e-9 but not the scaled tolerance; and 1e8
+#: plus a few units in the last place, where every cell is within roundoff
+#: of every other.
 PAYOFF_ENTRIES = (
     st.floats(-1.0, 1.0),
     st.integers(-2, 2).map(float),
@@ -186,17 +187,35 @@ class TestBimatrixNash:
     @example((np.array([[-0.0, -1.0]]), np.array([[-0.0, -1.0]])))
     def test_matches_pair_by_pair_enumeration_bit_for_bit(self, game):
         # The first example selects a rectangular (1, 2) support. In the
-        # second no support passes and the pure cell (0, 0) ties a mixed
-        # pair for the smallest gain; the earlier, pure one is returned. In
-        # the third the selected cell holds -0.0, and the payoff is 0.0.
+        # second the entries differ by a few units in the last place of
+        # 1e8, far inside the scaled tolerance of 0.1, so the first cell
+        # (0, 0) passes. In the third the selected cell holds -0.0, and the
+        # payoff is 0.0.
         payoff_a, payoff_b = game
+        tol = 1e-9 * max(1.0, np.abs(payoff_a).max(), np.abs(payoff_b).max())
         x, y, payoffs = bimatrix_nash(payoff_a, payoff_b)
         ref_x, ref_y, ref_payoffs = reference_bimatrix_nash(payoff_a,
-                                                            payoff_b)
+                                                            payoff_b, tol)
         assert x.tobytes() == ref_x.tobytes()
         assert y.tobytes() == ref_y.tobytes()
         assert (np.array(payoffs).tobytes()
                 == np.array(ref_payoffs).tobytes())
+
+    def test_large_payoffs_keep_their_equilibria(self):
+        # Roundoff at 1e8 exceeds an absolute 1e-9; judged against the
+        # scaled tolerance, a game selects the supports it selects unscaled.
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            shape = tuple(rng.integers(1, 5, size=2))
+            payoff_a = rng.uniform(-1, 1, size=shape)
+            payoff_b = rng.uniform(-1, 1, size=shape)
+            big_a, big_b = payoff_a * 1e8, payoff_b * 1e8
+            x, y, _ = bimatrix_nash(big_a, big_b)
+            scale = max(1.0, np.abs(big_a).max(), np.abs(big_b).max())
+            assert nash_deviation_gain(big_a, big_b, x, y) <= 1e-9 * scale
+            small_x, small_y, _ = bimatrix_nash(payoff_a, payoff_b)
+            assert np.array_equal(x > 0, small_x > 0)
+            assert np.array_equal(y > 0, small_y > 0)
 
     def test_rejects_malformed_input(self):
         with pytest.raises(ValueError, match="shape"):
@@ -291,8 +310,51 @@ class TestSolveMpe:
             solve_mpe(game)
         assert time.perf_counter() - start < 1.0
 
-    def test_non_convergence_still_returns_certificate(self, perturbed_game):
-        result = solve_mpe(perturbed_game, tol=1e-13, max_iter=3)
+    def test_policy_iteration_certifies_bundled_game_exactly(self,
+                                                            perturbed_game):
+        result = solve_mpe(perturbed_game, tol=1e-13)
+        assert result.converged
+        # Warm sweeps plus exact evaluations: value iteration never ran.
+        assert result.iterations <= (solver._WARM_SWEEPS
+                                     + solver._MAX_EVALUATIONS)
+
+    @pytest.mark.parametrize("num_states,counts,seeds", [
+        (3, (2, 2), range(40)),
+        (6, (3, 3), range(10)),
+    ])
+    def test_certifies_every_game_the_reference_certifies(
+            self, num_states, counts, seeds):
+        for seed in seeds:
+            game = random_game(np.random.default_rng(seed), num_states,
+                               counts, 0.9)
+            result = solve_mpe(game, max_iter=300)
+            if result.converged:
+                continue
+            reference = reference_solve_mpe(game, max_iter=300)
+            assert not reference.converged, seed
+            assert (result.certificate.max_alpha
+                    <= reference.certificate.max_alpha)
+
+    def test_fallback_is_value_iteration_bit_for_bit(self):
+        # Policy iteration does not certify this game; value iteration
+        # does, after 174 sweeps.
+        game = random_game(np.random.default_rng(24), 3, (2, 2), 0.9)
+        result = solve_mpe(game, max_iter=300)
+        reference = reference_solve_mpe(game, max_iter=300)
+        assert result.converged and reference.converged
+        for ours, theirs in zip(result.profile.strategies,
+                                reference.profile.strategies):
+            assert (ours.probabilities.tobytes()
+                    == theirs.probabilities.tobytes())
+        policy_steps = result.iterations - reference.iterations
+        assert 0 < policy_steps <= (solver._WARM_SWEEPS
+                                    + solver._MAX_EVALUATIONS)
+
+    def test_non_convergence_still_returns_certificate(self):
+        # Neither policy nor value iteration certifies this game: its best
+        # certified gap is about 0.035.
+        game = random_game(np.random.default_rng(21), 3, (2, 2), 0.9)
+        result = solve_mpe(game, max_iter=300)
         assert not result.converged
         assert len(result.certificate.per_player_alpha) == 2
         assert np.all(np.isfinite(result.certificate.per_player_alpha))
