@@ -17,15 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import MarkovGame, StrategyProfile, check_discount, induced_mdp
+from .games import (MarkovGame, StrategyProfile, _finite_values,
+                    check_discount, induced_mdp)
 from .mdp import evaluate_policy
 from .metrics import (
     TOTAL_VARIATION,
-    WASSERSTEIN,
-    comparison_metric,
-    game_approx_params,
-    game_lipschitz_constants,
-    lipschitz_constant,
+    _approx_params,
+    _check_nonnegative,
+    _lipschitz,
+    _lipschitz_constants,
     span,
 )
 
@@ -39,7 +39,15 @@ class RobustnessReport:
     delta x rho(value); ``alpha_corollary`` further relaxes rho to its
     worst case over value functions, and is None for the Wasserstein kind
     when the Lipschitz specialization does not apply (gamma L_P >= 1).
-    The three tiers loosen monotonically.
+
+    ``alpha_instance <= alpha_ipm`` always holds, since each IPM bounds the
+    expected-value gap of any vector by delta x rho(vector). Under total
+    variation ``alpha_ipm <= alpha_corollary`` holds too: a normalized
+    value's span is at most its player's reward span. Under Wasserstein
+    the corollary rests on the Lipschitz bound for an MDP's optimal value,
+    which a player's value against state-dependent opponent strategies need
+    not obey, so for two-player profiles ``alpha_corollary`` can fall below
+    ``alpha_ipm``.
     """
 
     epsilon: float
@@ -51,12 +59,6 @@ class RobustnessReport:
     ipm_kind: str
 
 
-def _check_nonnegative(**values: float) -> None:
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value!r}")
-
-
 def delta_term(g: MarkovGame, g_hat: MarkovGame, v_hat) -> float:
     """Worst expected-value gap of a fixed vector under two kernels.
 
@@ -65,16 +67,11 @@ def delta_term(g: MarkovGame, g_hat: MarkovGame, v_hat) -> float:
     v_hat is any per-state vector (equilibrium values are the usual choice,
     but not required).
     """
-    v = np.asarray(getattr(v_hat, "values", v_hat), dtype=np.float64)
     if g.transitions.shape != g_hat.transitions.shape:
         raise ValueError(
             f"shape mismatch: {g.transitions.shape} vs {g_hat.transitions.shape}"
         )
-    if v.shape != (g.transitions.shape[0],):
-        raise ValueError(
-            f"value vector has shape {v.shape} for "
-            f"{g.transitions.shape[0]} states"
-        )
+    v = _finite_values(v_hat, "value vector", g.num_states)
     gaps = (g.transitions - g_hat.transitions) @ v
     return float(np.max(np.abs(gaps)))
 
@@ -128,24 +125,36 @@ def hoeffding_tail(n: int, gap: float, span_h: float) -> float:
     Bounds the probability that the empirical mean of a span-H function of
     n i.i.d. samples misses its expectation by at least ``gap``.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if gap <= 0 or span_h <= 0:
-        raise ValueError("gap and span_h must be positive")
+    if not n >= 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    for name, value in (("gap", gap), ("span_h", span_h)):
+        # NaN fails the comparison, so it is rejected too.
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     return 2.0 * math.exp(-2.0 * n * gap * gap / (span_h * span_h))
 
 
 def _sample_size_real(alpha: float, p: float, span_reward: float,
                       union_count: float, gamma: float) -> float:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if span_reward < 0:
-        raise ValueError("span_reward must be nonnegative")
+    if not (span_reward >= 0 and math.isfinite(span_reward)):
+        raise ValueError(
+            f"span_reward must be finite and nonnegative, got {span_reward!r}")
     check_discount(gamma)
     scale = (gamma / (1.0 - gamma)) * span_reward
-    return scale * scale * 2.0 * math.log(2.0 * union_count / p) / (alpha * alpha)
+    numerator = scale * scale * 2.0 * math.log(2.0 * union_count / p)
+    if numerator == 0.0:
+        return 0.0
+    # alpha * alpha underflows to zero below about 1e-162.
+    real = numerator / (alpha * alpha) if alpha * alpha > 0.0 else math.inf
+    if not math.isfinite(real):
+        raise ValueError(
+            f"sample budget is not finite for alpha {alpha!r}, p {p!r} and "
+            f"span_reward {span_reward!r}")
+    return real
 
 
 def sample_size_game(alpha: float, p: float, span_reward: float,
@@ -178,7 +187,7 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
     """
     if (profile is None) == (values is None):
         raise ValueError("provide exactly one of profile or values")
-    params = game_approx_params(g, g_hat, ipm_kind)
+    params, rows_hat, metric = _approx_params(g, g_hat, ipm_kind)
     gamma = g.discount
     num_players = g.num_players
     if values is None:
@@ -194,13 +203,10 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
                 f"got {len(values)} value vectors for {num_players} players"
             )
         value_vectors = [
-            np.asarray(getattr(v, "values", v), dtype=np.float64)
-            for v in values
+            _finite_values(v, f"value vector of player index {player}",
+                           g.num_states)
+            for player, v in enumerate(values)
         ]
-        for player, v in enumerate(value_vectors):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(
-                    f"value vector of player index {player} is not finite")
 
     deltas = np.array([delta_term(g, g_hat, v) for v in value_vectors])
     instance = np.array([
@@ -213,17 +219,14 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
                             span(g_hat.rewards[i]), gamma)
             for i in range(num_players)
         ])
-    elif ipm_kind == WASSERSTEIN:
-        metric = comparison_metric(g, g_hat)
-        rhos = [lipschitz_constant(v, metric) for v in value_vectors]
-        l_r, l_p = game_lipschitz_constants(g_hat, metric=metric)
+    else:
+        rhos = [_lipschitz(v, metric) for v in value_vectors]
+        l_r, l_p = _lipschitz_constants(g_hat.rewards, rows_hat, metric)
         if gamma * l_p < 1.0:
             bound = alpha_bound_w(params.epsilon, params.delta, l_r, l_p, gamma)
             corollary = np.full(num_players, bound)
         else:
             corollary = None
-    else:
-        raise ValueError(f"unknown IPM kind {ipm_kind!r}")
     ipm_bounds = np.array([
         alpha_bound_ipm(params.epsilon, params.delta, rho, gamma)
         for rho in rhos

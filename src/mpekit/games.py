@@ -2,10 +2,15 @@
 
 An MDP is a one-player :class:`MarkovGame`.
 All containers freeze their arrays after construction, so instances are
-immutable and safe to share across threads. Construction only enforces shape
-consistency; probabilistic invariants (row stochasticity, discount range,
-metric axioms) are checked by :func:`validate_game`, which reports
-violations as data instead of raising. Invalid rows are never silently
+immutable and safe to share across threads. A :class:`MarkovGame` checks
+only shapes when constructed; its probabilistic invariants (row
+stochasticity, discount range, metric axioms) are checked by
+:func:`validate_game`, which reports violations as data instead of raising.
+A :class:`MarkovStrategy` rejects rows that are not distributions outright.
+
+One row rule serves games, strategies and the metrics: a row is a
+distribution when every entry is finite and at least -STOCHASTIC_ATOL and
+its sum is within STOCHASTIC_ATOL of 1. Invalid rows are never silently
 renormalized.
 
 Joint actions are ordered lexicographically by player index and then by
@@ -22,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-#: Tolerance for probability rows summing to one.
+#: Tolerance of the row rule: for a negative entry and for a row's sum.
 STOCHASTIC_ATOL = 1e-9
 
 
@@ -154,17 +159,17 @@ class MarkovStrategy:
         probs = _frozen_array(self.probabilities)
         if probs.ndim != 2:
             raise ValueError(f"strategy must be 2-D, got shape {probs.shape}")
-        if not np.all(np.isfinite(probs)):
+        non_finite, negative, off_sum, sums = _row_problems(probs)
+        if non_finite.any():
             s, a = np.argwhere(~np.isfinite(probs))[0]
             raise ValueError(f"non-finite probability at state {s}, action {a}")
-        if np.any(probs < 0):
-            s, a = np.argwhere(probs < 0)[0]
+        if negative.any():
+            s, a = np.argwhere(probs < -STOCHASTIC_ATOL)[0]
             raise ValueError(f"negative probability at state {s}, action {a}")
-        sums = probs.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)
-        if bad.size:
+        if off_sum.any():
+            s = np.flatnonzero(off_sum)[0]
             raise ValueError(
-                f"strategy row for state {bad[0]} sums to {sums[bad[0]]!r}, "
+                f"strategy row for state {s} sums to {sums[s]!r}, "
                 f"not 1 within {STOCHASTIC_ATOL}"
             )
         object.__setattr__(self, "probabilities", probs)
@@ -208,6 +213,20 @@ class ValueFunction:
         return len(self.values)
 
 
+def _finite_values(values, name: str, num_states: int | None = None
+                   ) -> np.ndarray:
+    """A :class:`ValueFunction` or array as a float array with no NaN or
+    infinite entry; a vector of ``num_states`` entries unless that is None."""
+    arr = np.asarray(getattr(values, "values", values), dtype=np.float64)
+    if num_states is not None and arr.shape != (num_states,):
+        raise ValueError(
+            f"{name} has shape {arr.shape} for {num_states} states")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{name} is not finite at entry {bad[0].tolist()}")
+    return arr
+
+
 def default_line_metric(num_states: int) -> np.ndarray:
     """The index-distance metric d(s, s') = |index(s) - index(s')|."""
     idx = np.arange(num_states)
@@ -247,23 +266,16 @@ def metric_violations(metric: np.ndarray, atol: float = 1e-12) -> list[str]:
     return out
 
 
-def _stochastic_violations(transitions, row_name) -> list[str]:
-    out = []
-    for s in range(transitions.shape[0]):
-        for a in range(transitions.shape[1]):
-            row = transitions[s, a]
-            if not np.all(np.isfinite(row)):
-                out.append(f"transition row {row_name(s, a)} has non-finite entries")
-                continue
-            if np.any(row < 0):
-                out.append(f"transition row {row_name(s, a)} has negative entries")
-            total = float(row.sum())
-            if abs(total - 1.0) > STOCHASTIC_ATOL:
-                out.append(
-                    f"transition row {row_name(s, a)} sums to {total!r}, "
-                    f"not 1 within {STOCHASTIC_ATOL}"
-                )
-    return out
+def _row_problems(rows: np.ndarray):
+    """Per-row masks (rows on the last axis): a non-finite entry (flagged
+    for nothing else), an entry below -STOCHASTIC_ATOL, a sum off 1 by more
+    than STOCHASTIC_ATOL; and the row sums."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
+        sums = rows.sum(-1)
+    non_finite = ~np.isfinite(rows).all(-1)
+    negative = ~non_finite & (rows < -STOCHASTIC_ATOL).any(-1)
+    off_sum = ~non_finite & (np.abs(sums - 1.0) > STOCHASTIC_ATOL)
+    return non_finite, negative, off_sum, sums
 
 
 def _discount_violations(gamma: float) -> list[str]:
@@ -289,11 +301,17 @@ def validate_game(game: MarkovGame) -> list[str]:
                 f"action ({game.joint_action_label(int(a))})) is not finite"
             )
 
-    def row_name(s, a):
-        return (f"(state {game.states[s]!r}, "
-                f"action ({game.joint_action_label(a)}))")
-
-    out.extend(_stochastic_violations(game.transitions, row_name))
+    non_finite, negative, off_sum, sums = _row_problems(game.transitions)
+    for s, a in np.argwhere(non_finite | negative | off_sum):
+        row = (f"transition row (state {game.states[s]!r}, "
+               f"action ({game.joint_action_label(a)}))")
+        if non_finite[s, a]:
+            out.append(f"{row} has non-finite entries")
+        if negative[s, a]:
+            out.append(f"{row} has negative entries")
+        if off_sum[s, a]:
+            out.append(f"{row} sums to {float(sums[s, a])!r}, "
+                       f"not 1 within {STOCHASTIC_ATOL}")
     if game.metric is not None:
         out.extend(metric_violations(game.metric))
     return out

@@ -17,6 +17,8 @@ from scipy.optimize import linprog
 
 from .games import (
     MarkovGame,
+    _finite_values,
+    _row_problems,
     default_line_metric,
     metric_violations,
 )
@@ -25,7 +27,12 @@ TOTAL_VARIATION = "total-variation"
 WASSERSTEIN = "wasserstein"
 IPM_KINDS = (TOTAL_VARIATION, WASSERSTEIN)
 
-_DIST_ATOL = 1e-9
+
+def _check_nonnegative(**values: float) -> None:
+    for name, value in values.items():
+        # NaN fails every comparison, so it is rejected too.
+        if not value >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,17 +50,13 @@ class ApproximationParams:
     def __post_init__(self):
         if self.ipm_kind not in IPM_KINDS:
             raise ValueError(f"unknown IPM kind {self.ipm_kind!r}")
-        if self.epsilon < 0 or self.delta < 0:
-            raise ValueError("epsilon and delta must be nonnegative")
+        _check_nonnegative(epsilon=self.epsilon, delta=self.delta)
 
 
 def _check_distribution(name: str, p: np.ndarray) -> np.ndarray:
-    """Probability vectors along the last axis, clipped at zero.
-
-    NaN fails both comparisons, so a row with a NaN entry is rejected too.
-    """
-    ok = np.all(p >= -_DIST_ATOL, axis=-1) & (np.abs(p.sum(-1) - 1.0)
-                                              <= _DIST_ATOL)
+    """Probability vectors along the last axis, clipped at zero."""
+    non_finite, negative, off_sum, _ = _row_problems(p)
+    ok = ~(non_finite | negative | off_sum)
     if not np.all(ok):
         where = f" at row {np.argwhere(~ok)[0].tolist()}" if p.ndim > 1 else ""
         raise ValueError(f"{name} is not a probability distribution{where}")
@@ -160,22 +163,34 @@ def wasserstein1(mu, nu, metric) -> float:
 
 
 def span(f) -> float:
-    """Span seminorm max(f) - min(f); zero exactly for constants."""
-    f = np.asarray(f, dtype=np.float64)
+    """Span seminorm max(f) - min(f); zero exactly for constants.
+
+    Any shape is accepted; a NaN or infinite entry raises.
+    """
+    f = _finite_values(f, "f")
     if f.size == 0:
         raise ValueError("span of an empty vector is undefined")
     return float(f.max() - f.min())
 
 
 def lipschitz_constant(f, metric) -> float:
-    """Largest difference quotient |f(s) - f(s')| / d(s, s') over pairs."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.size < 2:
-        raise ValueError("need at least two points for a Lipschitz constant")
-    metric = _check_metric(metric, f.size)
-    diff = np.abs(f[:, None] - f[None, :])
-    off = ~np.eye(f.size, dtype=bool)
-    return float(np.max(diff[off] / metric[off]))
+    """Largest difference quotient |f(s) - f(s')| / d(s, s') over pairs.
+
+    f is a finite vector (or :class:`~mpekit.games.ValueFunction`).
+    """
+    f = _finite_values(f, "f")
+    if f.ndim != 1 or f.size < 2:
+        raise ValueError("need at least two points for a Lipschitz constant, "
+                         f"got f of shape {f.shape}")
+    return _lipschitz(f, _check_metric(metric, f.size))
+
+
+def _lipschitz(f: np.ndarray, metric: np.ndarray) -> float:
+    """Largest |f[..., s] - f[..., s']| / d(s, s') over states s < s' and
+    the leading axes of a finite f, on a checked metric."""
+    s, t = np.triu_indices(len(metric), 1)
+    return float(np.max(np.abs(f[..., s] - f[..., t]) / metric[s, t],
+                        initial=0.0))
 
 
 def _shared_shape(g: MarkovGame, g_hat: MarkovGame) -> None:
@@ -212,18 +227,21 @@ def game_approx_params(g: MarkovGame, g_hat: MarkovGame,
     joint actions; delta is the max IPM between matching transition rows.
     A non-finite reward or a row that is not a distribution raises.
     """
+    return _approx_params(g, g_hat, ipm_kind)[0]
+
+
+def _approx_params(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str):
+    """``game_approx_params``, checked ``g_hat`` rows, metric (None for TV)."""
     if ipm_kind not in IPM_KINDS:
         raise ValueError(f"unknown IPM kind {ipm_kind!r}")
     _shared_shape(g, g_hat)
     rows = _checked_rows(g, "g"), _checked_rows(g_hat, "g_hat")
     epsilon = float(np.max(np.abs(g.rewards - g_hat.rewards)))
-    if ipm_kind == TOTAL_VARIATION:
-        gaps = _tv(*rows)
-    else:
-        gaps = _w1(*rows, _check_metric(comparison_metric(g, g_hat),
-                                        g.num_states))
+    metric = (None if ipm_kind == TOTAL_VARIATION
+              else _check_metric(comparison_metric(g, g_hat), g.num_states))
+    gaps = _tv(*rows) if metric is None else _w1(*rows, metric)
     delta = max(0.0, float(gaps.max()))
-    return ApproximationParams(epsilon=epsilon, delta=delta, ipm_kind=ipm_kind)
+    return ApproximationParams(epsilon, delta, ipm_kind), rows[1], metric
 
 
 def game_lipschitz_constants(game: MarkovGame,
@@ -243,12 +261,13 @@ def game_lipschitz_constants(game: MarkovGame,
         metric = game.metric
     metric = _check_metric(metric, game.num_states)
     rows = _checked_rows(game, "game")
-    rewards = game.rewards
-    l_r = 0.0
+    return _lipschitz_constants(game.rewards, rows, metric)
+
+
+def _lipschitz_constants(rewards, rows, metric) -> tuple[float, float]:
+    """(L_r, L_P) from finite rewards, checked rows and a checked metric."""
     l_p = 0.0
-    for s1 in range(game.num_states - 1):
+    for s1 in range(len(metric) - 1):
         d = metric[s1, s1 + 1:, None]
-        gap = np.max(np.abs(rewards[:, s1, None] - rewards[:, s1 + 1:]), axis=0)
-        l_r = max(l_r, float(np.max(gap / d)))
         l_p = max(l_p, float(np.max(_w1(rows[s1], rows[s1 + 1:], metric) / d)))
-    return l_r, l_p
+    return _lipschitz(np.swapaxes(rewards, 1, 2), metric), l_p

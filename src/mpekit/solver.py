@@ -35,7 +35,7 @@ import numpy as np
 
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    ValueFunction, check_discount)
+                    ValueFunction, _finite_values, check_discount)
 from .mdp import _policy_values
 
 _NASH_TOL = 1e-9
@@ -92,10 +92,11 @@ def stage_game(game: MarkovGame, values, state: int
         raise ValueError("stage games are built for two-player games only")
     if not 0 <= state < game.num_states:
         raise ValueError(f"state {state} out of range [0, {game.num_states})")
-    vals = [np.asarray(getattr(v, "values", v), dtype=np.float64)
-            for v in values]
-    if len(vals) != 2:
+    if len(values) != 2:
         raise ValueError("need one value vector per player")
+    vals = [_finite_values(v, f"value vector of player index {i}",
+                           game.num_states)
+            for i, v in enumerate(values)]
     payoff_a, payoff_b = _stage_payoffs(game, vals, state)
     return payoff_a, payoff_b
 

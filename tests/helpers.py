@@ -395,3 +395,55 @@ def reference_game_lipschitz_constants(game, metric):
                                    metric)
                 l_p = max(l_p, w / d)
     return l_r, l_p
+
+
+# The three row checks as they stood before one kernel replaced them. Each
+# rejects a negative entry its own way: the game and strategy checks any
+# entry below 0, the metrics check only entries below -1e-9.
+
+
+def reference_stochastic_violations(transitions, row_name) -> list[str]:
+    """``validate_game``'s loop over transition rows, as first written."""
+    out = []
+    for s in range(transitions.shape[0]):
+        for a in range(transitions.shape[1]):
+            row = transitions[s, a]
+            if not np.all(np.isfinite(row)):
+                out.append(f"transition row {row_name(s, a)} has non-finite entries")
+                continue
+            if np.any(row < 0):
+                out.append(f"transition row {row_name(s, a)} has negative entries")
+            total = float(row.sum())
+            if abs(total - 1.0) > 1e-9:
+                out.append(
+                    f"transition row {row_name(s, a)} sums to {total!r}, "
+                    f"not 1 within {1e-9}"
+                )
+    return out
+
+
+def reference_strategy_rows(probs) -> None:
+    """``MarkovStrategy``'s row checks, as first written; raises
+    ``ValueError``."""
+    if not np.all(np.isfinite(probs)):
+        s, a = np.argwhere(~np.isfinite(probs))[0]
+        raise ValueError(f"non-finite probability at state {s}, action {a}")
+    if np.any(probs < 0):
+        s, a = np.argwhere(probs < 0)[0]
+        raise ValueError(f"negative probability at state {s}, action {a}")
+    sums = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(
+            f"strategy row for state {bad[0]} sums to {sums[bad[0]]!r}, "
+            f"not 1 within {1e-9}"
+        )
+
+
+def reference_check_distribution(name: str, p: np.ndarray) -> np.ndarray:
+    """``metrics._check_distribution``, as first written."""
+    ok = np.all(p >= -1e-9, axis=-1) & (np.abs(p.sum(-1) - 1.0) <= 1e-9)
+    if not np.all(ok):
+        where = f" at row {np.argwhere(~ok)[0].tolist()}" if p.ndim > 1 else ""
+        raise ValueError(f"{name} is not a probability distribution{where}")
+    return np.clip(p, 0.0, None)

@@ -24,6 +24,7 @@ from mpekit.mdp import alpha_optimality, solve_optimal
 from mpekit.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
+    ApproximationParams,
     game_approx_params,
     lipschitz_constant,
     span,
@@ -79,6 +80,14 @@ class TestDeltaTerm:
             delta_term(original_game, random_mdp(rng), np.zeros(3))
         with pytest.raises(ValueError, match="states"):
             delta_term(original_game, original_game, np.zeros(2))
+        with pytest.raises(ValueError, match="states"):
+            delta_term(original_game, original_game, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, original_game, perturbed_game,
+                                       bad):
+        with pytest.raises(ValueError, match=r"not finite at entry \[1\]"):
+            delta_term(original_game, perturbed_game, [0.5, bad, 0.5])
 
 
 class TestBoundArithmetic:
@@ -124,8 +133,28 @@ class TestBoundArithmetic:
                 alpha_bound_instance(0.1, 0.1, bad)
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_bound_ipm(-0.01, 0.05, 1.0, 0.9)
+        # NaN fails "value < 0" as well as "value >= 0"; it must not pass.
+        calls = {
+            "epsilon": [lambda x: alpha_bound_instance(x, 0.1, 0.9),
+                        lambda x: alpha_bound_ipm(x, 0.05, 1.0, 0.9),
+                        lambda x: alpha_bound_w(x, 0.1, 1.0, 0.5, 0.9),
+                        lambda x: ApproximationParams(x, 0.1, WASSERSTEIN)],
+            "delta_term": [lambda x: alpha_bound_instance(0.1, x, 0.9)],
+            "delta": [lambda x: alpha_bound_ipm(0.01, x, 1.0, 0.9),
+                      lambda x: alpha_bound_w(0.01, x, 1.0, 0.5, 0.9),
+                      lambda x: ApproximationParams(0.1, x, WASSERSTEIN)],
+            "rho": [lambda x: alpha_bound_ipm(0.01, 0.05, x, 0.9)],
+            "l_r": [lambda x: alpha_bound_w(0.01, 0.1, x, 0.5, 0.9),
+                    lambda x: lipschitz_value_bound(x, 0.5, 0.9)],
+            "l_p": [lambda x: alpha_bound_w(0.01, 0.1, 1.0, x, 0.9),
+                    lambda x: lipschitz_value_bound(1.0, x, 0.9)],
+        }
+        for name, functions in calls.items():
+            for function in functions:
+                for bad in (-0.01, np.nan):
+                    with pytest.raises(ValueError,
+                                       match=f"^{name} must be nonnegative"):
+                        function(bad)
 
     def test_instance_bound_reference_input(self):
         assert alpha_bound_instance(0.01, 0.000784, 0.9) == pytest.approx(
@@ -192,6 +221,12 @@ class TestHoeffdingTail:
             hoeffding_tail(10, 0.0, 1.0)
         with pytest.raises(ValueError):
             hoeffding_tail(10, 0.1, 0.0)
+        with pytest.raises(ValueError, match="^n must"):
+            hoeffding_tail(np.nan, 0.1, 1.0)
+        with pytest.raises(ValueError, match="^gap must"):
+            hoeffding_tail(10, np.nan, 1.0)
+        with pytest.raises(ValueError, match="^span_h must"):
+            hoeffding_tail(10, 0.1, np.nan)
 
     def test_bernoulli_deviation_frequency_below_bound(self):
         # Empirical mean of n coin flips: the observed frequency of
@@ -224,6 +259,8 @@ class TestSampleSizes:
     def test_constant_rewards_floor_at_one(self):
         assert sample_size_game(0.1, 0.01, 0.0, 3, [4], 1, 0.9) == 1
         assert sample_size_game(0.1, 0.01, 0.0, 3, [2, 2], 2, 0.9) == 1
+        # alpha * alpha underflows to zero here; the budget is still 1.
+        assert sample_size_game(1e-300, 0.01, 0.0, 3, [2, 2], 2, 0.9) == 1
 
     def test_halving_p_adds_fixed_increment(self):
         base = _sample_size_real(0.1, 0.01, 0.9, 3 * 4 * 2, 0.9)
@@ -251,6 +288,21 @@ class TestSampleSizes:
         with pytest.raises(ValueError):
             sample_size_game(0.1, 0.01, 0.9, 0, [4], 1, 0.9)
 
+    @pytest.mark.parametrize("alpha, span_reward, match", [
+        (np.nan, 0.9, "^alpha must"),
+        (np.inf, 0.9, "^alpha must"),
+        (0.1, np.nan, "^span_reward must"),
+        (0.1, np.inf, "^span_reward must"),
+        (1e-300, 0.9, "^sample budget is not finite"),
+        (1e-160, 0.9, "^sample budget is not finite"),
+        (0.1, 1e200, "^sample budget is not finite"),
+    ])
+    def test_non_finite_budgets_raise_domain_errors(self, alpha, span_reward,
+                                                    match):
+        # These raised OverflowError, ZeroDivisionError, or a ValueError
+        # naming no operand.
+        with pytest.raises(ValueError, match=match):
+            sample_size_game(alpha, 0.01, span_reward, 3, [2, 2], 2, 0.9)
 
 class TestRobustnessReport:
     def test_bundled_pair_total_variation(self, original_game, perturbed_game,

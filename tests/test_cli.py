@@ -286,6 +286,23 @@ class TestSampleSize:
         assert code == 1
         assert "p must" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "0.1", "--span", "inf"],
+        ["--alpha", "1e-300", "--span", "0.9"],
+        ["--alpha", "nan", "--span", "0.9"],
+        ["--alpha", "0.1", "--span", "nan"],
+    ])
+    def test_non_finite_budget_exits_one(self, capsys, flags):
+        # These raised OverflowError or ZeroDivisionError from the budget
+        # formula, or named no operand.
+        code, out, err = run(capsys, [
+            "sample-size", *flags, "--p", "0.01", "--states", "3",
+            "--actions", "2", "2", "--gamma", "0.9"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert ("alpha" in err or "span" in err) and "Traceback" not in err
+
     def test_player_count_mismatch_exits_one(self, capsys):
         code, _, err = run(capsys, [
             "sample-size", "--alpha", "0.1", "--p", "0.01", "--span", "0.9",

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,13 @@ from helpers import (
     random_game,
     random_profile,
     random_strategy,
+    reference_check_distribution,
     reference_metric_violations,
+    reference_strategy_rows,
+    reference_stochastic_violations,
 )
 from mpekit.games import (
+    STOCHASTIC_ATOL,
     GameFormatError,
     GameValidationError,
     MarkovGame,
@@ -28,7 +33,7 @@ from mpekit.games import (
     serialize_profile,
     validate_game,
 )
-from mpekit.metrics import comparison_metric
+from mpekit.metrics import _check_distribution, comparison_metric
 
 #: d(0, 2) is exactly (d(0, 1) + d(1, 2)) + 1e-12, the triangle bound at the
 #: default atol; summed as d(0, 1) + (d(1, 2) + 1e-12) the bound rounds one
@@ -435,3 +440,130 @@ def test_comparison_metric_rejects_two_different_metrics(original_game,
                           skewed.metric)
     same = replace(perturbed_game, metric=default_line_metric(3))
     assert np.array_equal(comparison_metric(line, same), line.metric)
+
+
+#: Row kinds for the row-rule property; see ``row_tensors``.
+ROW_KINDS = ("dirichlet", "one-hot", "non-finite", "negative",
+             "negative, sum off", "sum off")
+
+
+@st.composite
+def row_tensors(draw):
+    """An (S, A, S) tensor whose rows test the one row rule.
+
+    Rows are Dirichlet draws or one-hot rows, or rows with a NaN or
+    infinite entry, a negative entry of -2e-9, -5e-10 or -1e-11 (balanced
+    by another entry when there is one, or also off in its sum), or a sum
+    moved by +-2e-9 (rejected) or 5e-10 (accepted).
+    """
+    size = draw(st.integers(1, 5))
+    joint = draw(st.integers(1, 4))
+    # Most tensors mix only a few kinds, so that a rare kind (a NaN row
+    # hides every other problem from the strategy check) does not swamp
+    # the rest.
+    allowed = sorted(draw(st.sets(st.sampled_from(ROW_KINDS), min_size=1)))
+    kinds = draw(st.lists(st.sampled_from(allowed), min_size=size * joint,
+                          max_size=size * joint))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((size * joint, size))
+    for row, kind in zip(rows, kinds):
+        row[:] = rng.dirichlet(np.ones(size))
+        k = rng.integers(size)
+        if kind == "one-hot":
+            row[:] = np.eye(size)[k]
+        elif kind == "non-finite":
+            row[k] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind.startswith("negative"):
+            entry = rng.choice([-2e-9, -5e-10, -1e-11])
+            row[:] = np.eye(size)[k]
+            row[(k + 1) % size] = entry
+            if kind == "negative" and size > 1:
+                row[k] -= entry
+            elif size > 1:
+                row[k] -= entry - rng.choice([2e-9, -2e-9])
+        else:
+            row[k] += rng.choice([2e-9, -2e-9, 5e-10])
+    return rows.reshape(size, joint, size)
+
+
+def _outcome(check, *args):
+    """The message a check raises, or None when it accepts."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRowRule:
+    """Games, strategies and the metrics decide rows by one rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_tensors())
+    def test_same_verdicts_and_messages_as_the_three_old_checks(self, rows):
+        size, joint = rows.shape[:2]
+        finite = np.isfinite(rows).all(-1, keepdims=True)
+        # The one change: an entry in [-STOCHASTIC_ATOL, 0) of a finite row
+        # now passes where the game and strategy checks rejected it.
+        tolerated = finite & (rows < 0) & (rows >= -STOCHASTIC_ATOL)
+        game = MarkovGame(tuple(map(str, range(size))),
+                          [tuple(map(str, range(joint)))], rows,
+                          np.zeros((1, size, joint)), 0.9)
+
+        expected = []
+        for s, a in np.ndindex(size, joint):
+            name = (f"(state {game.states[s]!r}, "
+                    f"action ({game.joint_action_label(a)}))")
+            messages = reference_stochastic_violations(
+                rows[s:s + 1, a:a + 1], lambda *_: name)
+            strict = (rows[s, a] < -STOCHASTIC_ATOL).any()
+            if tolerated[s, a].any() and not strict:
+                assert messages[0].endswith("has negative entries")
+                messages = messages[1:]
+            expected.extend(messages)
+        assert validate_game(game) == expected
+
+        expected = _outcome(reference_check_distribution, "rows", rows)
+        assert _outcome(_check_distribution, "rows", rows) == expected
+        if expected is None:
+            assert np.array_equal(_check_distribution("rows", rows),
+                                  reference_check_distribution("rows", rows))
+
+        matrix = rows.reshape(-1, size)
+        zeroed = np.where(tolerated.reshape(matrix.shape), 0.0, matrix)
+        expected = _outcome(reference_strategy_rows, zeroed)
+        if expected is not None and "sums to" in expected:
+            # A zeroed entry moves its row's sum; the message names the
+            # strategy's own sum.
+            s = int(expected.split()[4])
+            expected = expected.replace(repr(zeroed[s].sum()),
+                                        repr(matrix[s].sum()))
+        assert _outcome(MarkovStrategy, matrix) == expected
+
+    def test_opposite_infinities_raise_no_warning(self):
+        # Summing inf and -inf warns "invalid value"; the row is reported as
+        # non-finite, and nothing more.
+        row = [np.inf, -np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_game(tiny_game(
+                transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])) == [
+                    "transition row (state 'a', action (x)) has non-finite "
+                    "entries"]
+            with pytest.raises(ValueError, match="non-finite probability"):
+                MarkovStrategy([row])
+
+    def test_entries_within_tolerance_pass_and_metrics_clip_them(self):
+        for entry in (-5e-10, -1e-11, -STOCHASTIC_ATOL):
+            row = [1.0 - entry, entry]
+            assert validate_game(tiny_game(
+                transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], row]])) == []
+            MarkovStrategy([row])
+            assert _check_distribution("row", np.array(row))[1] == 0.0
+        row = [1.0 + 2e-9, -2e-9]
+        assert any("negative" in v for v in validate_game(tiny_game(
+            transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])))
+        with pytest.raises(ValueError, match="negative probability"):
+            MarkovStrategy([row])
+        with pytest.raises(ValueError, match="not a probability"):
+            _check_distribution("row", np.array(row))

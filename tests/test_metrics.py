@@ -14,6 +14,7 @@ from helpers import (
     transport_cost_tree_oracle,
 )
 from mpekit import metrics
+from mpekit.bounds import robustness_report
 from mpekit.games import MarkovGame, default_line_metric, metric_violations
 from mpekit.metrics import (
     TOTAL_VARIATION,
@@ -150,6 +151,21 @@ class TestFunctionals:
     def test_span_rejects_empty(self):
         with pytest.raises(ValueError):
             span([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        # max and min propagate NaN, so the span and constant read NaN.
+        with pytest.raises(ValueError, match=r"not finite at entry \[1\]"):
+            span([0.0, bad, 1.0])
+        with pytest.raises(ValueError, match=r"not finite at entry \[1, 0\]"):
+            span([[0.0, 1.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match=r"not finite at entry \[1\]"):
+            lipschitz_constant([0.0, bad, 1.0], LINE3)
+
+    def test_lipschitz_rejects_a_matrix(self):
+        # This raised IndexError from the difference quotient.
+        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+            lipschitz_constant(np.zeros((3, 3)), default_line_metric(9))
 
     def test_lipschitz_of_constant(self):
         assert lipschitz_constant([2.0, 2.0, 2.0], LINE3) == 0.0
@@ -374,6 +390,43 @@ class TestCheckedOnce:
         assert checks == [(3, 3)]
         game_lipschitz_constants(perturbed_game, LINE3)
         assert checks == [(3, 3), (3, 3)]
+
+    def test_robustness_report_checks_each_input_once(self, monkeypatch,
+                                                       original_game,
+                                                       perturbed_game,
+                                                       perturbed_mpe):
+        checks, rows, metrics_built = [], [], []
+
+        def counting(metric, *args):
+            checks.append(np.shape(metric))
+            return metric_violations(metric, *args)
+
+        def row_check(p):
+            rows.append(p)
+            return row_problems(p)
+
+        def comparison(*games):
+            metrics_built.append(games)
+            return comparison_metric(*games)
+
+        row_problems = metrics._row_problems
+        comparison_metric = metrics.comparison_metric
+        monkeypatch.setattr(metrics, "metric_violations", counting)
+        monkeypatch.setattr(metrics, "_row_problems", row_check)
+        monkeypatch.setattr(metrics, "comparison_metric", comparison)
+        for kind, metric_checks in ((TOTAL_VARIATION, 0), (WASSERSTEIN, 1)):
+            for inputs in ({"profile": perturbed_mpe.profile},
+                           {"values": perturbed_mpe.values}):
+                checks.clear()
+                rows.clear()
+                metrics_built.clear()
+                robustness_report(original_game, perturbed_game, kind,
+                                  **inputs)
+                assert checks == [(3, 3)] * metric_checks
+                assert len(metrics_built) == metric_checks
+                assert len(rows) == 2
+                assert rows[0] is original_game.transitions
+                assert rows[1] is perturbed_game.transitions
 
     def test_hundred_states_finish_within_seconds(self):
         rng = np.random.default_rng(0)

@@ -131,6 +131,15 @@ class TestStageGame:
         with pytest.raises(ValueError, match="two-player"):
             stage_game(solo, [np.zeros(3)], 0)
 
+    def test_rejects_short_and_non_finite_values(self, perturbed_game):
+        # A short vector failed inside np.vecdot with a gufunc message, and
+        # a NaN entry gave NaN payoffs.
+        with pytest.raises(ValueError,
+                           match="player index 1 has shape .2,. for 3 states"):
+            stage_game(perturbed_game, [np.zeros(3), np.zeros(2)], 0)
+        with pytest.raises(ValueError, match=r"player index 0 is not finite"):
+            stage_game(perturbed_game, [[0.0, np.nan, 0.0], np.zeros(3)], 0)
+
 
 class TestBimatrixNash:
     def test_dominant_coordination_cell(self):
