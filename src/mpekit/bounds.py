@@ -18,15 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (MarkovGame, StrategyProfile, _finite_values,
-                    check_discount, induced_mdp)
-from .mdp import evaluate_policy
+                    check_discount, check_profile)
+from .mdp import _policy_values, _profile_chain, _require_finite
 from .metrics import (
     TOTAL_VARIATION,
     _approx_params,
     _check_nonnegative,
     _lipschitz,
     _lipschitz_constants,
-    span,
+    _span,
 )
 
 
@@ -71,9 +71,13 @@ def delta_term(g: MarkovGame, g_hat: MarkovGame, v_hat) -> float:
         raise ValueError(
             f"shape mismatch: {g.transitions.shape} vs {g_hat.transitions.shape}"
         )
-    v = _finite_values(v_hat, "value vector", g.num_states)
-    gaps = (g.transitions - g_hat.transitions) @ v
-    return float(np.max(np.abs(gaps)))
+    return _delta_term(g, g_hat,
+                       _finite_values(v_hat, "value vector", g.num_states))
+
+
+def _delta_term(g: MarkovGame, g_hat: MarkovGame, v: np.ndarray) -> float:
+    """``delta_term`` of a finite vector, for games of one shape."""
+    return float(np.max(np.abs((g.transitions - g_hat.transitions) @ v)))
 
 
 def alpha_bound_instance(epsilon: float, delta_term: float,
@@ -182,7 +186,8 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
 
     The per-player perturbed-equilibrium values can be given directly via
     ``values`` (one vector per player) or derived from ``profile`` by
-    evaluating it on the perturbed game. Exactly one of the two must be
+    evaluating it on the perturbed game, every player in one solve of the
+    Markov chain the profile induces. Exactly one of the two must be
     provided.
     """
     if (profile is None) == (values is None):
@@ -191,12 +196,11 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
     gamma = g.discount
     num_players = g.num_players
     if values is None:
-        value_vectors = []
-        for player in range(num_players):
-            mdp_hat = induced_mdp(g_hat, profile, player)
-            value_vectors.append(
-                evaluate_policy(mdp_hat, profile.strategies[player]).values
-            )
+        check_profile(g_hat, profile)
+        chain = _profile_chain(g_hat, [strategy.probabilities
+                                       for strategy in profile.strategies])
+        value_vectors = _require_finite(
+            "policy value", _policy_values(g_hat, *chain)).T
     else:
         if len(values) != num_players:
             raise ValueError(
@@ -208,15 +212,15 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
             for player, v in enumerate(values)
         ]
 
-    deltas = np.array([delta_term(g, g_hat, v) for v in value_vectors])
+    deltas = np.array([_delta_term(g, g_hat, v) for v in value_vectors])
     instance = np.array([
         alpha_bound_instance(params.epsilon, d, gamma) for d in deltas
     ])
     if ipm_kind == TOTAL_VARIATION:
-        rhos = [span(v) for v in value_vectors]
+        rhos = [_span(v) for v in value_vectors]
         corollary = np.array([
             alpha_bound_ipm(params.epsilon, params.delta,
-                            span(g_hat.rewards[i]), gamma)
+                            _span(g_hat.rewards[i]), gamma)
             for i in range(num_players)
         ])
     else:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import bounds, experiments, games, metrics
 from .equilibrium import certify_profile
+from .experiments import _format
 from .solver import solve_mpe
 
 EXIT_OK = 0
@@ -36,10 +37,6 @@ class _Failure(Exception):
         self.code = code
         self.message = message
         super().__init__(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _read_text(path: str) -> str:
@@ -87,7 +84,7 @@ def _cmd_certify(args) -> int:
     certificate = certify_profile(game, profile, args.tol)
     print("player,alpha")
     for player, alpha in enumerate(certificate.alpha_clamped(), start=1):
-        print(f"{player},{_fmt(alpha)}")
+        print(f"{player},{_format(alpha)}")
     return EXIT_OK
 
 
@@ -131,14 +128,14 @@ def _cmd_bound(args) -> int:
           "alpha_corollary")
     for player in range(len(report.alpha_instance)):
         corollary = ("" if report.alpha_corollary is None
-                     else _fmt(report.alpha_corollary[player]))
+                     else _format(report.alpha_corollary[player]))
         print(",".join([
             str(player + 1),
-            _fmt(report.epsilon),
-            _fmt(report.delta),
-            _fmt(report.per_player_delta_term[player]),
-            _fmt(report.alpha_instance[player]),
-            _fmt(report.alpha_ipm[player]),
+            _format(report.epsilon),
+            _format(report.delta),
+            _format(report.per_player_delta_term[player]),
+            _format(report.alpha_instance[player]),
+            _format(report.alpha_ipm[player]),
             corollary,
         ]))
     if report.alpha_corollary is None:
@@ -155,7 +152,7 @@ def _cmd_solve(args) -> int:
     certificate_lines = ["player,alpha"]
     for player, alpha in enumerate(result.certificate.alpha_clamped(),
                                    start=1):
-        certificate_lines.append(f"{player},{_fmt(alpha)}")
+        certificate_lines.append(f"{player},{_format(alpha)}")
     if args.out:
         try:
             Path(args.out).write_text(profile_doc, encoding="utf-8")

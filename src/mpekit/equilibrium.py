@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import MarkovGame, StrategyProfile, ValueFunction, induced_mdp
-from .mdp import (
-    DEFAULT_TOL,
-    bellman_optimal,
-    bellman_policy,
-    evaluate_policy,
-    solve_optimal,
-)
+from .mdp import (bellman_optimal, bellman_policy, evaluate_policy,
+                  solve_optimal)
+
+#: Default tolerance for clamping noise and deciding equilibria.
+DEFAULT_TOL = 1e-10
 
 MODE_FIXED = "fixed"
 MODE_BEST_RESPONSE = "best-response"
@@ -86,7 +84,7 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile,
     for player in range(game.num_players):
         mdp = induced_mdp(game, profile, player)
         achieved = evaluate_policy(mdp, profile.strategies[player])
-        best, _ = solve_optimal(mdp, tol)
+        best, _ = solve_optimal(mdp)
         alphas[player] = float(np.max(best.values - achieved.values))
         values.append(achieved)
         best_values.append(best)

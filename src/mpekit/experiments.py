@@ -163,6 +163,7 @@ def summarize(records: list[ExperimentRecord]) -> ExperimentSummary:
 
 
 def _format(x: float) -> str:
+    """``%.12g``: every number in ``records.csv`` and on CLI stdout."""
     return f"{x:.12g}"
 
 

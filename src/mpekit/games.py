@@ -169,7 +169,7 @@ class MarkovStrategy:
         if off_sum.any():
             s = np.flatnonzero(off_sum)[0]
             raise ValueError(
-                f"strategy row for state {s} sums to {sums[s]!r}, "
+                f"strategy row for state {s} sums to {float(sums[s])!r}, "
                 f"not 1 within {STOCHASTIC_ATOL}"
             )
         object.__setattr__(self, "probabilities", probs)

@@ -1,8 +1,14 @@
 """Bellman operators and exact planning for finite discounted MDPs.
 
+Two private kernels here serve games of any number of players, and an MDP
+is their N = 1 case: ``_action_values`` gives each player's one-shot value
+(1 - gamma) r + gamma P v, and ``_profile_chain`` the Markov chain
+(P_pi, r_pi) that a stationary profile induces, which ``_policy_values``
+solves. The solver, ``stage_game`` and ``robustness_report`` use them too.
+
 An MDP is a one-player :class:`~mpekit.games.MarkovGame`: ``rewards`` has
-shape ``(1, S, A)`` and its one action set is the agent's. Every function
-here rejects a game with any other number of players.
+shape ``(1, S, A)`` and its one action set is the agent's. Every public
+function here rejects a game with any other number of players.
 
 Rewards are normalized: every backup scales the stage reward by (1 - gamma),
 so value functions stay inside the reward range. Policy evaluation is a
@@ -15,9 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .games import MarkovGame, MarkovStrategy, ValueFunction, check_discount
-
-#: Default tolerance for clamping noise and deciding equilibria.
-DEFAULT_TOL = 1e-10
 
 
 def _check_dims(mdp: MarkovGame, strategy: MarkovStrategy | None = None,
@@ -49,44 +52,52 @@ def _require_finite(what: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _action_values(mdp: MarkovGame, values: np.ndarray) -> np.ndarray:
-    """q[s, a] = (1 - gamma) r(s, a) + gamma * sum_s' P(s'|s, a) v(s')."""
-    gamma = mdp.discount
-    return (1.0 - gamma) * mdp.rewards[0] + gamma * mdp.transitions @ values
+def _action_values(game: MarkovGame, values, states=slice(None)
+                   ) -> np.ndarray:
+    """Each player's one-shot values at ``states``: shape (N, ..., A).
+
+    Entry [i, s, j] is (1 - gamma) r_i(s, j) + (gamma P[s, j]) @ values[i];
+    ``np.vecdot`` rounds each row as that ``@`` does, a batched matmul not.
+    """
+    gamma = game.discount
+    cont = gamma * game.transitions[states]
+    return np.stack([(1.0 - gamma) * game.rewards[i, states]
+                     + np.vecdot(cont, values[i])
+                     for i in range(game.num_players)])
 
 
 def bellman_policy(mdp: MarkovGame, strategy: MarkovStrategy,
                    v: ValueFunction) -> ValueFunction:
     """One application of the fixed-strategy Bellman operator."""
     _check_dims(mdp, strategy, v)
-    q = _action_values(mdp, v.values)
+    q = _action_values(mdp, [v.values])[0]
     return ValueFunction((strategy.probabilities * q).sum(axis=1))
 
 
 def bellman_optimal(mdp: MarkovGame, v: ValueFunction) -> ValueFunction:
     """One application of the optimality Bellman operator (max over actions)."""
     _check_dims(mdp, v=v)
-    return ValueFunction(_action_values(mdp, v.values).max(axis=1))
+    return ValueFunction(_action_values(mdp, [v.values])[0].max(axis=1))
 
 
-def strategy_transitions(mdp: MarkovGame,
-                         strategy: MarkovStrategy) -> np.ndarray:
-    """State transition matrix under a strategy: P_pi[s, s']."""
-    _check_dims(mdp, strategy)
-    return np.einsum("sa,sat->st", strategy.probabilities, mdp.transitions)
+def _profile_chain(game: MarkovGame, strategies
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(P_pi[s, s'], r_pi[s, i]) of the Markov chain induced by a profile
+    of (S, A_i) probability arrays, weighting joint actions by products."""
+    joint = strategies[0]
+    for probs in strategies[1:]:
+        joint = (joint[:, :, None] * probs[:, None, :]).reshape(
+            game.num_states, -1)
+    p_pi = np.einsum("sj,sjt->st", joint, game.transitions)
+    r_pi = np.einsum("sj,isj->si", joint, game.rewards)
+    return p_pi, r_pi
 
 
-def strategy_rewards(mdp: MarkovGame, strategy: MarkovStrategy) -> np.ndarray:
-    """Expected stage reward under a strategy: r_pi[s]."""
-    _check_dims(mdp, strategy)
-    return (strategy.probabilities * mdp.rewards[0]).sum(axis=1)
-
-
-def _policy_values(mdp: MarkovGame, p_pi: np.ndarray,
+def _policy_values(game: MarkovGame, p_pi: np.ndarray,
                    r_pi: np.ndarray) -> np.ndarray:
-    check_discount(mdp.discount)
-    gamma = mdp.discount
-    matrix = np.eye(mdp.num_states) - gamma * p_pi
+    check_discount(game.discount)
+    gamma = game.discount
+    matrix = np.eye(game.num_states) - gamma * p_pi
     return np.linalg.solve(matrix, (1.0 - gamma) * r_pi)
 
 
@@ -99,23 +110,21 @@ def evaluate_policy(mdp: MarkovGame,
     discount in (0, 1); any other discount, and values that come out
     non-finite, raise ``ValueError``.
     """
-    values = _policy_values(mdp, strategy_transitions(mdp, strategy),
-                            strategy_rewards(mdp, strategy))
-    return ValueFunction(_require_finite("policy value", values))
+    _check_dims(mdp, strategy)
+    values = _policy_values(mdp,
+                            *_profile_chain(mdp, [strategy.probabilities]))
+    return ValueFunction(_require_finite("policy value", values[:, 0]))
 
 
-def solve_optimal(mdp: MarkovGame, tol: float = DEFAULT_TOL
-                  ) -> tuple[ValueFunction, MarkovStrategy]:
+def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
     """Optimal value function and a deterministic greedy strategy.
 
     Howard policy iteration: evaluate exactly, then switch the states whose
     greedy action gains more than a roundoff margin (so ties cannot cycle),
     until none does. Greedy ties break toward the lowest action index.
-    ``tol`` need only be positive; a discount outside (0, 1) or a
-    non-finite action value raises ``ValueError``.
+    A discount outside (0, 1) or a non-finite action value raises
+    ``ValueError``.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     _check_dims(mdp)
     rewards = mdp.rewards[0]
     states = np.arange(mdp.num_states)
@@ -123,7 +132,8 @@ def solve_optimal(mdp: MarkovGame, tol: float = DEFAULT_TOL
     while True:
         values = _policy_values(mdp, mdp.transitions[states, policy],
                                 rewards[states, policy])
-        q = _require_finite("action value", _action_values(mdp, values))
+        q = _require_finite("action value",
+                            _action_values(mdp, [values])[0])
         margin = 1e-13 * max(1.0, np.abs(q).max())
         improve = q.max(axis=1) > q[states, policy] + margin
         if not improve.any():
@@ -133,12 +143,11 @@ def solve_optimal(mdp: MarkovGame, tol: float = DEFAULT_TOL
     return ValueFunction(values), MarkovStrategy(greedy)
 
 
-def alpha_optimality(mdp: MarkovGame, strategy: MarkovStrategy,
-                     tol: float = DEFAULT_TOL) -> float:
+def alpha_optimality(mdp: MarkovGame, strategy: MarkovStrategy) -> float:
     """Largest per-state shortfall of a strategy against the optimum.
 
-    Zero (up to tol) exactly for optimal strategies.
+    Zero, up to roundoff, exactly for optimal strategies.
     """
-    optimal, _ = solve_optimal(mdp, tol)
+    optimal, _ = solve_optimal(mdp)
     achieved = evaluate_policy(mdp, strategy)
     return float(np.max(optimal.values - achieved.values))

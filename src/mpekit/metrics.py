@@ -170,6 +170,11 @@ def span(f) -> float:
     f = _finite_values(f, "f")
     if f.size == 0:
         raise ValueError("span of an empty vector is undefined")
+    return _span(f)
+
+
+def _span(f: np.ndarray) -> float:
+    """Span of a finite, non-empty array."""
     return float(f.max() - f.min())
 
 

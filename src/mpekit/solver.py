@@ -23,7 +23,8 @@ order and the usual outcome, are checked all at once from one array of
 deviation gains; only a stage game without a pure equilibrium pays for the
 per-support linear solves. Deviation gains and residuals are judged
 against 1e-9 times the largest payoff magnitude (at least 1), so stage
-games with large payoffs keep their equilibria.
+games with large payoffs keep their equilibria. The stage payoffs and the
+exact evaluations come from the two kernels :mod:`mpekit.mdp` shares.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
                     ValueFunction, _finite_values, check_discount)
-from .mdp import _policy_values
+from .mdp import _action_values, _policy_values, _profile_chain
 
 _NASH_TOL = 1e-9
 #: Value-iteration sweeps from zero values before policy iteration starts.
@@ -67,18 +68,9 @@ class SolveResult:
 
 def _stage_payoffs(game: MarkovGame, values, states=slice(None)
                    ) -> np.ndarray:
-    """Both players' one-shot payoffs at ``states``: shape (2, ..., A1, A2).
-
-    ``values[i]`` is player i's value vector. Entry (a1, a2) for player i is
-    (1 - gamma) r_i + (gamma P[s, j]) @ v_i.
-    ``np.vecdot`` rounds each row's product exactly as that per-row ``@``
-    does; a batched matmul or einsum does not.
-    """
-    gamma = game.discount
-    cont = gamma * game.transitions[states]
-    payoffs = np.stack([(1.0 - gamma) * game.rewards[i, states]
-                        + np.vecdot(cont, values[i]) for i in range(2)])
-    return payoffs.reshape(payoffs.shape[:-1] + game.action_counts)
+    """Each player's one-shot payoffs at ``states``: shape (N, ..., A1, A2)."""
+    q = _action_values(game, values, states)
+    return q.reshape(q.shape[:-1] + game.action_counts)
 
 
 def stage_game(game: MarkovGame, values, state: int
@@ -249,19 +241,6 @@ def _iterate(game: MarkovGame, v: np.ndarray
     return new_v, pi1, pi2
 
 
-def _profile_values(game: MarkovGame, pi1: np.ndarray, pi2: np.ndarray
-                    ) -> np.ndarray:
-    """Both players' exact values under a profile: shape (2, S).
-
-    One solve of (I - gamma P_pi) V = (1 - gamma) r_pi, with the two
-    players' reward vectors as its two right-hand sides.
-    """
-    joint = (pi1[:, :, None] * pi2[:, None, :]).reshape(game.num_states, -1)
-    p_pi = np.einsum("sj,sjt->st", joint, game.transitions)
-    r_pi = np.einsum("sj,isj->si", joint, game.rewards)
-    return _policy_values(game, p_pi, r_pi).T
-
-
 def _policy_iteration(game: MarkovGame, max_iter: int
                       ) -> tuple[np.ndarray, np.ndarray, int]:
     """Game policy iteration from a few warm sweeps; returns (pi1, pi2,
@@ -279,7 +258,7 @@ def _policy_iteration(game: MarkovGame, max_iter: int
         steps += 1
     previous = None
     for _ in range(_MAX_EVALUATIONS):
-        v = _profile_values(game, pi1, pi2)
+        v = _policy_values(game, *_profile_chain(game, (pi1, pi2))).T
         steps += 1
         if previous is not None and (np.abs(v - previous).max()
                                      <= 1e-13 * max(1.0, np.abs(v).max())):

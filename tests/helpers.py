@@ -14,8 +14,9 @@ import numpy as np
 
 from mpekit.equilibrium import certify_profile
 from mpekit.games import MarkovGame, MarkovStrategy, StrategyProfile
+from mpekit.mdp import _check_dims, _policy_values
 from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding, _w1_lp
-from mpekit.solver import SolveResult, _stage_payoffs, bimatrix_nash
+from mpekit.solver import SolveResult, bimatrix_nash
 
 
 def random_mdp(rng, num_states=3, num_actions=2, discount=0.9,
@@ -241,7 +242,7 @@ def reference_bimatrix_nash(payoff_a, payoff_b, tol=1e-9):
 
 def _reference_sweep(game, v):
     """One sweep of equilibrium value iteration; returns (v', pi1, pi2)."""
-    payoffs = _stage_payoffs(game, v)
+    payoffs = reference_stage_payoffs(game, v)
     new_v = np.zeros_like(v)
     pi1 = np.zeros((game.num_states, game.action_counts[0]))
     pi2 = np.zeros((game.num_states, game.action_counts[1]))
@@ -435,7 +436,8 @@ def reference_strategy_rows(probs) -> None:
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
     if bad.size:
         raise ValueError(
-            f"strategy row for state {bad[0]} sums to {sums[bad[0]]!r}, "
+            f"strategy row for state {bad[0]} sums to "
+            f"{float(sums[bad[0]])!r}, "
             f"not 1 within {1e-9}"
         )
 
@@ -447,3 +449,47 @@ def reference_check_distribution(name: str, p: np.ndarray) -> np.ndarray:
         where = f" at row {np.argwhere(~ok)[0].tolist()}" if p.ndim > 1 else ""
         raise ValueError(f"{name} is not a probability distribution{where}")
     return np.clip(p, 0.0, None)
+
+
+# The two evaluation computations as they stood in their five copies before
+# ``mdp._action_values`` and ``mdp._profile_chain`` replaced them: the
+# solver's two-player copies, and the MDP layer's one-player copies.
+
+
+def reference_stage_payoffs(game: MarkovGame, values, states=slice(None)
+                            ) -> np.ndarray:
+    """``solver._stage_payoffs``, as first written."""
+    gamma = game.discount
+    cont = gamma * game.transitions[states]
+    payoffs = np.stack([(1.0 - gamma) * game.rewards[i, states]
+                        + np.vecdot(cont, values[i]) for i in range(2)])
+    return payoffs.reshape(payoffs.shape[:-1] + game.action_counts)
+
+
+def reference_profile_values(game: MarkovGame, pi1: np.ndarray,
+                             pi2: np.ndarray) -> np.ndarray:
+    """``solver._profile_values``, as first written: shape (2, S)."""
+    joint = (pi1[:, :, None] * pi2[:, None, :]).reshape(game.num_states, -1)
+    p_pi = np.einsum("sj,sjt->st", joint, game.transitions)
+    r_pi = np.einsum("sj,isj->si", joint, game.rewards)
+    return _policy_values(game, p_pi, r_pi).T
+
+
+def reference_action_values(mdp: MarkovGame, values: np.ndarray) -> np.ndarray:
+    """``mdp._action_values``, as first written: q[s, a] of an MDP."""
+    gamma = mdp.discount
+    return (1.0 - gamma) * mdp.rewards[0] + gamma * mdp.transitions @ values
+
+
+def reference_strategy_transitions(mdp: MarkovGame,
+                                   strategy: MarkovStrategy) -> np.ndarray:
+    """``mdp.strategy_transitions``, as first written: P_pi[s, s']."""
+    _check_dims(mdp, strategy)
+    return np.einsum("sa,sat->st", strategy.probabilities, mdp.transitions)
+
+
+def reference_strategy_rewards(mdp: MarkovGame,
+                               strategy: MarkovStrategy) -> np.ndarray:
+    """``mdp.strategy_rewards``, as first written: r_pi[s]."""
+    _check_dims(mdp, strategy)
+    return (strategy.probabilities * mdp.rewards[0]).sum(axis=1)

@@ -96,8 +96,8 @@ def test_criterion_2_value_functions(original_game, perturbed_mpe):
     mdp_2 = induced_mdp(original_game, profile, 1)
     achieved_1 = evaluate_policy(mdp_1, profile.strategies[0]).values
     achieved_2 = evaluate_policy(mdp_2, profile.strategies[1]).values
-    best_1 = solve_optimal(mdp_1, 1e-10)[0].values
-    best_2 = solve_optimal(mdp_2, 1e-10)[0].values
+    best_1 = solve_optimal(mdp_1)[0].values
+    best_2 = solve_optimal(mdp_2)[0].values
     ok = (np.allclose(achieved_1, REF_VALUE_P1, atol=1e-4)
           and np.allclose(achieved_2, REF_VALUE_P2, atol=1e-4)
           and np.allclose(best_1, REF_BEST_P1, atol=1e-4)
@@ -277,7 +277,7 @@ def test_criterion_8_planner_vs_enumeration():
         mdp = random_mdp(rng, num_states=int(rng.integers(1, 4)),
                          num_actions=int(rng.integers(1, 4)),
                          discount=float(rng.uniform(0.1, 0.95)))
-        value, _ = solve_optimal(mdp, 1e-10)
+        value, _ = solve_optimal(mdp)
         ok &= bool(np.allclose(value.values, best_deterministic_value(mdp),
                                atol=1e-9))
         if not ok:
@@ -319,8 +319,8 @@ def test_criterion_8_perturbation_soundness():
             rewards=mdp.rewards + rng.uniform(-0.02, 0.02,
                                               size=mdp.rewards.shape),
             discount=mdp.discount)
-        value_hat, policy_hat = solve_optimal(approx, 1e-10)
-        certified = alpha_optimality(mdp, policy_hat, 1e-10)
+        value_hat, policy_hat = solve_optimal(approx)
+        certified = alpha_optimality(mdp, policy_hat)
         epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
         bound = alpha_bound_instance(epsilon,
                                      delta_term(mdp, approx, value_hat.values),

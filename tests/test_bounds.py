@@ -197,7 +197,7 @@ class TestLipschitzValueBound:
             if mdp.discount * l_p >= 1.0:
                 continue
             checked += 1
-            value, _ = solve_optimal(mdp, 1e-10)
+            value, _ = solve_optimal(mdp)
             cap = lipschitz_value_bound(l_r, l_p, mdp.discount)
             assert lipschitz_constant(value.values, metric) <= cap + 1e-8
         assert checked >= 30
@@ -416,7 +416,7 @@ def ladder_cases(draw):
                    transitions=lean * game.transitions + (1 - lean) * shared)
     near = perturb_game(rng, game)
     if players == 1:
-        profile = StrategyProfile((solve_optimal(near, 1e-10)[1],))
+        profile = StrategyProfile((solve_optimal(near)[1],))
     else:
         profile = random_profile(rng, near)
     return game, near, profile, draw(st.sampled_from([TOTAL_VARIATION,
@@ -453,8 +453,8 @@ class TestSoundness:
             approx = MarkovGame(states=mdp.states, action_sets=mdp.action_sets,
                                 transitions=transitions, rewards=rewards,
                                 discount=mdp.discount)
-            value_hat, policy_hat = solve_optimal(approx, 1e-10)
-            certified = alpha_optimality(mdp, policy_hat, 1e-10)
+            value_hat, policy_hat = solve_optimal(approx)
+            certified = alpha_optimality(mdp, policy_hat)
             epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
             gap = delta_term(mdp, approx, value_hat.values)
             bound = alpha_bound_instance(epsilon, gap, mdp.discount)

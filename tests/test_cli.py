@@ -103,6 +103,19 @@ class TestCertify:
         assert out == ""
         assert "player 1: non-finite probability at state 0, action 0" in err
 
+    def test_off_sum_profile_names_a_plain_float(self, capsys, game_files,
+                                                 tmp_path):
+        off_sum = tmp_path / "off_sum.json"
+        off_sum.write_text('{"strategies": [[[0.5, 0.4], [0.5, 0.5], '
+                           '[0.5, 0.5]], [[1.0, 0.0], [1.0, 0.0], '
+                           '[1.0, 0.0]]]}')
+        code, out, err = run(capsys, [
+            "certify", str(game_files["original"]), str(off_sum)])
+        assert code == 2
+        assert out == ""
+        assert "player 1: strategy row for state 0 sums to 0.9," in err
+        assert "np.float64" not in err
+
 
 @pytest.mark.parametrize("argv,message", [
     (["certify", "original", "profile", "--tol", "0"],

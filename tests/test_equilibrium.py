@@ -114,7 +114,7 @@ class TestCertifyProfile:
     def test_single_player_optimal_strategy_has_zero_gap(self):
         rng = np.random.default_rng(3)
         game = random_game(rng, action_counts=(3,))
-        _, greedy = solve_optimal(game, 1e-10)
+        _, greedy = solve_optimal(game)
         certificate = certify_profile(game, StrategyProfile((greedy,)))
         assert abs(certificate.per_player_alpha[0]) <= 2e-10
 
@@ -124,7 +124,7 @@ class TestCertifyProfile:
         strategy = random_strategy(rng, 3, 3)
         certificate = certify_profile(game, StrategyProfile((strategy,)))
         assert certificate.per_player_alpha[0] == pytest.approx(
-            alpha_optimality(game, strategy, 1e-10), abs=1e-10)
+            alpha_optimality(game, strategy), abs=1e-10)
 
     def test_best_response_dominates_componentwise(self):
         rng = np.random.default_rng(5)
@@ -199,11 +199,8 @@ class TestFailFast:
     def test_nan_tol_rejected_by_every_entry_point(self, perturbed_game,
                                                    perturbed_mpe):
         profile = perturbed_mpe.profile
-        mdp = induced_mdp(perturbed_game, profile, 0)
         calls = (lambda: certify_profile(perturbed_game, profile, np.nan),
-                 lambda: is_mpe(perturbed_game, profile, np.nan),
-                 lambda: solve_optimal(mdp, np.nan),
-                 lambda: alpha_optimality(mdp, profile.strategies[0], np.nan))
+                 lambda: is_mpe(perturbed_game, profile, np.nan))
         for call in calls:
             with pytest.raises(ValueError, match="tol"):
                 call()

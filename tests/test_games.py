@@ -304,6 +304,13 @@ class TestStrategies:
         with pytest.raises(ValueError, match="negative"):
             MarkovStrategy([[1.5, -0.5]])
 
+    def test_off_sum_message_prints_a_plain_float(self):
+        # Under numpy 2 the repr of a numpy scalar reads np.float64(0.9).
+        with pytest.raises(ValueError) as excinfo:
+            MarkovStrategy([[0.5, 0.4]])
+        assert str(excinfo.value) == ("strategy row for state 0 sums to "
+                                      "0.9, not 1 within 1e-09")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_named(self, bad):
         # NaN passes both "< 0" and "|sum - 1| > atol", so it needs its own
@@ -536,8 +543,8 @@ class TestRowRule:
             # A zeroed entry moves its row's sum; the message names the
             # strategy's own sum.
             s = int(expected.split()[4])
-            expected = expected.replace(repr(zeroed[s].sum()),
-                                        repr(matrix[s].sum()))
+            expected = expected.replace(repr(float(zeroed[s].sum())),
+                                        repr(float(matrix[s].sum())))
         assert _outcome(MarkovStrategy, matrix) == expected
 
     def test_opposite_infinities_raise_no_warning(self):

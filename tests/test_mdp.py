@@ -10,9 +10,18 @@ from helpers import (
     policy_value_direct,
     random_game,
     random_mdp,
+    reference_action_values,
+    reference_profile_values,
+    reference_stage_payoffs,
+    reference_strategy_rewards,
+    reference_strategy_transitions,
 )
-from mpekit.games import MarkovGame, MarkovStrategy, ValueFunction, induced_mdp
+from mpekit.games import (MarkovGame, MarkovStrategy, StrategyProfile,
+                          ValueFunction, induced_mdp)
 from mpekit.mdp import (
+    _action_values,
+    _policy_values,
+    _profile_chain,
     alpha_optimality,
     bellman_optimal,
     bellman_policy,
@@ -167,15 +176,15 @@ class TestSolveOptimal:
     def test_reference_best_response_values(self, original_game,
                                             perturbed_mpe):
         profile = perturbed_mpe.profile
-        best_1, _ = solve_optimal(induced_mdp(original_game, profile, 0), 1e-10)
-        best_2, _ = solve_optimal(induced_mdp(original_game, profile, 1), 1e-10)
+        best_1, _ = solve_optimal(induced_mdp(original_game, profile, 0))
+        best_2, _ = solve_optimal(induced_mdp(original_game, profile, 1))
         assert np.allclose(best_1.values, BEST_P1, atol=1e-4)
         assert np.allclose(best_2.values, BEST_P2, atol=1e-4)
 
     def test_single_action_equals_policy_value(self):
         rng = np.random.default_rng(5)
         mdp = random_mdp(rng, num_actions=1)
-        value, strategy = solve_optimal(mdp, 1e-10)
+        value, strategy = solve_optimal(mdp)
         only = evaluate_policy(mdp, MarkovStrategy(np.ones((3, 1))))
         assert np.allclose(value.values, only.values, atol=1e-9)
         assert np.array_equal(strategy.probabilities, np.ones((3, 1)))
@@ -186,7 +195,7 @@ class TestSolveOptimal:
             mdp = random_mdp(rng, num_states=int(rng.integers(1, 4)),
                              num_actions=int(rng.integers(1, 4)),
                              discount=float(rng.uniform(0.1, 0.95)))
-            value, greedy = solve_optimal(mdp, 1e-10)
+            value, greedy = solve_optimal(mdp)
             oracle = best_deterministic_value(mdp)
             assert np.allclose(value.values, oracle, atol=1e-9)
             achieved = evaluate_policy(mdp, greedy)
@@ -196,12 +205,8 @@ class TestSolveOptimal:
         mdp = MarkovGame(states=("s",), action_sets=[("a", "b")],
                          transitions=[[[1.0], [1.0]]], rewards=[[[1.0, 1.0]]],
                          discount=0.5)
-        _, strategy = solve_optimal(mdp, 1e-10)
+        _, strategy = solve_optimal(mdp)
         assert np.array_equal(strategy.probabilities, [[1.0, 0.0]])
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve_optimal(single_state_mdp(0.0, 0.9), 0.0)
 
 
 class TestPolicyIterationProperties:
@@ -249,8 +254,8 @@ class TestAlphaOptimality:
         rng = np.random.default_rng(7)
         for _ in range(10):
             mdp = random_mdp(rng)
-            _, greedy = solve_optimal(mdp, 1e-10)
-            assert abs(alpha_optimality(mdp, greedy, 1e-10)) <= 2e-10
+            _, greedy = solve_optimal(mdp)
+            assert abs(alpha_optimality(mdp, greedy)) <= 2e-10
 
     def test_dominant_action_gap_matches_enumeration(self):
         # action 0 dominates everywhere; the uniform strategy leaves value
@@ -260,7 +265,7 @@ class TestAlphaOptimality:
                                       [[0.6, 0.4], [0.1, 0.9]]],
                          rewards=[[[1.0, 0.2], [0.8, 0.1]]], discount=0.8)
         uniform = MarkovStrategy(np.full((2, 2), 0.5))
-        gap = alpha_optimality(mdp, uniform, 1e-10)
+        gap = alpha_optimality(mdp, uniform)
         oracle = np.max(best_deterministic_value(mdp)
                         - policy_value_direct(mdp, uniform))
         assert gap == pytest.approx(oracle, abs=1e-9)
@@ -312,7 +317,7 @@ class TestOperatorProperties:
         rng = np.random.default_rng(11)
         for _ in range(50):
             mdp = random_mdp(rng, reward_low=-1.0, reward_high=2.0)
-            value, _ = solve_optimal(mdp, 1e-10)
+            value, _ = solve_optimal(mdp)
             value_span = value.values.max() - value.values.min()
             reward_span = mdp.rewards[0].max() - mdp.rewards[0].min()
             assert value_span <= reward_span + 1e-9
@@ -321,7 +326,86 @@ class TestOperatorProperties:
         rng = np.random.default_rng(12)
         for _ in range(25):
             mdp = random_mdp(rng)
-            optimal, _ = solve_optimal(mdp, 1e-10)
+            optimal, _ = solve_optimal(mdp)
             for strategy in deterministic_policies(3, 2):
                 achieved = evaluate_policy(mdp, strategy)
                 assert np.all(optimal.values >= achieved.values - 1e-9)
+
+
+@st.composite
+def games_with_profiles(draw, players, max_states, max_actions):
+    """A game of ``players`` (low, high) players, a profile on it and one
+    value vector per player.
+
+    Each strategy is mixed or, half the time, pure, so that joint weights
+    of exactly zero and one occur.
+    """
+    counts = tuple(draw(st.lists(st.integers(1, max_actions),
+                                 min_size=players[0], max_size=players[1])))
+    num_states = draw(st.integers(1, max_states))
+    gamma = draw(st.floats(0.05, 0.999))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = random_game(rng, num_states, counts, gamma, -3.0, 3.0)
+    strategies = []
+    for count in counts:
+        probs = rng.dirichlet(np.ones(count), size=num_states)
+        if draw(st.booleans()):
+            probs = np.eye(count)[probs.argmax(axis=1)]
+        strategies.append(MarkovStrategy(probs))
+    values = rng.uniform(-3.0, 3.0, size=(len(counts), num_states))
+    return game, StrategyProfile(tuple(strategies)), values
+
+
+class TestEvaluationKernels:
+    """One Q-value kernel and one profile chain serve MDPs and games."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(games_with_profiles((2, 2), max_states=40, max_actions=4))
+    def test_two_player_kernels_match_the_solver_copies_bit_for_bit(
+            self, case):
+        game, profile, values = case
+        q = _action_values(game, values)
+        expected = reference_stage_payoffs(game, values)
+        assert q.reshape(expected.shape).tobytes() == expected.tobytes()
+        state = game.num_states - 1
+        assert (_action_values(game, values, state).tobytes()
+                == q[:, state].tobytes())
+        pi1, pi2 = (s.probabilities for s in profile.strategies)
+        chain = _policy_values(game, *_profile_chain(game, (pi1, pi2))).T
+        assert (chain.tobytes()
+                == reference_profile_values(game, pi1, pi2).tobytes())
+
+    @settings(max_examples=100, deadline=None)
+    @given(games_with_profiles((1, 3), max_states=12, max_actions=3))
+    def test_chain_value_matches_each_induced_mdp(self, case):
+        game, profile, _ = case
+        chain = _policy_values(game, *_profile_chain(
+            game, [s.probabilities for s in profile.strategies])).T
+        for player, strategy in enumerate(profile.strategies):
+            mdp = induced_mdp(game, profile, player)
+            value = evaluate_policy(mdp, strategy).values
+            scale = max(1.0, np.abs(value).max())
+            assert np.max(np.abs(chain[player] - value)) <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(games_with_profiles((1, 1), max_states=30, max_actions=6))
+    def test_mdp_operators_match_their_first_copies_within_roundoff(
+            self, case):
+        # The kernels scale P by gamma before the dot product and sum the
+        # expected reward by einsum, so the MDP results may move in the
+        # last bits (one ulp in 3,000 drawn cases) against the copies they
+        # replaced, never by more.
+        mdp, profile, values = case
+        strategy = profile.strategies[0]
+        v = ValueFunction(values[0])
+        q = reference_action_values(mdp, v.values)
+        chain = (reference_strategy_transitions(mdp, strategy),
+                 reference_strategy_rewards(mdp, strategy))
+        old = [(strategy.probabilities * q).sum(axis=1), q.max(axis=1),
+               _policy_values(mdp, *chain)]
+        new = [bellman_policy(mdp, strategy, v).values,
+               bellman_optimal(mdp, v).values,
+               evaluate_policy(mdp, strategy).values]
+        for before, after in zip(old, new):
+            scale = max(1.0, np.abs(before).max())
+            assert np.max(np.abs(after - before)) <= 2e-15 * scale

@@ -13,7 +13,7 @@ from helpers import (
     reference_game_lipschitz_constants,
     transport_cost_tree_oracle,
 )
-from mpekit import metrics
+from mpekit import bounds, metrics
 from mpekit.bounds import robustness_report
 from mpekit.games import MarkovGame, default_line_metric, metric_violations
 from mpekit.metrics import (
@@ -395,7 +395,7 @@ class TestCheckedOnce:
                                                        original_game,
                                                        perturbed_game,
                                                        perturbed_mpe):
-        checks, rows, metrics_built = [], [], []
+        checks, rows, metrics_built, vectors = [], [], [], []
 
         def counting(metric, *args):
             checks.append(np.shape(metric))
@@ -409,17 +409,27 @@ class TestCheckedOnce:
             metrics_built.append(games)
             return comparison_metric(*games)
 
+        def finite_check(values, name, *args):
+            vectors.append(name)
+            return finite_values(values, name, *args)
+
         row_problems = metrics._row_problems
         comparison_metric = metrics.comparison_metric
+        finite_values = metrics._finite_values
         monkeypatch.setattr(metrics, "metric_violations", counting)
         monkeypatch.setattr(metrics, "_row_problems", row_check)
         monkeypatch.setattr(metrics, "comparison_metric", comparison)
+        monkeypatch.setattr(metrics, "_finite_values", finite_check)
+        monkeypatch.setattr(bounds, "_finite_values", finite_check)
+        given_values = [f"value vector of player index {i}" for i in (0, 1)]
         for kind, metric_checks in ((TOTAL_VARIATION, 0), (WASSERSTEIN, 1)):
-            for inputs in ({"profile": perturbed_mpe.profile},
-                           {"values": perturbed_mpe.values}):
+            for inputs, vector_checks in (
+                    ({"profile": perturbed_mpe.profile}, []),
+                    ({"values": perturbed_mpe.values}, given_values)):
                 checks.clear()
                 rows.clear()
                 metrics_built.clear()
+                vectors.clear()
                 robustness_report(original_game, perturbed_game, kind,
                                   **inputs)
                 assert checks == [(3, 3)] * metric_checks
@@ -427,6 +437,7 @@ class TestCheckedOnce:
                 assert len(rows) == 2
                 assert rows[0] is original_game.transitions
                 assert rows[1] is perturbed_game.transitions
+                assert vectors == vector_checks
 
     def test_hundred_states_finish_within_seconds(self):
         rng = np.random.default_rng(0)

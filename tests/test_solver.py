@@ -105,24 +105,27 @@ class TestStageGame:
 
     def test_matches_per_joint_action_formula_bit_for_bit(self):
         # The sweep builds every state at once and stage_game one state;
-        # both must round exactly as (1 - gamma) r + (gamma P[s, j]) @ v.
+        # both must round exactly as (1 - gamma) r + (gamma P[s, j]) @ v,
+        # and so must the shared kernel for one and three players.
         rng = np.random.default_rng(21)
-        for counts in [(1, 1), (2, 2), (2, 3), (4, 3)]:
+        for counts in [(1, 1), (2, 2), (2, 3), (4, 3), (3,), (2, 2, 2)]:
+            players = len(counts)
             for num_states in (1, 3, 8, 40):
                 game = random_game(rng, num_states, counts,
                                    discount=rng.uniform(0.05, 0.999))
                 gamma = game.discount
-                v = rng.uniform(-3.0, 3.0, size=(2, num_states))
+                v = rng.uniform(-3.0, 3.0, size=(players, num_states))
                 swept = solver._stage_payoffs(game, v)
                 for s in range(num_states):
-                    expected = np.zeros((2,) + counts)
-                    for j, (a1, a2) in enumerate(game.joint_actions()):
-                        for i in range(2):
-                            expected[i, a1, a2] = (
+                    expected = np.zeros((players,) + counts)
+                    for j, joint in enumerate(game.joint_actions()):
+                        for i in range(players):
+                            expected[(i,) + joint] = (
                                 (1.0 - gamma) * game.rewards[i, s, j]
                                 + (gamma * game.transitions[s, j]) @ v[i])
-                    built = np.stack(stage_game(game, list(v), s))
-                    assert built.tobytes() == expected.tobytes()
+                    if players == 2:
+                        built = np.stack(stage_game(game, list(v), s))
+                        assert built.tobytes() == expected.tobytes()
                     assert swept[:, s].tobytes() == expected.tobytes()
 
     def test_rejects_non_two_player(self):
