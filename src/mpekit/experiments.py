@@ -1,9 +1,10 @@
 """Generative-model sampling and plug-in equilibrium experiments.
 
-Every random draw is a pure function of the key (master seed, trial, state,
-joint action, draw index): each trial derives one counter-based stream per
-state-action pair from the master seed, so results are bit-identical no
-matter how trials are scheduled or parallelized.
+The next-state counts of every pair are a pure function of (master seed,
+trial, state, joint action): each trial derives one counter-based stream per
+state-action pair from the master seed and draws that pair's counts from it,
+so results are bit-identical no matter how trials are scheduled or
+parallelized.
 
 A trial estimates the transition kernel from n samples per pair (rewards
 and discount are taken as known), solves the estimated game, and certifies
@@ -82,21 +83,28 @@ def estimate_model(game: MarkovGame, n: int,
     """Estimate the transition kernel from n generative samples per pair.
 
     Returns the plug-in game (estimated transitions, original rewards and
-    discount) together with the raw counts. Exactly n draws are spent on
-    every (state, joint action) pair: n |S| |A| simulator calls in total.
+    discount) together with the raw counts. Each (state, joint action)
+    pair's counts are one Multinomial(n, row) draw from that pair's stream,
+    equal in law to the next-state counts of n simulator calls: the budget
+    is n |S| |A| simulator calls in total.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     num_states = game.num_states
     num_pairs = game.num_joint_actions
-    counts = np.zeros((num_states, num_pairs, num_states), dtype=np.int64)
+    # The law of inverse-CDF sampling: increments of the running CDF, made
+    # monotone and clipped to [0, 1], with the remainder on the last state.
+    # Rows the row rule accepts (entries down to -1e-9, sums within 1e-9 of
+    # 1) so give valid multinomial masses.
+    cdf = np.clip(np.maximum.accumulate(
+        np.cumsum(game.transitions, axis=-1), axis=-1), 0.0, 1.0)
+    cdf[..., -1] = 1.0
+    masses = np.diff(cdf, axis=-1, prepend=0.0)
+    counts = np.empty((num_states, num_pairs, num_states), dtype=np.int64)
     for s in range(num_states):
         for j in range(num_pairs):
-            gen = pair_stream(rng, s, j, num_pairs)
-            cdf = np.cumsum(game.transitions[s, j])
-            draws = np.searchsorted(cdf, gen.random(n), side="right")
-            np.minimum(draws, num_states - 1, out=draws)
-            counts[s, j] = np.bincount(draws, minlength=num_states)
+            counts[s, j] = pair_stream(rng, s, j, num_pairs).multinomial(
+                n, masses[s, j])
     model = EmpiricalModel(counts=counts, samples_per_pair=n)
     estimated = MarkovGame(
         states=game.states,

@@ -7,7 +7,6 @@ seeds. Reference constants are frozen here at their published precision.
 """
 
 import math
-import os
 import time
 from pathlib import Path
 
@@ -167,38 +166,71 @@ def test_criterion_6_sample_size():
           abs(n - REF_SAMPLE_SIZE) <= 1)
 
 
-def test_criterion_7_desk_scale_experiment(original_game):
-    trials = 50
+@pytest.fixture(scope="module")
+def full_scale_run(original_game):
+    """Records of the paper's 1000 trials (n = 111,227, seed 2024), seconds.
+
+    Trials are order-independent, so its first 50 records are the 50-trial
+    desk run and its first 200 the alpha = 0.1 budget run.
+    """
     budget = sample_size_game(0.1, 0.01, 0.9, 3, [2, 2], 2, 0.9)
     start = time.perf_counter()
-    records = run_experiments(original_game, budget, trials, master_seed=2024)
-    elapsed = time.perf_counter() - start
+    records = run_experiments(original_game, budget, 1000, master_seed=2024)
+    return records, time.perf_counter() - start
+
+
+def check_experiment(criterion: str, records) -> None:
     worst = max(float(record.alpha_pair.max()) for record in records)
     summary = summarize(records)
-    check("criterion 7",
-          f"{trials} trials at n={budget} took {elapsed:.1f}s < 300s",
-          elapsed < 300.0)
-    check("criterion 7",
-          f"all certified gaps <= 0.1 (worst {worst:.2e})", worst <= 0.1)
-    check("criterion 7",
-          "median per-player gap <= 1e-3",
+    check(criterion, f"all {len(records)} certified gaps <= 0.1 "
+                     f"(worst {worst:.2e})", worst <= 0.1)
+    check(criterion, "median per-player gap <= 1e-3",
           bool(np.all(summary.alpha_median <= 1e-3)))
-    check("criterion 7", "every trial's solver converged",
+    check(criterion, "every trial's solver converged",
           summary.convergence_rate == 1.0)
+
+
+def test_criterion_7_desk_scale_experiment(full_scale_run):
+    records = full_scale_run[0][:50]
+    check_experiment("criterion 7", records)
     check("criterion 7",
           f"records.csv byte-identical to {GOLDEN_RECORDS.name}",
           records_csv(records).encode() == GOLDEN_RECORDS.read_bytes())
 
 
-@pytest.mark.skipif(os.environ.get("MPEKIT_FULL_REPRO") != "1",
-                    reason="full-scale reproduction only when "
-                           "MPEKIT_FULL_REPRO=1")
-def test_criterion_7_full_scale_experiment(original_game):
-    budget = sample_size_game(0.1, 0.01, 0.9, 3, [2, 2], 2, 0.9)
-    records = run_experiments(original_game, budget, 1000, master_seed=2024)
-    worst = max(float(record.alpha_pair.max()) for record in records)
-    check("criterion 7 (full)", f"1000 trials, worst gap {worst:.2e} <= 0.1",
-          worst <= 0.1)
+def test_criterion_7_full_scale_experiment(full_scale_run):
+    records, elapsed = full_scale_run
+    check("criterion 7 (full)",
+          f"{len(records)} trials took {elapsed:.1f}s < 300s", elapsed < 300.0)
+    check_experiment("criterion 7 (full)", records)
+
+
+def test_criterion_7_gap_exceeds_alpha_rarely(original_game, full_scale_run):
+    # The paper's guarantee at three budgets: with n from sample_size_game,
+    # a trial's certified gap exceeds alpha with probability at most p.
+    trials, p = 200, 0.01
+    budgets, quantiles = [], []
+    for alpha in (0.4, 0.2, 0.1):
+        n = sample_size_game(alpha, p, 0.9, 3, [2, 2], 2, 0.9)
+        if alpha == 0.1:
+            records = full_scale_run[0][:trials]
+        else:
+            records = run_experiments(original_game, n, trials,
+                                      master_seed=2024)
+        gaps = np.array([record.alpha_pair.max() for record in records])
+        share = float(np.mean(gaps > alpha))
+        q = np.quantile(gaps, [0.5, 0.9, 0.99])
+        print(f"alpha={alpha} n={n}: share above alpha {share:.3f}, "
+              f"gap q50/q90/q99 {q[0]:.3e} {q[1]:.3e} {q[2]:.3e}")
+        check("criterion 7 (budgets)",
+              f"share of gaps above {alpha} at n={n} is {share:.3f} <= {p}",
+              share <= p)
+        budgets.append(n)
+        quantiles.append(q)
+    # Gaps should fall like n^(-1/2); reported, not gated.
+    slopes = np.polyfit(np.log(budgets), np.log(quantiles), 1)[0]
+    print("log-log slope of gap quantiles against n (q50, q90, q99): "
+          + ", ".join(f"{slope:.2f}" for slope in slopes))
 
 
 def test_criterion_8_bellman_contraction():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,14 +41,11 @@ class TestGenerativeSample:
 
     def test_frequencies_match_row_within_three_sigma(self):
         n = 1_000_000
-        row = np.array([0.4, 0.4, 0.2])
-        gen = pair_stream(np.random.SeedSequence(1), 0, 1, 2)
-        cdf = np.cumsum(row)
-        draws = np.minimum(np.searchsorted(cdf, gen.random(n), "right"), 2)
-        counts = np.bincount(draws, minlength=3)
-        for k in range(3):
-            sigma = np.sqrt(n * row[k] * (1 - row[k]))
-            assert abs(counts[k] - n * row[k]) <= 3 * sigma
+        game = delta_row_game()
+        _, model = estimate_model(game, n, np.random.SeedSequence(1))
+        rows = game.transitions
+        sigma = np.sqrt(n * rows * (1 - rows))
+        assert np.all(np.abs(model.counts - n * rows) <= 3 * sigma)
 
     def test_fixed_seed_reproduces_sequence(self):
         # Streams are derived from the root without consuming it.
@@ -101,6 +100,27 @@ class TestEstimateModel:
     def test_rejects_nonpositive_n(self, original_game):
         with pytest.raises(ValueError):
             estimate_model(original_game, 0, np.random.SeedSequence(0))
+
+    @pytest.mark.parametrize("n", [2.5, 100.0, True])
+    def test_rejects_non_integer_n(self, original_game, n):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+            estimate_model(original_game, n, np.random.SeedSequence(0))
+
+    def test_accepts_numpy_integer_n(self, original_game):
+        _, model = estimate_model(original_game, np.int64(40),
+                                  np.random.SeedSequence(0))
+        assert np.all(model.counts.sum(axis=2) == 40)
+
+    def test_rows_at_the_row_rule_edge(self, original_game):
+        # Both rows pass validate_game; a bare multinomial rejects each.
+        transitions = np.array(original_game.transitions)
+        transitions[0, 0] = [0.5, 0.5 + 5e-10, 0.0]
+        transitions[1, 2] = [-5e-10, 0.5, 0.5 + 5e-10]
+        game = dataclasses.replace(original_game, transitions=transitions)
+        assert validate_game(game) == []
+        _, model = estimate_model(game, 10_000, np.random.SeedSequence(3))
+        assert np.all(model.counts.sum(axis=2) == 10_000)
+        assert np.all(model.counts[transitions <= 0.0] == 0)
 
 
 class TestRunExperiments:
