@@ -21,7 +21,6 @@ from .bounds import (
 from .equilibrium import (
     CertificateAlpha,
     certify_profile,
-    game_bellman_player,
     is_mpe,
 )
 from .experiments import (
@@ -47,14 +46,11 @@ from .games import (
     induced_mdp,
     parse_game,
     parse_profile,
-    read_game,
-    read_profile,
     serialize_game,
     serialize_profile,
     validate_game,
 )
 from .mdp import (
-    alpha_optimality,
     bellman_optimal,
     bellman_policy,
     evaluate_policy,
@@ -94,7 +90,6 @@ __all__ = [
     "alpha_bound_instance",
     "alpha_bound_ipm",
     "alpha_bound_w",
-    "alpha_optimality",
     "bellman_optimal",
     "bellman_policy",
     "bimatrix_nash",
@@ -105,7 +100,6 @@ __all__ = [
     "estimate_model",
     "evaluate_policy",
     "game_approx_params",
-    "game_bellman_player",
     "game_lipschitz_constants",
     "hoeffding_tail",
     "induced_mdp",
@@ -114,8 +108,6 @@ __all__ = [
     "lipschitz_value_bound",
     "parse_game",
     "parse_profile",
-    "read_game",
-    "read_profile",
     "records_csv",
     "robustness_report",
     "run_experiments",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (MarkovGame, StrategyProfile, _finite_values,
-                    check_discount, check_profile)
+from .games import (MarkovGame, StrategyProfile, _check_count,
+                    _finite_values, check_discount, check_profile)
 from .mdp import _policy_values, _profile_chain, _require_finite
 from .metrics import (
     TOTAL_VARIATION,
@@ -129,8 +129,7 @@ def hoeffding_tail(n: int, gap: float, span_h: float) -> float:
     Bounds the probability that the empirical mean of a span-H function of
     n i.i.d. samples misses its expectation by at least ``gap``.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_count(n, "n")
     for name, value in (("gap", gap), ("span_h", span_h)):
         # NaN fails the comparison, so it is rejected too.
         if not value > 0:
@@ -167,10 +166,12 @@ def sample_size_game(alpha: float, p: float, span_reward: float,
     """Per-pair sample count sufficient for a plug-in equilibrium of the
     sampled game to be an alpha-equilibrium of the true game with
     probability 1 - p. With one player this is the MDP sample size."""
-    if num_states < 1 or num_players < 1:
-        raise ValueError("num_states and num_players must be positive")
-    if len(action_counts) != num_players or any(c < 1 for c in action_counts):
-        raise ValueError("action_counts must list one positive count per player")
+    _check_count(num_states, "num_states")
+    _check_count(num_players, "num_players")
+    if len(action_counts) != num_players:
+        raise ValueError("action_counts must list one count per player")
+    for player, count in enumerate(action_counts):
+        _check_count(count, f"action_counts[{player}]")
     joint = 1
     for count in action_counts:
         joint *= count

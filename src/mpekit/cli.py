@@ -168,15 +168,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sample_size(args) -> int:
-    players = args.players if args.players is not None else len(args.actions)
-    if players != len(args.actions):
-        raise _Failure(
-            EXIT_DOMAIN,
-            f"--players is {players} but --actions lists "
-            f"{len(args.actions)} counts",
-        )
     n = bounds.sample_size_game(args.alpha, args.p, args.span, args.states,
-                                list(args.actions), players, args.gamma)
+                                list(args.actions), len(args.actions),
+                                args.gamma)
     print(n)
     return EXIT_OK
 
@@ -255,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--actions", type=int, nargs="+", required=True,
                    help="action counts, one per player")
-    p.add_argument("--players", type=int)
     p.add_argument("--gamma", type=float, required=True)
     p.set_defaults(func=_cmd_sample_size)
 

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import MarkovGame, StrategyProfile, ValueFunction, induced_mdp
-from .mdp import (bellman_optimal, bellman_policy, evaluate_policy,
-                  solve_optimal)
+from .mdp import evaluate_policy, solve_optimal
 
 #: Default tolerance for clamping noise and deciding equilibria.
 DEFAULT_TOL = 1e-10
-
-MODE_FIXED = "fixed"
-MODE_BEST_RESPONSE = "best-response"
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,22 +44,6 @@ class CertificateAlpha:
         return float(np.max(self.per_player_alpha))
 
 
-def game_bellman_player(game: MarkovGame, profile: StrategyProfile, player: int,
-                        v: ValueFunction, mode: str) -> ValueFunction:
-    """One Bellman backup for a player, holding the others to the profile.
-
-    ``mode`` selects the operator: "fixed" backs up the player's own profile
-    strategy, "best-response" maximizes over the player's actions. Both are
-    the corresponding MDP operators applied to the player's induced MDP.
-    """
-    mdp = induced_mdp(game, profile, player)
-    if mode == MODE_FIXED:
-        return bellman_policy(mdp, profile.strategies[player], v)
-    if mode == MODE_BEST_RESPONSE:
-        return bellman_optimal(mdp, v)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def certify_profile(game: MarkovGame, profile: StrategyProfile,
                     tol: float = DEFAULT_TOL) -> CertificateAlpha:
     """Measure each player's incentive to deviate from a profile.
@@ -72,6 +52,10 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile,
     player's own strategy, and the optimal (best-response) value. The gap
     alpha_i = max_s (best - achieved) is nonnegative up to numerics and is
     zero for every player iff the profile is an equilibrium.
+
+    An MDP is a one-player game, so for ``StrategyProfile((strategy,))``
+    the one gap ``per_player_alpha[0]`` is the strategy's optimality gap:
+    its largest per-state shortfall against the optimal value.
 
     Per-player certifications are independent; results are assembled in
     player order.

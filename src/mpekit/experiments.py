@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import certify_profile
-from .games import MarkovGame
+from .games import MarkovGame, _check_count, _transition_row_violations
 from .solver import solve_mpe
 
 
@@ -87,9 +87,14 @@ def estimate_model(game: MarkovGame, n: int,
     pair's counts are one Multinomial(n, row) draw from that pair's stream,
     equal in law to the next-state counts of n simulator calls: the budget
     is n |S| |A| simulator calls in total.
+
+    Raises ``ValueError`` naming the first (state, joint action) pair whose
+    transition row breaks the row rule, and the rule it breaks.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_count(n, "n")
+    violations = _transition_row_violations(game)
+    if violations:
+        raise ValueError(violations[0])
     num_states = game.num_states
     num_pairs = game.num_joint_actions
     # The law of inverse-CDF sampling: increments of the running CDF, made
@@ -146,8 +151,7 @@ def run_experiments(game: MarkovGame, n: int, num_trials: int,
     Trials share nothing but the master seed, so they may be distributed
     across processes without changing any record.
     """
-    if num_trials < 0:
-        raise ValueError("num_trials must be nonnegative")
+    _check_count(num_trials, "num_trials", minimum=0)
     return [run_trial(game, n, trial, master_seed, solver_tol)
             for trial in range(num_trials)]
 

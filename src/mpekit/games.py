@@ -301,6 +301,16 @@ def validate_game(game: MarkovGame) -> list[str]:
                 f"action ({game.joint_action_label(int(a))})) is not finite"
             )
 
+    out.extend(_transition_row_violations(game))
+    if game.metric is not None:
+        out.extend(metric_violations(game.metric))
+    return out
+
+
+def _transition_row_violations(game: MarkovGame) -> list[str]:
+    """The row rule on every transition row, one message per broken rule,
+    each naming the (state, joint action) pair; empty iff all rows pass."""
+    out = []
     non_finite, negative, off_sum, sums = _row_problems(game.transitions)
     for s, a in np.argwhere(non_finite | negative | off_sum):
         row = (f"transition row (state {game.states[s]!r}, "
@@ -312,8 +322,6 @@ def validate_game(game: MarkovGame) -> list[str]:
         if off_sum[s, a]:
             out.append(f"{row} sums to {float(sums[s, a])!r}, "
                        f"not 1 within {STOCHASTIC_ATOL}")
-    if game.metric is not None:
-        out.extend(metric_violations(game.metric))
     return out
 
 
@@ -322,6 +330,16 @@ def check_discount(gamma: float) -> None:
     violations = _discount_violations(gamma)
     if violations:
         raise ValueError(violations[0])
+
+
+def _check_count(value, name: str, minimum: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least
+    ``minimum`` (0 or 1). A numpy integer counts; a bool or a float does not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def check_profile(game: MarkovGame, profile: StrategyProfile) -> None:
@@ -582,16 +600,6 @@ def parse_profile(text: str) -> StrategyProfile:
         except ValueError as exc:
             raise GameFormatError(f"strategy of player {i + 1}: {exc}") from exc
     return StrategyProfile(tuple(parsed))
-
-
-def read_game(path, *, validate: bool = True) -> MarkovGame:
-    with open(path, encoding="utf-8") as handle:
-        return parse_game(handle.read(), validate=validate)
-
-
-def read_profile(path) -> StrategyProfile:
-    with open(path, encoding="utf-8") as handle:
-        return parse_profile(handle.read())
 
 
 def bundled_game(name: str) -> MarkovGame:

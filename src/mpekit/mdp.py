@@ -142,12 +142,3 @@ def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
     greedy = np.eye(mdp.action_counts[0])[np.argmax(q, axis=1)]
     return ValueFunction(values), MarkovStrategy(greedy)
 
-
-def alpha_optimality(mdp: MarkovGame, strategy: MarkovStrategy) -> float:
-    """Largest per-state shortfall of a strategy against the optimum.
-
-    Zero, up to roundoff, exactly for optimal strategies.
-    """
-    optimal, _ = solve_optimal(mdp)
-    achieved = evaluate_policy(mdp, strategy)
-    return float(np.max(optimal.values - achieved.values))

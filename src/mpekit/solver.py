@@ -36,7 +36,7 @@ import numpy as np
 
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    ValueFunction, _finite_values, check_discount)
+                    _check_count, _finite_values, check_discount)
 from .mdp import _action_values, _policy_values, _profile_chain
 
 _NASH_TOL = 1e-9
@@ -53,14 +53,14 @@ _Certified = tuple[float, StrategyProfile, CertificateAlpha]
 class SolveResult:
     """A solved profile plus the evidence for it.
 
-    ``certificate`` is always computed against the input game;
+    ``certificate`` is always computed against the input game, and the
+    profile's per-player values are ``certificate.per_player_value``;
     ``converged`` means the certified gap met the requested tolerance.
     ``iterations`` counts value-iteration sweeps plus exact policy
     evaluations.
     """
 
     profile: StrategyProfile
-    values: tuple[ValueFunction, ...]
     certificate: CertificateAlpha
     iterations: int
     converged: bool
@@ -347,15 +347,15 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     plus every exact evaluation.
 
     Raises ``ValueError`` before any sweep for a discount outside (0, 1),
-    a tol that is not positive (NaN included) or a max_iter below 1.
+    a tol that is not positive (NaN included) or a max_iter that is not a
+    positive integer.
     """
     if game.num_players != 2:
         raise ValueError("two-player solver only")
     check_discount(game.discount)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    _check_count(max_iter, "max_iter")
 
     pi1, pi2, iterations = _policy_iteration(game, max_iter)
     profile = StrategyProfile((MarkovStrategy(pi1), MarkovStrategy(pi2)))
@@ -368,7 +368,6 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     gap, profile, certificate = best
     return SolveResult(
         profile=profile,
-        values=certificate.per_player_value,
         certificate=certificate,
         iterations=iterations,
         converged=gap <= tol,

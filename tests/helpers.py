@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mpekit.equilibrium import certify_profile
 from mpekit.games import MarkovGame, MarkovStrategy, StrategyProfile
@@ -42,6 +44,25 @@ def random_game(rng, num_states=3, action_counts=(2, 2), discount=0.9,
         rewards=rewards,
         discount=discount,
     )
+
+
+@st.composite
+def small_mdps(draw):
+    """MDPs with S <= 6, A <= 3 and gamma in [0.5, 0.999].
+
+    Drawn entries repeat often (zeros, equal rewards), so ties and sparse,
+    absorbing transitions are well represented.
+    """
+    s = draw(st.integers(1, 6))
+    a = draw(st.integers(1, 3))
+    weights = draw(arrays(np.float64, (s, a, s), elements=st.floats(0.0, 1.0)))
+    weights[weights.sum(axis=-1) == 0.0] = 1.0
+    rewards = draw(arrays(np.float64, (s, a), elements=st.floats(-1.0, 1.0)))
+    transitions = weights / weights.sum(axis=-1, keepdims=True)
+    return MarkovGame(states=tuple(str(i) for i in range(s)),
+                      action_sets=[tuple(str(i) for i in range(a))],
+                      transitions=transitions, rewards=[rewards],
+                      discount=draw(st.floats(0.5, 0.999)))
 
 
 def random_strategy(rng, num_states, num_actions) -> MarkovStrategy:
@@ -303,9 +324,8 @@ def reference_solve_mpe(game, tol=1e-8, max_iter=10_000, seed=0):
         if best[0] <= tol:
             break
     gap, profile, certificate = best
-    return SolveResult(profile=profile, values=certificate.per_player_value,
-                       certificate=certificate, iterations=iterations,
-                       converged=gap <= tol)
+    return SolveResult(profile=profile, certificate=certificate,
+                       iterations=iterations, converged=gap <= tol)
 
 
 def reference_metric_violations(metric, atol=1e-12) -> list[str]:

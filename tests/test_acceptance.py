@@ -31,13 +31,13 @@ from mpekit.experiments import records_csv, run_experiments, summarize
 from mpekit.games import (
     MarkovGame,
     MarkovStrategy,
+    StrategyProfile,
     ValueFunction,
     default_line_metric,
     induced_mdp,
     serialize_game,
 )
 from mpekit.mdp import (
-    alpha_optimality,
     bellman_optimal,
     bellman_policy,
     evaluate_policy,
@@ -120,7 +120,7 @@ def test_criterion_4_delta_terms(original_game, perturbed_game,
                                  perturbed_mpe):
     gaps = np.array([
         delta_term(original_game, perturbed_game, value.values)
-        for value in perturbed_mpe.values
+        for value in perturbed_mpe.certificate.per_player_value
     ])
     check("criterion 4", "expected-value gap terms match within 1e-6",
           np.allclose(gaps, REF_DELTA_TERMS, atol=1e-6))
@@ -352,7 +352,8 @@ def test_criterion_8_perturbation_soundness():
                                               size=mdp.rewards.shape),
             discount=mdp.discount)
         value_hat, policy_hat = solve_optimal(approx)
-        certified = alpha_optimality(mdp, policy_hat)
+        certified = certify_profile(
+            mdp, StrategyProfile((policy_hat,))).per_player_alpha[0]
         epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
         bound = alpha_bound_instance(epsilon,
                                      delta_term(mdp, approx, value_hat.values),

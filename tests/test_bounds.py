@@ -20,7 +20,7 @@ from mpekit.bounds import (
 )
 from mpekit.equilibrium import certify_profile
 from mpekit.games import MarkovGame, StrategyProfile, default_line_metric
-from mpekit.mdp import alpha_optimality, solve_optimal
+from mpekit.mdp import solve_optimal
 from mpekit.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
@@ -40,7 +40,7 @@ EXPECTED_W1_BOUNDS = (0.048231, 0.039782)
 
 @pytest.fixture(scope="module")
 def equilibrium_values(perturbed_game, perturbed_mpe):
-    return [v.values for v in perturbed_mpe.values]
+    return [v.values for v in perturbed_mpe.certificate.per_player_value]
 
 
 class TestDeltaTerm:
@@ -454,7 +454,8 @@ class TestSoundness:
                                 transitions=transitions, rewards=rewards,
                                 discount=mdp.discount)
             value_hat, policy_hat = solve_optimal(approx)
-            certified = alpha_optimality(mdp, policy_hat)
+            certified = certify_profile(
+                mdp, StrategyProfile((policy_hat,))).per_player_alpha[0]
             epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
             gap = delta_term(mdp, approx, value_hat.values)
             bound = alpha_bound_instance(epsilon, gap, mdp.discount)

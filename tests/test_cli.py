@@ -122,7 +122,7 @@ class TestCertify:
      "error: tol must be positive"),
     (["solve", "perturbed", "--tol", "-1"], "error: tol must be positive"),
     (["solve", "perturbed", "--max-iter", "0"],
-     "error: max_iter must be positive"),
+     "error: max_iter must be a positive integer"),
 ], ids=["certify-tol", "solve-tol", "solve-max-iter"])
 def test_library_checks_surface_as_exit_one(capsys, game_files, profile_file,
                                             argv, message):
@@ -177,7 +177,8 @@ class TestBound:
                                        perturbed_mpe):
         values_path = tmp_path / "values.json"
         values_path.write_text(json.dumps(
-            {"values": [list(v.values) for v in perturbed_mpe.values]}))
+            {"values": [list(v.values) for v
+                        in perturbed_mpe.certificate.per_player_value]}))
         code, out, _ = run(capsys, [
             "bound", str(game_files["original"]), str(game_files["perturbed"]),
             "--ipm", "tv", "--values", str(values_path)])
@@ -199,7 +200,8 @@ class TestBound:
     def test_nan_in_values_file_exits_one(self, capsys, game_files, tmp_path,
                                           perturbed_mpe):
         values_path = tmp_path / "nan_values.json"
-        values = [list(v.values) for v in perturbed_mpe.values]
+        values = [list(v.values)
+                  for v in perturbed_mpe.certificate.per_player_value]
         values[0][1] = float("nan")
         values_path.write_text(json.dumps({"values": values}))
         code, out, err = run(capsys, [
@@ -280,8 +282,7 @@ class TestSampleSize:
     def test_reference_budget(self, capsys):
         code, out, _ = run(capsys, [
             "sample-size", "--alpha", "0.1", "--p", "0.01", "--span", "0.9",
-            "--states", "3", "--actions", "2", "2", "--players", "2",
-            "--gamma", "0.9"])
+            "--states", "3", "--actions", "2", "2", "--gamma", "0.9"])
         assert code == 0
         assert abs(int(out.strip()) - 111_227) <= 1
 
@@ -315,13 +316,6 @@ class TestSampleSize:
         assert out == ""
         assert err.startswith("error: ")
         assert ("alpha" in err or "span" in err) and "Traceback" not in err
-
-    def test_player_count_mismatch_exits_one(self, capsys):
-        code, _, err = run(capsys, [
-            "sample-size", "--alpha", "0.1", "--p", "0.01", "--span", "0.9",
-            "--states", "3", "--actions", "2", "2", "--players", "3",
-            "--gamma", "0.9"])
-        assert code == 1
 
 
 class TestExperiment:

@@ -3,15 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import random_game, random_profile, random_strategy
-from mpekit.equilibrium import (
-    MODE_BEST_RESPONSE,
-    MODE_FIXED,
-    certify_profile,
-    game_bellman_player,
-    is_mpe,
-)
+from helpers import random_game, random_profile, small_mdps
+from mpekit.equilibrium import certify_profile, is_mpe
 from mpekit.games import (
     MarkovGame,
     MarkovStrategy,
@@ -20,7 +17,6 @@ from mpekit.games import (
     induced_mdp,
 )
 from mpekit.mdp import (
-    alpha_optimality,
     bellman_optimal,
     bellman_policy,
     evaluate_policy,
@@ -53,26 +49,31 @@ def direct_player_backup(game, profile, player, values, best_response):
 
 
 class TestPlayerBackup:
+    """A player's backup is the MDP operator on the player's induced MDP."""
+
     def test_single_player_reduces_to_mdp_operators(self):
         rng = np.random.default_rng(0)
         game = random_game(rng, action_counts=(3,))
         profile = random_profile(rng, game)
         v = ValueFunction(rng.normal(size=3))
         # A one-player game is an MDP, so the MDP operators take it as is.
-        fixed = game_bellman_player(game, profile, 0, v, MODE_FIXED)
+        mdp = induced_mdp(game, profile, 0)
+        fixed = bellman_policy(mdp, profile.strategies[0], v)
         assert np.allclose(
             fixed.values,
             bellman_policy(game, profile.strategies[0], v).values)
-        best = game_bellman_player(game, profile, 0, v, MODE_BEST_RESPONSE)
+        best = bellman_optimal(mdp, v)
         assert np.allclose(best.values, bellman_optimal(game, v).values)
 
     def test_equilibrium_values_are_fixed_points(self, perturbed_game,
                                                  perturbed_mpe):
         profile = perturbed_mpe.profile
-        for player, value in enumerate(perturbed_mpe.values):
-            for mode in (MODE_FIXED, MODE_BEST_RESPONSE):
-                image = game_bellman_player(perturbed_game, profile, player,
-                                            value, mode)
+        values = perturbed_mpe.certificate.per_player_value
+        for player, value in enumerate(values):
+            mdp = induced_mdp(perturbed_game, profile, player)
+            for image in (bellman_policy(mdp, profile.strategies[player],
+                                         value),
+                          bellman_optimal(mdp, value)):
                 assert np.max(np.abs(image.values - value.values)) <= 1e-10
 
     def test_agrees_with_direct_joint_sum(self):
@@ -82,21 +83,14 @@ class TestPlayerBackup:
             profile = random_profile(rng, game)
             v = rng.normal(size=game.num_states)
             for player in range(2):
-                for mode, flag in ((MODE_FIXED, False),
-                                   (MODE_BEST_RESPONSE, True)):
-                    mine = game_bellman_player(game, profile, player,
-                                               ValueFunction(v), mode)
+                mdp = induced_mdp(game, profile, player)
+                fixed = bellman_policy(mdp, profile.strategies[player],
+                                       ValueFunction(v))
+                best = bellman_optimal(mdp, ValueFunction(v))
+                for mine, flag in ((fixed, False), (best, True)):
                     oracle = direct_player_backup(game, profile, player, v,
                                                   flag)
                     assert np.allclose(mine.values, oracle, atol=1e-12)
-
-    def test_unknown_mode_rejected(self):
-        rng = np.random.default_rng(2)
-        game = random_game(rng)
-        profile = random_profile(rng, game)
-        with pytest.raises(ValueError, match="mode"):
-            game_bellman_player(game, profile, 0,
-                                ValueFunction(np.zeros(3)), "other")
 
 
 class TestCertifyProfile:
@@ -118,13 +112,21 @@ class TestCertifyProfile:
         certificate = certify_profile(game, StrategyProfile((greedy,)))
         assert abs(certificate.per_player_alpha[0]) <= 2e-10
 
-    def test_reduces_to_alpha_optimality_for_single_player(self):
-        rng = np.random.default_rng(4)
-        game = random_game(rng, action_counts=(3,))
-        strategy = random_strategy(rng, 3, 3)
-        certificate = certify_profile(game, StrategyProfile((strategy,)))
-        assert certificate.per_player_alpha[0] == pytest.approx(
-            alpha_optimality(game, strategy), abs=1e-10)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reduces_to_alpha_optimality_for_single_player(self, data):
+        # An MDP's optimality gap is its one-player certificate, exactly.
+        mdp = data.draw(small_mdps())
+        weights = data.draw(arrays(
+            np.float64, (mdp.num_states, mdp.action_counts[0]),
+            elements=st.floats(0.0, 1.0)))
+        weights[weights.sum(axis=1) == 0.0] = 1.0
+        strategy = MarkovStrategy(
+            weights / weights.sum(axis=1, keepdims=True))
+        certificate = certify_profile(mdp, StrategyProfile((strategy,)))
+        gap = np.max(solve_optimal(mdp)[0].values
+                     - evaluate_policy(mdp, strategy).values)
+        assert certificate.per_player_alpha[0] == gap
 
     def test_best_response_dominates_componentwise(self):
         rng = np.random.default_rng(5)

@@ -123,6 +123,24 @@ class TestEstimateModel:
         assert np.all(model.counts[transitions <= 0.0] == 0)
 
 
+    @pytest.mark.parametrize("row, rule", [
+        ([0.2, 0.2, 0.2], "sums to 0.6"),
+        ([np.nan, 0.5, 0.5], "has non-finite entries"),
+    ], ids=["short-row", "nan-row"])
+    def test_rejects_a_row_the_row_rule_rejects(self, original_game, row,
+                                                 rule):
+        # The short row used to sample as [0.2, 0.2, 0.6]; the NaN row
+        # failed inside numpy without naming the pair.
+        transitions = np.array(original_game.transitions)
+        transitions[1, 2] = row
+        game = dataclasses.replace(original_game, transitions=transitions)
+        pair = (f"transition row (state {game.states[1]!r}, "
+                f"action ({game.joint_action_label(2)})) ")
+        with pytest.raises(ValueError) as info:
+            estimate_model(game, 1000, np.random.SeedSequence(0))
+        assert str(info.value).startswith(pair + rule)
+
+
 class TestRunExperiments:
     def test_zero_trials_is_empty(self, original_game):
         assert run_experiments(original_game, 10, 0, 0) == []

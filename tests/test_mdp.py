@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from helpers import (
     best_deterministic_value,
@@ -15,14 +14,15 @@ from helpers import (
     reference_stage_payoffs,
     reference_strategy_rewards,
     reference_strategy_transitions,
+    small_mdps,
 )
+from mpekit.equilibrium import certify_profile
 from mpekit.games import (MarkovGame, MarkovStrategy, StrategyProfile,
                           ValueFunction, induced_mdp)
 from mpekit.mdp import (
     _action_values,
     _policy_values,
     _profile_chain,
-    alpha_optimality,
     bellman_optimal,
     bellman_policy,
     evaluate_policy,
@@ -43,25 +43,6 @@ def single_state_mdp(reward, gamma):
     return MarkovGame(states=("s",), action_sets=[("a",)],
                       transitions=[[[1.0]]], rewards=[[[reward]]],
                       discount=gamma)
-
-
-@st.composite
-def small_mdps(draw):
-    """MDPs with S <= 6, A <= 3 and gamma in [0.5, 0.999].
-
-    Drawn entries repeat often (zeros, equal rewards), so ties and sparse,
-    absorbing transitions are well represented.
-    """
-    s = draw(st.integers(1, 6))
-    a = draw(st.integers(1, 3))
-    weights = draw(arrays(np.float64, (s, a, s), elements=st.floats(0.0, 1.0)))
-    weights[weights.sum(axis=-1) == 0.0] = 1.0
-    rewards = draw(arrays(np.float64, (s, a), elements=st.floats(-1.0, 1.0)))
-    transitions = weights / weights.sum(axis=-1, keepdims=True)
-    return MarkovGame(states=tuple(str(i) for i in range(s)),
-                      action_sets=[tuple(str(i) for i in range(a))],
-                      transitions=transitions, rewards=[rewards],
-                      discount=draw(st.floats(0.5, 0.999)))
 
 
 class TestBellmanPolicy:
@@ -145,7 +126,7 @@ class TestEvaluatePolicy:
     def test_reference_equilibrium_values_on_perturbed_game(self,
                                                             perturbed_game,
                                                             perturbed_mpe):
-        vhat_1, vhat_2 = perturbed_mpe.values
+        vhat_1, vhat_2 = perturbed_mpe.certificate.per_player_value
         assert np.allclose(vhat_1.values, VALUE_HAT_P1, atol=1e-4)
         assert np.allclose(vhat_2.values, VALUE_HAT_P2, atol=1e-4)
         profile = perturbed_mpe.profile
@@ -233,7 +214,7 @@ class TestDiscountGuard:
         with pytest.raises(ValueError, match="discount"):
             solve_optimal(mdp)
         with pytest.raises(ValueError, match="discount"):
-            alpha_optimality(mdp, MarkovStrategy([[1.0]]))
+            certify_profile(mdp, StrategyProfile((MarkovStrategy([[1.0]]),)))
 
 
 def test_planners_reject_a_game_of_two_players():
@@ -249,13 +230,19 @@ def test_planners_reject_a_game_of_two_players():
             call()
 
 
+def optimality_gap(mdp, strategy):
+    """An MDP strategy's optimality gap: its one-player certificate."""
+    profile = StrategyProfile((strategy,))
+    return certify_profile(mdp, profile).per_player_alpha[0]
+
+
 class TestAlphaOptimality:
     def test_zero_for_computed_optimum(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             mdp = random_mdp(rng)
             _, greedy = solve_optimal(mdp)
-            assert abs(alpha_optimality(mdp, greedy)) <= 2e-10
+            assert abs(optimality_gap(mdp, greedy)) <= 2e-10
 
     def test_dominant_action_gap_matches_enumeration(self):
         # action 0 dominates everywhere; the uniform strategy leaves value
@@ -265,7 +252,7 @@ class TestAlphaOptimality:
                                       [[0.6, 0.4], [0.1, 0.9]]],
                          rewards=[[[1.0, 0.2], [0.8, 0.1]]], discount=0.8)
         uniform = MarkovStrategy(np.full((2, 2), 0.5))
-        gap = alpha_optimality(mdp, uniform)
+        gap = optimality_gap(mdp, uniform)
         oracle = np.max(best_deterministic_value(mdp)
                         - policy_value_direct(mdp, uniform))
         assert gap == pytest.approx(oracle, abs=1e-9)

@@ -142,8 +142,8 @@ class TestFunctionals:
         assert span([1.5, 1.5, 1.5]) == 0.0
 
     def test_span_reference_value(self, perturbed_game, perturbed_mpe):
-        assert span(perturbed_mpe.values[0].values) == pytest.approx(
-            0.015684, abs=1e-4)
+        value = perturbed_mpe.certificate.per_player_value[0]
+        assert span(value.values) == pytest.approx(0.015684, abs=1e-4)
 
     def test_span_of_bundled_rewards(self, original_game):
         assert span(original_game.rewards) == pytest.approx(0.9)
@@ -171,8 +171,9 @@ class TestFunctionals:
         assert lipschitz_constant([2.0, 2.0, 2.0], LINE3) == 0.0
 
     def test_lipschitz_reference_value(self, perturbed_mpe):
-        assert lipschitz_constant(perturbed_mpe.values[0].values,
-                                  LINE3) == pytest.approx(0.015684, abs=1e-4)
+        value = perturbed_mpe.certificate.per_player_value[0]
+        assert lipschitz_constant(value.values, LINE3) == pytest.approx(
+            0.015684, abs=1e-4)
 
     def test_lipschitz_adjacent_gap(self):
         assert lipschitz_constant([0.0, 2.0, 3.0], LINE3) == 2.0
@@ -425,7 +426,8 @@ class TestCheckedOnce:
         for kind, metric_checks in ((TOTAL_VARIATION, 0), (WASSERSTEIN, 1)):
             for inputs, vector_checks in (
                     ({"profile": perturbed_mpe.profile}, []),
-                    ({"values": perturbed_mpe.values}, given_values)):
+                    ({"values": perturbed_mpe.certificate.per_player_value},
+                     given_values)):
                 checks.clear()
                 rows.clear()
                 metrics_built.clear()

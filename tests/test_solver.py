@@ -95,7 +95,8 @@ class TestStageGame:
 
     def test_equilibrium_payoffs_reproduce_fixed_point(self, perturbed_game,
                                                        perturbed_mpe):
-        values = [v.values for v in perturbed_mpe.values]
+        values = [v.values
+                  for v in perturbed_mpe.certificate.per_player_value]
         for s in range(3):
             payoff_a, payoff_b = stage_game(perturbed_game, values, s)
             x = perturbed_mpe.profile.strategies[0].probabilities[s]
@@ -259,7 +260,8 @@ class TestSolveMpe:
         assert np.allclose(result.profile.strategies[1].probabilities,
                            [[0.0, 1.0]])
         # repeated-game value equals the stage equilibrium payoff
-        assert result.values[0].values[0] == pytest.approx(1.0, abs=1e-8)
+        value = result.certificate.per_player_value[0]
+        assert value.values[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_sum_game_matches_minimax_iteration(self):
         rng = np.random.default_rng(12)
@@ -276,8 +278,9 @@ class TestSolveMpe:
         result = solve_mpe(game, tol=1e-9)
         assert result.converged
         oracle = minimax_value_iteration(game)
-        assert np.allclose(result.values[0].values, oracle, atol=1e-7)
-        assert np.allclose(result.values[1].values, -oracle, atol=1e-7)
+        value_1, value_2 = result.certificate.per_player_value
+        assert np.allclose(value_1.values, oracle, atol=1e-7)
+        assert np.allclose(value_2.values, -oracle, atol=1e-7)
 
     def test_converged_results_pass_is_mpe(self):
         rng = np.random.default_rng(13)
