@@ -184,8 +184,6 @@ def _cmd_experiment(args) -> int:
     game = _load_game(args.game)
     if game.num_players != 2:
         raise _Failure(EXIT_DOMAIN, "experiments need a two-player game")
-    if args.n < 1 or args.trials < 0:
-        raise _Failure(EXIT_DOMAIN, "--n must be >= 1 and --trials >= 0")
     records = experiments.run_experiments(
         game, args.n, args.trials, args.seed, solver_tol=args.solver_tol
     )

@@ -151,6 +151,7 @@ def run_experiments(game: MarkovGame, n: int, num_trials: int,
     Trials share nothing but the master seed, so they may be distributed
     across processes without changing any record.
     """
+    _check_count(n, "n")
     _check_count(num_trials, "num_trials", minimum=0)
     return [run_trial(game, n, trial, master_seed, solver_tol)
             for trial in range(num_trials)]

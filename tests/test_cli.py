@@ -344,6 +344,20 @@ class TestExperiment:
         assert out_path.read_text().splitlines() == [
             "trial,alpha1,alpha2,converged,seed"]
 
+    @pytest.mark.parametrize("n, trials, message", [
+        ("0", "0", "error: n must be a positive integer, got 0"),
+        ("10", "-1", "error: num_trials must be a nonnegative integer, "
+                     "got -1")])
+    def test_bad_counts_fail_with_the_library_message(self, capsys,
+                                                      game_files, tmp_path,
+                                                      n, trials, message):
+        out_path = tmp_path / "never.csv"
+        code, out, err = run(capsys, [
+            "experiment", str(game_files["original"]), "--n", n,
+            "--trials", trials, "--out", str(out_path)])
+        assert (code, out, err) == (1, "", message + "\n")
+        assert not out_path.exists()
+
     def test_same_seed_is_byte_identical(self, capsys, game_files, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -145,6 +145,11 @@ class TestRunExperiments:
     def test_zero_trials_is_empty(self, original_game):
         assert run_experiments(original_game, 10, 0, 0) == []
 
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_n_checked_before_any_trial(self, original_game, n):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+            run_experiments(original_game, n, 0, 0)
+
     def test_records_are_reproducible(self, original_game):
         first = run_experiments(original_game, 400, 3, 123)
         second = run_experiments(original_game, 400, 3, 123)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     perturb_game,
     random_game,
+    random_profile,
     reference_game_approx_params,
     reference_game_lipschitz_constants,
     transport_cost_tree_oracle,
@@ -37,10 +38,20 @@ LINE3 = default_line_metric(3)
 NAN_ROWS = ([np.nan, 1.0], [np.nan, np.nan])
 
 
+def planar_metric(points) -> np.ndarray:
+    points = np.asarray(points, dtype=np.float64)
+    return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+
+
 def random_metric(rng, size):
     """Euclidean metric of random planar points (generally not a line)."""
-    points = rng.normal(size=(size, 2))
-    return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    return planar_metric(rng.normal(size=(size, 2)))
+
+
+def grid_metric(rows, cols) -> np.ndarray:
+    """Manhattan distance on a rows x cols grid: not a line metric."""
+    cells = np.array([(r, c) for r in range(rows) for c in range(cols)])
+    return np.abs(cells[:, None, :] - cells[None, :, :]).sum(-1).astype(float)
 
 
 class TestTvDistance:
@@ -126,6 +137,18 @@ class TestWasserstein:
             nu = rng.dirichlet(np.ones(4))
             assert wasserstein1(mu, nu, metric) == pytest.approx(
                 transport_cost_tree_oracle(mu, nu, metric), abs=1e-9)
+
+    def test_entries_below_1e7_solve_near_the_closed_form(self):
+        # At HiGHS's default tolerances this transport LP reads as
+        # infeasible; mu is a point mass, so W1 is d(4, .) . nu exactly.
+        metric = planar_metric([[3, 0], [1, 4], [2, 3], [4, 4], [3, 2],
+                                [3, 4]])
+        nu = np.array([8.65360256702272e-08, 1.9600652969619168e-08,
+                       0.000112207461081661, 0.9998876863732703,
+                       3.680175428620209e-23, 2.8969348078008418e-11])
+        exact = metric[4] @ nu
+        assert exact == 2.235975750477892
+        assert abs(wasserstein1(np.eye(6)[4], nu, metric) - exact) <= 1e-9
 
     def test_rejects_broken_metric(self):
         with pytest.raises(ValueError, match="axioms"):
@@ -441,6 +464,35 @@ class TestCheckedOnce:
                 assert rows[1] is perturbed_game.transitions
                 assert vectors == vector_checks
 
+    def test_grid_report_solves_few_transport_lps(self, monkeypatch):
+        # One LP per row pair would be 36 for delta and 144 for L_P.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return transport_lp(*args)
+
+        transport_lp = metrics._w1_lp
+        monkeypatch.setattr(metrics, "_w1_lp", counting)
+        rng = np.random.default_rng(3)
+        game = replace(random_game(rng, 9, (2, 2), 0.95),
+                       metric=grid_metric(3, 3))
+        report = robustness_report(game, perturb_game(rng, game),
+                                   WASSERSTEIN,
+                                   profile=random_profile(rng, game))
+        assert report.delta > 0.0
+        assert 2 <= len(calls) <= 10
+
+    def test_thirty_planar_states_finish_within_seconds(self):
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(30, 2))
+        game = replace(random_game(rng, 30, (3, 3)),
+                       metric=planar_metric(points))
+        start = time.perf_counter()
+        _, l_p = game_lipschitz_constants(game)
+        assert time.perf_counter() - start < 2.0
+        assert l_p > 0.0
+
     def test_hundred_states_finish_within_seconds(self):
         rng = np.random.default_rng(0)
         game = replace(random_game(rng, 100, (3, 3)),
@@ -510,3 +562,62 @@ class TestMatchesPerRowReference:
                              reference_game_lipschitz_constants(g_hat,
                                                                 metric)):
             assert same_bits(mine, ref)
+
+
+@st.composite
+def off_line_game_pairs(draw):
+    """A one-player game, a nearby game and a metric that embeds in no
+    line, so that every W1 maximum takes the bound, filter and confirm
+    steps.
+
+    Metrics are grids, distinct points of a 5 x 5 lattice (whose collinear
+    triples shortcut arcs of the flow LP) and random planar points, up to 9
+    states. Rows include point masses, entries below 1e-7, rows the nearby
+    game leaves unchanged, one row pair copied to every row (so every delta
+    row ties) and the identity kernel (so every L_P quotient is 1).
+    """
+    kind = draw(st.sampled_from(["grid", "lattice", "plane"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        metric = grid_metric(*draw(st.sampled_from([(2, 2), (2, 3), (3, 3)])))
+    else:
+        size = draw(st.integers(3, 9))
+        cells = rng.choice(25, size, replace=False)
+        points = (np.column_stack([cells // 5, cells % 5]) if kind == "lattice"
+                  else rng.normal(size=(size, 2)))
+        metric = planar_metric(points)
+    size = len(metric)
+    joint = draw(st.sampled_from([1, 2, 4]))
+    rows = rng.dirichlet(np.full(size, draw(st.sampled_from([0.2, 1.0]))),
+                         size=(2, size, joint))
+    masses = rng.random(rows.shape[:-1]) < 0.25
+    rows[masses] = np.eye(size)[rng.integers(size, size=masses.sum())]
+    tiny = rng.random(rows.shape) < 0.2
+    rows[tiny] = 10.0 ** rng.uniform(-23, -7, size=tiny.sum())
+    rows /= rows.sum(-1, keepdims=True)
+    same = rng.random((size, joint)) < 0.3
+    rows[1][same] = rows[0][same]
+    tie = draw(st.sampled_from(["none", "every row", "identity"]))
+    if tie == "every row":
+        rows[:] = rows[:, :1, :1]
+    elif tie == "identity":
+        rows[1] = np.eye(size)[:, None, :]
+    games = [MarkovGame(tuple(str(s) for s in range(size)),
+                        (tuple(str(a) for a in range(joint)),), rows[k],
+                        rng.uniform(-1.0, 1.0, size=(1, size, joint)), 0.9,
+                        metric) for k in (0, 1)]
+    return games[0], games[1], metric
+
+
+class TestMaxW1MatchesPerRowLps:
+    """delta and L_P off the line equal the per-row LP maxima bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(off_line_game_pairs())
+    def test_delta_and_lipschitz(self, pair):
+        g, g_hat, metric = pair
+        _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN, metric)
+        assert same_bits(game_approx_params(g, g_hat, WASSERSTEIN).delta,
+                         delta)
+        _, l_p = reference_game_lipschitz_constants(g_hat, metric)
+        assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
