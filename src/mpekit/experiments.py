@@ -150,9 +150,16 @@ def run_experiments(game: MarkovGame, n: int, num_trials: int,
 
     Trials share nothing but the master seed, so they may be distributed
     across processes without changing any record.
+
+    The counts and the game's transition rows are checked before the first
+    trial, so a bad input raises ``ValueError`` whatever ``num_trials`` is,
+    zero included, with the message ``estimate_model`` gives.
     """
     _check_count(n, "n")
     _check_count(num_trials, "num_trials", minimum=0)
+    violations = _transition_row_violations(game)
+    if violations:
+        raise ValueError(violations[0])
     return [run_trial(game, n, trial, master_seed, solver_tol)
             for trial in range(num_trials)]
 

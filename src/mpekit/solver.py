@@ -15,31 +15,48 @@ in general-sum games it can cycle. The fallback is equilibrium value
 iteration, which re-solves the one-shot games at its own running values
 until they settle, with seeded restarts.
 
-Each step builds the stage games of every state in one vectorized pass.
-They are solved exactly by support enumeration, with deterministic selection
-(smallest support first, then lexicographic), which keeps the iteration and
-the experiments reproducible bit for bit. The pure profiles, first in that
-order and the usual outcome, are checked all at once from one array of
-deviation gains; only a stage game without a pure equilibrium pays for the
-per-support linear solves. Deviation gains and residuals are judged
-against 1e-9 times the largest payoff magnitude (at least 1), so stage
-games with large payoffs keep their equilibria. The stage payoffs and the
-exact evaluations come from the two kernels :mod:`mpekit.mdp` shares.
+Each step builds the stage games of every state in one vectorized pass and
+solves them all in one stacked kernel, by support enumeration with
+deterministic selection (smallest support first, then lexicographic), which
+keeps the iteration and the experiments reproducible bit for bit. The pure
+profiles, first in that order and the usual outcome, are checked for every
+state at once from one array of deviation gains. The states without a pure
+equilibrium then scan the mixed support classes together, one class at a
+time: a rectangular support whose least-squares residual is certified to
+exceed the tolerance (a closed-form or QR lower bound, with a margin for
+roundoff) is dropped unsolved, and the square supports are solved as one
+stack. The survivors are confirmed in order by the exact support solve and
+deviation check, so each state gets the equilibrium the pair-by-pair scan
+selects (B. von Stengel, "Computing equilibria for two-person games",
+*Handbook of Game Theory* 3, 2002, ch. 45). Deviation gains and residuals
+are judged against 1e-9 times the largest payoff magnitude (at least 1), so
+stage games with large payoffs keep their equilibria. The stage payoffs and
+the exact evaluations come from the two kernels :mod:`mpekit.mdp` shares.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    _check_count, _finite_values, check_discount)
+                    _check_count, _finite_values, _frozen_array,
+                    check_discount)
 from .mdp import _action_values, _policy_values, _profile_chain
 
 _NASH_TOL = 1e-9
+#: Relative margin by which a rectangular support's residual bound must
+#: exceed tol before the support is dropped unsolved (see ``_may_pass``).
+_DROP_MARGIN = 1e-2
+#: Most (state, support) pairs one stacked step of the stage-Nash kernel
+#: holds: it bounds the temporary arrays of large games and changes no
+#: result.
+_STACK_LIMIT = 1 << 14
 #: Value-iteration sweeps from zero values before policy iteration starts.
 _WARM_SWEEPS = 3
 #: Exact profile evaluations allowed to policy iteration.
@@ -102,10 +119,7 @@ def _equalizer(block: np.ndarray, tol: float) -> np.ndarray | None:
     its residual is within tol.
     """
     k, l = block.shape
-    system = np.zeros((k + 1, l + 1))
-    system[:k, :l] = block
-    system[:k, l] = -1.0
-    system[k, :l] = 1.0
+    system = _equalizing_systems(block)
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     if k == l:
@@ -114,6 +128,18 @@ def _equalizer(block: np.ndarray, tol: float) -> np.ndarray | None:
     if np.abs(system @ solution - rhs).max() > tol:
         return None
     return solution
+
+
+def _equalizing_systems(blocks: np.ndarray) -> np.ndarray:
+    """[[block, -1], [1, 0]] for every (k, l) block of a stack: the rows
+    equalize the payoffs at the mixture's value, the last row sums it to
+    1."""
+    k, l = blocks.shape[-2:]
+    systems = np.zeros(blocks.shape[:-2] + (k + 1, l + 1))
+    systems[..., :k, :l] = blocks
+    systems[..., :k, l] = -1.0
+    systems[..., k, :l] = 1.0
+    return systems
 
 
 def _support_candidate(payoff_a, payoff_b, rows, cols, tol):
@@ -142,12 +168,27 @@ def _support_candidate(payoff_a, payoff_b, rows, cols, tol):
     y_support, x_support = sol1[:len(cols)], sol2[:len(rows)]
     if (y_support < -_NASH_TOL).any() or (x_support < -_NASH_TOL).any():
         return None
-    x = np.zeros(payoff_a.shape[0])
-    y = np.zeros(payoff_a.shape[1])
-    x[rows] = np.clip(x_support, 0.0, None)
-    y[cols] = np.clip(y_support, 0.0, None)
-    x /= x.sum()
-    y /= y.sum()
+    return _support_pair(x_support, y_support, rows, cols, payoff_a.shape)
+
+
+def _support_pair(x_support, y_support, rows, cols, shape):
+    """The mixed pair (x, y) of an m x n game from its support mixtures,
+    which have no probability below -1e-9, or None if one does not sum to
+    a positive finite number."""
+    x = np.zeros(shape[0])
+    y = np.zeros(shape[1])
+    # Roundoff below zero becomes 0.0 (np.clip's bits, without its wrapper).
+    x[rows] = np.maximum(x_support, 0.0)
+    y[cols] = np.maximum(y_support, 0.0)
+    x_sum, y_sum = x.sum(), y.sum()
+    # A zero sum (a least-squares mixture that comes out all zero at huge
+    # payoffs) leaves NaN entries, whose deviation gain is NaN, so such a
+    # pair is never returned nor kept as the fallback; an infinite one
+    # (an overflowed solution) leaves no mixed strategy either.
+    if not (0.0 < x_sum < np.inf and 0.0 < y_sum < np.inf):
+        return None
+    x /= x_sum
+    y /= y_sum
     return x, y
 
 
@@ -158,10 +199,332 @@ def _deviation_gain(payoff_a, payoff_b, x, y) -> float:
                float(col_payoffs.max() - col_payoffs @ y))
 
 
-def _one_hot(size: int, index: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[index] = 1.0
+@functools.cache
+def _identity(size: int) -> np.ndarray:
+    """The identity matrix of a size, cached and read-only."""
+    return _frozen_array(np.eye(size))
+
+
+def _combinations(size: int, k: int) -> np.ndarray:
+    """The k-subsets of range(size) in lexicographic order, shape (C, k)."""
+    return np.array(list(itertools.combinations(range(size), k)),
+                    dtype=np.intp).reshape(-1, k)
+
+
+def _indicator(subsets: np.ndarray, width: int) -> np.ndarray:
+    """0/1 rows (C, width) marking each subset of ``subsets`` (C, k)."""
+    out = np.zeros((len(subsets), width))
+    np.put_along_axis(out, subsets, 1.0, axis=1)
     return out
+
+
+@functools.cache
+def _one_sided_plan(m: int, n: int, total: int) -> tuple | None:
+    """The one-sided supports of total size ``total`` in an m x n game:
+    class (1, total - 1), then (total - 1, 1), each in scan order. Cached
+    and read-only; None when neither class exists.
+
+    Each support's taller block is one payoff line, picked out of the
+    payoffs flattened to (2, S, m n) as flat[player, s, cell]: a row of B
+    for a single row (the pure row must equalize it), a column of A for a
+    single column. Returns (player, cell, mask, size, spans): player and
+    cell (N, w) with w = max(m, n), the 0/1 mask (N, w) of the support
+    within its line, size (N,) its entries, and spans mapping k1 to the
+    class's slice.
+    """
+    width, k = max(m, n), total - 1
+    parts, spans = [], {}
+    if k <= n:  # rows r, then columns C: the line is B[r, :]
+        cols = _combinations(n, k)
+        cell = np.arange(m)[:, None, None] * n + np.arange(n)
+        parts.append((1, np.broadcast_to(cell, (m, len(cols), n)),
+                      np.broadcast_to(_indicator(cols, n),
+                                      (m, len(cols), n))))
+        spans[1] = m * len(cols)
+    if k <= m:  # rows R, then columns c: the line is A[:, c]
+        rows = _combinations(m, k)
+        cell = np.arange(n)[:, None] + np.arange(m) * n
+        parts.append((0, np.broadcast_to(cell, (len(rows), n, m)),
+                      np.broadcast_to(_indicator(rows, m)[:, None],
+                                      (len(rows), n, m))))
+        spans[k] = len(rows) * n
+    if not parts:
+        return None
+    player, cell, mask = [], [], []
+    for who, lines, support in parts:
+        lines = lines.reshape(-1, lines.shape[-1])
+        pad = ((0, 0), (0, width - lines.shape[1]))
+        player.append(np.full((len(lines), width), who, dtype=np.intp))
+        cell.append(np.pad(lines, pad))
+        mask.append(np.pad(support.reshape(lines.shape), pad))
+    start = 0
+    for key, count in spans.items():
+        spans[key] = slice(start, start + count)
+        start += count
+    mask = _frozen_array(np.concatenate(mask))
+    return (_frozen_array(np.concatenate(player), np.intp),
+            _frozen_array(np.concatenate(cell), np.intp), mask,
+            _frozen_array(mask.sum(axis=1)), types.MappingProxyType(spans))
+
+
+@functools.cache
+def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
+    """(rows, cols, cell) for one class of an m x n game: the index arrays
+    rows (N, k1) and cols (N, k2), one support per row in scan order
+    (lexicographic, rows outer), and for a square class the cell indices
+    (2, 1, N, k + 1, k + 1) that ``_square_solutions`` gathers both
+    equalizing systems with, else None. Built when a scan first reaches
+    the class; cached and read-only."""
+    row_sets, col_sets = _combinations(m, k1), _combinations(n, k2)
+    rows = np.repeat(row_sets, len(col_sets), axis=0)
+    cols = np.tile(col_sets, (len(row_sets), 1))
+    cell = None
+    if k1 == k2:
+        k = k1
+        # A[R, C] at [0], B[R, C].T at [1]; the -1 column and the row of
+        # ones take cell 0 and are overwritten by the template.
+        cell = np.zeros((2, len(rows), k + 1, k + 1), dtype=np.intp)
+        cell[0, :, :k, :k] = rows[:, :, None] * n + cols[:, None, :]
+        cell[1, :, :k, :k] = rows[:, None, :] * n + cols[:, :, None]
+        cell = _frozen_array(cell[:, None], np.intp)
+    return (_frozen_array(rows, np.intp), _frozen_array(cols, np.intp),
+            cell)
+
+
+@functools.cache
+def _square_template(k: int) -> tuple:
+    """(player, mask, template, rhs) shared by every (k, k) support: the
+    player axis (2, 1, 1, 1, 1), the mask of the payoff block, the
+    equalizing system with a zero block, and e_{k+1}."""
+    mask = np.zeros((k + 1, k + 1), dtype=bool)
+    mask[:k, :k] = True
+    return (_frozen_array(np.arange(2).reshape(2, 1, 1, 1, 1), np.intp),
+            _frozen_array(mask, bool),
+            _frozen_array(_equalizing_systems(np.zeros((k, k)))),
+            _identity(k + 1)[k])
+
+
+def _may_pass(rho2, bound2, rows) -> np.ndarray:
+    """Mask (S, N) of the rectangular supports that the exact residual test
+    may accept, from the squared least-squares residual rho2 (S, N) of
+    each one's taller block of ``rows`` equalized rows and each state's
+    bound2 = ((1 + 1e-2) tol)^2, infinite where tol >= 1 (see
+    ``_drop_bounds``); the rest are certified to fail it.
+
+    The exact test rejects a support when the least-squares solution s of
+    the taller block's system M s = e (the equalized rows and the
+    normalization row, fewer unknowns than rows) leaves a residual above
+    tol in max norm. Every s has ||M s - e||_2 >= rho, so its max-norm
+    residual is at least rho / sqrt(rows + 1), and a support is dropped
+    when that exceeds (1 + 1e-2) tol.
+
+    The 1% margin covers roundoff. The exact code keeps a support only if
+    the taller block's mixture z (l entries) passes the residual test, so
+    sum(z) is within tol of 1, and the sign test, z >= -1e-9: then
+    ||z||_1 <= 1 + tol + 2e-9 l and its value |v| <= max|b| ||z||_1 + tol.
+    Evaluating M s in floating point errs by at most
+    (l + 2) u (2 max|b| ||z||_1 + tol) per row (u = 2^-53), and rho comes
+    from a closed form or a Householder QR, which is columnwise backward
+    stable (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, Thm 19.4): exact for columns moved by O(k l u) of their norms.
+    As tol = 1e-9 max(1, max|A|, max|B|), both errors stay below 1e-3 tol
+    for any shape support enumeration can reach. No support is dropped
+    where tol >= 1 (payoffs of 1e9 and more): s = 0 gives rho <= 1. Only
+    there can payoffs pass 1e9, so the callers clamp them to +-1e9 and
+    nothing overflows.
+    """
+    return ~(rho2 > (rows + 1.0) * bound2[:, None])
+
+
+def _drop_bounds(tol) -> np.ndarray:
+    """bound2 for ``_may_pass``: ((1 + 1e-2) tol)^2 per state, or infinity
+    where tol >= 1, so that no support of that state is dropped."""
+    return np.where(tol < 1.0,
+                    ((1.0 + _DROP_MARGIN) * np.minimum(tol, 1.0)) ** 2,
+                    np.inf)
+
+
+def _clamped(payoffs: np.ndarray) -> np.ndarray:
+    """Payoffs clamped to +-1e9, which changes none that tol < 1 allows."""
+    return np.minimum(np.maximum(payoffs, -1e9), 1e9)
+
+
+def _one_sided_survivors(flat, bound2, player, cell, mask, size
+                         ) -> np.ndarray:
+    """``_may_pass`` for one-sided rectangular supports.
+
+    The taller block of a support with one row r and columns C is the
+    column b = B[r, C] (the pure row must equalize it), and of one with
+    rows R and one column c it is A[R, c]. Its least-squares residual rho
+    has rho^2 = S / (1 + S), S = sum((b - mean b)^2): a weight z on the
+    pure side is best matched by the value z mean(b), which leaves
+    z^2 S + (z - 1)^2, least at z = 1 / (1 + S).
+    """
+    lines = flat[player, np.arange(len(bound2))[:, None, None], cell]
+    lines = _clamped(lines) * mask
+    spread = (lines - (lines.sum(axis=2) / size)[..., None]) * mask
+    total = (spread * spread).sum(axis=2)
+    return _may_pass(total / (1.0 + total), bound2, size)
+
+
+def _rectangular_survivors(payoffs, bound2, rows, cols) -> np.ndarray:
+    """``_may_pass`` for rectangular supports of one class with both sides
+    of size 2 or more: rho is the norm of the trailing entries of Q^T e
+    from a complete QR of the taller block's system."""
+    index = (slice(None), rows[:, :, None], cols[:, None, :])
+    if rows.shape[1] < cols.shape[1]:
+        blocks = np.swapaxes(payoffs[1][index], -1, -2)
+    else:
+        blocks = payoffs[0][index]
+    k, l = blocks.shape[-2:]
+    systems = _equalizing_systems(_clamped(blocks))
+    trailing = np.linalg.qr(systems, mode="complete")[0][..., k, l + 1:]
+    return _may_pass((trailing * trailing).sum(axis=-1), bound2, k)
+
+
+def _square_solutions(flat, states, cell):
+    """Both equalizing solutions of every square support of one class:
+    (keep (S, N), solutions (2, S, N, k + 1)), where keep marks the
+    supports whose two systems are nonsingular with no support probability
+    below -1e-9, and solutions[0] solves the row player's block A[R, C].
+
+    The stacked ``np.linalg.solve`` runs the same LAPACK gesv on each
+    matrix, copied into the same layout, as ``_equalizer``'s one-system
+    call, so it gives the same bits. A stack that holds a singular system
+    raises as a whole; it is then solved one system at a time.
+    """
+    k = cell.shape[-1] - 1
+    player, mask, template, rhs = _square_template(k)
+    systems = np.where(mask, flat[player, states[:, None, None, None], cell],
+                       template)
+    try:
+        solutions = np.linalg.solve(systems, rhs)
+        singular = False
+    except np.linalg.LinAlgError:
+        solutions = np.zeros(systems.shape[:-1])
+        singular = np.zeros(systems.shape[:-2], dtype=bool)
+        for at in np.ndindex(singular.shape):
+            try:
+                solutions[at] = np.linalg.solve(systems[at], rhs)
+            except np.linalg.LinAlgError:
+                singular[at] = True
+    negative = (solutions[..., :k] < -_NASH_TOL).any(axis=-1)
+    return ~(negative | singular).any(axis=0), solutions
+
+
+def _mixed_supports(payoffs, tol, x, y, gain, mixed):
+    """Scan the mixed supports of the stage games at states ``mixed``, all
+    of them at once per support class; fills x, y and gain in place.
+
+    x, y and gain hold each state's fallback on entry: its pure pair of
+    smallest deviation gain. Rectangular supports certified to fail their
+    residual test are dropped unsolved; square ones are solved as one stack
+    and kept if both systems are nonsingular with no negative probability.
+    The survivors are confirmed in scan order, state by state, by the exact
+    residual and sign tests and the deviation check: the first within tol
+    settles the state, and else the candidate of smallest gain (the
+    earliest on ties) stays. A dropped support is one the exact code
+    rejects, so the result is that of the pair-by-pair scan. A class is
+    taken in blocks of at most ``_STACK_LIMIT`` (state, support) pairs.
+    """
+    payoff_a, payoff_b = payoffs
+    _, m, n = payoff_a.shape
+    flat = payoffs.reshape(2, len(tol), m * n)
+    bound2 = _drop_bounds(tol)
+    step = max(1, _STACK_LIMIT // len(mixed))
+    live = mixed
+    for total in range(3, m + n + 1):
+        plan = _one_sided_plan(m, n, total)
+        if plan is not None:
+            *lines, spans = plan
+            one_sided = np.concatenate([
+                _one_sided_survivors(flat[:, live], bound2[live],
+                                     *[a[start:start + step] for a in lines])
+                for start in range(0, len(lines[0]), step)], axis=1)
+        for k1 in range(max(1, total - n), min(m, total - 1) + 1):
+            k2 = total - k1
+            rows, cols, cell = _support_class(m, n, k1, k2)
+            for start in range(0, len(rows), step):
+                block = slice(start, start + step)
+                solutions = None
+                if cell is not None:
+                    keep, solutions = _square_solutions(
+                        flat, live, cell[:, :, block])
+                elif plan is not None and k1 in spans:
+                    first = spans[k1].start + start
+                    keep = one_sided[:, first:min(first + step,
+                                                  spans[k1].stop)]
+                else:
+                    keep = _rectangular_survivors(
+                        payoffs[:, live], bound2[live], rows[block],
+                        cols[block])
+                settled = []
+                # Row-major: each state's survivors come together, in order.
+                for i, j in zip(*keep.nonzero()):
+                    if settled and settled[-1] == i:
+                        continue
+                    s, j = live[i], start + j
+                    if solutions is None:
+                        candidate = _support_candidate(
+                            payoff_a[s], payoff_b[s], rows[j], cols[j], tol[s])
+                    else:
+                        candidate = _support_pair(
+                            solutions[1, i, j - start, :k1],
+                            solutions[0, i, j - start, :k2],
+                            list(rows[j]), list(cols[j]), (m, n))
+                    if candidate is None:
+                        continue
+                    found = _deviation_gain(payoff_a[s], payoff_b[s],
+                                            *candidate)
+                    if found <= tol[s] or found < gain[s]:
+                        x[s], y[s] = candidate
+                        gain[s] = found
+                    if found <= tol[s]:
+                        settled.append(i)
+                if settled:
+                    searching = np.ones(len(live), dtype=bool)
+                    searching[settled] = False
+                    live = live[searching]
+                    if plan is not None:
+                        one_sided = one_sided[searching]
+                    if not live.size:
+                        return
+
+
+def _stage_nash(payoffs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A Nash equilibrium of every stage game of a stack, by support
+    enumeration: payoffs (2, S, m, n) -> (x (S, m), y (S, n), values (2, S)).
+
+    Each state's result is the one ``bimatrix_nash`` documents, bit for
+    bit. The pure scan runs for all states in one array pass. A one-hot
+    pair's payoff is A[r, c] + 0.0, which is what x @ A @ y rounds to:
+    every other term is a signed zero, and the sums start from +0.0, which
+    turns a -0.0 cell into 0.0. The states without a passing cell go on to
+    ``_mixed_supports``.
+    """
+    payoff_a, payoff_b = payoffs
+    num_states, m, n = payoff_a.shape
+    states = np.arange(num_states)
+    tol = _NASH_TOL * np.maximum(1.0, np.abs(payoffs).max(axis=(0, 2, 3)))
+    pure_gain = np.maximum(
+        payoff_a.max(axis=1, keepdims=True) - payoff_a,
+        payoff_b.max(axis=2, keepdims=True) - payoff_b,
+    ).reshape(num_states, m * n)
+    passing = pure_gain <= tol[:, None]
+    pure = passing.any(axis=1)
+    cell = np.where(pure, passing.argmax(axis=1), pure_gain.argmin(axis=1))
+    r, c = np.divmod(cell, n)
+    x, y = _identity(m)[r], _identity(n)[c]
+    # C order, as the next sweep's matrix products round by the layout.
+    values = np.stack([payoff_a[states, r, c], payoff_b[states, r, c]]) + 0.0
+    mixed = np.flatnonzero(~pure)
+    if mixed.size:
+        _mixed_supports(payoffs, tol, x, y, pure_gain[states, cell], mixed)
+        for s in mixed:
+            values[0, s] = x[s] @ payoff_a[s] @ y[s]
+            values[1, s] = x[s] @ payoff_b[s] @ y[s]
+    return x, y, values
 
 
 def bimatrix_nash(payoff_a, payoff_b
@@ -174,14 +537,18 @@ def bimatrix_nash(payoff_a, payoff_b
     returned, which makes the selection deterministic and biased toward pure
     equilibria. The same tol bounds the residual of a rectangular support's
     equalizing system; a support probability below -1e-9 rejects the
-    support whatever the scale. The pure pairs come first in that order and
-    are scanned at once: the deviation gain of cell (r, c) is
-    max(colmax(A)[c] - A[r, c], rowmax(B)[r] - B[r, c]), and the first
-    row-major cell within tol is returned, exactly as the pair-by-pair check
-    would find it. Only when no cell passes are the mixed supports
-    enumerated. Existence is guaranteed for finite games, so the scan cannot
-    come up empty; on numerically degenerate input the candidate with the
-    smallest deviation gain (the earliest on ties) is returned.
+    support whatever the scale. Existence is guaranteed for finite games, so
+    the scan cannot come up empty; on numerically degenerate input the
+    candidate with the smallest deviation gain (the earliest on ties) is
+    returned.
+
+    This is the one-state call of the stacked kernel the solver's sweeps
+    use: the pure pairs are checked at once from one array of deviation
+    gains, max(colmax(A)[c] - A[r, c], rowmax(B)[r] - B[r, c]) for cell
+    (r, c); rectangular supports that a certified residual bound shows to
+    fail are dropped unsolved; the rest are confirmed in order by the exact
+    support solve and deviation check, so the selection is exactly the
+    pair-by-pair scan's.
 
     Returns:
         (x, y, (payoff_x, payoff_y)) with x, y mixed strategies.
@@ -192,52 +559,14 @@ def bimatrix_nash(payoff_a, payoff_b
         raise ValueError("payoff matrices must share a 2-D shape")
     if not (np.isfinite(payoff_a).all() and np.isfinite(payoff_b).all()):
         raise ValueError("payoff entries must be finite")
-    m, n = payoff_a.shape
-    tol = _NASH_TOL * max(1.0, np.abs(payoff_a).max(),
-                          np.abs(payoff_b).max())
-    pure_gain = np.maximum(payoff_a.max(axis=0) - payoff_a,
-                           payoff_b.max(axis=1, keepdims=True) - payoff_b)
-    passing = np.flatnonzero(pure_gain <= tol)
-    if passing.size:
-        r, c = divmod(int(passing[0]), n)
-        x, y = _one_hot(m, r), _one_hot(n, c)
-        # The products, not A[r, c] itself: they turn a -0.0 cell into 0.0.
-        return x, y, (float(x @ payoff_a @ y), float(x @ payoff_b @ y))
-    r, c = divmod(int(pure_gain.argmin()), n)
-    fallback = (_one_hot(m, r), _one_hot(n, c))
-    fallback_gain = pure_gain[r, c]
-    for total in range(3, m + n + 1):
-        for k1 in range(max(1, total - n), min(m, total - 1) + 1):
-            k2 = total - k1
-            for rows in itertools.combinations(range(m), k1):
-                for cols in itertools.combinations(range(n), k2):
-                    candidate = _support_candidate(payoff_a, payoff_b,
-                                                   rows, cols, tol)
-                    if candidate is None:
-                        continue
-                    x, y = candidate
-                    gain = _deviation_gain(payoff_a, payoff_b, x, y)
-                    if gain <= tol:
-                        return x, y, (float(x @ payoff_a @ y),
-                                      float(x @ payoff_b @ y))
-                    if gain < fallback_gain:
-                        fallback, fallback_gain = (x, y), gain
-    x, y = fallback
-    return x, y, (float(x @ payoff_a @ y), float(x @ payoff_b @ y))
+    x, y, values = _stage_nash(np.stack([payoff_a, payoff_b])[:, None])
+    return x[0], y[0], (float(values[0, 0]), float(values[1, 0]))
 
 
 def _iterate(game: MarkovGame, v: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One sweep of equilibrium value iteration; returns (v', pi1, pi2)."""
-    num_states = game.num_states
-    payoffs = _stage_payoffs(game, v)
-    new_v = np.zeros_like(v)
-    pi1 = np.zeros((num_states, game.action_counts[0]))
-    pi2 = np.zeros((num_states, game.action_counts[1]))
-    for s in range(num_states):
-        x, y, (pay_x, pay_y) = bimatrix_nash(payoffs[0, s], payoffs[1, s])
-        pi1[s], pi2[s] = x, y
-        new_v[0, s], new_v[1, s] = pay_x, pay_y
+    pi1, pi2, new_v = _stage_nash(_stage_payoffs(game, v))
     return new_v, pi1, pi2
 
 

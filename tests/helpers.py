@@ -274,6 +274,25 @@ def _reference_sweep(game, v):
     return new_v, pi1, pi2
 
 
+def reference_enumeration_sweep(game, v):
+    """One sweep of equilibrium value iteration whose stage games are solved
+    by ``reference_bimatrix_nash`` at the solver's scaled tol, 1e-9 times
+    the largest payoff magnitude (at least 1): the oracle for
+    ``mpekit.solver._iterate``. Returns (v', pi1, pi2)."""
+    payoffs = reference_stage_payoffs(game, v)
+    new_v = np.zeros((2, game.num_states))
+    pi1 = np.zeros((game.num_states, game.action_counts[0]))
+    pi2 = np.zeros((game.num_states, game.action_counts[1]))
+    for s in range(game.num_states):
+        payoff_a, payoff_b = payoffs[0, s], payoffs[1, s]
+        tol = 1e-9 * max(1.0, np.abs(payoff_a).max(), np.abs(payoff_b).max())
+        x, y, (pay_x, pay_y) = reference_bimatrix_nash(payoff_a, payoff_b,
+                                                       tol)
+        pi1[s], pi2[s] = x, y
+        new_v[0, s], new_v[1, s] = pay_x, pay_y
+    return new_v, pi1, pi2
+
+
 def reference_solve_mpe(game, tol=1e-8, max_iter=10_000, seed=0):
     """Equilibrium value iteration with seeded restarts, as
     ``mpekit.solver.solve_mpe`` was written before game policy iteration:

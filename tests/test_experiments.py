@@ -150,6 +150,20 @@ class TestRunExperiments:
         with pytest.raises(ValueError, match=r"^n must be a positive integer"):
             run_experiments(original_game, n, 0, 0)
 
+    @pytest.mark.parametrize("num_trials", [0, 1])
+    def test_rows_checked_before_any_trial(self, original_game, num_trials):
+        # With no trial to run, a short row used to give [] while one trial
+        # raised from estimate_model; both now raise its message.
+        transitions = np.array(original_game.transitions)
+        transitions[1, 2] = [0.2, 0.2, 0.2]
+        game = dataclasses.replace(original_game, transitions=transitions)
+        message = (f"transition row (state '2', action "
+                   f"({game.joint_action_label(2)})) sums to "
+                   f"0.6000000000000001, not 1 within 1e-09")
+        with pytest.raises(ValueError) as info:
+            run_experiments(game, 100, num_trials, 1)
+        assert str(info.value) == message
+
     def test_records_are_reproducible(self, original_game):
         first = run_experiments(original_game, 400, 3, 123)
         second = run_experiments(original_game, 400, 3, 123)

@@ -1,4 +1,5 @@
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from helpers import (nash_deviation_gain, random_game,
-                     reference_bimatrix_nash, reference_solve_mpe)
+                     reference_bimatrix_nash, reference_enumeration_sweep,
+                     reference_solve_mpe)
 from mpekit import solver
 from mpekit.equilibrium import certify_profile, is_mpe
 from mpekit.games import MarkovGame
@@ -33,11 +35,79 @@ PAYOFF_ENTRIES = (
 
 @st.composite
 def bimatrix_games(draw):
-    """Payoff pairs of shape up to 4x4, both drawn from one entry family."""
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    """Payoff pairs of shape up to 6x6, both drawn from one entry family."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     entries = draw(st.sampled_from(PAYOFF_ENTRIES))
     return (draw(arrays(np.float64, shape, elements=entries)),
             draw(arrays(np.float64, shape, elements=entries)))
+
+
+#: Entries whose zeros are signed: a selected -0.0 cell pays 0.0.
+SIGNED_ZEROS = st.sampled_from([-0.0, 0.0, 1.0, -1.0])
+
+
+@st.composite
+def payoff_stacks(draw):
+    """Stage payoffs of 1-6 states, shape up to 6x6: (2, S, m, n)."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+             draw(st.integers(1, 6)))
+    entries = draw(st.sampled_from(PAYOFF_ENTRIES + (SIGNED_ZEROS,)))
+    return draw(arrays(np.float64, (2,) + shape, elements=entries))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A game of 1-6 states with up to 6x6 actions and a value pair. The
+    rewards and values share one entry family; deterministic transition
+    rows keep the ties that family makes."""
+    num_states = draw(st.integers(1, 6))
+    counts = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    joint = counts[0] * counts[1]
+    entries = draw(st.sampled_from(PAYOFF_ENTRIES))
+    rewards = draw(arrays(np.float64, (2, num_states, joint),
+                          elements=entries))
+    values = draw(arrays(np.float64, (2, num_states), elements=entries))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        transitions = rng.dirichlet(np.ones(num_states),
+                                    size=(num_states, joint))
+    else:
+        transitions = np.eye(num_states)[
+            rng.integers(num_states, size=(num_states, joint))]
+    discount = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    return game_from_arrays(rewards, transitions, counts, discount), values
+
+
+def game_from_arrays(rewards, transitions, counts, discount):
+    """A two-player game with states and actions named by index."""
+    return MarkovGame(
+        states=tuple(str(s) for s in range(np.shape(rewards)[1])),
+        action_sets=tuple(tuple(str(a) for a in range(c)) for c in counts),
+        transitions=transitions,
+        rewards=rewards,
+        discount=discount,
+    )
+
+
+def one_state_game(payoff_a, payoff_b):
+    """A one-state game whose stage payoffs at zero values are exactly
+    (payoff_a, payoff_b): discount 1/2 and rewards twice the payoffs."""
+    counts = np.shape(payoff_a)
+    rewards = 2.0 * np.stack([payoff_a, payoff_b]).reshape(2, 1, -1)
+    return game_from_arrays(rewards, np.ones((1, rewards.shape[2], 1)),
+                            counts, 0.5)
+
+
+def boundary_game(delta):
+    """A 3x2 game with no pure equilibrium whose first (1, 2) support is
+    row 0 with B[0] = [0, delta]: rows 1-2 play matching pennies, row 0
+    pays 0 against both columns. With payoffs at most 1, tol = 1e-9, and
+    the residual bound of that support is about delta / sqrt(6): at
+    delta = 4 tol the filter drops it; at 0.5, 1 and 2 tol it reaches the
+    exact check, which selects it at 0.5 and 1 tol."""
+    a = np.array([[0.0, 0.0], [1.0, -1.0], [-1.0, 1.0]])
+    b = np.array([[0.0, delta], [-1.0, 1.0], [1.0, -1.0]])
+    return a, b
 
 
 def matrix_game_value(payoffs):
@@ -235,6 +305,149 @@ class TestBimatrixNash:
             bimatrix_nash([[1.0, 0.0]], [[1.0], [0.0]])
         with pytest.raises(ValueError, match="finite"):
             bimatrix_nash([[np.nan, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_payoffs_raise_no_warning(self, scale):
+        # At 1e200 a rectangular support's least-squares mixture came out
+        # all zero, and normalizing it warned "invalid value encountered in
+        # divide"; the selection never used it.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            payoff_a = rng.uniform(-1, 1, size=(2, 2)) * scale
+            payoff_b = rng.uniform(-1, 1, size=(2, 2)) * scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x, y, payoffs = bimatrix_nash(payoff_a, payoff_b)
+            tol = 1e-9 * max(np.abs(payoff_a).max(), np.abs(payoff_b).max())
+            with np.errstate(all="ignore"):
+                ref_x, ref_y, ref_payoffs = reference_bimatrix_nash(
+                    payoff_a, payoff_b, tol)
+            assert x.tobytes() == ref_x.tobytes()
+            assert y.tobytes() == ref_y.tobytes()
+            assert (np.array(payoffs).tobytes()
+                    == np.array(ref_payoffs).tobytes())
+
+
+def stacked(*games):
+    """One (2, S, m, n) payoff stack from S games of one shape."""
+    return np.stack([np.stack(game) for game in games], axis=1)
+
+
+BOUNDARY = stacked(*(boundary_game(k * 1e-9) for k in (0.5, 1.0, 2.0, 4.0)))
+#: Rank-one blocks: every square support of size 2 or more is singular.
+RANK_ONE = stacked((np.outer([1.0, 2.0, -1.0, 0.5], [1.0, -1.0, 2.0, 0.5]),
+                    np.outer([-1.0, 0.5, 2.0, 1.0], [0.5, 2.0, -1.0, 1.0])))
+#: Matching pennies with row 0 and column 1 duplicated.
+PENNIES = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
+
+
+class TestStackedKernel:
+    """``solver._stage_nash`` solves every state of a stack at once; each
+    state's result must be the pair-by-pair enumeration's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(payoff_stacks())
+    @example(BOUNDARY)
+    @example(np.swapaxes(BOUNDARY[::-1], 2, 3))
+    @example(BOUNDARY * 1e8)
+    @example(RANK_ONE)
+    @example(stacked((PENNIES, -PENNIES)))
+    @example(stacked((np.array([[-0.0, -1.0], [-1.0, -0.0]]),
+                      np.array([[-1.0, -0.0], [-0.0, -1.0]]))))
+    @example(stacked((np.array([[-0.0, -1.0]]), np.array([[-0.0, -1.0]]))))
+    def test_matches_reference_enumeration_per_state(self, stack):
+        # BOUNDARY's first (1, 2) support pays the column player 0 and
+        # delta = 0.5, 1, 2 and 4 tol, so its residual bound is about
+        # delta / sqrt(6); its mirror (players swapped) puts the same line
+        # in a (2, 1) support, and times 1e8 it sits at the scaled tol. Duplicated rows and columns and rank-one
+        # blocks make singular square systems, which a stacked solve
+        # rejects as a whole. A selected -0.0 cell pays 0.0.
+        x, y, values = solver._stage_nash(stack)
+        for s in range(stack.shape[1]):
+            payoff_a, payoff_b = stack[0, s], stack[1, s]
+            tol = 1e-9 * max(1.0, np.abs(payoff_a).max(),
+                             np.abs(payoff_b).max())
+            ref_x, ref_y, ref_values = reference_bimatrix_nash(
+                payoff_a, payoff_b, tol)
+            assert x[s].tobytes() == ref_x.tobytes(), s
+            assert y[s].tobytes() == ref_y.tobytes(), s
+            assert values[:, s].tobytes() == np.array(ref_values).tobytes()
+
+    def test_boundary_supports_reach_the_exact_check(self):
+        # The filter drops only the support whose bound is 4 tol; at 0.5
+        # and 1 tol the exact check accepts it: row 0 against a uniform mix.
+        *lines, spans = solver._one_sided_plan(3, 2, 3)
+        keep = solver._one_sided_survivors(
+            BOUNDARY.reshape(2, 4, 6), solver._drop_bounds(np.full(4, 1e-9)),
+            *lines)
+        assert keep[:, spans[1]][:, 0].tolist() == [True, True, True, False]
+        x, y, _ = solver._stage_nash(BOUNDARY)
+        assert x[:2].tolist() == [[1.0, 0.0, 0.0]] * 2
+        assert np.allclose(y[:2], 0.5, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 4), (4, 3)])
+    def test_dropped_supports_fail_the_exact_residual_test(self, shape):
+        # Payoffs of 0.5 moved by up to 3 tol: every taller block nearly
+        # equalizes, so its residual sits around the filter's boundary.
+        # The filter may keep a support the exact test rejects, never the
+        # reverse.
+        rng = np.random.default_rng(sum(shape))
+        stack = 0.5 + 1e-9 * rng.uniform(-3.0, 3.0, size=(2, 40) + shape)
+        bound2 = solver._drop_bounds(np.full(40, 1e-9))
+        dropped = kept = 0
+        for k1, k2 in np.ndindex(shape[0] + 1, shape[1] + 1):
+            if k1 == k2 or min(k1, k2) == 0:
+                continue
+            rows, cols, _ = solver._support_class(*shape, k1, k2)
+            if min(k1, k2) == 1:
+                *lines, spans = solver._one_sided_plan(*shape, k1 + k2)
+                keep = solver._one_sided_survivors(
+                    stack.reshape(2, 40, -1), bound2, *lines)[:, spans[k1]]
+            else:
+                keep = solver._rectangular_survivors(stack, bound2, rows,
+                                                     cols)
+            for s, j in np.ndindex(keep.shape):
+                block_a = stack[0, s][np.ix_(rows[j], cols[j])]
+                block_b = stack[1, s][np.ix_(rows[j], cols[j])].T
+                taller = block_b if k1 < k2 else block_a
+                if not keep[s, j]:
+                    assert solver._equalizer(taller, 1e-9) is None
+                    dropped += 1
+                else:
+                    kept += 1
+        assert dropped and kept
+
+    @pytest.mark.parametrize("limit", [1, 7])
+    def test_stack_blocks_change_no_result(self, monkeypatch, limit):
+        # Large games are scanned in blocks of supports; splitting a class
+        # (one support per block, or seven) must select the same pairs.
+        rng = np.random.default_rng(limit)
+        stacks = [BOUNDARY, RANK_ONE, stacked((PENNIES, -PENNIES)),
+                  rng.uniform(-1.0, 1.0, size=(2, 5, 4, 4)),
+                  rng.integers(-2, 3, size=(2, 5, 5, 3)).astype(float)]
+        whole = [solver._stage_nash(stack) for stack in stacks]
+        monkeypatch.setattr(solver, "_STACK_LIMIT", limit)
+        for stack, expected in zip(stacks, whole):
+            for ours, theirs in zip(solver._stage_nash(stack), expected):
+                assert ours.tobytes() == theirs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_inputs())
+    @example((one_state_game(*boundary_game(2e-9)), np.zeros((2, 1))))
+    def test_sweep_matches_reference_enumeration(self, inputs):
+        # _reference_sweep calls bimatrix_nash itself; this oracle solves
+        # every stage game by plain enumeration. The second sweep starts
+        # from the first one's values, which must not round differently
+        # for their memory layout.
+        game, v = inputs
+        ours = solver._iterate(game, v)
+        theirs = reference_enumeration_sweep(game, v)
+        for _ in range(2):
+            for mine, reference in zip(ours, theirs):
+                assert mine.shape == reference.shape
+                assert mine.tobytes() == reference.tobytes()
+            ours = solver._iterate(game, ours[0])
+            theirs = reference_enumeration_sweep(game, theirs[0])
 
 
 class TestSolveMpe:
