@@ -291,20 +291,33 @@ def validate_game(game: MarkovGame) -> list[str]:
     Each violation names the offending index and the rule it breaks.
     Violations are data, not failures: this never raises.
     """
-    out = _discount_violations(game.discount)
-    for i in range(game.num_players):
-        bad = ~np.isfinite(game.rewards[i])
-        if np.any(bad):
-            s, a = np.argwhere(bad)[0]
-            out.append(
-                f"reward of player {i} at (state {game.states[s]!r}, "
-                f"action ({game.joint_action_label(int(a))})) is not finite"
-            )
-
-    out.extend(_transition_row_violations(game))
+    out = _model_violations(game)
     if game.metric is not None:
         out.extend(metric_violations(game.metric))
     return out
+
+
+def _model_violations(game: MarkovGame) -> list[str]:
+    """``validate_game``'s discount, reward and transition-row messages, in
+    that order; the metric is not checked."""
+    out = _discount_violations(game.discount)
+    finite = np.isfinite(game.rewards)
+    for i in np.flatnonzero(~finite.all(axis=(1, 2))):
+        s, a = np.argwhere(~finite[i])[0]
+        out.append(
+            f"reward of player {i} at (state {game.states[s]!r}, "
+            f"action ({game.joint_action_label(int(a))})) is not finite"
+        )
+    out.extend(_transition_row_violations(game))
+    return out
+
+
+def _check_game(game: MarkovGame) -> None:
+    """Raise ``ValueError`` with the first of ``validate_game``'s discount,
+    reward and transition-row messages; the metric is not checked."""
+    violations = _model_violations(game)
+    if violations:
+        raise ValueError(violations[0])
 
 
 def _transition_row_violations(game: MarkovGame) -> list[str]:

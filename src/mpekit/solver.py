@@ -16,46 +16,45 @@ iteration, which re-solves the one-shot games at its own running values
 until they settle, with seeded restarts.
 
 Each step builds the stage games of every state in one vectorized pass and
-solves them all in one stacked kernel, by support enumeration with
-deterministic selection (smallest support first, then lexicographic), which
-keeps the iteration and the experiments reproducible bit for bit. The pure
-profiles, first in that order and the usual outcome, are checked for every
-state at once from one array of deviation gains. The states without a pure
-equilibrium then scan the mixed support classes together, one class at a
-time: a rectangular support whose least-squares residual is certified to
-exceed the tolerance (a closed-form or QR lower bound, with a margin for
-roundoff) is dropped unsolved, and the square supports are solved as one
-stack. The survivors are confirmed in order by the exact support solve and
-deviation check, so each state gets the equilibrium the pair-by-pair scan
-selects (B. von Stengel, "Computing equilibria for two-person games",
-*Handbook of Game Theory* 3, 2002, ch. 45). Deviation gains and residuals
-are judged against 1e-9 times the largest payoff magnitude (at least 1), so
-stage games with large payoffs keep their equilibria. The stage payoffs and
-the exact evaluations come from the two kernels :mod:`mpekit.mdp` shares.
+solves them by support enumeration with deterministic selection (smallest
+support first, then lexicographic), which keeps the iteration and the
+experiments reproducible bit for bit. The pure profiles, first in that
+order and the usual outcome, are checked for every state at once from one
+array of deviation gains. Each state without a pure equilibrium then scans
+the mixed support classes of its own stage game, one stage game at a time,
+with the supports of a class batched: a rectangular support whose
+least-squares residual is certified to exceed the tolerance (a closed-form
+or QR lower bound, with a margin for roundoff) is dropped unsolved, and the
+square supports are solved as one stack. The survivors are confirmed in
+order by the exact support solve and deviation check, so each state gets
+the equilibrium the pair-by-pair scan selects (B. von Stengel, "Computing
+equilibria for two-person games", *Handbook of Game Theory* 3, 2002,
+ch. 45). Deviation gains and residuals are judged against 1e-9 times the
+largest payoff magnitude (at least 1), so stage games with large payoffs
+keep their equilibria. The stage payoffs and the exact evaluations come
+from the two kernels :mod:`mpekit.mdp` shares.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import types
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    _check_count, _finite_values, _frozen_array,
-                    check_discount)
+                    _check_count, _check_game, _finite_values,
+                    _frozen_array)
 from .mdp import _action_values, _policy_values, _profile_chain
 
 _NASH_TOL = 1e-9
 #: Relative margin by which a rectangular support's residual bound must
 #: exceed tol before the support is dropped unsolved (see ``_may_pass``).
 _DROP_MARGIN = 1e-2
-#: Most (state, support) pairs one stacked step of the stage-Nash kernel
-#: holds: it bounds the temporary arrays of large games and changes no
-#: result.
+#: Most supports one stacked step of the mixed-support scan holds: it
+#: bounds the temporary arrays of large games and changes no result.
 _STACK_LIMIT = 1 << 14
 #: Value-iteration sweeps from zero values before policy iteration starts.
 _WARM_SWEEPS = 3
@@ -111,19 +110,12 @@ def stage_game(game: MarkovGame, values, state: int
 
 
 def _equalizer(block: np.ndarray, tol: float) -> np.ndarray | None:
-    """Mixture over the columns of ``block`` that makes every row pay the
-    same, with that payoff appended, or None if no exact solution exists.
-
-    A square system is solved directly (a singular one raises
-    ``LinAlgError``); a rectangular one by least squares, accepted only if
-    its residual is within tol.
-    """
-    k, l = block.shape
+    """Mixture over the columns of a rectangular ``block`` that makes every
+    row pay the same, with that payoff appended, or None if the
+    least-squares solution's residual exceeds tol."""
+    k = len(block)
     system = _equalizing_systems(block)
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    if k == l:
-        return np.linalg.solve(system, rhs)
+    rhs = _identity(k + 1)[k]
     solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
     if np.abs(system @ solution - rhs).max() > tol:
         return None
@@ -211,70 +203,14 @@ def _combinations(size: int, k: int) -> np.ndarray:
                     dtype=np.intp).reshape(-1, k)
 
 
-def _indicator(subsets: np.ndarray, width: int) -> np.ndarray:
-    """0/1 rows (C, width) marking each subset of ``subsets`` (C, k)."""
-    out = np.zeros((len(subsets), width))
-    np.put_along_axis(out, subsets, 1.0, axis=1)
-    return out
-
-
-@functools.cache
-def _one_sided_plan(m: int, n: int, total: int) -> tuple | None:
-    """The one-sided supports of total size ``total`` in an m x n game:
-    class (1, total - 1), then (total - 1, 1), each in scan order. Cached
-    and read-only; None when neither class exists.
-
-    Each support's taller block is one payoff line, picked out of the
-    payoffs flattened to (2, S, m n) as flat[player, s, cell]: a row of B
-    for a single row (the pure row must equalize it), a column of A for a
-    single column. Returns (player, cell, mask, size, spans): player and
-    cell (N, w) with w = max(m, n), the 0/1 mask (N, w) of the support
-    within its line, size (N,) its entries, and spans mapping k1 to the
-    class's slice.
-    """
-    width, k = max(m, n), total - 1
-    parts, spans = [], {}
-    if k <= n:  # rows r, then columns C: the line is B[r, :]
-        cols = _combinations(n, k)
-        cell = np.arange(m)[:, None, None] * n + np.arange(n)
-        parts.append((1, np.broadcast_to(cell, (m, len(cols), n)),
-                      np.broadcast_to(_indicator(cols, n),
-                                      (m, len(cols), n))))
-        spans[1] = m * len(cols)
-    if k <= m:  # rows R, then columns c: the line is A[:, c]
-        rows = _combinations(m, k)
-        cell = np.arange(n)[:, None] + np.arange(m) * n
-        parts.append((0, np.broadcast_to(cell, (len(rows), n, m)),
-                      np.broadcast_to(_indicator(rows, m)[:, None],
-                                      (len(rows), n, m))))
-        spans[k] = len(rows) * n
-    if not parts:
-        return None
-    player, cell, mask = [], [], []
-    for who, lines, support in parts:
-        lines = lines.reshape(-1, lines.shape[-1])
-        pad = ((0, 0), (0, width - lines.shape[1]))
-        player.append(np.full((len(lines), width), who, dtype=np.intp))
-        cell.append(np.pad(lines, pad))
-        mask.append(np.pad(support.reshape(lines.shape), pad))
-    start = 0
-    for key, count in spans.items():
-        spans[key] = slice(start, start + count)
-        start += count
-    mask = _frozen_array(np.concatenate(mask))
-    return (_frozen_array(np.concatenate(player), np.intp),
-            _frozen_array(np.concatenate(cell), np.intp), mask,
-            _frozen_array(mask.sum(axis=1)), types.MappingProxyType(spans))
-
-
 @functools.cache
 def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
     """(rows, cols, cell) for one class of an m x n game: the index arrays
     rows (N, k1) and cols (N, k2), one support per row in scan order
     (lexicographic, rows outer), and for a square class the cell indices
-    (2, 1, N, k + 1, k + 1) that ``_square_solutions`` gathers both
-    equalizing systems with, else None. Built when a scan first reaches
-    the class; cached and read-only."""
+    (2, N, k + 1, k + 1) into the flattened payoffs (2, m, n) that
+    ``_square_solutions`` gathers both equalizing systems with, else None.
+    Built when a scan first reaches the class; cached and read-only."""
     row_sets, col_sets = _combinations(m, k1), _combinations(n, k2)
     rows = np.repeat(row_sets, len(col_sets), axis=0)
     cols = np.tile(col_sets, (len(row_sets), 1))
@@ -285,31 +221,42 @@ def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
         # ones take cell 0 and are overwritten by the template.
         cell = np.zeros((2, len(rows), k + 1, k + 1), dtype=np.intp)
         cell[0, :, :k, :k] = rows[:, :, None] * n + cols[:, None, :]
-        cell[1, :, :k, :k] = rows[:, None, :] * n + cols[:, :, None]
-        cell = _frozen_array(cell[:, None], np.intp)
+        cell[1, :, :k, :k] = m * n + rows[:, None, :] * n + cols[:, :, None]
+        cell = _frozen_array(cell, np.intp)
     return (_frozen_array(rows, np.intp), _frozen_array(cols, np.intp),
             cell)
 
 
 @functools.cache
+def _one_sided_plan(m: int, n: int, k1: int, k2: int) -> np.ndarray:
+    """The cells (N, k) of each one-sided support's taller block in the
+    flattened payoffs (2, m, n), in scan order; cached and read-only.
+
+    With one row r and columns C the taller block is B[r, C] (the pure row
+    must equalize it), and with rows R and one column c it is A[R, c].
+    """
+    rows, cols, _ = _support_class(m, n, k1, k2)
+    offset = m * n if k1 == 1 else 0
+    return _frozen_array(offset + rows * n + cols, np.intp)
+
+
+@functools.cache
 def _square_template(k: int) -> tuple:
-    """(player, mask, template, rhs) shared by every (k, k) support: the
-    player axis (2, 1, 1, 1, 1), the mask of the payoff block, the
-    equalizing system with a zero block, and e_{k+1}."""
+    """(mask, template, rhs) shared by every (k, k) support: the mask of
+    the payoff block, the equalizing system with a zero block, and
+    e_{k+1}."""
     mask = np.zeros((k + 1, k + 1), dtype=bool)
     mask[:k, :k] = True
-    return (_frozen_array(np.arange(2).reshape(2, 1, 1, 1, 1), np.intp),
-            _frozen_array(mask, bool),
+    return (_frozen_array(mask, bool),
             _frozen_array(_equalizing_systems(np.zeros((k, k)))),
             _identity(k + 1)[k])
 
 
-def _may_pass(rho2, bound2, rows) -> np.ndarray:
-    """Mask (S, N) of the rectangular supports that the exact residual test
-    may accept, from the squared least-squares residual rho2 (S, N) of
-    each one's taller block of ``rows`` equalized rows and each state's
-    bound2 = ((1 + 1e-2) tol)^2, infinite where tol >= 1 (see
-    ``_drop_bounds``); the rest are certified to fail it.
+def _may_pass(rho2, tol, rows) -> np.ndarray:
+    """Mask of the rectangular supports that the exact residual test may
+    accept, from the squared least-squares residual rho2 of each one's
+    taller block of ``rows`` equalized rows; the rest are certified to
+    fail it. Where tol >= 1 every support may pass.
 
     The exact test rejects a support when the least-squares solution s of
     the taller block's system M s = e (the equalized rows and the
@@ -333,15 +280,9 @@ def _may_pass(rho2, bound2, rows) -> np.ndarray:
     there can payoffs pass 1e9, so the callers clamp them to +-1e9 and
     nothing overflows.
     """
-    return ~(rho2 > (rows + 1.0) * bound2[:, None])
-
-
-def _drop_bounds(tol) -> np.ndarray:
-    """bound2 for ``_may_pass``: ((1 + 1e-2) tol)^2 per state, or infinity
-    where tol >= 1, so that no support of that state is dropped."""
-    return np.where(tol < 1.0,
-                    ((1.0 + _DROP_MARGIN) * np.minimum(tol, 1.0)) ** 2,
-                    np.inf)
+    if tol >= 1.0:
+        return np.ones(rho2.shape, dtype=bool)
+    return ~(rho2 > (rows + 1.0) * ((1.0 + _DROP_MARGIN) * tol) ** 2)
 
 
 def _clamped(payoffs: np.ndarray) -> np.ndarray:
@@ -349,29 +290,27 @@ def _clamped(payoffs: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(payoffs, -1e9), 1e9)
 
 
-def _one_sided_survivors(flat, bound2, player, cell, mask, size
-                         ) -> np.ndarray:
-    """``_may_pass`` for one-sided rectangular supports.
+def _one_sided_survivors(flat, tol, cell) -> np.ndarray:
+    """``_may_pass`` for one-sided rectangular supports, from the cells
+    (N, k) of their taller blocks in the flattened payoffs ``flat``.
 
-    The taller block of a support with one row r and columns C is the
-    column b = B[r, C] (the pure row must equalize it), and of one with
-    rows R and one column c it is A[R, c]. Its least-squares residual rho
-    has rho^2 = S / (1 + S), S = sum((b - mean b)^2): a weight z on the
-    pure side is best matched by the value z mean(b), which leaves
+    The least-squares residual rho of a taller block b has
+    rho^2 = S / (1 + S), S = sum((b - mean b)^2): a weight z on the pure
+    side is best matched by the value z mean(b), which leaves
     z^2 S + (z - 1)^2, least at z = 1 / (1 + S).
     """
-    lines = flat[player, np.arange(len(bound2))[:, None, None], cell]
-    lines = _clamped(lines) * mask
-    spread = (lines - (lines.sum(axis=2) / size)[..., None]) * mask
-    total = (spread * spread).sum(axis=2)
-    return _may_pass(total / (1.0 + total), bound2, size)
+    lines = _clamped(flat[cell])
+    k = lines.shape[1]
+    spread = lines - lines.sum(axis=1, keepdims=True) / k
+    total = (spread * spread).sum(axis=1)
+    return _may_pass(total / (1.0 + total), tol, k)
 
 
-def _rectangular_survivors(payoffs, bound2, rows, cols) -> np.ndarray:
+def _rectangular_survivors(payoffs, tol, rows, cols) -> np.ndarray:
     """``_may_pass`` for rectangular supports of one class with both sides
     of size 2 or more: rho is the norm of the trailing entries of Q^T e
     from a complete QR of the taller block's system."""
-    index = (slice(None), rows[:, :, None], cols[:, None, :])
+    index = (rows[:, :, None], cols[:, None, :])
     if rows.shape[1] < cols.shape[1]:
         blocks = np.swapaxes(payoffs[1][index], -1, -2)
     else:
@@ -379,24 +318,23 @@ def _rectangular_survivors(payoffs, bound2, rows, cols) -> np.ndarray:
     k, l = blocks.shape[-2:]
     systems = _equalizing_systems(_clamped(blocks))
     trailing = np.linalg.qr(systems, mode="complete")[0][..., k, l + 1:]
-    return _may_pass((trailing * trailing).sum(axis=-1), bound2, k)
+    return _may_pass((trailing * trailing).sum(axis=-1), tol, k)
 
 
-def _square_solutions(flat, states, cell):
+def _square_solutions(flat, cell):
     """Both equalizing solutions of every square support of one class:
-    (keep (S, N), solutions (2, S, N, k + 1)), where keep marks the
-    supports whose two systems are nonsingular with no support probability
-    below -1e-9, and solutions[0] solves the row player's block A[R, C].
+    (keep (N,), solutions (2, N, k + 1)), where keep marks the supports
+    whose two systems are nonsingular with no support probability below
+    -1e-9, and solutions[0] solves the row player's block A[R, C].
 
     The stacked ``np.linalg.solve`` runs the same LAPACK gesv on each
-    matrix, copied into the same layout, as ``_equalizer``'s one-system
-    call, so it gives the same bits. A stack that holds a singular system
-    raises as a whole; it is then solved one system at a time.
+    matrix, copied into the same layout, as a one-system call, so it gives
+    the same bits. A stack that holds a singular system raises as a whole;
+    it is then solved one system at a time.
     """
     k = cell.shape[-1] - 1
-    player, mask, template, rhs = _square_template(k)
-    systems = np.where(mask, flat[player, states[:, None, None, None], cell],
-                       template)
+    mask, template, rhs = _square_template(k)
+    systems = np.where(mask, flat[cell], template)
     try:
         solutions = np.linalg.solve(systems, rhs)
         singular = False
@@ -412,83 +350,56 @@ def _square_solutions(flat, states, cell):
     return ~(negative | singular).any(axis=0), solutions
 
 
-def _mixed_supports(payoffs, tol, x, y, gain, mixed):
-    """Scan the mixed supports of the stage games at states ``mixed``, all
-    of them at once per support class; fills x, y and gain in place.
+def _mixed_supports(payoffs, tol, x, y, gain):
+    """Scan the mixed supports of one stage game (2, m, n), one support
+    class at a time; returns (x, y).
 
-    x, y and gain hold each state's fallback on entry: its pure pair of
-    smallest deviation gain. Rectangular supports certified to fail their
-    residual test are dropped unsolved; square ones are solved as one stack
-    and kept if both systems are nonsingular with no negative probability.
-    The survivors are confirmed in scan order, state by state, by the exact
-    residual and sign tests and the deviation check: the first within tol
-    settles the state, and else the candidate of smallest gain (the
-    earliest on ties) stays. A dropped support is one the exact code
-    rejects, so the result is that of the pair-by-pair scan. A class is
-    taken in blocks of at most ``_STACK_LIMIT`` (state, support) pairs.
+    x, y and gain are the fallback on entry: the pure pair of smallest
+    deviation gain. Rectangular supports certified to fail their residual
+    test are dropped unsolved; square ones are solved as one stack and
+    kept if both systems are nonsingular with no negative probability. The
+    survivors are confirmed in scan order by the exact residual and sign
+    tests and the deviation check: the first within tol is returned, and
+    else the candidate of smallest gain (the earliest on ties). A dropped
+    support is one the exact code rejects, so the result is that of the
+    pair-by-pair scan. A class is taken in blocks of at most
+    ``_STACK_LIMIT`` supports.
     """
     payoff_a, payoff_b = payoffs
-    _, m, n = payoff_a.shape
-    flat = payoffs.reshape(2, len(tol), m * n)
-    bound2 = _drop_bounds(tol)
-    step = max(1, _STACK_LIMIT // len(mixed))
-    live = mixed
+    m, n = payoff_a.shape
+    flat = payoffs.reshape(-1)
     for total in range(3, m + n + 1):
-        plan = _one_sided_plan(m, n, total)
-        if plan is not None:
-            *lines, spans = plan
-            one_sided = np.concatenate([
-                _one_sided_survivors(flat[:, live], bound2[live],
-                                     *[a[start:start + step] for a in lines])
-                for start in range(0, len(lines[0]), step)], axis=1)
         for k1 in range(max(1, total - n), min(m, total - 1) + 1):
             k2 = total - k1
             rows, cols, cell = _support_class(m, n, k1, k2)
-            for start in range(0, len(rows), step):
-                block = slice(start, start + step)
+            for start in range(0, len(rows), _STACK_LIMIT):
+                block = slice(start, start + _STACK_LIMIT)
                 solutions = None
                 if cell is not None:
-                    keep, solutions = _square_solutions(
-                        flat, live, cell[:, :, block])
-                elif plan is not None and k1 in spans:
-                    first = spans[k1].start + start
-                    keep = one_sided[:, first:min(first + step,
-                                                  spans[k1].stop)]
+                    keep, solutions = _square_solutions(flat, cell[:, block])
+                elif min(k1, k2) == 1:
+                    keep = _one_sided_survivors(
+                        flat, tol, _one_sided_plan(m, n, k1, k2)[block])
                 else:
-                    keep = _rectangular_survivors(
-                        payoffs[:, live], bound2[live], rows[block],
-                        cols[block])
-                settled = []
-                # Row-major: each state's survivors come together, in order.
-                for i, j in zip(*keep.nonzero()):
-                    if settled and settled[-1] == i:
-                        continue
-                    s, j = live[i], start + j
+                    keep = _rectangular_survivors(payoffs, tol, rows[block],
+                                                  cols[block])
+                for j in np.flatnonzero(keep):
                     if solutions is None:
                         candidate = _support_candidate(
-                            payoff_a[s], payoff_b[s], rows[j], cols[j], tol[s])
+                            payoff_a, payoff_b, rows[start + j],
+                            cols[start + j], tol)
                     else:
                         candidate = _support_pair(
-                            solutions[1, i, j - start, :k1],
-                            solutions[0, i, j - start, :k2],
-                            list(rows[j]), list(cols[j]), (m, n))
+                            solutions[1, j, :k1], solutions[0, j, :k2],
+                            rows[start + j], cols[start + j], (m, n))
                     if candidate is None:
                         continue
-                    found = _deviation_gain(payoff_a[s], payoff_b[s],
-                                            *candidate)
-                    if found <= tol[s] or found < gain[s]:
-                        x[s], y[s] = candidate
-                        gain[s] = found
-                    if found <= tol[s]:
-                        settled.append(i)
-                if settled:
-                    searching = np.ones(len(live), dtype=bool)
-                    searching[settled] = False
-                    live = live[searching]
-                    if plan is not None:
-                        one_sided = one_sided[searching]
-                    if not live.size:
-                        return
+                    found = _deviation_gain(payoff_a, payoff_b, *candidate)
+                    if found <= tol:
+                        return candidate
+                    if found < gain:
+                        (x, y), gain = candidate, found
+    return x, y
 
 
 def _stage_nash(payoffs: np.ndarray
@@ -500,8 +411,8 @@ def _stage_nash(payoffs: np.ndarray
     bit. The pure scan runs for all states in one array pass. A one-hot
     pair's payoff is A[r, c] + 0.0, which is what x @ A @ y rounds to:
     every other term is a signed zero, and the sums start from +0.0, which
-    turns a -0.0 cell into 0.0. The states without a passing cell go on to
-    ``_mixed_supports``.
+    turns a -0.0 cell into 0.0. Each state without a passing cell goes on
+    to ``_mixed_supports``, one stage game at a time.
     """
     payoff_a, payoff_b = payoffs
     num_states, m, n = payoff_a.shape
@@ -518,12 +429,12 @@ def _stage_nash(payoffs: np.ndarray
     x, y = _identity(m)[r], _identity(n)[c]
     # C order, as the next sweep's matrix products round by the layout.
     values = np.stack([payoff_a[states, r, c], payoff_b[states, r, c]]) + 0.0
-    mixed = np.flatnonzero(~pure)
-    if mixed.size:
-        _mixed_supports(payoffs, tol, x, y, pure_gain[states, cell], mixed)
-        for s in mixed:
-            values[0, s] = x[s] @ payoff_a[s] @ y[s]
-            values[1, s] = x[s] @ payoff_b[s] @ y[s]
+    gain = pure_gain[states, cell]
+    for s in np.flatnonzero(~pure):
+        x[s], y[s] = _mixed_supports(payoffs[:, s], tol[s], x[s], y[s],
+                                     gain[s])
+        values[0, s] = x[s] @ payoff_a[s] @ y[s]
+        values[1, s] = x[s] @ payoff_b[s] @ y[s]
     return x, y, values
 
 
@@ -542,13 +453,14 @@ def bimatrix_nash(payoff_a, payoff_b
     candidate with the smallest deviation gain (the earliest on ties) is
     returned.
 
-    This is the one-state call of the stacked kernel the solver's sweeps
-    use: the pure pairs are checked at once from one array of deviation
-    gains, max(colmax(A)[c] - A[r, c], rowmax(B)[r] - B[r, c]) for cell
-    (r, c); rectangular supports that a certified residual bound shows to
-    fail are dropped unsolved; the rest are confirmed in order by the exact
-    support solve and deviation check, so the selection is exactly the
-    pair-by-pair scan's.
+    This is the one-state call of the kernel the solver's sweeps use: the
+    pure pairs are checked at once from one array of deviation gains,
+    max(colmax(A)[c] - A[r, c], rowmax(B)[r] - B[r, c]) for cell (r, c);
+    then the mixed supports are scanned with the supports of a class
+    batched: rectangular supports that a certified residual bound shows to
+    fail are dropped unsolved, and the rest are confirmed in order by the
+    exact support solve and deviation check, so the selection is exactly
+    the pair-by-pair scan's.
 
     Returns:
         (x, y, (payoff_x, payoff_y)) with x, y mixed strategies.
@@ -557,6 +469,9 @@ def bimatrix_nash(payoff_a, payoff_b
     payoff_b = np.asarray(payoff_b, dtype=np.float64)
     if payoff_a.shape != payoff_b.shape or payoff_a.ndim != 2:
         raise ValueError("payoff matrices must share a 2-D shape")
+    if not payoff_a.size:
+        raise ValueError(f"payoff matrices of shape {payoff_a.shape} have "
+                         f"no action pair")
     if not (np.isfinite(payoff_a).all() and np.isfinite(payoff_b).all()):
         raise ValueError("payoff entries must be finite")
     x, y, values = _stage_nash(np.stack([payoff_a, payoff_b])[:, None])
@@ -675,13 +590,15 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     value-iteration attempt. ``SolveResult.iterations`` counts every sweep
     plus every exact evaluation.
 
-    Raises ``ValueError`` before any sweep for a discount outside (0, 1),
-    a tol that is not positive (NaN included) or a max_iter that is not a
-    positive integer.
+    Raises ``ValueError`` before any sweep with the first message
+    ``validate_game`` gives for the discount, a reward that is not finite
+    or a transition row that breaks the row rule (the metric is not
+    checked), and for a tol that is not positive (NaN included) or a
+    max_iter that is not a positive integer.
     """
     if game.num_players != 2:
         raise ValueError("two-player solver only")
-    check_discount(game.discount)
+    _check_game(game)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_count(max_iter, "max_iter")

@@ -306,6 +306,14 @@ class TestBimatrixNash:
         with pytest.raises(ValueError, match="finite"):
             bimatrix_nash([[np.nan, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_rejects_an_empty_matrix(self, shape):
+        # Numpy's max over no entries raised "zero-size array to reduction
+        # operation maximum which has no identity".
+        with pytest.raises(ValueError, match=rf"^payoff matrices of shape "
+                                             rf"\({shape[0]}, {shape[1]}\)"):
+            bimatrix_nash(np.zeros(shape), np.zeros(shape))
+
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_huge_payoffs_raise_no_warning(self, scale):
         # At 1e200 a rectangular support's least-squares mixture came out
@@ -339,6 +347,26 @@ RANK_ONE = stacked((np.outer([1.0, 2.0, -1.0, 0.5], [1.0, -1.0, 2.0, 0.5]),
                     np.outer([-1.0, 0.5, 2.0, 1.0], [0.5, 2.0, -1.0, 1.0])))
 #: Matching pennies with row 0 and column 1 duplicated.
 PENNIES = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
+#: Four 4x4 stage games without a pure equilibrium that settle at supports
+#: of sizes (1, 2), (3, 3), (4, 4) and (2, 2), each after 18 to 57 supports
+#: that fail the deviation check. The last has a rank-one A (three equal
+#: rows), so its square systems that take two of those rows are singular.
+SETTLE_SIZES = stacked(
+    (np.array([[0, -2, -1, -2], [-1, 0, -2, -2], [-2, 2, 1, 2],
+               [-2, 0, 0, -2]], dtype=float),
+     np.array([[-2, 1, -2, 2], [2, 2, 1, -2], [2, -1, -2, -2],
+               [1, 1, 1, 1]], dtype=float)),
+    (np.array([[0, -1, 1, 2], [0, 0, 1, 1], [1, -1, 0, 1], [0, 0, 2, 0]],
+              dtype=float),
+     np.array([[-1, -1, 2, -1], [1, 0, 0, 1], [-2, -2, -1, 0],
+               [1, 0, 0, 0]], dtype=float)),
+    (np.array([[-2, 0, 0, 1], [0, 2, 2, -2], [1, 1, -2, 1],
+               [2, -1, -2, 1]], dtype=float),
+     np.array([[1, -1, -1, -2], [-1, 1, -2, 2], [-1, -1, 1, 0],
+               [-2, 0, 1, 0]], dtype=float)),
+    (np.outer([1, 1, 1, 0], [0, 4, -4, -2]).astype(float),
+     np.array([[1, -1, -2, 2], [1, -2, 2, 2], [-2, -2, -1, 1],
+               [-2, 2, -2, -2]], dtype=float)))
 
 
 class TestStackedKernel:
@@ -355,13 +383,17 @@ class TestStackedKernel:
     @example(stacked((np.array([[-0.0, -1.0], [-1.0, -0.0]]),
                       np.array([[-1.0, -0.0], [-0.0, -1.0]]))))
     @example(stacked((np.array([[-0.0, -1.0]]), np.array([[-0.0, -1.0]]))))
+    @example(SETTLE_SIZES)
     def test_matches_reference_enumeration_per_state(self, stack):
         # BOUNDARY's first (1, 2) support pays the column player 0 and
         # delta = 0.5, 1, 2 and 4 tol, so its residual bound is about
         # delta / sqrt(6); its mirror (players swapped) puts the same line
-        # in a (2, 1) support, and times 1e8 it sits at the scaled tol. Duplicated rows and columns and rank-one
-        # blocks make singular square systems, which a stacked solve
-        # rejects as a whole. A selected -0.0 cell pays 0.0.
+        # in a (2, 1) support, and times 1e8 it sits at the scaled tol.
+        # Duplicated rows and columns and rank-one blocks make singular
+        # square systems, which a stacked solve rejects as a whole. A
+        # selected -0.0 cell pays 0.0. In SETTLE_SIZES each state stops at
+        # its own support size, and the failed candidates before it must
+        # not displace its equilibrium.
         x, y, values = solver._stage_nash(stack)
         for s in range(stack.shape[1]):
             payoff_a, payoff_b = stack[0, s], stack[1, s]
@@ -376,11 +408,11 @@ class TestStackedKernel:
     def test_boundary_supports_reach_the_exact_check(self):
         # The filter drops only the support whose bound is 4 tol; at 0.5
         # and 1 tol the exact check accepts it: row 0 against a uniform mix.
-        *lines, spans = solver._one_sided_plan(3, 2, 3)
-        keep = solver._one_sided_survivors(
-            BOUNDARY.reshape(2, 4, 6), solver._drop_bounds(np.full(4, 1e-9)),
-            *lines)
-        assert keep[:, spans[1]][:, 0].tolist() == [True, True, True, False]
+        cell = solver._one_sided_plan(3, 2, 1, 2)
+        keep = [bool(solver._one_sided_survivors(
+                    BOUNDARY[:, s].reshape(-1), 1e-9, cell)[0])
+                for s in range(4)]
+        assert keep == [True, True, True, False]
         x, y, _ = solver._stage_nash(BOUNDARY)
         assert x[:2].tolist() == [[1.0, 0.0, 0.0]] * 2
         assert np.allclose(y[:2], 0.5, rtol=0.0, atol=1e-12)
@@ -393,28 +425,28 @@ class TestStackedKernel:
         # reverse.
         rng = np.random.default_rng(sum(shape))
         stack = 0.5 + 1e-9 * rng.uniform(-3.0, 3.0, size=(2, 40) + shape)
-        bound2 = solver._drop_bounds(np.full(40, 1e-9))
         dropped = kept = 0
         for k1, k2 in np.ndindex(shape[0] + 1, shape[1] + 1):
             if k1 == k2 or min(k1, k2) == 0:
                 continue
             rows, cols, _ = solver._support_class(*shape, k1, k2)
-            if min(k1, k2) == 1:
-                *lines, spans = solver._one_sided_plan(*shape, k1 + k2)
-                keep = solver._one_sided_survivors(
-                    stack.reshape(2, 40, -1), bound2, *lines)[:, spans[k1]]
-            else:
-                keep = solver._rectangular_survivors(stack, bound2, rows,
-                                                     cols)
-            for s, j in np.ndindex(keep.shape):
-                block_a = stack[0, s][np.ix_(rows[j], cols[j])]
-                block_b = stack[1, s][np.ix_(rows[j], cols[j])].T
-                taller = block_b if k1 < k2 else block_a
-                if not keep[s, j]:
-                    assert solver._equalizer(taller, 1e-9) is None
-                    dropped += 1
+            for payoffs in np.swapaxes(stack, 0, 1):
+                if min(k1, k2) == 1:
+                    keep = solver._one_sided_survivors(
+                        payoffs.reshape(-1), 1e-9,
+                        solver._one_sided_plan(*shape, k1, k2))
                 else:
-                    kept += 1
+                    keep = solver._rectangular_survivors(payoffs, 1e-9, rows,
+                                                         cols)
+                for j, passes in enumerate(keep):
+                    block_a = payoffs[0][np.ix_(rows[j], cols[j])]
+                    block_b = payoffs[1][np.ix_(rows[j], cols[j])].T
+                    taller = block_b if k1 < k2 else block_a
+                    if not passes:
+                        assert solver._equalizer(taller, 1e-9) is None
+                        dropped += 1
+                    else:
+                        kept += 1
         assert dropped and kept
 
     @pytest.mark.parametrize("limit", [1, 7])
@@ -537,6 +569,26 @@ class TestSolveMpe:
         with pytest.raises(ValueError, match="discount"):
             solve_mpe(game)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("field, where, entry, message", [
+        ("rewards", (0, 1, 2), np.nan,
+         "reward of player 0 at (state '2', action (2,1)) is not finite"),
+        ("transitions", (1, 2), [0.5, 0.2, 0.2],
+         "transition row (state '2', action (2,1)) sums to "
+         "0.8999999999999999, not 1 within 1e-09"),
+    ], ids=["nan-reward", "short-row"])
+    def test_rejects_a_broken_game_before_any_sweep(
+            self, original_game, capfd, field, where, entry, message):
+        # The NaN reward printed thousands of LAPACK DLASCL lines from
+        # lstsq before a policy-value error; the short row converged.
+        broken = np.array(getattr(original_game, field))
+        broken[where] = entry
+        game = replace(original_game, **{field: broken})
+        with pytest.raises(ValueError) as info:
+            solve_mpe(game)
+        assert str(info.value) == message
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
 
     def test_policy_iteration_certifies_bundled_game_exactly(self,
                                                             perturbed_game):
