@@ -198,8 +198,8 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
     num_players = g.num_players
     if values is None:
         check_profile(g_hat, profile)
-        chain = _profile_chain(g_hat, [strategy.probabilities
-                                       for strategy in profile.strategies])
+        chain = _profile_chain(g_hat.transitions, g_hat.rewards,
+                               [s.probabilities for s in profile.strategies])
         value_vectors = _require_finite(
             "policy value", _policy_values(g_hat, *chain)).T
     else:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import MarkovGame, StrategyProfile, ValueFunction, induced_mdp
-from .mdp import evaluate_policy, solve_optimal
+from .games import (MarkovGame, StrategyProfile, ValueFunction,
+                    _induced_model, check_profile)
+from .mdp import (_best_response, _policy_values, _profile_chain,
+                  _require_finite)
 
 #: Default tolerance for clamping noise and deciding equilibria.
 DEFAULT_TOL = 1e-10
@@ -48,36 +50,33 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile,
                     tol: float = DEFAULT_TOL) -> CertificateAlpha:
     """Measure each player's incentive to deviate from a profile.
 
-    For player i, the induced MDP is solved twice: policy evaluation of the
-    player's own strategy, and the optimal (best-response) value. The gap
-    alpha_i = max_s (best - achieved) is nonnegative up to numerics and is
-    zero for every player iff the profile is an equilibrium.
+    Each player's induced MDP gives the value their own strategy achieves
+    (one linear solve stacked over all players) and the best-response value
+    (Howard policy iteration), bit for bit those of ``evaluate_policy`` and
+    ``solve_optimal`` on ``induced_mdp``. The gap alpha_i = max_s (best -
+    achieved) is nonnegative up to numerics and is zero for every player iff
+    the profile is an equilibrium.
 
     An MDP is a one-player game, so for ``StrategyProfile((strategy,))``
     the one gap ``per_player_alpha[0]`` is the strategy's optimality gap:
     its largest per-state shortfall against the optimal value.
-
-    Per-player certifications are independent; results are assembled in
-    player order.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    alphas = np.zeros(game.num_players)
-    values = []
-    best_values = []
-    for player in range(game.num_players):
-        mdp = induced_mdp(game, profile, player)
-        achieved = evaluate_policy(mdp, profile.strategies[player])
-        best, _ = solve_optimal(mdp)
-        alphas[player] = float(np.max(best.values - achieved.values))
-        values.append(achieved)
-        best_values.append(best)
-    return CertificateAlpha(
-        per_player_alpha=alphas,
-        per_player_value=tuple(values),
-        per_player_best_response_value=tuple(best_values),
-        tol=tol,
-    )
+    check_profile(game, profile)
+    strategies = [strat.probabilities for strat in profile.strategies]
+    models = [_induced_model(game, strategies, player)
+              for player in range(game.num_players)]
+    chains = zip(*(_profile_chain(trans, rew[None], [probs])
+                   for probs, (trans, rew) in zip(strategies, models)))
+    achieved = _policy_values(game, *map(np.stack, chains))[..., 0]
+    values, best_values = [], []
+    for player, (trans, rew) in enumerate(models):
+        values.append(_require_finite("policy value", achieved[player]))
+        best_values.append(_best_response(trans, rew, game.discount)[0])
+    alphas = np.array([np.max(b - a) for a, b in zip(values, best_values)])
+    return CertificateAlpha(alphas, tuple(map(ValueFunction, values)),
+                            tuple(map(ValueFunction, best_values)), tol)
 
 
 def is_mpe(game: MarkovGame, profile: StrategyProfile,

@@ -371,30 +371,40 @@ def check_profile(game: MarkovGame, profile: StrategyProfile) -> None:
             )
 
 
+def _induced_model(game: MarkovGame, strategies, player: int):
+    """The player's induced (S, A_i, S) transitions and (S, A_i) rewards,
+    each entry summed as a loop over joint actions would sum it."""
+    s_count, counts = game.num_states, game.action_counts
+    transitions = game.transitions.reshape(s_count, *counts, s_count)
+    rewards = game.rewards[player].reshape(s_count, *counts)
+    trans = np.zeros((s_count, counts[player], s_count))
+    rew = np.zeros(trans.shape[:2])
+    for joint in itertools.product(*([slice(None)] if q == player else range(c)
+                                     for q, c in enumerate(counts))):
+        weight = np.ones(s_count)
+        for q, act in enumerate(joint):
+            if q != player:
+                weight = weight * strategies[q][:, act]
+        trans += weight[:, None, None] * transitions[(slice(None), *joint)]
+        rew += weight[:, None] * rewards[(slice(None), *joint)]
+    return trans, rew
+
+
 def induced_mdp(game: MarkovGame, profile: StrategyProfile,
                 player: int) -> MarkovGame:
     """The single-agent problem a player faces when the others fix strategies.
 
     The returned MDP is a one-player game with the player's own action set
     and rewards of shape ``(1, S, A_player)``; its transitions and rewards
-    average the game's over the other players' randomization: mixing two
-    opponent strategies mixes the induced model with the same weights.
+    average the game's over the other players' profiles, in lexicographic
+    order, each weighted by a product in player order: mixing two opponent
+    strategies mixes the induced model with the same weights.
     """
     check_profile(game, profile)
     if not 0 <= player < game.num_players:
         raise ValueError(f"player {player} out of range [0, {game.num_players})")
-    s_count = game.num_states
-    a_count = game.action_counts[player]
-    trans = np.zeros((s_count, a_count, s_count))
-    rew = np.zeros((s_count, a_count))
-    for j, joint in enumerate(game.joint_actions()):
-        weight = np.ones(s_count)
-        for q, act in enumerate(joint):
-            if q != player:
-                weight = weight * profile.strategies[q].probabilities[:, act]
-        own = joint[player]
-        trans[:, own, :] += weight[:, None] * game.transitions[:, j, :]
-        rew[:, own] += weight * game.rewards[player, :, j]
+    trans, rew = _induced_model(
+        game, [strat.probabilities for strat in profile.strategies], player)
     return MarkovGame(game.states, (game.action_sets[player],), trans,
                       rew[None], game.discount, game.metric)
 

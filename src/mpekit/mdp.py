@@ -12,8 +12,9 @@ function here rejects a game with any other number of players.
 
 Rewards are normalized: every backup scales the stage reward by (1 - gamma),
 so value functions stay inside the reward range. Policy evaluation is a
-direct linear solve; optimal values come from Howard policy iteration, exact
-and finite (Puterman, *Markov Decision Processes*, 1994, section 6.4).
+direct linear solve; optimal values come from ``_best_response``, Howard
+policy iteration, exact and finite (Puterman, *Markov Decision Processes*,
+1994, section 6.4), which ``solve_optimal`` and ``certify_profile`` share.
 """
 
 from __future__ import annotations
@@ -80,16 +81,15 @@ def bellman_optimal(mdp: MarkovGame, v: ValueFunction) -> ValueFunction:
     return ValueFunction(_action_values(mdp, [v.values])[0].max(axis=1))
 
 
-def _profile_chain(game: MarkovGame, strategies
+def _profile_chain(transitions: np.ndarray, rewards: np.ndarray, strategies
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(P_pi[s, s'], r_pi[s, i]) of the Markov chain induced by a profile
-    of (S, A_i) probability arrays, weighting joint actions by products."""
+    """(P_pi[s, s'], r_pi[s, i]) of the Markov chain that a profile of
+    (S, A_i) probability arrays induces on transitions and rewards."""
     joint = strategies[0]
     for probs in strategies[1:]:
-        joint = (joint[:, :, None] * probs[:, None, :]).reshape(
-            game.num_states, -1)
-    p_pi = np.einsum("sj,sjt->st", joint, game.transitions)
-    r_pi = np.einsum("sj,isj->si", joint, game.rewards)
+        joint = (joint[:, :, None] * probs[:, None, :]).reshape(len(joint), -1)
+    p_pi = np.einsum("sj,sjt->st", joint, transitions)
+    r_pi = np.einsum("sj,isj->si", joint, rewards)
     return p_pi, r_pi
 
 
@@ -111,9 +111,27 @@ def evaluate_policy(mdp: MarkovGame,
     non-finite, raise ``ValueError``.
     """
     _check_dims(mdp, strategy)
-    values = _policy_values(mdp,
-                            *_profile_chain(mdp, [strategy.probabilities]))
+    values = _policy_values(mdp, *_profile_chain(
+        mdp.transitions, mdp.rewards, [strategy.probabilities]))
     return ValueFunction(_require_finite("policy value", values[:, 0]))
+
+
+def _best_response(trans, rew, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Howard policy iteration on (S, A, S) transitions and (S, A) rewards:
+    (optimal values, one-hot greedy policy of the final Q). gamma P and
+    (1 - gamma) r are formed once; q rounds as ``_action_values``'s does."""
+    cont, base = gamma * trans, (1.0 - gamma) * rew
+    states, identity = np.arange(len(rew)), np.eye(len(rew))
+    policy = np.argmax(rew, axis=1)
+    while True:
+        values = np.linalg.solve(identity - cont[states, policy],
+                                 base[states, policy])
+        q = _require_finite("action value", base + np.vecdot(cont, values))
+        margin = 1e-13 * max(1.0, np.abs(q).max())
+        improve = q.max(axis=1) > q[states, policy] + margin
+        if not improve.any():
+            return values, np.eye(rew.shape[1])[np.argmax(q, axis=1)]
+        policy = np.where(improve, np.argmax(q, axis=1), policy)
 
 
 def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
@@ -126,19 +144,6 @@ def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
     ``ValueError``.
     """
     _check_dims(mdp)
-    rewards = mdp.rewards[0]
-    states = np.arange(mdp.num_states)
-    policy = np.argmax(rewards, axis=1)
-    while True:
-        values = _policy_values(mdp, mdp.transitions[states, policy],
-                                rewards[states, policy])
-        q = _require_finite("action value",
-                            _action_values(mdp, [values])[0])
-        margin = 1e-13 * max(1.0, np.abs(q).max())
-        improve = q.max(axis=1) > q[states, policy] + margin
-        if not improve.any():
-            break
-        policy = np.where(improve, np.argmax(q, axis=1), policy)
-    greedy = np.eye(mdp.action_counts[0])[np.argmax(q, axis=1)]
-    return ValueFunction(values), MarkovStrategy(greedy)
-
+    check_discount(mdp.discount)
+    v, greedy = _best_response(mdp.transitions, mdp.rewards[0], mdp.discount)
+    return ValueFunction(v), MarkovStrategy(greedy)

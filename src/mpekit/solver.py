@@ -502,7 +502,8 @@ def _policy_iteration(game: MarkovGame, max_iter: int
         steps += 1
     previous = None
     for _ in range(_MAX_EVALUATIONS):
-        v = _policy_values(game, *_profile_chain(game, (pi1, pi2))).T
+        v = _policy_values(game, *_profile_chain(
+            game.transitions, game.rewards, (pi1, pi2))).T
         steps += 1
         if previous is not None and (np.abs(v - previous).max()
                                      <= 1e-13 * max(1.0, np.abs(v).max())):

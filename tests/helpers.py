@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mpekit.equilibrium import certify_profile
-from mpekit.games import MarkovGame, MarkovStrategy, StrategyProfile
-from mpekit.mdp import _check_dims, _policy_values
+from mpekit.games import (MarkovGame, MarkovStrategy, StrategyProfile,
+                          ValueFunction, check_profile)
+from mpekit.mdp import (_action_values, _check_dims, _policy_values,
+                        _profile_chain, _require_finite)
 from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding, _w1_lp
 from mpekit.solver import SolveResult, bimatrix_nash
 
@@ -532,3 +534,77 @@ def reference_strategy_rewards(mdp: MarkovGame,
     """``mdp.strategy_rewards``, as first written: r_pi[s]."""
     _check_dims(mdp, strategy)
     return (strategy.probabilities * mdp.rewards[0]).sum(axis=1)
+
+
+# The certificate path as it stood before ``games._induced_model`` and
+# ``mdp._best_response``: one induced MDP per player, accumulated one joint
+# action at a time, then evaluated and solved on its own.
+
+
+def reference_induced_mdp(game: MarkovGame, profile: StrategyProfile,
+                          player: int) -> MarkovGame:
+    """``games.induced_mdp``, one joint action per step."""
+    check_profile(game, profile)
+    if not 0 <= player < game.num_players:
+        raise ValueError(f"player {player} out of range [0, {game.num_players})")
+    s_count = game.num_states
+    a_count = game.action_counts[player]
+    trans = np.zeros((s_count, a_count, s_count))
+    rew = np.zeros((s_count, a_count))
+    for j, joint in enumerate(game.joint_actions()):
+        weight = np.ones(s_count)
+        for q, act in enumerate(joint):
+            if q != player:
+                weight = weight * profile.strategies[q].probabilities[:, act]
+        own = joint[player]
+        trans[:, own, :] += weight[:, None] * game.transitions[:, j, :]
+        rew[:, own] += weight * game.rewards[player, :, j]
+    return MarkovGame(game.states, (game.action_sets[player],), trans,
+                      rew[None], game.discount, game.metric)
+
+
+def _reference_evaluate_policy(mdp: MarkovGame,
+                               strategy: MarkovStrategy) -> ValueFunction:
+    """``mdp.evaluate_policy``, one player's chain solved alone."""
+    _check_dims(mdp, strategy)
+    values = _policy_values(mdp, *_profile_chain(
+        mdp.transitions, mdp.rewards, [strategy.probabilities]))
+    return ValueFunction(_require_finite("policy value", values[:, 0]))
+
+
+def reference_solve_optimal(mdp: MarkovGame
+                            ) -> tuple[ValueFunction, MarkovStrategy]:
+    """``mdp.solve_optimal``, forming gamma P and (1 - gamma) r each step."""
+    _check_dims(mdp)
+    rewards = mdp.rewards[0]
+    states = np.arange(mdp.num_states)
+    policy = np.argmax(rewards, axis=1)
+    while True:
+        values = _policy_values(mdp, mdp.transitions[states, policy],
+                                rewards[states, policy])
+        q = _require_finite("action value",
+                            _action_values(mdp, [values])[0])
+        margin = 1e-13 * max(1.0, np.abs(q).max())
+        improve = q.max(axis=1) > q[states, policy] + margin
+        if not improve.any():
+            break
+        policy = np.where(improve, np.argmax(q, axis=1), policy)
+    greedy = np.eye(mdp.action_counts[0])[np.argmax(q, axis=1)]
+    return ValueFunction(values), MarkovStrategy(greedy)
+
+
+def reference_certify_profile(game: MarkovGame, profile: StrategyProfile
+                              ) -> tuple[np.ndarray, list, list]:
+    """``equilibrium.certify_profile`` one player at a time: (alphas,
+    achieved values, best-response values) as arrays."""
+    alphas = np.zeros(game.num_players)
+    values = []
+    best_values = []
+    for player in range(game.num_players):
+        mdp = reference_induced_mdp(game, profile, player)
+        achieved = _reference_evaluate_policy(mdp, profile.strategies[player])
+        best, _ = reference_solve_optimal(mdp)
+        alphas[player] = float(np.max(best.values - achieved.values))
+        values.append(achieved.values)
+        best_values.append(best.values)
+    return alphas, values, best_values

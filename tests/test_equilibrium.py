@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import random_game, random_profile, small_mdps
+from helpers import (
+    random_game,
+    random_profile,
+    reference_certify_profile,
+    reference_induced_mdp,
+    reference_solve_optimal,
+    small_mdps,
+)
 from mpekit.equilibrium import certify_profile, is_mpe
 from mpekit.games import (
     MarkovGame,
@@ -183,6 +190,59 @@ class TestCertifyProfile:
             certify_profile(game, profile, tol=0.0)
         with pytest.raises(ValueError):
             certify_profile(game, StrategyProfile(profile.strategies[:1]))
+
+
+@st.composite
+def profiled_games(draw):
+    """A game of 1-3 players, some with unequal action counts, and a profile
+    whose rows are mixed, one-hot with -0.0 zeros, or one-hot pushed to the
+    row rule's edge (an entry of -1e-9 and one of 1 + 1e-9)."""
+    counts = draw(st.one_of(
+        st.just((2, 3, 1)),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)))
+    num_states = draw(st.integers(1, 12))
+    gamma = draw(st.floats(0.05, 0.99))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = random_game(rng, num_states, counts, gamma, -3.0, 3.0)
+    strategies = []
+    for count in counts:
+        kind = draw(st.sampled_from(["mixed", "one-hot", "edge"]))
+        probs = rng.dirichlet(np.ones(count), size=num_states)
+        if kind != "mixed":
+            own = probs.argmax(axis=1)
+            probs = np.where(np.eye(count)[own] > 0.0, 1.0, -0.0)
+            if kind == "edge" and count > 1:
+                states = np.arange(num_states)
+                probs[states, own] = 1.0 + 1e-9
+                probs[states, (own + 1) % count] = -1e-9
+        strategies.append(MarkovStrategy(probs))
+    return game, StrategyProfile(tuple(strategies))
+
+
+class TestOnePassCertificate:
+    """The array path gives the per-player path's bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(profiled_games())
+    def test_matches_the_per_player_path_bit_for_bit(self, case):
+        game, profile = case
+        certificate = certify_profile(game, profile)
+        alphas, values, best_values = reference_certify_profile(game, profile)
+        assert certificate.per_player_alpha.tobytes() == alphas.tobytes()
+        for player in range(game.num_players):
+            mdp = induced_mdp(game, profile, player)
+            expected = reference_induced_mdp(game, profile, player)
+            assert mdp.transitions.tobytes() == expected.transitions.tobytes()
+            assert mdp.rewards.tobytes() == expected.rewards.tobytes()
+            assert (certificate.per_player_value[player].values.tobytes()
+                    == values[player].tobytes())
+            assert (certificate.per_player_best_response_value[player]
+                    .values.tobytes() == best_values[player].tobytes())
+            best, greedy = solve_optimal(mdp)
+            best_ref, greedy_ref = reference_solve_optimal(mdp)
+            assert best.values.tobytes() == best_ref.values.tobytes()
+            assert (greedy.probabilities.tobytes()
+                    == greedy_ref.probabilities.tobytes())
 
 
 class TestDiscountGuard:

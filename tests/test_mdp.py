@@ -358,7 +358,8 @@ class TestEvaluationKernels:
         assert (_action_values(game, values, state).tobytes()
                 == q[:, state].tobytes())
         pi1, pi2 = (s.probabilities for s in profile.strategies)
-        chain = _policy_values(game, *_profile_chain(game, (pi1, pi2))).T
+        chain = _policy_values(game, *_profile_chain(
+            game.transitions, game.rewards, (pi1, pi2))).T
         assert (chain.tobytes()
                 == reference_profile_values(game, pi1, pi2).tobytes())
 
@@ -367,7 +368,8 @@ class TestEvaluationKernels:
     def test_chain_value_matches_each_induced_mdp(self, case):
         game, profile, _ = case
         chain = _policy_values(game, *_profile_chain(
-            game, [s.probabilities for s in profile.strategies])).T
+            game.transitions, game.rewards,
+            [s.probabilities for s in profile.strategies])).T
         for player, strategy in enumerate(profile.strategies):
             mdp = induced_mdp(game, profile, player)
             value = evaluate_policy(mdp, strategy).values

@@ -335,6 +335,31 @@ class TestBimatrixNash:
             assert (np.array(payoffs).tobytes()
                     == np.array(ref_payoffs).tobytes())
 
+    #: A 2x2 game one unit in the last place from integer payoffs. At tol 0
+    #: no pure cell passes: the best, (row 1, column 0), gains 2**-52. The
+    #: scan's one candidate, row 1 against the mixture (2/3, 1/3), passes
+    #: its residual test and gains 2**-52 too, so the smallest-gain
+    #: fallback decides, on a tie.
+    TIE_A = np.array([[-1.0, 0.0], [2.0**-52, -2.0]])
+    TIE_B = np.array([[2.0, -1.0 - 2.0**-52], [-2.0, -2.0 + 2.0**-52]])
+
+    def test_fallback_keeps_the_earlier_pair_on_a_tie(self):
+        # A later candidate that ties must not replace the seed: a ``<=``
+        # in the fallback update returns the mixture instead.
+        x, y = solver._mixed_supports(np.stack([self.TIE_A, self.TIE_B]), 0.0,
+                                      np.array([0.0, 1.0]),
+                                      np.array([1.0, 0.0]), 2.0**-52)
+        assert x.tolist() == [0.0, 1.0] and y.tolist() == [1.0, 0.0]
+
+    def test_fallback_is_seeded_by_the_best_pure_cell(self, monkeypatch):
+        """A direct ``_mixed_supports`` call passes its own seed, so only a
+        call through ``_stage_nash`` tells a seed of gain np.inf apart from
+        the pure cell's: with it the tied candidate would win."""
+        monkeypatch.setattr(solver, "_NASH_TOL", 0.0)
+        x, y, (payoff_x, payoff_y) = bimatrix_nash(self.TIE_A, self.TIE_B)
+        assert x.tolist() == [0.0, 1.0] and y.tolist() == [1.0, 0.0]
+        assert (payoff_x, payoff_y) == (2.0**-52, -2.0)
+
 
 def stacked(*games):
     """One (2, S, m, n) payoff stack from S games of one shape."""
