@@ -14,11 +14,8 @@ given its flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import bounds, experiments, games, metrics
 from .equilibrium import certify_profile
@@ -39,39 +36,24 @@ class _Failure(Exception):
         super().__init__(message)
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse):
+    """``parse`` applied to the file's text. An unreadable file or a format
+    error exits 2; a game that breaks the model invariants exits 1."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {path}: {exc}") from exc
-
-
-def _load_game(path: str) -> games.MarkovGame:
-    text = _read_text(path)
     try:
-        return games.parse_game(text)
+        return parse(text)
     except games.GameValidationError as exc:
-        raise _Failure(
-            EXIT_DOMAIN, f"{path}: " + "; ".join(exc.violations)
-        ) from exc
-    except games.GameFormatError as exc:
-        raise _Failure(EXIT_IO, f"{path}: {exc}") from exc
-
-
-def _load_profile(path: str) -> games.StrategyProfile:
-    text = _read_text(path)
-    try:
-        return games.parse_profile(text)
+        raise _Failure(EXIT_DOMAIN,
+                       f"{path}: " + "; ".join(exc.violations)) from exc
     except games.GameFormatError as exc:
         raise _Failure(EXIT_IO, f"{path}: {exc}") from exc
 
 
 def _cmd_validate(args) -> int:
-    text = _read_text(args.game)
-    try:
-        game = games.parse_game(text, validate=False)
-    except games.GameFormatError as exc:
-        raise _Failure(EXIT_IO, f"{args.game}: {exc}") from exc
+    game = _load(args.game, lambda t: games.parse_game(t, validate=False))
     violations = games.validate_game(game)
     for violation in violations:
         print(violation)
@@ -79,8 +61,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    game = _load_game(args.game)
-    profile = _load_profile(args.profile)
+    game = _load(args.game, games.parse_game)
+    profile = _load(args.profile, games.parse_profile)
     certificate = certify_profile(game, profile, args.tol)
     print("player,alpha")
     for player, alpha in enumerate(certificate.alpha_clamped(), start=1):
@@ -89,23 +71,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    game = _load_game(args.game)
-    approx = _load_game(args.approx_game)
+    game = _load(args.game, games.parse_game)
+    approx = _load(args.approx_game, games.parse_game)
     ipm_kind = _IPM_FLAGS[args.ipm]
     values = None
     profile = None
     if args.values:
-        doc = _read_text(args.values)
-        try:
-            parsed = json.loads(doc)
-            values = [np.asarray(v, dtype=np.float64)
-                      for v in parsed["values"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise _Failure(
-                EXIT_IO,
-                f"{args.values}: expected JSON object with a 'values' array "
-                f"of per-player vectors ({exc})",
-            ) from exc
+        values = _load(args.values, games._parse_values)
     else:
         if approx.num_players != 2:
             raise _Failure(
@@ -145,7 +117,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    game = _load_game(args.game)
+    game = _load(args.game, games.parse_game)
     result = solve_mpe(game, tol=args.tol, max_iter=args.max_iter,
                        seed=args.seed)
     profile_doc = games.serialize_profile(result.profile)
@@ -181,7 +153,7 @@ def _summary_path(records_path: str) -> Path:
 
 
 def _cmd_experiment(args) -> int:
-    game = _load_game(args.game)
+    game = _load(args.game, games.parse_game)
     if game.num_players != 2:
         raise _Failure(EXIT_DOMAIN, "experiments need a two-player game")
     records = experiments.run_experiments(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -423,34 +424,57 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile,
 #   metric       optional square array
 #
 # Keys appear in state order, then lexicographic joint-action order, so that
-# serialize(parse(doc)) == doc for canonical documents.
+# serialize(parse(doc)) == doc for canonical documents. Profiles are
+# {"players": N, "strategies": [per-player state rows]} and values files
+# {"values": [per-player state vectors]}. In all three, a number is a JSON
+# number within the float range, never a bool or a string (1e400 reads as
+# infinity, which the model checks report), and no object repeats a key.
 
 
-def _transition_key(game: MarkovGame, state: int, joint_index: int) -> str:
-    return f"{game.states[state]}|{game.joint_action_label(joint_index)}"
+def _document_keys(states, action_sets) -> list[str]:
+    """The transition and reward keys "state|a1,a2,..." in canonical order."""
+    labels = [",".join(joint) for joint in itertools.product(*action_sets)]
+    return [f"{state}|{label}" for state in states for label in labels]
 
 
 def serialize_game(game: MarkovGame) -> str:
     """Render a game as a canonical JSON document (trailing newline)."""
-    transitions = {}
-    rewards: list[dict[str, float]] = [{} for _ in range(game.num_players)]
-    for s in range(game.num_states):
-        for j in range(game.num_joint_actions):
-            key = _transition_key(game, s, j)
-            transitions[key] = [float(x) for x in game.transitions[s, j]]
-            for i in range(game.num_players):
-                rewards[i][key] = float(game.rewards[i, s, j])
+    keys = _document_keys(game.states, game.action_sets)
+    rows = game.transitions.reshape(len(keys), game.num_states).tolist()
+    rewards = game.rewards.reshape(game.num_players, len(keys)).tolist()
     doc = {
         "players": game.num_players,
         "states": list(game.states),
         "actions": [list(acts) for acts in game.action_sets],
         "gamma": float(game.discount),
-        "transitions": transitions,
-        "rewards": rewards,
+        "transitions": dict(zip(keys, rows)),
+        "rewards": [dict(zip(keys, entries)) for entries in rewards],
     }
     if game.metric is not None:
-        doc["metric"] = [[float(x) for x in row] for row in game.metric]
+        doc["metric"] = game.metric.tolist()
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise GameFormatError(f"duplicate key '{key}'")
+    return obj
+
+
+def _load_object(text: str) -> dict:
+    """The object a JSON document holds; ``GameFormatError`` for invalid
+    JSON (with its position), a repeated key or a top-level non-object."""
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise GameFormatError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise GameFormatError("top-level value must be an object")
+    return doc
 
 
 def _require(doc: dict, field: str, kind, kind_name: str):
@@ -463,30 +487,44 @@ def _require(doc: dict, field: str, kind, kind_name: str):
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON int or float (never a bool) as a float; else a format error."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
         raise GameFormatError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise GameFormatError(f"{where} is outside the float range") from exc
+
+
+def _keyed_values(entries, keys: list[str], where: str) -> list:
+    """An object's values in key order. Raises ``GameFormatError`` for a
+    non-object, the first missing key, then the first unknown key."""
+    if not isinstance(entries, dict):
+        raise GameFormatError(f"{where} must be an object")
+    try:
+        values = [entries[key] for key in keys]
+    except KeyError as exc:
+        raise GameFormatError(f"{where} missing key '{exc.args[0]}'") from exc
+    if len(entries) > len(keys):
+        known = set(keys)
+        unknown = next(key for key in entries if key not in known)
+        raise GameFormatError(f"{where} has unknown key '{unknown}'")
+    return values
 
 
 def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
     """Parse a game document.
 
     Raises:
-        GameFormatError: malformed JSON, or missing, unknown or ill-typed
-            fields or keys; the message carries the offending line or key.
+        GameFormatError: malformed JSON, or missing, unknown, repeated or
+            ill-typed fields or keys; the message names the line or entry.
         GameValidationError: the document parses but violates invariants
             (only when ``validate`` is true; violations are listed, never
             silently repaired).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise GameFormatError("top-level value must be an object")
-
+    doc = _load_object(text)
     players = _require(doc, "players", int, "an integer")
     if players < 1:
         raise GameFormatError("field 'players' must be a positive integer")
@@ -508,9 +546,8 @@ def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
             )
         if len(set(acts)) != len(acts):
             raise GameFormatError(f"actions of player {i + 1} have duplicates")
-    if "gamma" not in doc:
-        raise GameFormatError("missing field 'gamma'")
-    gamma = _number(doc["gamma"], "field 'gamma'")
+    gamma = _number(_require(doc, "gamma", (int, float), "a number"),
+                    "field 'gamma'")
 
     trans_doc = _require(doc, "transitions", dict, "an object")
     rew_doc = _require(doc, "rewards", list, "an array")
@@ -520,41 +557,19 @@ def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
         )
 
     s_count = len(states)
-    labels = [",".join(combo)
-              for combo in itertools.product(*(list(a) for a in actions))]
-    a_count = len(labels)
-    trans = np.zeros((s_count, a_count, s_count))
-    rew = np.zeros((players, s_count, a_count))
-    for s in range(s_count):
-        for j in range(a_count):
-            key = f"{states[s]}|{labels[j]}"
-            if key not in trans_doc:
-                raise GameFormatError(f"transitions missing key '{key}'")
-            row = trans_doc[key]
-            if not isinstance(row, list) or len(row) != s_count:
-                raise GameFormatError(
-                    f"transition row '{key}' must be an array of {s_count} numbers"
-                )
-            trans[s, j] = [_number(x, f"transitions['{key}']") for x in row]
-            for i in range(players):
-                if not isinstance(rew_doc[i], dict):
-                    raise GameFormatError(
-                        f"rewards of player {i + 1} must be an object"
-                    )
-                if key not in rew_doc[i]:
-                    raise GameFormatError(
-                        f"rewards of player {i + 1} missing key '{key}'"
-                    )
-                rew[i, s, j] = _number(rew_doc[i][key],
-                                       f"rewards[{i + 1}]['{key}']")
-    known = {f"{state}|{label}" for state in states for label in labels}
-    fields = {"transitions": trans_doc}
-    fields.update((f"rewards of player {i + 1}", entries)
-                  for i, entries in enumerate(rew_doc))
-    for where, entries in fields.items():
-        for key in entries:
-            if key not in known:
-                raise GameFormatError(f"{where} has unknown key '{key}'")
+    keys = _document_keys(states, actions)
+    trans = []
+    for key, row in zip(keys, _keyed_values(trans_doc, keys, "transitions")):
+        if not isinstance(row, list) or len(row) != s_count:
+            raise GameFormatError(
+                f"transition row '{key}' must be an array of {s_count} numbers"
+            )
+        where = f"transitions['{key}']"
+        trans.append([_number(x, where) for x in row])
+    rew = [[_number(x, f"rewards[{i + 1}]['{key}']")
+            for key, x in zip(keys, _keyed_values(
+                entries, keys, f"rewards of player {i + 1}"))]
+           for i, entries in enumerate(rew_doc)]
 
     metric = None
     if "metric" in doc:
@@ -565,13 +580,15 @@ def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
             raise GameFormatError(
                 f"field 'metric' must be a {s_count}x{s_count} array"
             )
-        metric = [[_number(x, "metric entry") for x in row] for row in metric_doc]
+        metric = [[_number(x, f"metric entry ({s}, {t})")
+                   for t, x in enumerate(row)]
+                  for s, row in enumerate(metric_doc)]
 
     game = MarkovGame(
         states=states,
         action_sets=[tuple(a) for a in actions],
-        transitions=trans,
-        rewards=rew,
+        transitions=np.reshape(trans, (s_count, -1, s_count)),
+        rewards=np.reshape(rew, (players, s_count, -1)),
         discount=gamma,
         metric=metric,
     )
@@ -586,26 +603,18 @@ def serialize_profile(profile: StrategyProfile) -> str:
     """Render a strategy profile as JSON (per-player arrays of state rows)."""
     doc = {
         "players": profile.num_players,
-        "strategies": [
-            [[float(p) for p in row] for row in strat.probabilities]
-            for strat in profile.strategies
-        ],
+        "strategies": [strat.probabilities.tolist()
+                       for strat in profile.strategies],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_profile(text: str) -> StrategyProfile:
     """Parse a strategy-profile document; raises ``GameFormatError``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise GameFormatError("top-level value must be an object")
+    doc = _load_object(text)
     strategies = _require(doc, "strategies", list, "an array")
-    if "players" in doc and doc["players"] != len(strategies):
+    if ("players" in doc
+            and _number(doc["players"], "field 'players'") != len(strategies)):
         raise GameFormatError(
             f"field 'players' is {doc['players']} but 'strategies' has "
             f"{len(strategies)} entries"
@@ -614,15 +623,28 @@ def parse_profile(text: str) -> StrategyProfile:
         raise GameFormatError("field 'strategies' must be non-empty")
     parsed = []
     for i, rows in enumerate(strategies):
-        if not isinstance(rows, list) or not rows:
+        if (not isinstance(rows, list) or not rows
+                or not all(isinstance(row, list) for row in rows)):
             raise GameFormatError(
                 f"strategy of player {i + 1} must be a non-empty array of rows"
             )
+        probs = [[_number(p, f"probability of player {i + 1} at state {s}")
+                  for p in row] for s, row in enumerate(rows)]
         try:
-            parsed.append(MarkovStrategy(np.array(rows, dtype=np.float64)))
+            parsed.append(MarkovStrategy(probs))
         except ValueError as exc:
             raise GameFormatError(f"strategy of player {i + 1}: {exc}") from exc
     return StrategyProfile(tuple(parsed))
+
+
+def _parse_values(text: str) -> list[list[float]]:
+    """Parse a values document; raises ``GameFormatError``."""
+    vectors = _require(_load_object(text), "values", list, "an array")
+    if not all(isinstance(vector, list) for vector in vectors):
+        raise GameFormatError("field 'values' must be an array of arrays")
+    return [[_number(v, f"value of player {i + 1} at state {s}")
+             for s, v in enumerate(vector)]
+            for i, vector in enumerate(vectors)]
 
 
 def bundled_game(name: str) -> MarkovGame:

@@ -119,11 +119,14 @@ def evaluate_policy(mdp: MarkovGame,
 def _best_response(trans, rew, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration on (S, A, S) transitions and (S, A) rewards:
     (optimal values, one-hot greedy policy of the final Q). gamma P and
-    (1 - gamma) r are formed once; q rounds as ``_action_values``'s does."""
+    (1 - gamma) r are formed once; q rounds as ``_action_values``'s does.
+    Each step improves strictly on a valid model, so a revisit raises."""
     cont, base = gamma * trans, (1.0 - gamma) * rew
     states, identity = np.arange(len(rew)), np.eye(len(rew))
     policy = np.argmax(rew, axis=1)
-    while True:
+    seen = set()
+    while policy.tobytes() not in seen:
+        seen.add(policy.tobytes())
         values = np.linalg.solve(identity - cont[states, policy],
                                  base[states, policy])
         q = _require_finite("action value", base + np.vecdot(cont, values))
@@ -132,6 +135,8 @@ def _best_response(trans, rew, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         if not improve.any():
             return values, np.eye(rew.shape[1])[np.argmax(q, axis=1)]
         policy = np.where(improve, np.argmax(q, axis=1), policy)
+    raise ValueError("policy iteration revisited a policy; validate_game "
+                     "lists the transition rows that are not distributions")
 
 
 def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
@@ -140,8 +145,8 @@ def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
     Howard policy iteration: evaluate exactly, then switch the states whose
     greedy action gains more than a roundoff margin (so ties cannot cycle),
     until none does. Greedy ties break toward the lowest action index.
-    A discount outside (0, 1) or a non-finite action value raises
-    ``ValueError``.
+    A discount outside (0, 1), a non-finite action value or a revisited
+    policy (rows that are not distributions) raises ``ValueError``.
     """
     _check_dims(mdp)
     check_discount(mdp.discount)

@@ -9,6 +9,7 @@ deviation enumeration.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 from hypothesis import strategies as st
@@ -28,6 +29,17 @@ def random_mdp(rng, num_states=3, num_actions=2, discount=0.9,
     """A random MDP: a one-player game with ``num_actions`` actions."""
     return random_game(rng, num_states, (num_actions,), discount,
                        reward_low, reward_high)
+
+
+def with_duplicate(doc: dict, key: str, value, occurrence: int = 0) -> str:
+    """``json.dumps(doc)`` with the ``occurrence``-th member named ``key``
+    written twice, as ``"key": value`` and then as in ``doc``."""
+    name = json.dumps(key) + ": "
+    text = json.dumps(doc)
+    at = -1
+    for _ in range(occurrence + 1):
+        at = text.index(name, at + 1)
+    return text[:at] + name + json.dumps(value) + ", " + text[at:]
 
 
 def random_game(rng, num_states=3, action_counts=(2, 2), discount=0.9,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import with_duplicate
 from mpekit.cli import main
 from mpekit.games import (
     bundled_game,
@@ -131,6 +132,48 @@ def test_library_checks_surface_as_exit_one(capsys, game_files, profile_file,
     assert code == 1
     assert out == ""
     assert err.startswith(message)
+
+
+def _huge_integer(text):
+    doc = json.loads(text)
+    doc["rewards"][0]["1|1,1"] = 10 ** 399
+    return json.dumps(doc)
+
+
+def _duplicate_transition(text):
+    return with_duplicate(json.loads(text), "1|1,1", [0.4, 0.4, 0.2])
+
+
+def _profile_with_true(text):
+    doc = json.loads(text)
+    doc["strategies"][0][0] = [True, 0]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("validate", _huge_integer,
+     "rewards[1]['1|1,1'] is outside the float range"),
+    ("validate", _duplicate_transition, "duplicate key '1|1,1'"),
+    ("certify", _profile_with_true,
+     "probability of player 1 at state 0 must be a number"),
+    ("bound", lambda _: '{"values": [[0.5, "0.5", 0.5], [0.5, 0.5, 0.5]]}',
+     "value of player 1 at state 1 must be a number"),
+], ids=["huge-integer", "duplicate-key", "profile-true", "values-string"])
+def test_malformed_documents_exit_two(capsys, game_files, profile_file,
+                                      tmp_path, command, edit, message):
+    original = str(game_files["original"])
+    source = {"validate": game_files["original"], "certify": profile_file,
+              "bound": profile_file}[command]
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(source.read_text()))
+    argv = {"validate": ["validate", str(bad)],
+            "certify": ["certify", original, str(bad)],
+            "bound": ["bound", original, str(game_files["perturbed"]),
+                      "--ipm", "tv", "--values", str(bad)]}[command]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: {message}\n"
 
 
 class TestBound:

@@ -16,9 +16,11 @@ from helpers import (
     reference_metric_violations,
     reference_strategy_rows,
     reference_stochastic_violations,
+    with_duplicate,
 )
 from mpekit.games import (
     STOCHASTIC_ATOL,
+    _parse_values,
     GameFormatError,
     GameValidationError,
     MarkovGame,
@@ -295,6 +297,174 @@ class TestParsing:
         # json.loads accepts the NaN literal.
         with pytest.raises(GameFormatError, match="player 2: non-finite"):
             parse_profile('{"strategies": [[[1.0, 0.0]], [[NaN, 1.0]]]}')
+
+
+#: The values a reader must refuse as a number, by name.
+NOT_NUMBERS = {"bool": True, "numeric string": "0.5", "400-digit integer":
+               10 ** 399}
+
+
+@st.composite
+def faulty_game_documents(draw):
+    """A serialized game with one fault in transitions, rewards, metric or
+    gamma, and the key or entry its message must name."""
+    game = draw(serializable_games())
+    doc = json.loads(serialize_game(game))
+    places = ["transitions", "rewards", "gamma"]
+    if game.metric is not None:
+        places.append("metric")
+    place = draw(st.sampled_from(places))
+    fault = draw(st.sampled_from(["missing key", "unknown key",
+                                  "duplicated key", *NOT_NUMBERS]))
+    keys = list(doc["transitions"])
+    key = draw(st.sampled_from(keys))
+    player = draw(st.integers(0, game.num_players - 1))
+    s, t = draw(st.integers(0, game.num_states - 1)), draw(
+        st.integers(0, game.num_states - 1))
+    if place == "transitions":
+        owner, occurrence, name = doc["transitions"], 0, f"transitions['{key}']"
+    elif place == "rewards":
+        owner, occurrence = doc["rewards"][player], player + 1
+        name = f"rewards[{player + 1}]['{key}']"
+    else:
+        owner, occurrence, key = doc, 0, place
+        name = ("field 'gamma'" if place == "gamma"
+                else f"metric entry ({s}, {t})")
+    if fault == "missing key":
+        if place == "metric":
+            doc["metric"][s].pop()
+            return json.dumps(doc), "field 'metric'"
+        del owner[key]
+        return json.dumps(doc), f"'{key}'"
+    if fault == "unknown key":
+        # An unknown top-level field is allowed; put the key into the
+        # transitions or rewards object instead.
+        if place in ("gamma", "metric"):
+            owner = doc["transitions"]
+        owner["bogus|key"] = owner[keys[0]]
+        return json.dumps(doc), "unknown key 'bogus|key'"
+    if fault == "duplicated key":
+        return (with_duplicate(doc, key, owner[key], occurrence),
+                f"duplicate key '{key}'")
+    bad = NOT_NUMBERS[fault]
+    if place == "transitions":
+        owner[key][t] = bad
+    elif place == "rewards":
+        owner[key] = bad
+    elif place == "metric":
+        doc["metric"][s][t] = bad
+    else:
+        doc["gamma"] = bad
+    return json.dumps(doc), name
+
+
+def serialized_profile(rng, num_players=2) -> dict:
+    return json.loads(serialize_profile(StrategyProfile(tuple(
+        random_strategy(rng, 3, 2) for _ in range(num_players)))))
+
+
+@st.composite
+def profiles(draw):
+    """Profiles of up to 3 players, 4 states and 3 actions; rows are
+    normalized weights, some entries as small as 1e-300."""
+    num_states = draw(st.integers(1, 4))
+    strategies = []
+    for count in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        weights = draw(arrays(np.float64, (num_states, count), elements=(
+            st.floats(0.01, 1.0) | st.just(0.0)))) + 1e-300
+        strategies.append(MarkovStrategy(
+            weights / weights.sum(axis=1, keepdims=True)))
+    return StrategyProfile(tuple(strategies))
+
+
+class TestReader:
+    """Games, profiles and values files: one loader, one number rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_game_documents())
+    def test_each_game_fault_is_named(self, case):
+        text, name = case
+        with pytest.raises(GameFormatError) as excinfo:
+            parse_game(text, validate=False)
+        assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("fault", NOT_NUMBERS)
+    def test_profile_numbers(self, fault):
+        doc = serialized_profile(np.random.default_rng(5))
+        doc["strategies"][1][2][0] = NOT_NUMBERS[fault]
+        with pytest.raises(GameFormatError,
+                           match="probability of player 2 at state 2"):
+            parse_profile(json.dumps(doc))
+        doc = serialized_profile(np.random.default_rng(5))
+        doc["players"] = NOT_NUMBERS[fault]
+        with pytest.raises(GameFormatError, match="field 'players'"):
+            parse_profile(json.dumps(doc))
+
+    def test_profile_players_true_is_not_one(self):
+        doc = serialized_profile(np.random.default_rng(5), num_players=1)
+        doc["players"] = True
+        with pytest.raises(GameFormatError,
+                           match="field 'players' must be a number"):
+            parse_profile(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["players", "strategies"])
+    def test_profile_duplicate_key(self, key):
+        doc = serialized_profile(np.random.default_rng(5))
+        with pytest.raises(GameFormatError, match=f"duplicate key '{key}'"):
+            parse_profile(with_duplicate(doc, key, doc[key]))
+
+    @pytest.mark.parametrize("rows,message", [
+        ([0.5, 0.5], "player 2 must be a non-empty array of rows"),
+        ([[1.0, 0.0], 1.0], "player 2 must be a non-empty array of rows"),
+        ([], "player 2 must be a non-empty array of rows"),
+        ([[1.0, 0.0], [1.0]], "player 2: setting an array element"),
+    ])
+    def test_profile_rows_that_are_no_matrix(self, rows, message):
+        doc = serialized_profile(np.random.default_rng(5))
+        doc["strategies"][1] = rows
+        with pytest.raises(GameFormatError, match=message):
+            parse_profile(json.dumps(doc))
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles())
+    def test_profile_round_trip_is_byte_identical(self, profile):
+        doc = serialize_profile(profile)
+        assert serialize_profile(parse_profile(doc)) == doc
+
+    def test_values_parse_as_floats(self):
+        values = _parse_values('{"values": [[1, 0.5], []], "note": 1}')
+        assert values == [[1.0, 0.5], []]
+        assert [type(v) for v in values[0]] == [float, float]
+
+    @pytest.mark.parametrize("fault", NOT_NUMBERS)
+    def test_values_numbers(self, fault):
+        text = json.dumps({"values": [[0.1, 0.2], [0.3, NOT_NUMBERS[fault]]]})
+        with pytest.raises(GameFormatError,
+                           match="value of player 2 at state 1"):
+            _parse_values(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"value": [[0.1]]}', "missing field 'values'"),
+        ('{"values": [[0.1]], "values": [[0.2]]}', "duplicate key 'values'"),
+        ('{"values": [0.1]}', "field 'values' must be an array of arrays"),
+        ('{"values": {"1": [0.1]}}', "field 'values' must be an array"),
+        ('[[0.1]]', "top-level value must be an object"),
+        ('{"values": [[0.1]', "invalid JSON at line 1"),
+    ])
+    def test_values_document_faults(self, text, message):
+        with pytest.raises(GameFormatError, match=message):
+            _parse_values(text)
+
+    def test_non_finite_literals_reach_the_model_checks(self):
+        # NaN, Infinity and a decimal beyond the float range are JSON
+        # numbers here; the model checks, not the reader, reject them.
+        doc = json.loads(serialize_game(tiny_game()))
+        doc["rewards"][0]["a|x"] = "__"
+        for literal in ("NaN", "Infinity", "1e400"):
+            text = json.dumps(doc).replace('"__"', literal)
+            with pytest.raises(GameValidationError, match="not finite"):
+                parse_game(text)
+        assert _parse_values('{"values": [[NaN, 1e400]]}')[0][1] == np.inf
 
 
 class TestStrategies:

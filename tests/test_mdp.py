@@ -1,3 +1,6 @@
+import signal
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from helpers import (
     reference_strategy_transitions,
     small_mdps,
 )
-from mpekit.equilibrium import certify_profile
+from mpekit.equilibrium import certify_profile, is_mpe
 from mpekit.games import (MarkovGame, MarkovStrategy, StrategyProfile,
                           ValueFunction, induced_mdp)
 from mpekit.mdp import (
@@ -215,6 +218,35 @@ class TestDiscountGuard:
             solve_optimal(mdp)
         with pytest.raises(ValueError, match="discount"):
             certify_profile(mdp, StrategyProfile((MarkovStrategy([[1.0]]),)))
+
+
+def test_policy_iteration_raises_on_a_revisited_policy(original_game):
+    # A transition row that is not a distribution makes gamma P expand, and
+    # Howard's policies cycle (by step 2 for player 0, 3 for player 1). The
+    # timer turns a spin into a failure instead of a hang.
+    transitions = original_game.transitions.copy()
+    transitions[2, 3] = [5.0, 0.2, 0.1]
+    game = replace(original_game, transitions=transitions)
+    uniform = StrategyProfile((MarkovStrategy(np.full((3, 2), 0.5)),) * 2)
+    calls = (lambda: certify_profile(game, uniform),
+             lambda: is_mpe(game, uniform),
+             lambda: solve_optimal(induced_mdp(game, uniform, 0)),
+             lambda: solve_optimal(induced_mdp(game, uniform, 1)))
+
+    def spin(signum, frame):
+        raise TimeoutError("policy iteration still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, spin)
+    try:
+        for call in calls:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(ValueError, match="revisited a policy.*"
+                                                 "distribution"):
+                call()
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_planners_reject_a_game_of_two_players():
