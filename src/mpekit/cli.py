@@ -37,12 +37,15 @@ class _Failure(Exception):
 
 
 def _load(path: str, parse):
-    """``parse`` applied to the file's text. An unreadable file or a format
-    error exits 2; a game that breaks the model invariants exits 1."""
+    """``parse`` applied to the file's text. An unreadable file, text that
+    is not UTF-8 or a format error exits 2; a game that breaks the model
+    invariants exits 1."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Failure(EXIT_IO, f"{path}: {exc}") from exc
     try:
         return parse(text)
     except games.GameValidationError as exc:

@@ -432,9 +432,18 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile,
 
 
 def _document_keys(states, action_sets) -> list[str]:
-    """The transition and reward keys "state|a1,a2,..." in canonical order."""
+    """The transition and reward keys "state|a1,a2,..." in canonical order.
+
+    Names may hold '|' and ',', but two (state, joint action) pairs that
+    give one key raise ``GameFormatError``: one row would serve both.
+    """
     labels = [",".join(joint) for joint in itertools.product(*action_sets)]
-    return [f"{state}|{label}" for state in states for label in labels]
+    keys = [f"{state}|{label}" for state in states for label in labels]
+    if len(set(keys)) < len(keys):
+        key = next(k for k, n in Counter(keys).items() if n > 1)
+        raise GameFormatError(f"two (state, joint action) pairs share the "
+                              f"key '{key}'")
+    return keys
 
 
 def serialize_game(game: MarkovGame) -> str:
@@ -465,13 +474,16 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_object(text: str) -> dict:
     """The object a JSON document holds; ``GameFormatError`` for invalid
-    JSON (with its position), a repeated key or a top-level non-object."""
+    JSON (with its position), nesting too deep for the parser, a repeated
+    key or a top-level non-object."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GameFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise GameFormatError("JSON nests too deeply") from exc
     if not isinstance(doc, dict):
         raise GameFormatError("top-level value must be an object")
     return doc

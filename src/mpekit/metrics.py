@@ -10,10 +10,12 @@ the point-mass closed form by as much as 4.9e-7, about 1e-7 of the
 metric's diameter.
 
 A maximum of W1 over many rows (delta between two games, L_P of one game)
-takes three steps off the line: closed-form bounds on every row, one
-batched min-cost-flow LP on the rows whose upper bound reaches the largest
-lower bound, and the per-row LP on the rows whose flow value is within a
-margin of the best. It equals the largest per-row LP value.
+takes three steps off the line. Bound: closed-form lower and upper bounds
+on every row drop the rows whose upper bound is below the largest lower
+bound by more than a margin. Bracket: a fixed number of Sinkhorn scalings,
+batched over the survivors, tighten both bounds and drop rows by the same
+rule. Confirm: the per-row LP on the rows that are left. The maximum equals
+the largest per-row LP value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import identity, kron
 
 from .games import (
     MarkovGame,
@@ -177,35 +178,62 @@ def _w1(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
     return float(_w1_line(mu, nu, coords))
 
 
-def _flow_values(supply: np.ndarray, metric: np.ndarray) -> np.ndarray | None:
-    """Min-cost-flow value of each row of supply (mu - nu), all rows in one
-    block-diagonal LP, or None if HiGHS does not succeed.
+#: The bracket's entropic regularisation, as a share of the metric's
+#: diameter, and its number of Sinkhorn scalings. Its bounds hold for any
+#: values; these decide only how many rows reach an LP.
+_BRACKET_EPSILON = 0.01
+_BRACKET_SCALINGS = 100
 
-    W1 on a metric is the cheapest flow over its complete graph, and an arc
-    i -> j that some third state k shortcuts (d_ik + d_kj <= d_ij) can be
-    routed through k at no extra cost, so only the other arcs are kept: 24
-    of the 72 on a 3 x 3 grid. One node's balance per row is left out, so a
-    row summing to 1 only within the row rule's tolerance stays feasible.
+#: Most (row, state, state) entries one bracket block holds: 8 MB a plan.
+_BRACKET_ENTRIES = 2 ** 20
+
+
+def _bracket(diff: np.ndarray, metric: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on W1 of each row of diff (mu - nu) from a
+    fixed number of Sinkhorn scalings; -inf and inf where they are not
+    finite.
+
+    With a and b the positive and negative parts of a row, of masses m and
+    m', W1 = W1(a, b) = m W1(p, q) for the unit-mass p = a / m, q = b / m'
+    when m = m'. Sinkhorn's scalings u, v with the kernel exp(-d / eps)
+    give a plan, rounded to an exact coupling of p and q (Altschuler, Weed
+    and Rigollet, Alg. 2) whose price bounds W1 from above; and f = eps
+    log u on supp p gives phi(x) = max_k (f_k - d(x, k)), 1-Lipschitz, so
+    (p - q) . phi bounds it from below.
     """
-    n = len(metric)
-    eye = np.eye(n, dtype=bool)
-    via = metric[:, :, None] + metric[None, :, :]          # [i, k, j]
-    third = ~(eye[:, :, None] | eye[None, :, :])
-    shortcut = np.any((via <= metric[:, None, :]) & third, axis=1)
-    tail, head = np.nonzero(~shortcut & ~eye)
-    arcs = np.arange(len(tail))
-    incidence = np.zeros((n, len(tail)))
-    incidence[tail, arcs] = 1.0
-    incidence[head, arcs] = -1.0
-    cost = metric[tail, head]
-    rows = len(supply)
-    result = linprog(np.tile(cost, rows),
-                     A_eq=kron(identity(rows), incidence[:-1], format="csc"),
-                     b_eq=supply[:, :-1].reshape(-1), bounds=(0, None),
-                     method="highs")
-    if not result.success:
-        return None
-    return result.x.reshape(rows, -1) @ cost
+    a = np.clip(diff, 0.0, None)
+    b = np.clip(-diff, 0.0, None)
+    mass = a.sum(-1)
+    kernel = np.exp(-metric / (_BRACKET_EPSILON * metric.max()))
+    # A zero mass, an overflow or an underflow gives inf or NaN, and such a
+    # row keeps its closed-form bounds.
+    with np.errstate(all="ignore"):
+        p = a / mass[:, None]
+        q = b / b.sum(-1, keepdims=True)
+        v = np.ones_like(q)
+        for _ in range(_BRACKET_SCALINGS):
+            u = p / (v @ kernel)        # the kernel is symmetric
+            v = q / (u @ kernel)
+        plan = u[:, :, None] * kernel * v[:, None, :]
+        # fmin leaves the 0 / 0 of a state outside a support at 1.
+        plan *= np.fmin(p / plan.sum(-1), 1.0)[:, :, None]
+        plan *= np.fmin(q / plan.sum(-2), 1.0)[:, None, :]
+        short_p = np.clip(p - plan.sum(-1), 0.0, None)
+        short_q = np.clip(q - plan.sum(-2), 0.0, None)
+        missing = short_q.sum(-1)
+        upper = (plan * metric).sum((-2, -1)) + np.einsum(
+            "ri,ij,rj->r", short_p, metric, short_q) / np.where(
+                missing > 0.0, missing, 1.0)
+        # Centred so that the winning terms, and so phi, stay within
+        # diam(d) of 0, where their roundoff is a few ulps of diam(d).
+        f = _BRACKET_EPSILON * metric.max() * np.log(u)
+        f -= f.max(-1, keepdims=True)
+        phi = (f[:, None, :] - metric).max(-1)
+        lower = ((p - q) * phi).sum(-1)
+        upper, lower = mass * upper, mass * lower
+    return (np.where(np.isfinite(lower), lower, -np.inf),
+            np.where(np.isfinite(upper), upper, np.inf))
 
 
 def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
@@ -221,16 +249,27 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
        routing all surplus through k. Rows whose upper bound is below the
        largest lower bound by more than the margin are dropped, block by
        block, so memory stays at one block plus the survivors.
-    2. Filter: the survivors' flow values from one batched LP.
-    3. Confirm: ``_w1_lp`` on each survivor whose flow value is within the
-       margin of the best (on every survivor if the batched LP failed).
+    2. Bracket: ``_bracket``'s Sinkhorn bounds on the survivors, in blocks
+       of at most ``_BRACKET_ENTRIES`` plan entries, tighten each row's
+       bounds to the larger lower and the smaller upper one, and rows are
+       dropped again by the same rule. A row whose bracket is not finite
+       keeps its closed-form bounds.
+    3. Confirm: ``_w1_lp`` on each row that is left.
 
     The margin, 4 (2n + 1) 1e-7 diam(d) / min_scale, covers HiGHS's error,
     not only roundoff: each of an LP's 2n balance rows may miss by its
     feasibility tolerance 1e-7 of mass, costing at most diam(d) to move,
     and its reduced costs by 1e-7; two values are compared, each with an
-    error from the bound or flow step and one from ``_w1_lp``. Rows with
-    mu = nu are kept: HiGHS may give them a value of order 1e-17, not 0.
+    error from a bound and one from ``_w1_lp``. The bracket's bounds are
+    exact for the unit-mass parts up to a few ulps of diam(d) per entry
+    summed, and a checked row sums to 1 within (n + 1) 1e-9 once its
+    negative entries are clipped, so the masses of a row's two parts differ
+    by at most 2 (n + 1) 1e-9, which costs at most that times diam(d):
+    both far inside the margin.
+
+    When every upper bound is within the margin of 0 (the rows agree), no
+    bound can drop a row, and every row is confirmed: HiGHS may give such
+    a row a value of order 1e-17, not 0.
     """
     coords = _line_embedding(metric)
     if coords is not None:
@@ -252,17 +291,16 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
         upper = (np.abs(diff) @ metric).min(-1) / scale
         kept = np.concatenate([kept, np.column_stack([mu, nu, scale, upper])])
         kept = kept[kept[:, -1] >= lower - margin]
-    mu, nu, scale = kept[:, :n], kept[:, n:2 * n], kept[:, 2 * n]
-    # When every upper bound is within the margin of 0 (the rows agree),
-    # the filter would drop next to nothing: every survivor is confirmed.
     if len(kept) > 1 and kept[:, -1].max() > margin:
-        flow = _flow_values(mu - nu, metric)
-        if flow is not None:
-            flow /= scale
-            near = flow >= flow.max() - margin
-            mu, nu, scale = mu[near], nu[near], scale[near]
-    return max([0.0] + [float(_w1_lp(m, v, metric) / s)
-                        for m, v, s in zip(mu, nu, scale)])
+        size = max(1, _BRACKET_ENTRIES // (n * n))
+        for start in range(0, len(kept), size):
+            block = kept[start:start + size]
+            low, high = _bracket(block[:, :n] - block[:, n:2 * n], metric)
+            lower = max(lower, float(np.max(low / block[:, 2 * n])))
+            block[:, -1] = np.minimum(block[:, -1], high / block[:, 2 * n])
+        kept = kept[kept[:, -1] >= lower - margin]
+    return max([0.0] + [float(_w1_lp(row[:n], row[n:2 * n], metric)
+                              / row[2 * n]) for row in kept])
 
 
 def wasserstein1(mu, nu, metric) -> float:

@@ -176,6 +176,22 @@ def test_malformed_documents_exit_two(capsys, game_files, profile_file,
     assert err == f"error: {bad}: {message}\n"
 
 
+@pytest.mark.parametrize("content,message", [
+    (b'{"players": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+     "JSON nests too deeply"),
+    ('{"players": 1, "states": ["\xe9"]}'.encode("latin-1"),
+     "'utf-8' codec can't decode byte 0xe9 in position 27: invalid "
+     "continuation byte"),
+], ids=["deep-nesting", "latin-1"])
+def test_undecodable_documents_exit_two(capsys, tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, ["validate", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: {message}\n"
+
+
 class TestBound:
     def test_tv_report_solves_equilibrium(self, capsys, game_files):
         code, out, _ = run(capsys, [

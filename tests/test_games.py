@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -70,6 +71,28 @@ def serializable_games(draw):
         metric=(None if points is None
                 else np.abs(points[:, None] - points[None, :])),
     )
+
+
+#: Names drawn mostly from the key separators, so that many games have two
+#: (state, joint action) pairs with one key; the rest is any text.
+NAMES = st.text(st.sampled_from("a|,") | st.characters(), max_size=3)
+
+
+@st.composite
+def named_games(draw):
+    """Games of up to 3 states and 2 players whose state and action names
+    are arbitrary text, repeats included."""
+    states = tuple(draw(st.lists(NAMES, min_size=1, max_size=3)))
+    action_sets = tuple(tuple(draw(st.lists(NAMES, min_size=1, max_size=2)))
+                        for _ in range(draw(st.integers(1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joint = int(np.prod([len(acts) for acts in action_sets]))
+    return MarkovGame(states, action_sets,
+                      rng.dirichlet(np.ones(len(states)),
+                                    size=(len(states), joint)),
+                      rng.uniform(-1.0, 1.0, size=(len(action_sets),
+                                                   len(states), joint)),
+                      0.9)
 
 
 def tiny_game(**overrides):
@@ -274,6 +297,42 @@ class TestParsing:
         else:
             assert reparsed.metric.tobytes() == game.metric.tobytes()
         assert serialize_game(reparsed) == doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(named_games())
+    @example(tiny_game(states=("a", "a|x"), action_sets=(("x|y", "y"),),
+                       rewards=[[[0.0, 1.0], [2.0, 3.0]]]))
+    def test_any_names_round_trip_or_fail_to_serialize(self, game):
+        try:
+            doc = serialize_game(game)
+        except GameFormatError as exc:
+            assert "share the key" in str(exc)
+            return
+        reparsed = parse_game(doc)
+        assert reparsed.states == game.states
+        assert reparsed.action_sets == game.action_sets
+        assert reparsed.transitions.tobytes() == game.transitions.tobytes()
+        assert reparsed.rewards.tobytes() == game.rewards.tobytes()
+
+    def test_colliding_keys_are_named(self):
+        game = tiny_game(states=("a", "a|x"), action_sets=(("x|y", "y"),))
+        message = "two (state, joint action) pairs share the key 'a|x|y'"
+        with pytest.raises(GameFormatError, match=re.escape(message)):
+            serialize_game(game)
+        doc = json.loads(serialize_game(tiny_game()))
+        doc["states"], doc["actions"] = ["a", "a|x"], [["x|y", "y"]]
+        doc["transitions"] = {"a|x|y": [1.0, 0.0], "a|y": [1.0, 0.0],
+                              "a|x|x|y": [0.0, 1.0]}
+        doc["rewards"] = [{"a|x|y": 0.0, "a|y": 1.0, "a|x|x|y": 3.0}]
+        with pytest.raises(GameFormatError, match=re.escape(message)):
+            parse_game(json.dumps(doc))
+
+    def test_separators_in_names_round_trip(self):
+        game = tiny_game(states=("a|b", "c,d"), action_sets=(("x,y", "|"),))
+        reparsed = parse_game(serialize_game(game))
+        assert reparsed.states == game.states
+        assert reparsed.action_sets == game.action_sets
+        assert reparsed.rewards.tobytes() == game.rewards.tobytes()
 
     def test_round_trip_preserves_metric(self):
         game = tiny_game(metric=default_line_metric(2))

@@ -621,3 +621,102 @@ class TestMaxW1MatchesPerRowLps:
                          delta)
         _, l_p = reference_game_lipschitz_constants(g_hat, metric)
         assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
+
+
+def planar_pair(rng, size, joint, noise=0.03):
+    """A game on random points of the unit square with Dirichlet(0.3) rows,
+    and the perturbed game with rows (1 - noise) P + noise Dirichlet(1)."""
+    metric = planar_metric(rng.uniform(size=(size, 2)))
+    rows = rng.dirichlet(np.full(size, 0.3), size=(size, joint))
+    near = ((1.0 - noise) * rows
+            + noise * rng.dirichlet(np.ones(size), size=(size, joint)))
+    rewards = rng.uniform(size=(size, joint))
+    actions = ((("a", "b"),) * 2 if joint == 4
+               else (tuple(str(a) for a in range(joint)),))
+    return [MarkovGame(tuple(str(s) for s in range(size)), actions, p,
+                       np.stack([rewards, 1.0 - rewards])[:len(actions)],
+                       0.9, metric) for p in (rows, near)]
+
+
+class TestBracket:
+    """The Sinkhorn bracket drops rows without changing a bit."""
+
+    # The per-row L_P reference solves S (S - 1) / 2 LPs: 4 s at 30 states.
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(12, 30), st.integers(0, 2**32 - 1))
+    def test_perturbed_planar_pairs_match_per_row_lps(self, size, seed):
+        g, g_hat = planar_pair(np.random.default_rng(seed), size, 1)
+        _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN,
+                                                g.metric)
+        assert same_bits(game_approx_params(g, g_hat, WASSERSTEIN).delta,
+                         delta)
+        _, l_p = reference_game_lipschitz_constants(g_hat, g.metric)
+        assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
+
+    def test_bounds_hold_at_every_metric_scale(self):
+        rng = np.random.default_rng(7)
+        size = 8
+        unit = planar_metric(rng.uniform(size=(size, 2)))
+        unit /= unit.max()
+        eye = np.eye(size)
+        spread = rng.dirichlet(np.full(size, 0.3), size=size)
+        spread[:, 0] = 0.0
+        spread[:, 1] += 1e-300
+        spread /= spread.sum(-1, keepdims=True)
+        mu = np.concatenate([eye, eye, spread, spread, eye[:1]])
+        nu = np.concatenate([eye[::-1], spread, eye, spread[::-1], eye[:1]])
+        # W1 scales with the metric. HiGHS's tolerances are absolute, so its
+        # LP on the metric scaled to a diameter of 1e-8 is no reference.
+        unit_w1 = np.array([_w1_lp(m, v, unit) for m, v in zip(mu, nu)])
+        for diameter in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            metric = diameter * unit
+            low, high = metrics._bracket(mu - nu, metric)
+            # Only the last row, mu = nu, has no bracket.
+            assert np.isfinite(low[:-1]).all() and np.isfinite(high[:-1]).all()
+            assert (low[-1], high[-1]) == (-np.inf, np.inf)
+            slack = 4 * (2 * size + 1) * 1e-7 * diameter
+            assert np.all(low <= diameter * unit_w1 + slack)
+            assert np.all(diameter * unit_w1 <= high + slack)
+            g, g_hat = (MarkovGame(tuple(str(s) for s in range(size)),
+                                   (tuple(str(a) for a in range(4)),),
+                                   rows.reshape(size, 4, size),
+                                   np.zeros((1, size, 4)), 0.9, metric)
+                        for rows in (mu[:-1], nu[:-1]))
+            _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN,
+                                                    metric)
+            assert same_bits(game_approx_params(g, g_hat, WASSERSTEIN).delta,
+                             delta)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grid_pair_solves_at_most_two_lps_per_maximum(self, monkeypatch,
+                                                          seed):
+        # Built as the benchmark's bound_w1 grid pair: 9 states, 2 x 2
+        # actions, rows 0.95 P + 0.05 noise.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        solve = metrics.linprog
+        monkeypatch.setattr(metrics, "linprog", counting)
+        rng = np.random.default_rng(seed)
+        game = replace(random_game(rng, 9, (2, 2), 0.95),
+                       metric=grid_metric(3, 3))
+        noise = random_game(rng, 9, (2, 2), 0.95)
+        near = replace(game, transitions=0.95 * game.transitions
+                       + 0.05 * noise.transitions)
+        game_approx_params(game, near, WASSERSTEIN)
+        assert 1 <= len(calls) <= 2
+        calls.clear()
+        game_lipschitz_constants(near)
+        assert 1 <= len(calls) <= 2
+
+    def test_hundred_planar_states_report_within_seconds(self):
+        rng = np.random.default_rng(0)
+        g, g_hat = planar_pair(rng, 100, 4)
+        start = time.perf_counter()
+        report = robustness_report(g, g_hat, WASSERSTEIN,
+                                   profile=random_profile(rng, g_hat))
+        assert time.perf_counter() - start < 10.0
+        assert report.delta > 0.0
