@@ -4,10 +4,12 @@ Two integral probability metrics are implemented: total variation (paired
 with the span seminorm) and Wasserstein-1 (paired with the Lipschitz
 constant). Total variation is the half-L1 closed form. Wasserstein-1 uses
 the cumulative-mass formula whenever the metric embeds isometrically in the
-line, and otherwise a transportation LP solved by HiGHS, which is exact
-only up to HiGHS's feasibility tolerance: on random planar pairs it was off
-the point-mass closed form by as much as 4.9e-7, about 1e-7 of the
-metric's diameter.
+line, and otherwise a transportation LP solved by HiGHS on the metric
+scaled to a diameter of 1, which is exact only up to HiGHS's feasibility
+tolerance: on random planar pairs it was off the point-mass closed form by
+as much as 4.9e-7, about 1e-7 of the metric's diameter, at any scale.
+Equal distributions are 0 without an LP. scipy is imported on the first
+transport LP, so the rest of the package runs on numpy alone.
 
 A maximum of W1 over many rows (delta between two games, L_P of one game)
 takes three steps off the line. Bound: closed-form lower and upper bounds
@@ -21,9 +23,9 @@ the largest per-row LP value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .games import (
     MarkovGame,
@@ -137,16 +139,47 @@ _RETRY_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10, "presolve": False}
 
 
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first transport LP."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
+
+
+#: States from which a transport LP's equality matrix is sparse. Below it
+#: scipy's handling of a sparse matrix costs more than it saves (0.3 ms of
+#: a 2 ms LP at 9 states); from it the dense matrix costs more (70 ms
+#: against 47 ms at 100 states).
+_SPARSE_STATES = 20
+
+
+@lru_cache(maxsize=8)
+def _marginal_rows(n: int):
+    """The (2n, n * n) matrix whose rows sum a coupling, flattened row by
+    row, along its rows (the first n) and its columns (the last n): a
+    read-only array below ``_SPARSE_STATES`` states, else CSC."""
+    from scipy.sparse import csc_array
+    cells = np.arange(n * n)
+    rows = np.column_stack([cells // n, n + cells % n]).reshape(-1)
+    matrix = csc_array((np.ones(2 * n * n), rows,
+                        np.arange(0, 2 * n * n + 1, 2)), shape=(2 * n, n * n))
+    if n >= _SPARSE_STATES:
+        return matrix
+    dense = matrix.toarray(order="C")
+    dense.flags.writeable = False
+    return dense
+
+
 def _w1_lp(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
-    """Transportation LP over couplings with marginals mu, nu, exact up to
-    HiGHS's feasibility tolerance; a solve that does not succeed is retried
-    once at tolerances of 1e-10 without presolve."""
-    n = len(mu)
-    cost = metric.reshape(-1)
-    a_eq = np.zeros((2 * n, n * n))
-    for i in range(n):
-        a_eq[i, i * n:(i + 1) * n] = 1.0       # row marginal
-        a_eq[n + i, i::n] = 1.0                # column marginal
+    """Transportation LP over couplings with marginals mu, nu, solved on
+    the metric scaled to a diameter of 1, so that HiGHS's tolerances scale
+    with diam(d); a solve that does not succeed is retried once at
+    tolerances of 1e-10 without presolve. Equal marginals give exactly 0
+    without a solve."""
+    if np.array_equal(mu, nu):
+        return 0.0
+    diameter = float(metric.max())
+    cost = (metric / diameter).reshape(-1)
+    a_eq = _marginal_rows(len(mu))
     b_eq = np.concatenate([mu, nu])
     result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                      method="highs")
@@ -155,7 +188,7 @@ def _w1_lp(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
                          method="highs", options=_RETRY_OPTIONS)
     if not result.success:
         raise RuntimeError(f"transport LP failed: {result.message}")
-    return float(result.fun)
+    return diameter * float(result.fun)
 
 
 def _w1_line(mu: np.ndarray, nu: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -257,19 +290,21 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
     3. Confirm: ``_w1_lp`` on each row that is left.
 
     The margin, 4 (2n + 1) 1e-7 diam(d) / min_scale, covers HiGHS's error,
-    not only roundoff: each of an LP's 2n balance rows may miss by its
-    feasibility tolerance 1e-7 of mass, costing at most diam(d) to move,
-    and its reduced costs by 1e-7; two values are compared, each with an
-    error from a bound and one from ``_w1_lp``. The bracket's bounds are
-    exact for the unit-mass parts up to a few ulps of diam(d) per entry
-    summed, and a checked row sums to 1 within (n + 1) 1e-9 once its
-    negative entries are clipped, so the masses of a row's two parts differ
-    by at most 2 (n + 1) 1e-9, which costs at most that times diam(d):
-    both far inside the margin.
+    not only roundoff: ``_w1_lp`` solves on d / diam(d), where each of the
+    LP's 2n balance rows may miss by its feasibility tolerance 1e-7 of
+    mass, costing at most 1 to move, and its reduced costs by 1e-7, so its
+    value scaled back is off by at most (2n + 1) 1e-7 diam(d); two values
+    are compared, each with an error from a bound and one from ``_w1_lp``.
+    The bracket's bounds are exact for the unit-mass parts up to a few ulps
+    of diam(d) per entry summed, and a checked row sums to 1 within
+    (n + 1) 1e-9 once its negative entries are clipped, so the masses of a
+    row's two parts differ by at most 2 (n + 1) 1e-9, which costs at most
+    that times diam(d): both far inside the margin.
 
     When every upper bound is within the margin of 0 (the rows agree), no
-    bound can drop a row, and every row is confirmed: HiGHS may give such
-    a row a value of order 1e-17, not 0.
+    bound can drop a row, and every row is confirmed; a row whose two
+    distributions are equal is 0 in ``_w1_lp`` without a solve, so two
+    equal games solve no LP.
     """
     coords = _line_embedding(metric)
     if coords is not None:
@@ -309,8 +344,10 @@ def wasserstein1(mu, nu, metric) -> float:
     The minimum transport cost over couplings with the given marginals.
     When the metric embeds in the line (the default index metric always
     does), the cumulative-mass formula gives the exact answer directly;
-    otherwise a transportation LP is solved, exact up to HiGHS's
-    feasibility tolerance (off by as much as 4.9e-7 on random planar pairs).
+    otherwise a transportation LP is solved on the metric scaled to a
+    diameter of 1, exact up to HiGHS's feasibility tolerance (off by about
+    1e-7 of the diameter at most on random planar pairs). Equal
+    distributions give exactly 0.
     """
     mu, nu = _check_pair(mu, nu)
     return _w1(mu, nu, _check_metric(metric, len(mu)))

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,3 +50,72 @@ def test_count_parameters_take_numpy_integers():
     assert budget(np.int64(3), (np.int64(2), 2), np.int64(2)) == budget()
     assert hoeffding_tail(np.int32(50), 0.1, 2.0) == hoeffding_tail(
         50, 0.1, 2.0)
+
+
+#: Run in a fresh interpreter, since the test session imports scipy itself.
+#: Prints, after each step, whether scipy.optimize is loaded.
+SCIPY_PROBE = """\
+import contextlib, io, json, sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+import mpekit
+from mpekit.cli import main
+
+steps = [("import mpekit", "scipy.optimize" in sys.modules)]
+
+
+def step(name, call):
+    with contextlib.redirect_stdout(io.StringIO()):
+        call()
+    steps.append((name, "scipy.optimize" in sys.modules))
+
+
+root = Path(sys.argv[1])
+g = mpekit.bundled_game("two_player_original")
+g_hat = mpekit.bundled_game("two_player_perturbed")
+for name, game in (("original.json", g), ("perturbed.json", g_hat)):
+    (root / name).write_text(mpekit.serialize_game(game))
+original, perturbed = str(root / "original.json"), str(root / "perturbed.json")
+profile = str(root / "profile.json")
+step("run_trial", lambda: mpekit.run_trial(g, 1000, 0, 2024))
+solved = mpekit.solve_mpe(g_hat)
+steps.append(("solve_mpe", "scipy.optimize" in sys.modules))
+step("certify_profile", lambda: mpekit.certify_profile(g, solved.profile))
+for kind in (mpekit.TOTAL_VARIATION, mpekit.WASSERSTEIN):
+    step(f"robustness_report {kind}", lambda: mpekit.robustness_report(
+        g, g_hat, kind, profile=solved.profile))
+for argv in (["validate", original], ["solve", perturbed, "--out", profile],
+             ["certify", original, profile],
+             ["bound", original, perturbed, "--ipm", "tv"],
+             ["sample-size", "--alpha", "0.1", "--p", "0.01", "--span", "0.9",
+              "--states", "3", "--actions", "2", "2", "--gamma", "0.9"]):
+    step("mpekit " + argv[0], lambda: main(argv))
+cells = np.array([(r, c) for r in range(3) for c in range(3)])
+grid = np.abs(cells[:, None] - cells[None]).sum(-1).astype(float)
+rows = np.random.default_rng(0).dirichlet(np.ones(9), size=(9, 4))
+grid_g = replace(g, states=tuple("012345678"), transitions=rows,
+                 rewards=np.zeros((2, 9, 4)), metric=grid)
+grid_hat = replace(grid_g, transitions=0.9 * rows + 0.1 / 9)
+step("grid robustness_report wasserstein", lambda: mpekit.robustness_report(
+    grid_g, grid_hat, mpekit.WASSERSTEIN, values=np.zeros((2, 9))))
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_optimize_loads_only_for_a_transport_lp(tmp_path):
+    # scipy.optimize took about 0.6 s of a 0.9 s `import mpekit`, and only
+    # a W1 off a line metric needs it.
+    src = str(Path(mpekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    child = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    steps = dict(json.loads(child.stdout.splitlines()[-1]))
+    assert steps.pop("grid robustness_report wasserstein") is True
+    assert steps == {name: False for name in steps}
+    assert len(steps) == 11

@@ -665,8 +665,8 @@ class TestBracket:
         spread /= spread.sum(-1, keepdims=True)
         mu = np.concatenate([eye, eye, spread, spread, eye[:1]])
         nu = np.concatenate([eye[::-1], spread, eye, spread[::-1], eye[:1]])
-        # W1 scales with the metric. HiGHS's tolerances are absolute, so its
-        # LP on the metric scaled to a diameter of 1e-8 is no reference.
+        # W1 scales with the metric: the reference is the unit metric's LP
+        # times the diameter.
         unit_w1 = np.array([_w1_lp(m, v, unit) for m, v in zip(mu, nu)])
         for diameter in (1e-8, 1e-4, 1.0, 1e4, 1e8):
             metric = diameter * unit
@@ -720,3 +720,53 @@ class TestBracket:
                                    profile=random_profile(rng, g_hat))
         assert time.perf_counter() - start < 10.0
         assert report.delta > 0.0
+
+
+class TestTransportLp:
+    def test_equal_marginals_solve_no_lp(self, monkeypatch):
+        # HiGHS gave such rows values of order 1e-17, one LP per row.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        solve = metrics.linprog
+        monkeypatch.setattr(metrics, "linprog", counting)
+        grid = grid_metric(3, 3)
+        game = replace(random_game(np.random.default_rng(0), 9, (2, 2)),
+                       metric=grid)
+        assert game_approx_params(game, game, WASSERSTEIN).delta == 0.0
+        flat = replace(game, transitions=np.broadcast_to(
+            game.transitions[0], game.transitions.shape))
+        assert game_lipschitz_constants(flat)[1] == 0.0
+        mu = game.transitions[0, 0]
+        assert wasserstein1(mu, mu.copy(), grid) == 0.0
+        assert calls == []
+
+    def test_value_scales_with_the_metric(self):
+        # HiGHS's tolerances are absolute: solved on the metric as given,
+        # these rows were off by 1.58 times their value at a diameter of
+        # 1e-8.
+        rng = np.random.default_rng(7)
+        size = 8
+        unit = planar_metric(rng.uniform(size=(size, 2)))
+        unit /= unit.max()
+        spread = rng.dirichlet(np.full(size, 0.3), size=size)
+        mu = np.concatenate([np.eye(size), spread])
+        nu = np.concatenate([spread, spread[::-1]])
+        unit_w1 = np.array([_w1_lp(m, v, unit) for m, v in zip(mu, nu)])
+        assert np.all(unit_w1 > 0.0)
+        for diameter in (1e-8, 1e-4, 1e4, 1e8):
+            w1 = np.array([_w1_lp(m, v, diameter * unit)
+                           for m, v in zip(mu, nu)])
+            assert np.abs(w1 / (diameter * unit_w1) - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("size", [2, 9, metrics._SPARSE_STATES])
+    def test_marginal_rows_sum_a_coupling_once_per_size(self, size):
+        # Integer entries, so that every order of summation is exact.
+        plan = np.random.default_rng(size).integers(0, 100, (size, size))
+        rows = metrics._marginal_rows(size)
+        assert rows is metrics._marginal_rows(size)
+        assert np.array_equal(rows @ plan.reshape(-1),
+                              np.concatenate([plan.sum(1), plan.sum(0)]))
