@@ -145,28 +145,16 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-#: States from which a transport LP's equality matrix is sparse. Below it
-#: scipy's handling of a sparse matrix costs more than it saves (0.3 ms of
-#: a 2 ms LP at 9 states); from it the dense matrix costs more (70 ms
-#: against 47 ms at 100 states).
-_SPARSE_STATES = 20
-
-
-@lru_cache(maxsize=8)
-def _marginal_rows(n: int):
-    """The (2n, n * n) matrix whose rows sum a coupling, flattened row by
-    row, along its rows (the first n) and its columns (the last n): a
-    read-only array below ``_SPARSE_STATES`` states, else CSC."""
-    from scipy.sparse import csc_array
+@lru_cache(maxsize=4)
+def _marginal_rows(n: int) -> np.ndarray:
+    """The read-only (2n, n * n) matrix whose rows sum a coupling, flattened
+    row by row, along its rows (the first n) and its columns (the last n)."""
     cells = np.arange(n * n)
-    rows = np.column_stack([cells // n, n + cells % n]).reshape(-1)
-    matrix = csc_array((np.ones(2 * n * n), rows,
-                        np.arange(0, 2 * n * n + 1, 2)), shape=(2 * n, n * n))
-    if n >= _SPARSE_STATES:
-        return matrix
-    dense = matrix.toarray(order="C")
-    dense.flags.writeable = False
-    return dense
+    rows = np.zeros((2 * n, n * n))
+    rows[cells // n, cells] = 1.0
+    rows[n + cells % n, cells] = 1.0
+    rows.flags.writeable = False
+    return rows
 
 
 def _w1_lp(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:

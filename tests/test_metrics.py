@@ -762,11 +762,12 @@ class TestTransportLp:
                            for m, v in zip(mu, nu)])
             assert np.abs(w1 / (diameter * unit_w1) - 1.0).max() < 1e-14
 
-    @pytest.mark.parametrize("size", [2, 9, metrics._SPARSE_STATES])
+    @pytest.mark.parametrize("size", [2, 9, 30])
     def test_marginal_rows_sum_a_coupling_once_per_size(self, size):
         # Integer entries, so that every order of summation is exact.
         plan = np.random.default_rng(size).integers(0, 100, (size, size))
         rows = metrics._marginal_rows(size)
         assert rows is metrics._marginal_rows(size)
+        assert not rows.flags.writeable
         assert np.array_equal(rows @ plan.reshape(-1),
                               np.concatenate([plan.sum(1), plan.sum(0)]))
