@@ -63,13 +63,17 @@ def _cmd_validate(args) -> int:
     return EXIT_DOMAIN if violations else EXIT_OK
 
 
+def _alpha_lines(certificate) -> str:
+    """The ``player,alpha`` CSV of a certificate's clamped gaps."""
+    return "\n".join(["player,alpha"] + [
+        f"{player},{_format(alpha)}"
+        for player, alpha in enumerate(certificate.alpha_clamped(), start=1)])
+
+
 def _cmd_certify(args) -> int:
     game = _load(args.game, games.parse_game)
     profile = _load(args.profile, games.parse_profile)
-    certificate = certify_profile(game, profile, args.tol)
-    print("player,alpha")
-    for player, alpha in enumerate(certificate.alpha_clamped(), start=1):
-        print(f"{player},{_format(alpha)}")
+    print(_alpha_lines(certify_profile(game, profile, args.tol)))
     return EXIT_OK
 
 
@@ -124,19 +128,15 @@ def _cmd_solve(args) -> int:
     result = solve_mpe(game, tol=args.tol, max_iter=args.max_iter,
                        seed=args.seed)
     profile_doc = games.serialize_profile(result.profile)
-    certificate_lines = ["player,alpha"]
-    for player, alpha in enumerate(result.certificate.alpha_clamped(),
-                                   start=1):
-        certificate_lines.append(f"{player},{_format(alpha)}")
     if args.out:
         try:
             Path(args.out).write_text(profile_doc, encoding="utf-8")
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot write {args.out}: {exc}") from exc
-        print("\n".join(certificate_lines))
     else:
         sys.stdout.write(profile_doc)
-        print("\n".join(certificate_lines), file=sys.stderr)
+    print(_alpha_lines(result.certificate),
+          file=sys.stdout if args.out else sys.stderr)
     print(f"converged={str(result.converged).lower()} "
           f"iterations={result.iterations}", file=sys.stderr)
     return EXIT_OK if result.converged else EXIT_DOMAIN

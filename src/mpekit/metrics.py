@@ -8,16 +8,18 @@ line, and otherwise a transportation LP solved by HiGHS on the metric
 scaled to a diameter of 1, which is exact only up to HiGHS's feasibility
 tolerance: on random planar pairs it was off the point-mass closed form by
 as much as 4.9e-7, about 1e-7 of the metric's diameter, at any scale.
-Equal distributions are 0 without an LP. scipy is imported on the first
-transport LP, so the rest of the package runs on numpy alone.
+scipy is imported on the first transport LP, so the rest of the package
+runs on numpy alone.
 
-A maximum of W1 over many rows (delta between two games, L_P of one game)
-takes three steps off the line. Bound: closed-form lower and upper bounds
-on every row drop the rows whose upper bound is below the largest lower
-bound by more than a margin. Bracket: a fixed number of Sinkhorn scalings,
-batched over the survivors, tighten both bounds and drop rows by the same
-rule. Confirm: the per-row LP on the rows that are left. The maximum equals
-the largest per-row LP value.
+Every W1 value is a maximum over rows: delta between two games, L_P of one
+game, and ``wasserstein1``, the maximum over one row. Off the line, rows
+whose two distributions are equal leave first, as their W1 is exactly 0.
+Then three steps. Bound: closed-form lower and upper bounds on every row
+drop the rows whose upper bound is below the largest lower bound by more
+than a margin. Bracket: a fixed number of Sinkhorn scalings, batched over
+the survivors, tighten both bounds and drop rows by the same rule. Confirm:
+the per-row LP on the rows that are left. The maximum equals the largest
+per-row LP value, and 0 when no row is left.
 """
 
 from __future__ import annotations
@@ -190,15 +192,6 @@ def _w1_line(mu: np.ndarray, nu: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.vecdot(cum, np.diff(coords[order]))
 
 
-def _w1(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
-    """Wasserstein-1 between two checked distributions: the closed form on
-    a line metric, else the transport LP."""
-    coords = _line_embedding(metric)
-    if coords is None:
-        return _w1_lp(mu, nu, metric)
-    return float(_w1_line(mu, nu, coords))
-
-
 #: The bracket's entropic regularisation, as a share of the metric's
 #: diameter, and its number of Sinkhorn scalings. Its bounds hold for any
 #: values; these decide only how many rows reach an LP.
@@ -262,8 +255,10 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
     (mu, nu, scale) blocks: checked distributions along the last axis, and
     scales broadcasting against their other axes, none below min_scale.
 
-    On a line metric every row takes the closed form. Otherwise the result
-    is the largest ``_w1_lp`` value over the rows, found in three steps:
+    On a line metric every row takes the closed form. Otherwise rows whose
+    mu equals nu entry for entry leave first, as their W1 is exactly 0, and
+    the result is the largest ``_w1_lp`` value over the other rows (0 when
+    there are none), found in three steps:
 
     1. Bound: W1 >= max_k |(mu - nu) . d(., k)|, as each d(., k) is
        1-Lipschitz, and W1 <= min_k sum_i d(i, k) |mu_i - nu_i|, the cost of
@@ -288,11 +283,6 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
     (n + 1) 1e-9 once its negative entries are clipped, so the masses of a
     row's two parts differ by at most 2 (n + 1) 1e-9, which costs at most
     that times diam(d): both far inside the margin.
-
-    When every upper bound is within the margin of 0 (the rows agree), no
-    bound can drop a row, and every row is confirmed; a row whose two
-    distributions are equal is 0 in ``_w1_lp`` without a solve, so two
-    equal games solve no LP.
     """
     coords = _line_embedding(metric)
     if coords is not None:
@@ -309,8 +299,11 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
         mu, nu = np.broadcast_arrays(mu, nu)
         scale = np.broadcast_to(scale, mu.shape[:-1]).reshape(-1)
         mu, nu = mu.reshape(-1, n), nu.reshape(-1, n)
+        moved = np.any(mu != nu, axis=-1)
+        mu, nu, scale = mu[moved], nu[moved], scale[moved]
         diff = mu - nu
-        lower = max(lower, float(np.max(np.abs(diff @ metric).max(-1) / scale)))
+        lower = max(lower, float(np.max(np.abs(diff @ metric).max(-1) / scale,
+                                        initial=0.0)))
         upper = (np.abs(diff) @ metric).min(-1) / scale
         kept = np.concatenate([kept, np.column_stack([mu, nu, scale, upper])])
         kept = kept[kept[:, -1] >= lower - margin]
@@ -329,16 +322,17 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
 def wasserstein1(mu, nu, metric) -> float:
     """Wasserstein-1 distance between two distributions on a finite metric.
 
-    The minimum transport cost over couplings with the given marginals.
+    The minimum transport cost over couplings with the given marginals,
+    computed as the one-row maximum of W1 that delta and L_P also take.
     When the metric embeds in the line (the default index metric always
-    does), the cumulative-mass formula gives the exact answer directly;
-    otherwise a transportation LP is solved on the metric scaled to a
+    does), the cumulative-mass formula gives the exact answer directly.
+    Otherwise equal distributions give exactly 0 without an LP, and any
+    other pair a transportation LP solved on the metric scaled to a
     diameter of 1, exact up to HiGHS's feasibility tolerance (off by about
-    1e-7 of the diameter at most on random planar pairs). Equal
-    distributions give exactly 0.
+    1e-7 of the diameter at most on random planar pairs).
     """
     mu, nu = _check_pair(mu, nu)
-    return _w1(mu, nu, _check_metric(metric, len(mu)))
+    return _max_w1([(mu, nu, 1.0)], _check_metric(metric, len(mu)))
 
 
 def span(f) -> float:

@@ -87,6 +87,8 @@ step("certify_profile", lambda: mpekit.certify_profile(g, solved.profile))
 for kind in (mpekit.TOTAL_VARIATION, mpekit.WASSERSTEIN):
     step(f"robustness_report {kind}", lambda: mpekit.robustness_report(
         g, g_hat, kind, profile=solved.profile))
+step("line-metric wasserstein1", lambda: mpekit.wasserstein1(
+    [0.5, 0.25, 0.25], [0.25, 0.25, 0.5], mpekit.default_line_metric(3)))
 for argv in (["validate", original], ["solve", perturbed, "--out", profile],
              ["certify", original, profile],
              ["bound", original, perturbed, "--ipm", "tv"],
@@ -118,4 +120,4 @@ def test_scipy_optimize_loads_only_for_a_transport_lp(tmp_path):
     steps = dict(json.loads(child.stdout.splitlines()[-1]))
     assert steps.pop("grid robustness_report wasserstein") is True
     assert steps == {name: False for name in steps}
-    assert len(steps) == 11
+    assert len(steps) == 12

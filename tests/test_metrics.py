@@ -21,7 +21,6 @@ from mpekit.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
     ApproximationParams,
-    _w1,
     _w1_lp,
     game_approx_params,
     game_lipschitz_constants,
@@ -92,7 +91,7 @@ class TestWasserstein:
         for _ in range(100):
             mu = rng.dirichlet(np.ones(3))
             nu = rng.dirichlet(np.ones(3))
-            assert _w1(mu, nu, LINE3) == pytest.approx(
+            assert wasserstein1(mu, nu, LINE3) == pytest.approx(
                 _w1_lp(mu, nu, LINE3), abs=1e-9)
 
     @pytest.mark.parametrize("size,count", [(2, 40), (3, 40), (4, 12)])
@@ -743,6 +742,53 @@ class TestTransportLp:
         mu = game.transitions[0, 0]
         assert wasserstein1(mu, mu.copy(), grid) == 0.0
         assert calls == []
+
+    def test_rows_equal_in_every_state_take_no_transport_lp(self,
+                                                            monkeypatch):
+        # Each such row used to reach _w1_lp: 20,200 calls, about 1 s.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return w1_lp(*args)
+
+        w1_lp = metrics._w1_lp
+        monkeypatch.setattr(metrics, "_w1_lp", counting)
+        rng = np.random.default_rng(0)
+        game = replace(random_game(rng, 100, (2, 2)),
+                       metric=planar_metric(rng.uniform(size=(100, 2))))
+        flat = replace(game, transitions=np.broadcast_to(
+            game.transitions[:1], game.transitions.shape))
+        assert game_lipschitz_constants(flat)[1] == 0.0
+        assert game_approx_params(game, game, WASSERSTEIN).delta == 0.0
+        assert calls == []
+
+    def test_wasserstein1_is_the_clamped_lp_value(self):
+        rng = np.random.default_rng(0)
+        off_line = ([random_metric(rng, size) for size in (3, 9, 30)]
+                    + [grid_metric(*shape) for shape in ((2, 2), (3, 3),
+                                                         (5, 6))])
+        for metric in off_line:
+            for _ in range(8):
+                mu, nu = rng.dirichlet(np.full(len(metric), 0.5), size=2)
+                for pair in ((mu, nu), (mu, mu.copy())):
+                    assert same_bits(wasserstein1(*pair, metric),
+                                     max(0.0, _w1_lp(*pair, metric)))
+
+    def test_wasserstein1_is_the_closed_form_on_a_line(self):
+        rng = np.random.default_rng(3)
+        for size in (2, 9, 30):
+            # Integer points, state 0 leftmost: the line embedding finds
+            # these coordinates exactly.
+            coords = np.concatenate([[0.0], rng.permutation(
+                np.cumsum(rng.integers(1, 5, size - 1))).astype(float)])
+            order = np.argsort(coords, kind="stable")
+            metric = np.abs(coords[:, None] - coords[None, :])
+            for _ in range(8):
+                mu, nu = rng.dirichlet(np.ones(size), size=2)
+                cum = np.cumsum(mu[order] - nu[order])[:-1]
+                assert same_bits(wasserstein1(mu, nu, metric),
+                                 float(np.abs(cum) @ np.diff(coords[order])))
 
     def test_value_scales_with_the_metric(self):
         # HiGHS's tolerances are absolute: solved on the metric as given,
