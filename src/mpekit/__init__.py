@@ -48,7 +48,6 @@ from .games import (
     parse_profile,
     serialize_game,
     serialize_profile,
-    validate_game,
 )
 from .mdp import (
     bellman_optimal,
@@ -122,6 +121,5 @@ __all__ = [
     "summarize",
     "summary_csv",
     "tv_distance",
-    "validate_game",
     "wasserstein1",
 ]

@@ -55,9 +55,17 @@ def _load(path: str, parse):
         raise _Failure(EXIT_IO, f"{path}: {exc}") from exc
 
 
+def _violations(text: str) -> list[str]:
+    """The invariants a parsed game document breaks; [] for a valid game."""
+    try:
+        games.parse_game(text)
+    except games.GameValidationError as exc:
+        return exc.violations
+    return []
+
+
 def _cmd_validate(args) -> int:
-    game = _load(args.game, lambda t: games.parse_game(t, validate=False))
-    violations = games.validate_game(game)
+    violations = _load(args.game, _violations)
     for violation in violations:
         print(violation)
     return EXIT_DOMAIN if violations else EXIT_OK

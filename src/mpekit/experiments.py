@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import certify_profile
-from .games import MarkovGame, _check_count, _check_game
+from .games import MarkovGame, _check_count
 from .solver import solve_mpe
 
 
@@ -88,12 +88,11 @@ def estimate_model(game: MarkovGame, n: int,
     equal in law to the next-state counts of n simulator calls: the budget
     is n |S| |A| simulator calls in total.
 
-    Raises ``ValueError`` with the first message ``validate_game`` gives
-    for the discount, the rewards or the transition rows: a bad row names
-    its (state, joint action) pair and the rule it breaks.
+    The game was checked when it was built, and the plug-in game is checked
+    when it is; a count n that is not a positive integer raises
+    ``ValueError``.
     """
     _check_count(n, "n")
-    _check_game(game)
     num_states = game.num_states
     num_pairs = game.num_joint_actions
     # The law of inverse-CDF sampling: increments of the running CDF, made
@@ -150,14 +149,13 @@ def run_experiments(game: MarkovGame, n: int, num_trials: int,
     Trials share nothing but the master seed, so they may be distributed
     across processes without changing any record.
 
-    The counts and the game's discount, rewards and transition rows are
-    checked before the first trial, so a bad input raises ``ValueError``
-    whatever ``num_trials`` is, zero included, with the message
-    ``estimate_model`` gives.
+    The game was checked when it was built, and both counts are checked
+    before the first trial, so a bad count raises ``ValueError`` whatever
+    ``num_trials`` is, zero included, with the message ``estimate_model``
+    gives for n.
     """
     _check_count(n, "n")
     _check_count(num_trials, "num_trials", minimum=0)
-    _check_game(game)
     return [run_trial(game, n, trial, master_seed, solver_tol)
             for trial in range(num_trials)]
 

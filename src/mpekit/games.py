@@ -2,11 +2,11 @@
 
 An MDP is a one-player :class:`MarkovGame`.
 All containers freeze their arrays after construction, so instances are
-immutable and safe to share across threads. A :class:`MarkovGame` checks
-only shapes when constructed; its probabilistic invariants (row
-stochasticity, discount range, metric axioms) are checked by
-:func:`validate_game`, which reports violations as data instead of raising.
-A :class:`MarkovStrategy` rejects rows that are not distributions outright.
+immutable and safe to share across threads. Each is checked once, when it
+is built: a :class:`MarkovGame` raises :class:`GameValidationError`, listing
+every broken invariant (discount range, finite rewards, row stochasticity,
+metric axioms), and a :class:`MarkovStrategy` rejects rows that are not
+distributions. Every function that takes one relies on that check alone.
 
 One row rule serves games, strategies and the metrics: a row is a
 distribution when every entry is finite and at least -STOCHASTIC_ATOL and
@@ -37,7 +37,8 @@ class GameFormatError(ValueError):
 
 
 class GameValidationError(ValueError):
-    """A structurally well-formed document violates the model invariants."""
+    """A game of well-formed shapes violates the model invariants;
+    ``violations`` lists one message per broken rule."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
@@ -64,8 +65,15 @@ class MarkovGame:
             of joint actions in lexicographic order; ``transitions[s, a]``
             is the next-state distribution.
         rewards: Array of shape ``(N, S, A)`` with per-player stage rewards.
-        discount: Discount factor, required in (0, 1) for a valid game.
+        discount: Discount factor in (0, 1).
         metric: Optional ``(S, S)`` state metric.
+
+    A game is checked when it is built, ``dataclasses.replace`` included: a
+    wrong shape raises ``ValueError``, and then every broken invariant is
+    listed by one ``GameValidationError``, in this order: a discount outside
+    (0, 1), each player's first reward that is not finite, each transition
+    row that breaks the row rule (naming its state and joint action and the
+    rule), then the metric axioms.
     """
 
     states: tuple[str, ...]
@@ -98,6 +106,9 @@ class MarkovGame:
             if metric.shape != (s, s):
                 raise ValueError(f"metric shape {metric.shape} != expected {(s, s)}")
             object.__setattr__(self, "metric", metric)
+        violations = _violations(self)
+        if violations:
+            raise GameValidationError(violations)
 
     @property
     def num_players(self) -> int:
@@ -286,21 +297,9 @@ def _discount_violations(gamma: float) -> list[str]:
     return [f"discount {gamma!r} outside the open interval (0, 1)"]
 
 
-def validate_game(game: MarkovGame) -> list[str]:
-    """Check every model invariant; returns an empty list iff all hold.
-
-    Each violation names the offending index and the rule it breaks.
-    Violations are data, not failures: this never raises.
-    """
-    out = _model_violations(game)
-    if game.metric is not None:
-        out.extend(metric_violations(game.metric))
-    return out
-
-
-def _model_violations(game: MarkovGame) -> list[str]:
-    """``validate_game``'s discount, reward and transition-row messages, in
-    that order; the metric is not checked."""
+def _violations(game: MarkovGame) -> list[str]:
+    """Every broken invariant of a game of well-formed shapes, one message
+    per rule, in the order the :class:`MarkovGame` docstring gives."""
     out = _discount_violations(game.discount)
     finite = np.isfinite(game.rewards)
     for i in np.flatnonzero(~finite.all(axis=(1, 2))):
@@ -309,22 +308,6 @@ def _model_violations(game: MarkovGame) -> list[str]:
             f"reward of player {i} at (state {game.states[s]!r}, "
             f"action ({game.joint_action_label(int(a))})) is not finite"
         )
-    out.extend(_transition_row_violations(game))
-    return out
-
-
-def _check_game(game: MarkovGame) -> None:
-    """Raise ``ValueError`` with the first of ``validate_game``'s discount,
-    reward and transition-row messages; the metric is not checked."""
-    violations = _model_violations(game)
-    if violations:
-        raise ValueError(violations[0])
-
-
-def _transition_row_violations(game: MarkovGame) -> list[str]:
-    """The row rule on every transition row, one message per broken rule,
-    each naming the (state, joint action) pair; empty iff all rows pass."""
-    out = []
     non_finite, negative, off_sum, sums = _row_problems(game.transitions)
     for s, a in np.argwhere(non_finite | negative | off_sum):
         row = (f"transition row (state {game.states[s]!r}, "
@@ -336,6 +319,8 @@ def _transition_row_violations(game: MarkovGame) -> list[str]:
         if off_sum[s, a]:
             out.append(f"{row} sums to {float(sums[s, a])!r}, "
                        f"not 1 within {STOCHASTIC_ATOL}")
+    if game.metric is not None:
+        out.extend(metric_violations(game.metric))
     return out
 
 
@@ -399,7 +384,9 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile,
     and rewards of shape ``(1, S, A_player)``; its transitions and rewards
     average the game's over the other players' profiles, in lexicographic
     order, each weighted by a product in player order: mixing two opponent
-    strategies mixes the induced model with the same weights.
+    strategies mixes the induced model with the same weights. It is checked
+    when built, like any game: game rows and strategy rows that each sum to
+    within the row rule's tolerance of 1 can average to a row beyond it.
     """
     check_profile(game, profile)
     if not 0 <= player < game.num_players:
@@ -428,7 +415,7 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile,
 # {"players": N, "strategies": [per-player state rows]} and values files
 # {"values": [per-player state vectors]}. In all three, a number is a JSON
 # number within the float range, never a bool or a string (1e400 reads as
-# infinity, which the model checks report), and no object repeats a key.
+# infinity, which the game's own check reports), and no object repeats a key.
 
 
 def _document_keys(states, action_sets) -> list[str]:
@@ -526,15 +513,14 @@ def _keyed_values(entries, keys: list[str], where: str) -> list:
     return values
 
 
-def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
-    """Parse a game document.
+def parse_game(text: str) -> MarkovGame:
+    """Parse a game document into a checked :class:`MarkovGame`.
 
     Raises:
         GameFormatError: malformed JSON, or missing, unknown, repeated or
             ill-typed fields or keys; the message names the line or entry.
-        GameValidationError: the document parses but violates invariants
-            (only when ``validate`` is true; violations are listed, never
-            silently repaired).
+        GameValidationError: the document parses but violates invariants,
+            as the game's constructor lists them (never silently repaired).
     """
     doc = _load_object(text)
     players = _require(doc, "players", int, "an integer")
@@ -596,7 +582,7 @@ def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
                    for t, x in enumerate(row)]
                   for s, row in enumerate(metric_doc)]
 
-    game = MarkovGame(
+    return MarkovGame(
         states=states,
         action_sets=[tuple(a) for a in actions],
         transitions=np.reshape(trans, (s_count, -1, s_count)),
@@ -604,11 +590,6 @@ def parse_game(text: str, *, validate: bool = True) -> MarkovGame:
         discount=gamma,
         metric=metric,
     )
-    if validate:
-        violations = validate_game(game)
-        if violations:
-            raise GameValidationError(violations)
-    return game
 
 
 def serialize_profile(profile: StrategyProfile) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import MarkovGame, MarkovStrategy, ValueFunction, check_discount
+from .games import MarkovGame, MarkovStrategy, ValueFunction
 
 
 def _check_dims(mdp: MarkovGame, strategy: MarkovStrategy | None = None,
@@ -95,7 +95,6 @@ def _profile_chain(transitions: np.ndarray, rewards: np.ndarray, strategies
 
 def _policy_values(game: MarkovGame, p_pi: np.ndarray,
                    r_pi: np.ndarray) -> np.ndarray:
-    check_discount(game.discount)
     gamma = game.discount
     matrix = np.eye(game.num_states) - gamma * p_pi
     return np.linalg.solve(matrix, (1.0 - gamma) * r_pi)
@@ -106,9 +105,9 @@ def evaluate_policy(mdp: MarkovGame,
     """The unique fixed point of the fixed-strategy operator.
 
     Solves (I - gamma P_pi) V = (1 - gamma) r_pi directly, so the result is
-    exact up to linear-algebra roundoff. The system is nonsingular for any
-    discount in (0, 1); any other discount, and values that come out
-    non-finite, raise ``ValueError``.
+    exact up to linear-algebra roundoff. The system is nonsingular, as the
+    game's discount was checked to lie in (0, 1) when it was built; values
+    that come out non-finite (huge rewards) raise ``ValueError``.
     """
     _check_dims(mdp, strategy)
     values = _policy_values(mdp, *_profile_chain(
@@ -120,7 +119,8 @@ def _best_response(trans, rew, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration on (S, A, S) transitions and (S, A) rewards:
     (optimal values, one-hot greedy policy of the final Q). gamma P and
     (1 - gamma) r are formed once; q rounds as ``_action_values``'s does.
-    Each step improves strictly on a valid model, so a revisit raises."""
+    Each step improves strictly on a valid model, so a revisit cannot happen
+    on a checked game's arrays; it raises rather than spins if it does."""
     cont, base = gamma * trans, (1.0 - gamma) * rew
     states, identity = np.arange(len(rew)), np.eye(len(rew))
     policy = np.argmax(rew, axis=1)
@@ -135,8 +135,8 @@ def _best_response(trans, rew, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         if not improve.any():
             return values, np.eye(rew.shape[1])[np.argmax(q, axis=1)]
         policy = np.where(improve, np.argmax(q, axis=1), policy)
-    raise ValueError("policy iteration revisited a policy; validate_game "
-                     "lists the transition rows that are not distributions")
+    raise ValueError("policy iteration revisited a policy; the transition "
+                     "rows are not all distributions")
 
 
 def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
@@ -145,10 +145,9 @@ def solve_optimal(mdp: MarkovGame) -> tuple[ValueFunction, MarkovStrategy]:
     Howard policy iteration: evaluate exactly, then switch the states whose
     greedy action gains more than a roundoff margin (so ties cannot cycle),
     until none does. Greedy ties break toward the lowest action index.
-    A discount outside (0, 1), a non-finite action value or a revisited
-    policy (rows that are not distributions) raises ``ValueError``.
+    The game was checked when it was built; a non-finite action value
+    (huge rewards) raises ``ValueError``.
     """
     _check_dims(mdp)
-    check_discount(mdp.discount)
     v, greedy = _best_response(mdp.transitions, mdp.rewards[0], mdp.discount)
     return ValueFunction(v), MarkovStrategy(greedy)

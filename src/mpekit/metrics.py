@@ -77,15 +77,6 @@ def _check_distribution(name: str, p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _checked_rows(game: MarkovGame, name: str) -> np.ndarray:
-    """A game's transition rows, clipped at zero, once its rewards and rows
-    pass their checks."""
-    bad = np.argwhere(~np.isfinite(game.rewards))
-    if bad.size:
-        raise ValueError(f"{name}: reward {bad[0].tolist()} is not finite")
-    return _check_distribution(f"transitions of {name}", game.transitions)
-
-
 def _check_pair(mu, nu) -> tuple[np.ndarray, np.ndarray]:
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
@@ -402,21 +393,24 @@ def game_approx_params(g: MarkovGame, g_hat: MarkovGame,
     """Largest reward and transition gaps between two same-shape games.
 
     epsilon is the max absolute reward difference over players, states, and
-    joint actions; delta is the max IPM between matching transition rows.
-    A non-finite reward or a row that is not a distribution raises.
+    joint actions; delta is the max IPM between matching transition rows,
+    each clipped at zero. Both games were checked when they were built:
+    their rewards are finite, their rows are distributions, and a metric
+    either carries obeys the axioms.
     """
     return _approx_params(g, g_hat, ipm_kind)[0]
 
 
 def _approx_params(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str):
-    """``game_approx_params``, checked ``g_hat`` rows, metric (None for TV)."""
+    """``game_approx_params``, clipped ``g_hat`` rows, metric (None for TV)."""
     if ipm_kind not in IPM_KINDS:
         raise ValueError(f"unknown IPM kind {ipm_kind!r}")
     _shared_shape(g, g_hat)
-    rows = _checked_rows(g, "g"), _checked_rows(g_hat, "g_hat")
+    rows = (np.clip(g.transitions, 0.0, None),
+            np.clip(g_hat.transitions, 0.0, None))
     epsilon = float(np.max(np.abs(g.rewards - g_hat.rewards)))
     metric = (None if ipm_kind == TOTAL_VARIATION
-              else _check_metric(comparison_metric(g, g_hat), g.num_states))
+              else comparison_metric(g, g_hat))
     delta = (max(0.0, float(_tv(*rows).max())) if metric is None
              else _max_w1([(*rows, 1.0)], metric))
     return ApproximationParams(epsilon, delta, ipm_kind), rows[1], metric
@@ -429,21 +423,23 @@ def game_lipschitz_constants(game: MarkovGame,
 
     L_r bounds reward differences across states (same action, any player)
     relative to the metric; L_P bounds the Wasserstein distance between
-    transition rows across states. The game must carry a metric unless one
-    is passed explicitly. A non-finite reward or a row that is not a
-    distribution raises.
+    transition rows (clipped at zero) across states. The game must carry a
+    metric unless one is passed explicitly; the game, its own metric
+    included, was checked when it was built, and a passed metric is checked
+    here.
     """
-    if metric is None:
-        if game.metric is None:
-            raise ValueError("game has no state metric")
+    if metric is not None:
+        metric = _check_metric(metric, game.num_states)
+    elif game.metric is None:
+        raise ValueError("game has no state metric")
+    else:
         metric = game.metric
-    metric = _check_metric(metric, game.num_states)
-    rows = _checked_rows(game, "game")
-    return _lipschitz_constants(game.rewards, rows, metric)
+    return _lipschitz_constants(game.rewards,
+                                np.clip(game.transitions, 0.0, None), metric)
 
 
 def _lipschitz_constants(rewards, rows, metric) -> tuple[float, float]:
-    """(L_r, L_P) from finite rewards, checked rows and a checked metric."""
+    """(L_r, L_P) from finite rewards, rows clipped at zero and a metric."""
     s, t = np.triu_indices(len(metric), 1)
     l_p = _max_w1(((rows[s1], rows[s1 + 1:], metric[s1, s1 + 1:, None])
                    for s1 in range(len(metric) - 1)),

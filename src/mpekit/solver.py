@@ -45,8 +45,7 @@ import numpy as np
 
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    _check_count, _check_game, _finite_values,
-                    _frozen_array)
+                    _check_count, _finite_values, _frozen_array)
 from .mdp import _action_values, _policy_values, _profile_chain
 
 _NASH_TOL = 1e-9
@@ -591,15 +590,12 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     value-iteration attempt. ``SolveResult.iterations`` counts every sweep
     plus every exact evaluation.
 
-    Raises ``ValueError`` before any sweep with the first message
-    ``validate_game`` gives for the discount, a reward that is not finite
-    or a transition row that breaks the row rule (the metric is not
-    checked), and for a tol that is not positive (NaN included) or a
-    max_iter that is not a positive integer.
+    The game was checked when it was built. Raises ``ValueError`` before
+    any sweep for a game that is not two-player, a tol that is not positive
+    (NaN included) or a max_iter that is not a positive integer.
     """
     if game.num_players != 2:
         raise ValueError("two-player solver only")
-    _check_game(game)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_count(max_iter, "max_iter")

@@ -457,7 +457,7 @@ def reference_game_lipschitz_constants(game, metric):
 
 
 def reference_stochastic_violations(transitions, row_name) -> list[str]:
-    """``validate_game``'s loop over transition rows, as first written."""
+    """The game check's loop over transition rows, as first written."""
     out = []
     for s in range(transitions.shape[0]):
         for a in range(transitions.shape[1]):

@@ -62,7 +62,24 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, ["validate", str(bad)])
         assert code == 1
-        assert "sums to" in out
+        assert out == ("transition row (state '1', action (1,1)) sums to "
+                       "1.1, not 1 within 1e-09\n")
+        assert err == ""
+
+    def test_every_violation_on_its_own_line(self, capsys, game_files,
+                                            tmp_path):
+        doc = json.loads(game_files["original"].read_text())
+        doc["transitions"]["2|1,2"] = [0.5, 0.2, 0.2]
+        doc["gamma"] = 1.0
+        bad = tmp_path / "invalid.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(bad)])
+        assert code == 1
+        assert out == (
+            "discount 1.0 outside the open interval (0, 1)\n"
+            "transition row (state '2', action (1,2)) sums to "
+            "0.8999999999999999, not 1 within 1e-09\n")
+        assert err == ""
 
 
 class TestCertify:

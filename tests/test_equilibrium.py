@@ -17,6 +17,7 @@ from helpers import (
 )
 from mpekit.equilibrium import certify_profile, is_mpe
 from mpekit.games import (
+    GameValidationError,
     MarkovGame,
     MarkovStrategy,
     StrategyProfile,
@@ -247,13 +248,14 @@ class TestOnePassCertificate:
 
 class TestDiscountGuard:
     @pytest.mark.parametrize("gamma", [1.5, 1.0])
-    def test_invalid_discount_fails_fast(self, original_game, perturbed_mpe,
-                                         gamma):
-        # Constructed directly, so validate_game never sees the discount.
-        game = dataclasses.replace(original_game, discount=gamma)
+    def test_invalid_discount_fails_fast(self, original_game, gamma):
+        # replace builds a game, so the discount is checked before any
+        # certificate can be asked of it.
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="discount"):
-            certify_profile(game, perturbed_mpe.profile)
+        with pytest.raises(GameValidationError) as excinfo:
+            dataclasses.replace(original_game, discount=gamma)
+        assert excinfo.value.violations == [
+            f"discount {gamma!r} outside the open interval (0, 1)"]
         assert time.perf_counter() - start < 1.0
 
 
@@ -269,20 +271,19 @@ class TestFailFast:
 
     @pytest.mark.parametrize("field, index", [("rewards", (0, 0, 0)),
                                               ("transitions", (0, 0))])
-    def test_non_finite_model_entry_raises(self, original_game, perturbed_mpe,
-                                           field, index):
-        # Constructed directly, so validate_game never sees the NaN.
+    def test_non_finite_model_entry_raises(self, original_game, field, index):
+        # replace builds a game, so the NaN is named before certify_profile,
+        # evaluate_policy or solve_optimal could be called on it.
         array = getattr(original_game, field).copy()
         array[index] = np.nan
-        game = dataclasses.replace(original_game, **{field: array})
-        profile = perturbed_mpe.profile
-        mdp = induced_mdp(game, profile, 0)
-        calls = (lambda: certify_profile(game, profile),
-                 lambda: evaluate_policy(mdp, profile.strategies[0]),
-                 lambda: solve_optimal(mdp))
-        for call in calls:
-            with pytest.raises(ValueError, match="not finite"):
-                call()
+        with pytest.raises(GameValidationError) as excinfo:
+            dataclasses.replace(original_game, **{field: array})
+        assert excinfo.value.violations == [{
+            "rewards": "reward of player 0 at (state '1', action (1,1)) is "
+                       "not finite",
+            "transitions": "transition row (state '1', action (1,1)) has "
+                           "non-finite entries",
+        }[field]]
 
 
 class TestIsMpe:

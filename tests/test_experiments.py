@@ -13,7 +13,7 @@ from mpekit.experiments import (
     summary_csv,
     trial_seed_sequence,
 )
-from mpekit.games import MarkovGame, validate_game
+from mpekit.games import STOCHASTIC_ATOL, GameValidationError, MarkovGame
 from mpekit.metrics import tv_distance
 
 
@@ -67,7 +67,9 @@ class TestEstimateModel:
                                           np.random.SeedSequence(1))
         assert np.all(model.counts.sum(axis=2) == 357)
         assert model.samples_per_pair == 357
-        assert validate_game(estimated) == []
+        # A plug-in game passes the row rule with room to spare.
+        assert np.all(np.abs(estimated.transitions.sum(-1) - 1.0)
+                      <= 1e-3 * STOCHASTIC_ATOL)
         assert np.array_equal(estimated.rewards, original_game.rewards)
         assert estimated.discount == original_game.discount
 
@@ -112,12 +114,12 @@ class TestEstimateModel:
         assert np.all(model.counts.sum(axis=2) == 40)
 
     def test_rows_at_the_row_rule_edge(self, original_game):
-        # Both rows pass validate_game; a bare multinomial rejects each.
+        # Both rows pass the row rule, so the game builds; a bare
+        # multinomial rejects each.
         transitions = np.array(original_game.transitions)
         transitions[0, 0] = [0.5, 0.5 + 5e-10, 0.0]
         transitions[1, 2] = [-5e-10, 0.5, 0.5 + 5e-10]
         game = dataclasses.replace(original_game, transitions=transitions)
-        assert validate_game(game) == []
         _, model = estimate_model(game, 10_000, np.random.SeedSequence(3))
         assert np.all(model.counts.sum(axis=2) == 10_000)
         assert np.all(model.counts[transitions <= 0.0] == 0)
@@ -130,15 +132,16 @@ class TestEstimateModel:
     def test_rejects_a_row_the_row_rule_rejects(self, original_game, row,
                                                  rule):
         # The short row used to sample as [0.2, 0.2, 0.6]; the NaN row
-        # failed inside numpy without naming the pair.
+        # failed inside numpy without naming the pair. Now no game holds
+        # either row, so estimate_model never sees one.
         transitions = np.array(original_game.transitions)
         transitions[1, 2] = row
-        game = dataclasses.replace(original_game, transitions=transitions)
-        pair = (f"transition row (state {game.states[1]!r}, "
-                f"action ({game.joint_action_label(2)})) ")
-        with pytest.raises(ValueError) as info:
-            estimate_model(game, 1000, np.random.SeedSequence(0))
-        assert str(info.value).startswith(pair + rule)
+        pair = (f"transition row (state {original_game.states[1]!r}, "
+                f"action ({original_game.joint_action_label(2)})) ")
+        with pytest.raises(GameValidationError) as info:
+            dataclasses.replace(original_game, transitions=transitions)
+        [violation] = info.value.violations
+        assert violation.startswith(pair + rule)
 
 
 class TestRunExperiments:
@@ -153,16 +156,18 @@ class TestRunExperiments:
     @pytest.mark.parametrize("num_trials", [0, 1])
     def test_rows_checked_before_any_trial(self, original_game, num_trials):
         # With no trial to run, a short row used to give [] while one trial
-        # raised from estimate_model; both now raise its message.
+        # raised from estimate_model. Now the game cannot be built, so
+        # run_experiments never sees it, however many trials it would run.
         transitions = np.array(original_game.transitions)
         transitions[1, 2] = [0.2, 0.2, 0.2]
-        game = dataclasses.replace(original_game, transitions=transitions)
         message = (f"transition row (state '2', action "
-                   f"({game.joint_action_label(2)})) sums to "
+                   f"({original_game.joint_action_label(2)})) sums to "
                    f"0.6000000000000001, not 1 within 1e-09")
-        with pytest.raises(ValueError) as info:
-            run_experiments(game, 100, num_trials, 1)
-        assert str(info.value) == message
+        with pytest.raises(GameValidationError) as info:
+            dataclasses.replace(original_game, transitions=transitions)
+        assert info.value.violations == [message]
+        assert len(run_experiments(original_game, 100, num_trials, 1)) \
+            == num_trials
 
     def test_records_are_reproducible(self, original_game):
         first = run_experiments(original_game, 400, 3, 123)

@@ -34,7 +34,6 @@ from mpekit.games import (
     parse_profile,
     serialize_game,
     serialize_profile,
-    validate_game,
 )
 from mpekit.metrics import _check_distribution, comparison_metric
 
@@ -107,37 +106,102 @@ def tiny_game(**overrides):
     return MarkovGame(**base)
 
 
+#: The parts ``broken_part`` breaks, one at a time.
+BROKEN_PARTS = ("row-nan", "row-negative", "row-short", "reward-nan",
+                "reward-inf", "discount", "metric-asymmetric",
+                "metric-triangle")
+
+
+def row_name(game: MarkovGame):
+    """Names rows as the row-loop reference expects: (state, joint action)."""
+    return lambda s, a: (f"(state {game.states[s]!r}, "
+                         f"action ({game.joint_action_label(a)}))")
+
+
+def broken_part(rng, game: MarkovGame, part: str):
+    """(field, broken value, intact value, expected violations): one part
+    of a valid game with a line metric broken, a valid replacement for it,
+    and the violations the references give for the broken value."""
+    size = game.num_states
+    s, a = int(rng.integers(size)), int(rng.integers(game.num_joint_actions))
+    if part.startswith("row"):
+        rows = game.transitions.copy()
+        k = int(rng.integers(size))
+        if part == "row-nan":
+            rows[s, a, k] = np.nan
+        elif part == "row-negative":
+            rows[s, a, k] = -rng.uniform(1e-6, 1.0)
+        else:
+            rows[s, a] *= rng.uniform(0.1, 1.0 - 1e-6)
+        intact = game.transitions.copy()
+        intact[s, a] = rng.dirichlet(np.ones(size))
+        return ("transitions", rows, intact,
+                reference_stochastic_violations(rows, row_name(game)))
+    if part.startswith("reward"):
+        rewards = game.rewards.copy()
+        player = int(rng.integers(game.num_players))
+        rewards[player, s, a] = np.nan if part == "reward-nan" else np.inf
+        intact = game.rewards.copy()
+        intact[player, s, a] = rng.normal(scale=1e6)
+        return ("rewards", rewards, intact, [
+            f"reward of player {player} at {row_name(game)(s, a)} is not "
+            "finite"])
+    if part == "discount":
+        gamma = float(rng.choice([0.0, 1.0, -0.5, 1.5, np.nan, np.inf]))
+        return ("discount", gamma, rng.uniform(1e-6, 1.0 - 1e-6), [
+            f"discount {gamma!r} outside the open interval (0, 1)"])
+    metric = game.metric.copy()
+    if part == "metric-asymmetric":
+        j = (s + 1 + int(rng.integers(size - 1))) % size
+        metric[s, j] += rng.uniform(0.1, 1.0)
+    else:
+        metric[0, -1] = metric[-1, 0] = size - 1 + rng.uniform(0.5, 3.0)
+    return ("metric", metric, rng.uniform(0.1, 10.0) * game.metric,
+            reference_metric_violations(metric))
+
+
+def build_violations(build, **fields) -> list[str]:
+    """The violations ``build(**fields)`` raises; [] when the game builds."""
+    try:
+        build(**fields)
+    except GameValidationError as exc:
+        return exc.violations
+    return []
+
+
 class TestValidation:
     def test_bundled_games_are_clean(self, original_game, perturbed_game):
-        assert validate_game(original_game) == []
-        assert validate_game(perturbed_game) == []
+        # Each was checked when it was parsed; building it again raises
+        # nothing either.
+        for game in (original_game, perturbed_game):
+            replace(game)
 
     def test_bad_row_sum_is_one_violation(self):
-        game = tiny_game(
+        violations = build_violations(
+            tiny_game,
             transitions=[[[0.5, 0.6], [1.0, 0.0]], [[0.0, 1.0], [0.25, 0.75]]]
         )
-        violations = validate_game(game)
         assert len(violations) == 1
         assert "sums to" in violations[0]
         assert "'a'" in violations[0]
 
     def test_discount_boundaries_excluded(self):
         for gamma in (1.0, 0.0, -0.1, 1.5):
-            violations = validate_game(tiny_game(discount=gamma))
+            violations = build_violations(tiny_game, discount=gamma)
             assert len(violations) == 1
             assert "discount" in violations[0]
 
     def test_nonfinite_reward_flagged(self):
-        game = tiny_game(rewards=[[[1.0, np.inf], [3.0, 4.0]]])
-        violations = validate_game(game)
+        violations = build_violations(
+            tiny_game, rewards=[[[1.0, np.inf], [3.0, 4.0]]])
         assert len(violations) == 1
         assert "finite" in violations[0]
 
     def test_negative_transition_flagged(self):
-        game = tiny_game(
+        assert any("negative" in v for v in build_violations(
+            tiny_game,
             transitions=[[[1.2, -0.2], [1.0, 0.0]], [[0.0, 1.0], [0.25, 0.75]]]
-        )
-        assert any("negative" in v for v in validate_game(game))
+        ))
 
     def test_metric_axioms(self):
         good = default_line_metric(3)
@@ -178,17 +242,43 @@ class TestValidation:
             metric)
 
     def test_game_with_bad_metric_reports_it(self):
-        game = tiny_game(metric=[[0.0, 0.0], [0.0, 0.0]])
-        assert any("distinct" in v for v in validate_game(game))
+        assert any("distinct" in v for v in build_violations(
+            tiny_game, metric=[[0.0, 0.0], [0.0, 0.0]]))
 
     def test_validate_mdp_mirrors_game_checks(self):
         from helpers import random_mdp
 
-        # An MDP is a one-player game, validated by the same function.
-        mdp = random_mdp(np.random.default_rng(0))
-        assert validate_game(mdp) == []
-        bad = random_mdp(np.random.default_rng(0), discount=1.0)
-        assert any("discount" in v for v in validate_game(bad))
+        # An MDP is a one-player game, checked by the same constructor.
+        random_mdp(np.random.default_rng(0))
+        with pytest.raises(GameValidationError) as excinfo:
+            random_mdp(np.random.default_rng(0), discount=1.0)
+        assert any("discount" in v for v in excinfo.value.violations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6),
+           st.sampled_from(BROKEN_PARTS))
+    def test_replace_lists_what_the_references_list(self, seed, size, part):
+        rng = np.random.default_rng(seed)
+        game = replace(random_game(rng, size, (2, 3), 0.9),
+                       metric=default_line_metric(size))
+        field, broken, intact, expected = broken_part(rng, game, part)
+        with pytest.raises(GameValidationError) as excinfo:
+            replace(game, **{field: broken})
+        assert excinfo.value.violations == expected
+        replace(game, **{field: intact})  # a valid value in its place builds
+
+    def test_rows_scaled_by_nine_tenths_are_rejected(self):
+        # certify_profile once returned a gap for this game: it checked no
+        # row, where other entry points did.
+        game = random_game(np.random.default_rng(1), 100, (3, 3), 0.99)
+        with pytest.raises(GameValidationError) as excinfo:
+            replace(game, transitions=0.9 * game.transitions)
+        violations = excinfo.value.violations
+        assert violations == reference_stochastic_violations(
+            0.9 * game.transitions, row_name(game))
+        assert len(violations) == 900
+        assert violations[0].startswith(
+            "transition row (state '0', action (0,0)) sums to 0.89")
 
 
 class TestParsing:
@@ -208,7 +298,6 @@ class TestParsing:
             "rewards": [{"only|stay": 0.0}],
         })
         game = parse_game(doc)
-        assert validate_game(game) == []
         assert game.num_joint_actions == 1
 
     def test_missing_transition_row_names_key(self):
@@ -248,11 +337,13 @@ class TestParsing:
             parse_game(json.dumps(doc))
         assert any("sums to" in v for v in excinfo.value.violations)
 
-    def test_validate_flag_defers_checking(self):
+    def test_discount_checked_when_parsed(self):
         doc = json.loads(serialize_game(tiny_game()))
         doc["gamma"] = 1.0
-        game = parse_game(json.dumps(doc), validate=False)
-        assert validate_game(game) != []
+        with pytest.raises(GameValidationError) as excinfo:
+            parse_game(json.dumps(doc))
+        assert excinfo.value.violations == [
+            "discount 1.0 outside the open interval (0, 1)"]
 
     @pytest.mark.parametrize("field", ["players", "states", "actions",
                                        "gamma", "transitions", "rewards"])
@@ -444,7 +535,7 @@ class TestReader:
     def test_each_game_fault_is_named(self, case):
         text, name = case
         with pytest.raises(GameFormatError) as excinfo:
-            parse_game(text, validate=False)
+            parse_game(text)
         assert name in str(excinfo.value)
 
     @pytest.mark.parametrize("fault", NOT_NUMBERS)
@@ -742,14 +833,9 @@ class TestRowRule:
         # The one change: an entry in [-STOCHASTIC_ATOL, 0) of a finite row
         # now passes where the game and strategy checks rejected it.
         tolerated = finite & (rows < 0) & (rows >= -STOCHASTIC_ATOL)
-        game = MarkovGame(tuple(map(str, range(size))),
-                          [tuple(map(str, range(joint)))], rows,
-                          np.zeros((1, size, joint)), 0.9)
-
         expected = []
         for s, a in np.ndindex(size, joint):
-            name = (f"(state {game.states[s]!r}, "
-                    f"action ({game.joint_action_label(a)}))")
+            name = f"(state '{s}', action ({a}))"
             messages = reference_stochastic_violations(
                 rows[s:s + 1, a:a + 1], lambda *_: name)
             strict = (rows[s, a] < -STOCHASTIC_ATOL).any()
@@ -757,7 +843,10 @@ class TestRowRule:
                 assert messages[0].endswith("has negative entries")
                 messages = messages[1:]
             expected.extend(messages)
-        assert validate_game(game) == expected
+        assert build_violations(
+            MarkovGame, states=tuple(map(str, range(size))),
+            action_sets=[tuple(map(str, range(joint)))], transitions=rows,
+            rewards=np.zeros((1, size, joint)), discount=0.9) == expected
 
         expected = _outcome(reference_check_distribution, "rows", rows)
         assert _outcome(_check_distribution, "rows", rows) == expected
@@ -782,8 +871,9 @@ class TestRowRule:
         row = [np.inf, -np.inf]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert validate_game(tiny_game(
-                transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])) == [
+            assert build_violations(
+                tiny_game,
+                transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]) == [
                     "transition row (state 'a', action (x)) has non-finite "
                     "entries"]
             with pytest.raises(ValueError, match="non-finite probability"):
@@ -792,13 +882,13 @@ class TestRowRule:
     def test_entries_within_tolerance_pass_and_metrics_clip_them(self):
         for entry in (-5e-10, -1e-11, -STOCHASTIC_ATOL):
             row = [1.0 - entry, entry]
-            assert validate_game(tiny_game(
-                transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], row]])) == []
+            tiny_game(transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], row]])
             MarkovStrategy([row])
             assert _check_distribution("row", np.array(row))[1] == 0.0
         row = [1.0 + 2e-9, -2e-9]
-        assert any("negative" in v for v in validate_game(tiny_game(
-            transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])))
+        assert any("negative" in v for v in build_violations(
+            tiny_game,
+            transitions=[[row, [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]))
         with pytest.raises(ValueError, match="negative probability"):
             MarkovStrategy([row])
         with pytest.raises(ValueError, match="not a probability"):

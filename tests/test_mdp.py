@@ -19,11 +19,12 @@ from helpers import (
     reference_strategy_transitions,
     small_mdps,
 )
-from mpekit.equilibrium import certify_profile, is_mpe
-from mpekit.games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                          ValueFunction, induced_mdp)
+from mpekit.equilibrium import certify_profile
+from mpekit.games import (GameValidationError, MarkovGame, MarkovStrategy,
+                          StrategyProfile, ValueFunction, induced_mdp)
 from mpekit.mdp import (
     _action_values,
+    _best_response,
     _policy_values,
     _profile_chain,
     bellman_optimal,
@@ -211,38 +212,41 @@ class TestDiscountGuard:
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.5, np.nan, np.inf,
                                        -np.inf])
     def test_planners_reject_discount_outside_open_unit_interval(self, gamma):
-        mdp = single_state_mdp(1.0, gamma)
-        with pytest.raises(ValueError, match="discount"):
-            evaluate_policy(mdp, MarkovStrategy([[1.0]]))
-        with pytest.raises(ValueError, match="discount"):
-            solve_optimal(mdp)
-        with pytest.raises(ValueError, match="discount"):
-            certify_profile(mdp, StrategyProfile((MarkovStrategy([[1.0]]),)))
+        # The MDP is checked when it is built, so no planner ever sees it.
+        with pytest.raises(GameValidationError) as excinfo:
+            single_state_mdp(1.0, gamma)
+        assert excinfo.value.violations == [
+            f"discount {float(gamma)!r} outside the open interval (0, 1)"]
 
 
 def test_policy_iteration_raises_on_a_revisited_policy(original_game):
     # A transition row that is not a distribution makes gamma P expand, and
-    # Howard's policies cycle (by step 2 for player 0, 3 for player 1). The
-    # timer turns a spin into a failure instead of a hang.
+    # Howard's policies cycle (by step 2 for player 0, 3 for player 1). No
+    # game holds such a row, so the guard is reached on the raw arrays of
+    # the model each player faces when the other plays uniformly. The timer
+    # turns a spin into a failure instead of a hang.
     transitions = original_game.transitions.copy()
     transitions[2, 3] = [5.0, 0.2, 0.1]
-    game = replace(original_game, transitions=transitions)
-    uniform = StrategyProfile((MarkovStrategy(np.full((3, 2), 0.5)),) * 2)
-    calls = (lambda: certify_profile(game, uniform),
-             lambda: is_mpe(game, uniform),
-             lambda: solve_optimal(induced_mdp(game, uniform, 0)),
-             lambda: solve_optimal(induced_mdp(game, uniform, 1)))
+    with pytest.raises(GameValidationError) as excinfo:
+        replace(original_game, transitions=transitions)
+    assert excinfo.value.violations == [
+        "transition row (state '3', action (2,2)) sums to 5.3, not 1 within "
+        "1e-09"]
+    p = transitions.reshape(3, 2, 2, 3)
+    r = original_game.rewards.reshape(2, 3, 2, 2)
+    models = ((p.mean(axis=2), r[0].mean(axis=2)),
+              (p.mean(axis=1), r[1].mean(axis=1)))
 
     def spin(signum, frame):
         raise TimeoutError("policy iteration still running after 1 s")
 
     previous = signal.signal(signal.SIGALRM, spin)
     try:
-        for call in calls:
+        for trans, rew in models:
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             with pytest.raises(ValueError, match="revisited a policy.*"
                                                  "distribution"):
-                call()
+                _best_response(trans, rew, original_game.discount)
             signal.setitimer(signal.ITIMER_REAL, 0.0)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)

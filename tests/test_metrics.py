@@ -16,7 +16,8 @@ from helpers import (
 )
 from mpekit import bounds, metrics
 from mpekit.bounds import robustness_report
-from mpekit.games import MarkovGame, default_line_metric, metric_violations
+from mpekit.games import (GameValidationError, MarkovGame,
+                          default_line_metric, metric_violations)
 from mpekit.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
@@ -362,35 +363,39 @@ def with_nan_row(game: MarkovGame) -> MarkovGame:
     return replace(game, transitions=transitions)
 
 
+#: The message a game built by ``with_nan_row`` raises: row [1, 2].
+NAN_ROW = "transition row (state '2', action (2,1)) has non-finite entries"
+
+
 class TestCheckedOnce:
-    """Each game-level call checks its metric and rows once, up front."""
+    """A game is checked once, when it is built: game-level calls check
+    neither its rows nor its own metric again, only a metric passed in."""
 
     @pytest.mark.parametrize("kind", [TOTAL_VARIATION, WASSERSTEIN])
-    def test_nan_transition_row_rejected(self, original_game, kind):
-        # max(0.0, nan) is 0.0: a NaN row reaching the max reads as no gap.
-        broken = with_nan_row(original_game)
-        with pytest.raises(ValueError, match=r"g_hat is not .* row \[1, 2\]"):
-            game_approx_params(original_game, broken, kind)
-        with pytest.raises(ValueError, match=r"of g is not .* row \[1, 2\]"):
-            game_approx_params(broken, original_game, kind)
+    def test_nan_transition_row_rejected(self, original_game, perturbed_game,
+                                         kind):
+        # max(0.0, nan) is 0.0: a NaN row reaching the max would read as no
+        # gap. No game holds one, and the gap of two games is positive.
+        with pytest.raises(GameValidationError) as excinfo:
+            with_nan_row(original_game)
+        assert excinfo.value.violations == [NAN_ROW]
+        assert game_approx_params(original_game, perturbed_game,
+                                  kind).delta > 0.0
 
     def test_nan_transition_row_rejected_by_lipschitz(self, original_game):
-        with pytest.raises(ValueError, match=r"not .* row \[1, 2\]"):
-            game_lipschitz_constants(with_nan_row(original_game), LINE3)
+        with pytest.raises(GameValidationError) as excinfo:
+            with_nan_row(replace(original_game, metric=LINE3))
+        assert excinfo.value.violations == [NAN_ROW]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_reward_rejected(self, original_game, perturbed_game,
-                                        bad):
+    def test_non_finite_reward_rejected(self, perturbed_game, bad):
         # A NaN makes its block of state pairs NaN, which max(l_r, nan) drops.
         rewards = perturbed_game.rewards.copy()
         rewards[0, 1, 2] = bad
-        broken = replace(perturbed_game, rewards=rewards)
-        for kind in (TOTAL_VARIATION, WASSERSTEIN):
-            with pytest.raises(ValueError,
-                               match=r"g_hat: reward \[0, 1, 2\] is not"):
-                game_approx_params(original_game, broken, kind)
-        with pytest.raises(ValueError, match=r"reward \[0, 1, 2\] is not"):
-            game_lipschitz_constants(broken, LINE3)
+        with pytest.raises(GameValidationError) as excinfo:
+            replace(perturbed_game, rewards=rewards)
+        assert excinfo.value.violations == [
+            "reward of player 0 at (state '2', action (2,1)) is not finite"]
 
     def test_metric_checked_once_and_no_per_row_calls(self, monkeypatch,
                                                       original_game,
@@ -404,15 +409,18 @@ class TestCheckedOnce:
         def per_row_call(*args):
             raise AssertionError("a public distance was called per row")
 
+        on_line = replace(perturbed_game, metric=LINE3)
         monkeypatch.setattr(metrics, "metric_violations", counting)
         monkeypatch.setattr(metrics, "tv_distance", per_row_call)
         monkeypatch.setattr(metrics, "wasserstein1", per_row_call)
         game_approx_params(original_game, perturbed_game, TOTAL_VARIATION)
-        assert checks == []
         game_approx_params(original_game, perturbed_game, WASSERSTEIN)
-        assert checks == [(3, 3)]
+        game_approx_params(original_game, on_line, WASSERSTEIN)
+        assert checks == []
         game_lipschitz_constants(perturbed_game, LINE3)
-        assert checks == [(3, 3), (3, 3)]
+        assert checks == [(3, 3)]
+        game_lipschitz_constants(on_line)
+        assert checks == [(3, 3)]
 
     def test_robustness_report_checks_each_input_once(self, monkeypatch,
                                                        original_game,
@@ -445,7 +453,7 @@ class TestCheckedOnce:
         monkeypatch.setattr(metrics, "_finite_values", finite_check)
         monkeypatch.setattr(bounds, "_finite_values", finite_check)
         given_values = [f"value vector of player index {i}" for i in (0, 1)]
-        for kind, metric_checks in ((TOTAL_VARIATION, 0), (WASSERSTEIN, 1)):
+        for kind, metric_builds in ((TOTAL_VARIATION, 0), (WASSERSTEIN, 1)):
             for inputs, vector_checks in (
                     ({"profile": perturbed_mpe.profile}, []),
                     ({"values": perturbed_mpe.certificate.per_player_value},
@@ -456,11 +464,9 @@ class TestCheckedOnce:
                 vectors.clear()
                 robustness_report(original_game, perturbed_game, kind,
                                   **inputs)
-                assert checks == [(3, 3)] * metric_checks
-                assert len(metrics_built) == metric_checks
-                assert len(rows) == 2
-                assert rows[0] is original_game.transitions
-                assert rows[1] is perturbed_game.transitions
+                assert checks == []
+                assert rows == []
+                assert len(metrics_built) == metric_builds
                 assert vectors == vector_checks
 
     def test_grid_report_solves_few_transport_lps(self, monkeypatch):

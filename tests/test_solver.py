@@ -14,7 +14,7 @@ from helpers import (nash_deviation_gain, random_game,
                      reference_solve_mpe)
 from mpekit import solver
 from mpekit.equilibrium import certify_profile, is_mpe
-from mpekit.games import MarkovGame
+from mpekit.games import GameValidationError, MarkovGame
 from mpekit.solver import bimatrix_nash, solve_mpe, stage_game
 
 #: One unit in the last place of 1e8 (about 1.5e-8).
@@ -588,11 +588,12 @@ class TestSolveMpe:
     @pytest.mark.parametrize("gamma", [1.5, 1.0, np.nan])
     def test_rejects_discount_outside_open_unit_interval_at_once(
             self, perturbed_game, gamma):
-        # Construction checks shapes only, so the solver guards the discount.
-        game = replace(perturbed_game, discount=gamma)
+        # The game is checked when it is built, so the solver never sees it.
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="discount"):
-            solve_mpe(game)
+        with pytest.raises(GameValidationError) as info:
+            replace(perturbed_game, discount=gamma)
+        assert info.value.violations == [
+            f"discount {gamma!r} outside the open interval (0, 1)"]
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("field, where, entry, message", [
@@ -605,13 +606,13 @@ class TestSolveMpe:
     def test_rejects_a_broken_game_before_any_sweep(
             self, original_game, capfd, field, where, entry, message):
         # The NaN reward printed thousands of LAPACK DLASCL lines from
-        # lstsq before a policy-value error; the short row converged.
+        # lstsq before a policy-value error; the short row converged. Now
+        # neither game can be built, so no sweep can run on it.
         broken = np.array(getattr(original_game, field))
         broken[where] = entry
-        game = replace(original_game, **{field: broken})
-        with pytest.raises(ValueError) as info:
-            solve_mpe(game)
-        assert str(info.value) == message
+        with pytest.raises(GameValidationError) as info:
+            replace(original_game, **{field: broken})
+        assert info.value.violations == [message]
         captured = capfd.readouterr()
         assert "DLASCL" not in captured.out + captured.err
 
