@@ -81,7 +81,7 @@ def _alpha_lines(certificate) -> str:
 def _cmd_certify(args) -> int:
     game = _load(args.game, games.parse_game)
     profile = _load(args.profile, games.parse_profile)
-    print(_alpha_lines(certify_profile(game, profile, args.tol)))
+    print(_alpha_lines(certify_profile(game, profile)))
     return EXIT_OK
 
 
@@ -170,7 +170,7 @@ def _cmd_experiment(args) -> int:
     records = experiments.run_experiments(
         game, args.n, args.trials, args.seed, solver_tol=args.solver_tol
     )
-    records_doc = experiments.records_csv(records, game.num_players)
+    records_doc = experiments.records_csv(records)
     summary_doc = experiments.summary_csv(experiments.summarize(records))
     summary_path = _summary_path(args.out)
     try:
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "profile")
     p.add_argument("game")
     p.add_argument("profile")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("bound", help="robustness bound ladder for a game pair")

@@ -27,27 +27,27 @@ class CertificateAlpha:
     """Per-player equilibrium gaps for a strategy profile.
 
     ``per_player_alpha`` holds raw gaps max_s (best-response value minus
-    achieved value); they can dip a hair below zero through numerics, never
-    below -2 tol. ``alpha_clamped`` zeroes that noise for reporting while
-    the raw values stay available.
+    achieved value); they can dip a hair below zero through numerics.
+    ``alpha_clamped`` zeroes that noise, any gap in [-2 DEFAULT_TOL, 0), for
+    reporting while the raw values stay available.
     """
 
     per_player_alpha: np.ndarray
     per_player_value: tuple[ValueFunction, ...]
     per_player_best_response_value: tuple[ValueFunction, ...]
-    tol: float
 
     def alpha_clamped(self) -> np.ndarray:
         alpha = self.per_player_alpha
-        return np.where((alpha < 0.0) & (alpha >= -2.0 * self.tol), 0.0, alpha)
+        return np.where((alpha < 0.0) & (alpha >= -2.0 * DEFAULT_TOL), 0.0,
+                        alpha)
 
     @property
     def max_alpha(self) -> float:
         return float(np.max(self.per_player_alpha))
 
 
-def certify_profile(game: MarkovGame, profile: StrategyProfile,
-                    tol: float = DEFAULT_TOL) -> CertificateAlpha:
+def certify_profile(game: MarkovGame, profile: StrategyProfile
+                    ) -> CertificateAlpha:
     """Measure each player's incentive to deviate from a profile.
 
     Each player's induced MDP gives the value their own strategy achieves
@@ -61,8 +61,6 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile,
     the one gap ``per_player_alpha[0]`` is the strategy's optimality gap:
     its largest per-state shortfall against the optimal value.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     check_profile(game, profile)
     strategies = [strat.probabilities for strat in profile.strategies]
     models = [_induced_model(game, strategies, player)
@@ -76,11 +74,14 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile,
         best_values.append(_best_response(trans, rew, game.discount)[0])
     alphas = np.array([np.max(b - a) for a, b in zip(values, best_values)])
     return CertificateAlpha(alphas, tuple(map(ValueFunction, values)),
-                            tuple(map(ValueFunction, best_values)), tol)
+                            tuple(map(ValueFunction, best_values)))
 
 
 def is_mpe(game: MarkovGame, profile: StrategyProfile,
            tol: float = DEFAULT_TOL) -> bool:
-    """True iff no player can gain more than tol by deviating."""
-    certificate = certify_profile(game, profile, tol)
+    """True iff no player can gain more than tol by deviating, judged on
+    the raw gaps."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    certificate = certify_profile(game, profile)
     return bool(np.all(certificate.per_player_alpha <= tol))

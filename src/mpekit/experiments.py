@@ -183,10 +183,11 @@ def _format(x: float) -> str:
     return f"{x:.12g}"
 
 
-def records_csv(records: list[ExperimentRecord], num_players: int = 2) -> str:
-    """Scatter data, one row per trial: trial,alpha1,...,converged,seed."""
-    if records:
-        num_players = len(records[0].alpha_pair)
+def records_csv(records: list[ExperimentRecord]) -> str:
+    """Scatter data, one row per trial: trial,alpha1,...,converged,seed.
+    The header has one column per player of the first record; an empty list
+    gets two, as experiments run on two-player games."""
+    num_players = len(records[0].alpha_pair) if records else 2
     out = io.StringIO()
     alpha_cols = ",".join(f"alpha{i + 1}" for i in range(num_players))
     out.write(f"trial,{alpha_cols},converged,seed\n")

@@ -30,6 +30,8 @@ import numpy as np
 
 #: Tolerance of the row rule: for a negative entry and for a row's sum.
 STOCHASTIC_ATOL = 1e-9
+#: Tolerance of the metric axioms (zero diagonal, symmetry, triangle).
+_METRIC_ATOL = 1e-12
 
 
 class GameFormatError(ValueError):
@@ -245,7 +247,7 @@ def default_line_metric(num_states: int) -> np.ndarray:
     return np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
 
 
-def metric_violations(metric: np.ndarray, atol: float = 1e-12) -> list[str]:
+def metric_violations(metric: np.ndarray) -> list[str]:
     """Check metric axioms; returns one message per violated rule."""
     out = []
     metric = np.asarray(metric, dtype=np.float64)
@@ -257,20 +259,20 @@ def metric_violations(metric: np.ndarray, atol: float = 1e-12) -> list[str]:
         return [f"metric entry ({i}, {j}) is not finite"]
     n = metric.shape[0]
     diag = np.abs(np.diag(metric))
-    if np.any(diag > atol):
-        s = int(np.argmax(diag > atol))
+    if np.any(diag > _METRIC_ATOL):
+        s = int(np.argmax(diag > _METRIC_ATOL))
         out.append(f"metric d(s,s) != 0 at state index {s}")
     asym = np.abs(metric - metric.T)
-    if np.any(asym > atol):
-        i, j = np.argwhere(asym > atol)[0]
+    if np.any(asym > _METRIC_ATOL):
+        i, j = np.argwhere(asym > _METRIC_ATOL)[0]
         out.append(f"metric not symmetric at ({i}, {j})")
     off = metric + np.eye(n)  # exclude the diagonal from positivity
     if np.any(off <= 0):
         i, j = np.argwhere(off <= 0)[0]
         out.append(f"metric d(s,s') <= 0 for distinct states ({i}, {j})")
     for i in range(n):
-        # bad[j, k]: d(i, k) > d(i, j) + d(j, k) + atol, summed in that order
-        bad = metric[i] > metric[i][:, None] + metric + atol
+        # bad[j, k]: d(i, k) > d(i, j) + d(j, k) + 1e-12, summed in that order
+        bad = metric[i] > metric[i][:, None] + metric + _METRIC_ATOL
         if np.any(bad):
             j, k = np.argwhere(bad)[0]
             out.append(f"metric triangle inequality fails on ({i}, {j}, {k})")

@@ -25,7 +25,9 @@ the mixed support classes of its own stage game, one stage game at a time,
 with the supports of a class batched: a rectangular support whose
 least-squares residual is certified to exceed the tolerance (a closed-form
 or QR lower bound, with a margin for roundoff) is dropped unsolved, and the
-square supports are solved as one stack. The survivors are confirmed in
+square supports are solved as one stack. Each class has one cached,
+read-only record: its supports and the cells of the payoff blocks its scan
+gathers, built when a scan first reaches it. The survivors are confirmed in
 order by the exact support solve and deviation check, so each state gets
 the equilibrium the pair-by-pair scan selects (B. von Stengel, "Computing
 equilibria for two-person games", *Handbook of Game Theory* 3, 2002,
@@ -204,51 +206,25 @@ def _combinations(size: int, k: int) -> np.ndarray:
 
 @functools.cache
 def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
-    """(rows, cols, cell) for one class of an m x n game: the index arrays
+    """(rows, cols, cells) for one class of an m x n game: the index arrays
     rows (N, k1) and cols (N, k2), one support per row in scan order
-    (lexicographic, rows outer), and for a square class the cell indices
-    (2, N, k + 1, k + 1) into the flattened payoffs (2, m, n) that
-    ``_square_solutions`` gathers both equalizing systems with, else None.
-    Built when a scan first reaches the class; cached and read-only."""
+    (lexicographic, rows outer), and the cells of the payoff blocks the
+    class's scan gathers from the flattened payoffs (2, m, n). A square
+    class has both equalized blocks, A[R, C] and B[R, C].T, as
+    (2, N, k, k); a one-sided class its taller line, B[r, C] (the pure row
+    must equalize it) or A[R, c], as (N, k); any other class None. Built
+    when a scan first reaches the class; cached and read-only."""
     row_sets, col_sets = _combinations(m, k1), _combinations(n, k2)
     rows = np.repeat(row_sets, len(col_sets), axis=0)
     cols = np.tile(col_sets, (len(row_sets), 1))
-    cell = None
+    cells = None
     if k1 == k2:
-        k = k1
-        # A[R, C] at [0], B[R, C].T at [1]; the -1 column and the row of
-        # ones take cell 0 and are overwritten by the template.
-        cell = np.zeros((2, len(rows), k + 1, k + 1), dtype=np.intp)
-        cell[0, :, :k, :k] = rows[:, :, None] * n + cols[:, None, :]
-        cell[1, :, :k, :k] = m * n + rows[:, None, :] * n + cols[:, :, None]
-        cell = _frozen_array(cell, np.intp)
+        cells = np.stack([rows[:, :, None] * n + cols[:, None, :],
+                          m * n + rows[:, None, :] * n + cols[:, :, None]])
+    elif min(k1, k2) == 1:
+        cells = (m * n if k1 == 1 else 0) + rows * n + cols
     return (_frozen_array(rows, np.intp), _frozen_array(cols, np.intp),
-            cell)
-
-
-@functools.cache
-def _one_sided_plan(m: int, n: int, k1: int, k2: int) -> np.ndarray:
-    """The cells (N, k) of each one-sided support's taller block in the
-    flattened payoffs (2, m, n), in scan order; cached and read-only.
-
-    With one row r and columns C the taller block is B[r, C] (the pure row
-    must equalize it), and with rows R and one column c it is A[R, c].
-    """
-    rows, cols, _ = _support_class(m, n, k1, k2)
-    offset = m * n if k1 == 1 else 0
-    return _frozen_array(offset + rows * n + cols, np.intp)
-
-
-@functools.cache
-def _square_template(k: int) -> tuple:
-    """(mask, template, rhs) shared by every (k, k) support: the mask of
-    the payoff block, the equalizing system with a zero block, and
-    e_{k+1}."""
-    mask = np.zeros((k + 1, k + 1), dtype=bool)
-    mask[:k, :k] = True
-    return (_frozen_array(mask, bool),
-            _frozen_array(_equalizing_systems(np.zeros((k, k)))),
-            _identity(k + 1)[k])
+            None if cells is None else _frozen_array(cells, np.intp))
 
 
 def _may_pass(rho2, tol, rows) -> np.ndarray:
@@ -289,16 +265,16 @@ def _clamped(payoffs: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(payoffs, -1e9), 1e9)
 
 
-def _one_sided_survivors(flat, tol, cell) -> np.ndarray:
+def _one_sided_survivors(flat, tol, cells) -> np.ndarray:
     """``_may_pass`` for one-sided rectangular supports, from the cells
-    (N, k) of their taller blocks in the flattened payoffs ``flat``.
+    (N, k) of their taller lines in the flattened payoffs ``flat``.
 
     The least-squares residual rho of a taller block b has
     rho^2 = S / (1 + S), S = sum((b - mean b)^2): a weight z on the pure
     side is best matched by the value z mean(b), which leaves
     z^2 S + (z - 1)^2, least at z = 1 / (1 + S).
     """
-    lines = _clamped(flat[cell])
+    lines = _clamped(flat[cells])
     k = lines.shape[1]
     spread = lines - lines.sum(axis=1, keepdims=True) / k
     total = (spread * spread).sum(axis=1)
@@ -320,8 +296,9 @@ def _rectangular_survivors(payoffs, tol, rows, cols) -> np.ndarray:
     return _may_pass((trailing * trailing).sum(axis=-1), tol, k)
 
 
-def _square_solutions(flat, cell):
-    """Both equalizing solutions of every square support of one class:
+def _square_solutions(flat, cells):
+    """Both equalizing solutions of every square support of one class, from
+    the cells (2, N, k, k) of its blocks in the flattened payoffs ``flat``:
     (keep (N,), solutions (2, N, k + 1)), where keep marks the supports
     whose two systems are nonsingular with no support probability below
     -1e-9, and solutions[0] solves the row player's block A[R, C].
@@ -331,9 +308,9 @@ def _square_solutions(flat, cell):
     the same bits. A stack that holds a singular system raises as a whole;
     it is then solved one system at a time.
     """
-    k = cell.shape[-1] - 1
-    mask, template, rhs = _square_template(k)
-    systems = np.where(mask, flat[cell], template)
+    k = cells.shape[-1]
+    systems = _equalizing_systems(flat[cells])
+    rhs = _identity(k + 1)[k]
     try:
         solutions = np.linalg.solve(systems, rhs)
         singular = False
@@ -370,15 +347,14 @@ def _mixed_supports(payoffs, tol, x, y, gain):
     for total in range(3, m + n + 1):
         for k1 in range(max(1, total - n), min(m, total - 1) + 1):
             k2 = total - k1
-            rows, cols, cell = _support_class(m, n, k1, k2)
+            rows, cols, cells = _support_class(m, n, k1, k2)
             for start in range(0, len(rows), _STACK_LIMIT):
                 block = slice(start, start + _STACK_LIMIT)
                 solutions = None
-                if cell is not None:
-                    keep, solutions = _square_solutions(flat, cell[:, block])
-                elif min(k1, k2) == 1:
-                    keep = _one_sided_survivors(
-                        flat, tol, _one_sided_plan(m, n, k1, k2)[block])
+                if k1 == k2:
+                    keep, solutions = _square_solutions(flat, cells[:, block])
+                elif cells is not None:
+                    keep = _one_sided_survivors(flat, tol, cells[block])
                 else:
                     keep = _rectangular_survivors(payoffs, tol, rows[block],
                                                   cols[block])

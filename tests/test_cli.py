@@ -136,12 +136,10 @@ class TestCertify:
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["certify", "original", "profile", "--tol", "0"],
-     "error: tol must be positive"),
     (["solve", "perturbed", "--tol", "-1"], "error: tol must be positive"),
     (["solve", "perturbed", "--max-iter", "0"],
      "error: max_iter must be a positive integer"),
-], ids=["certify-tol", "solve-tol", "solve-max-iter"])
+], ids=["solve-tol", "solve-max-iter"])
 def test_library_checks_surface_as_exit_one(capsys, game_files, profile_file,
                                             argv, message):
     paths = dict(game_files, profile=profile_file)

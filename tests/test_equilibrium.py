@@ -15,7 +15,7 @@ from helpers import (
     reference_solve_optimal,
     small_mdps,
 )
-from mpekit.equilibrium import certify_profile, is_mpe
+from mpekit.equilibrium import CertificateAlpha, certify_profile, is_mpe
 from mpekit.games import (
     GameValidationError,
     MarkovGame,
@@ -188,9 +188,14 @@ class TestCertifyProfile:
         game = random_game(rng)
         profile = random_profile(rng, game)
         with pytest.raises(ValueError):
-            certify_profile(game, profile, tol=0.0)
-        with pytest.raises(ValueError):
             certify_profile(game, StrategyProfile(profile.strategies[:1]))
+
+    def test_clamps_roundoff_in_a_fixed_band(self):
+        # Gaps in [-2e-10, 0) are roundoff and read 0; a larger dip stays,
+        # so it shows.
+        certificate = CertificateAlpha(np.array([-1.1e-16, -2e-10, -1e-9]),
+                                       (), ())
+        assert certificate.alpha_clamped().tolist() == [0.0, 0.0, -1e-9]
 
 
 @st.composite
@@ -262,12 +267,8 @@ class TestDiscountGuard:
 class TestFailFast:
     def test_nan_tol_rejected_by_every_entry_point(self, perturbed_game,
                                                    perturbed_mpe):
-        profile = perturbed_mpe.profile
-        calls = (lambda: certify_profile(perturbed_game, profile, np.nan),
-                 lambda: is_mpe(perturbed_game, profile, np.nan))
-        for call in calls:
-            with pytest.raises(ValueError, match="tol"):
-                call()
+        with pytest.raises(ValueError, match="tol"):
+            is_mpe(perturbed_game, perturbed_mpe.profile, np.nan)
 
     @pytest.mark.parametrize("field, index", [("rewards", (0, 0, 0)),
                                               ("transitions", (0, 0))])

@@ -240,6 +240,6 @@ class TestSummaries:
         assert len(lines) == 3 + 4 * 2
 
     def test_empty_records_csv_keeps_header(self):
-        assert records_csv([], num_players=2).splitlines() == [
+        assert records_csv([]).splitlines() == [
             "trial,alpha1,alpha2,converged,seed"
         ]

@@ -433,7 +433,7 @@ class TestStackedKernel:
     def test_boundary_supports_reach_the_exact_check(self):
         # The filter drops only the support whose bound is 4 tol; at 0.5
         # and 1 tol the exact check accepts it: row 0 against a uniform mix.
-        cell = solver._one_sided_plan(3, 2, 1, 2)
+        cell = solver._support_class(3, 2, 1, 2)[2]
         keep = [bool(solver._one_sided_survivors(
                     BOUNDARY[:, s].reshape(-1), 1e-9, cell)[0])
                 for s in range(4)]
@@ -459,7 +459,7 @@ class TestStackedKernel:
                 if min(k1, k2) == 1:
                     keep = solver._one_sided_survivors(
                         payoffs.reshape(-1), 1e-9,
-                        solver._one_sided_plan(*shape, k1, k2))
+                        solver._support_class(*shape, k1, k2)[2])
                 else:
                     keep = solver._rectangular_survivors(payoffs, 1e-9, rows,
                                                          cols)
@@ -473,6 +473,34 @@ class TestStackedKernel:
                     else:
                         kept += 1
         assert dropped and kept
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 4), (4, 3),
+                                       (6, 6)])
+    def test_support_class_record_gathers_the_scanned_blocks(self, shape):
+        # Each class's one record holds the cells its scan gathers: both
+        # equalized blocks of a square support, the taller line of a
+        # one-sided one, and nothing for the other rectangular ones.
+        payoffs = np.random.default_rng(0).normal(size=(2,) + shape)
+        flat = payoffs.reshape(-1)
+        for k1, k2 in np.ndindex(shape[0] + 1, shape[1] + 1):
+            if min(k1, k2) == 0:
+                continue
+            record = solver._support_class(*shape, k1, k2)
+            rows, cols, cells = record
+            assert not any(array.flags.writeable
+                           for array in record if array is not None)
+            block_a = np.array([payoffs[0][np.ix_(r, c)]
+                                for r, c in zip(rows, cols)])
+            block_b = np.array([payoffs[1][np.ix_(r, c)].T
+                                for r, c in zip(rows, cols)])
+            if k1 == k2:
+                assert np.array_equal(flat[cells], [block_a, block_b])
+            elif k1 == 1:
+                assert np.array_equal(flat[cells], block_b[:, :, 0])
+            elif k2 == 1:
+                assert np.array_equal(flat[cells], block_a[:, :, 0])
+            else:
+                assert cells is None
 
     @pytest.mark.parametrize("limit", [1, 7])
     def test_stack_blocks_change_no_result(self, monkeypatch, limit):
