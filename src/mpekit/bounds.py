@@ -32,7 +32,7 @@ from .metrics import (
 
 @dataclass(frozen=True, eq=False)
 class RobustnessReport:
-    """The full bound ladder for one game pair and equilibrium profile.
+    """The full bound ladder for a game pair and a profile of the second game.
 
     ``alpha_instance`` uses the exact per-player expected-value gaps
     (``per_player_delta_term``); ``alpha_ipm`` relaxes each gap to
@@ -181,37 +181,22 @@ def sample_size_game(alpha: float, p: float, span_reward: float,
 
 
 def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
-                      profile: StrategyProfile | None = None,
-                      values: list | None = None) -> RobustnessReport:
-    """Assemble the full bound ladder for a game pair.
+                      profile: StrategyProfile) -> RobustnessReport:
+    """Assemble the full bound ladder for a game pair and a profile of
+    ``g_hat``, usually an equilibrium of it.
 
-    The per-player perturbed-equilibrium values can be given directly via
-    ``values`` (one vector per player) or derived from ``profile`` by
-    evaluating it on the perturbed game, every player in one solve of the
-    Markov chain the profile induces. Exactly one of the two must be
-    provided.
+    The profile is checked against ``g_hat`` before any distance work, then
+    evaluated on ``g_hat``, every player in one solve of the Markov chain
+    the profile induces.
     """
-    if (profile is None) == (values is None):
-        raise ValueError("provide exactly one of profile or values")
+    check_profile(g_hat, profile)
     params, rows_hat, metric = _approx_params(g, g_hat, ipm_kind)
     gamma = g.discount
     num_players = g.num_players
-    if values is None:
-        check_profile(g_hat, profile)
-        chain = _profile_chain(g_hat.transitions, g_hat.rewards,
-                               [s.probabilities for s in profile.strategies])
-        value_vectors = _require_finite(
-            "policy value", _policy_values(g_hat, *chain)).T
-    else:
-        if len(values) != num_players:
-            raise ValueError(
-                f"got {len(values)} value vectors for {num_players} players"
-            )
-        value_vectors = [
-            _finite_values(v, f"value vector of player index {player}",
-                           g.num_states)
-            for player, v in enumerate(values)
-        ]
+    chain = _profile_chain(g_hat.transitions, g_hat.rewards,
+                           [s.probabilities for s in profile.strategies])
+    value_vectors = _require_finite(
+        "policy value", _policy_values(g_hat, *chain)).T
 
     deltas = np.array([_delta_term(g, g_hat, v) for v in value_vectors])
     instance = np.array([

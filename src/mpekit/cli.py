@@ -89,28 +89,16 @@ def _cmd_bound(args) -> int:
     game = _load(args.game, games.parse_game)
     approx = _load(args.approx_game, games.parse_game)
     ipm_kind = _IPM_FLAGS[args.ipm]
-    values = None
-    profile = None
-    if args.values:
-        values = _load(args.values, games._parse_values)
+    if args.profile:
+        profile = _load(args.profile, games.parse_profile)
     else:
-        if approx.num_players != 2:
-            raise _Failure(
-                EXIT_DOMAIN,
-                "no --values given and the approximate game is not "
-                "two-player; pass --values to supply equilibrium values",
-            )
         result = solve_mpe(approx, tol=args.tol, seed=args.seed)
         if not result.converged:
-            print(
-                "warning: solver did not certify an equilibrium of the "
-                "approximate game; bounds use its best iterate",
-                file=sys.stderr,
-            )
+            print("warning: solver did not certify an equilibrium of the "
+                  "approximate game; bounds use its best iterate",
+                  file=sys.stderr)
         profile = result.profile
-    report = bounds.robustness_report(
-        game, approx, ipm_kind, profile=profile, values=values
-    )
+    report = bounds.robustness_report(game, approx, ipm_kind, profile=profile)
     print("player,epsilon,delta,delta_term,alpha_instance,alpha_ipm,"
           "alpha_corollary")
     for player in range(len(report.alpha_instance)):
@@ -204,10 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("approx_game")
     p.add_argument("--ipm", choices=sorted(_IPM_FLAGS), required=True)
-    p.add_argument("--values", help="JSON file with per-player value vectors "
-                                    "for the approximate game's equilibrium")
+    p.add_argument("--profile", help="profile file of the approximate game, "
+                   "as certify reads it; without it, the approximate game is "
+                   "solved")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="solver tolerance when --values is not given")
+                   help="solver tolerance when --profile is not given")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bound)
 

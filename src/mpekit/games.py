@@ -414,10 +414,10 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile,
 #
 # Keys appear in state order, then lexicographic joint-action order, so that
 # serialize(parse(doc)) == doc for canonical documents. Profiles are
-# {"players": N, "strategies": [per-player state rows]} and values files
-# {"values": [per-player state vectors]}. In all three, a number is a JSON
-# number within the float range, never a bool or a string (1e400 reads as
-# infinity, which the game's own check reports), and no object repeats a key.
+# {"players": N, "strategies": [per-player state rows]}. In both, a number
+# is a JSON number within the float range, never a bool or a string (1e400
+# reads as infinity, which the game's own check reports), and no object
+# repeats a key.
 
 
 def _document_keys(states, action_sets) -> list[str]:
@@ -630,16 +630,6 @@ def parse_profile(text: str) -> StrategyProfile:
         except ValueError as exc:
             raise GameFormatError(f"strategy of player {i + 1}: {exc}") from exc
     return StrategyProfile(tuple(parsed))
-
-
-def _parse_values(text: str) -> list[list[float]]:
-    """Parse a values document; raises ``GameFormatError``."""
-    vectors = _require(_load_object(text), "values", list, "an array")
-    if not all(isinstance(vector, list) for vector in vectors):
-        raise GameFormatError("field 'values' must be an array of arrays")
-    return [[_number(v, f"value of player {i + 1} at state {s}")
-             for s, v in enumerate(vector)]
-            for i, vector in enumerate(vectors)]
 
 
 def bundled_game(name: str) -> MarkovGame:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    _check_count, _finite_values, _frozen_array)
+                    _check_count, _finite_values)
 from .mdp import _action_values, _policy_values, _profile_chain
 
 _NASH_TOL = 1e-9
@@ -195,7 +195,9 @@ def _deviation_gain(payoff_a, payoff_b, x, y) -> float:
 @functools.cache
 def _identity(size: int) -> np.ndarray:
     """The identity matrix of a size, cached and read-only."""
-    return _frozen_array(np.eye(size))
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
 
 
 def _combinations(size: int, k: int) -> np.ndarray:
@@ -213,18 +215,21 @@ def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
     class has both equalized blocks, A[R, C] and B[R, C].T, as
     (2, N, k, k); a one-sided class its taller line, B[r, C] (the pure row
     must equalize it) or A[R, c], as (N, k); any other class None. Built
-    when a scan first reaches the class; cached and read-only."""
+    in place when a scan first reaches the class; cached, read-only."""
     row_sets, col_sets = _combinations(m, k1), _combinations(n, k2)
     rows = np.repeat(row_sets, len(col_sets), axis=0)
     cols = np.tile(col_sets, (len(row_sets), 1))
     cells = None
     if k1 == k2:
-        cells = np.stack([rows[:, :, None] * n + cols[:, None, :],
-                          m * n + rows[:, None, :] * n + cols[:, :, None]])
+        cells = np.empty((2, len(rows), k1, k1), dtype=np.intp)
+        np.add(rows[:, :, None] * n, cols[:, None, :], out=cells[0])
+        np.add(m * n + rows[:, None, :] * n, cols[:, :, None], out=cells[1])
     elif min(k1, k2) == 1:
         cells = (m * n if k1 == 1 else 0) + rows * n + cols
-    return (_frozen_array(rows, np.intp), _frozen_array(cols, np.intp),
-            None if cells is None else _frozen_array(cells, np.intp))
+    for arr in (rows, cols, cells):
+        if arr is not None:
+            arr.setflags(write=False)
+    return rows, cols, cells
 
 
 def _may_pass(rho2, tol, rows) -> np.ndarray:

@@ -101,8 +101,10 @@ rows = np.random.default_rng(0).dirichlet(np.ones(9), size=(9, 4))
 grid_g = replace(g, states=tuple("012345678"), transitions=rows,
                  rewards=np.zeros((2, 9, 4)), metric=grid)
 grid_hat = replace(grid_g, transitions=0.9 * rows + 0.1 / 9)
+uniform = mpekit.MarkovStrategy(np.full((9, 2), 0.5))
 step("grid robustness_report wasserstein", lambda: mpekit.robustness_report(
-    grid_g, grid_hat, mpekit.WASSERSTEIN, values=np.zeros((2, 9))))
+    grid_g, grid_hat, mpekit.WASSERSTEIN,
+    profile=mpekit.StrategyProfile((uniform, uniform))))
 print(json.dumps(steps))
 """
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import perturb_game, random_game, random_mdp, random_profile
+from mpekit import metrics
 from mpekit.bounds import (
     _sample_size_real,
     alpha_bound_instance,
@@ -334,29 +335,19 @@ class TestRobustnessReport:
             assert np.all(report.alpha_ipm
                           <= report.alpha_corollary + 1e-12)
 
-    def test_values_and_profile_are_equivalent(self, original_game,
-                                               perturbed_game, perturbed_mpe,
-                                               equilibrium_values):
-        via_profile = robustness_report(original_game, perturbed_game,
-                                        TOTAL_VARIATION,
-                                        profile=perturbed_mpe.profile)
-        via_values = robustness_report(original_game, perturbed_game,
-                                       TOTAL_VARIATION,
-                                       values=equilibrium_values)
-        assert np.allclose(via_profile.alpha_instance,
-                           via_values.alpha_instance, atol=1e-12)
-        with pytest.raises(ValueError, match="exactly one"):
-            robustness_report(original_game, perturbed_game, TOTAL_VARIATION)
+    @pytest.mark.parametrize("kind", [TOTAL_VARIATION, WASSERSTEIN])
+    def test_mismatched_profile_fails_before_any_distance(
+            self, monkeypatch, original_game, perturbed_game, perturbed_mpe,
+            kind):
+        def no_distance(*args):
+            raise AssertionError("a distance was computed")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_values_rejected(self, original_game, perturbed_game,
-                                        equilibrium_values, bad):
-        values = [equilibrium_values[0], equilibrium_values[1].copy()]
-        values[1][2] = bad
-        for kind in (TOTAL_VARIATION, WASSERSTEIN):
-            with pytest.raises(ValueError, match="player index 1 is not finite"):
-                robustness_report(original_game, perturbed_game, kind,
-                                  values=values)
+        monkeypatch.setattr(metrics, "_max_w1", no_distance)
+        monkeypatch.setattr(metrics, "_tv", no_distance)
+        one_player = StrategyProfile(perturbed_mpe.profile.strategies[:1])
+        with pytest.raises(ValueError, match="1 strategies for 2 players"):
+            robustness_report(original_game, perturbed_game, kind,
+                              profile=one_player)
 
     def test_ladder_monotone_on_random_pairs(self):
         rng = np.random.default_rng(5)

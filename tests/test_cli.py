@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import with_duplicate
+from helpers import (perturb_game, random_mdp, random_profile,
+                     with_duplicate)
+from mpekit import cli
 from mpekit.cli import main
 from mpekit.games import (
     bundled_game,
@@ -29,6 +31,19 @@ def profile_file(game_files, perturbed_mpe):
     path = game_files["root"] / "profile.json"
     path.write_text(serialize_profile(perturbed_mpe.profile))
     return path
+
+
+@pytest.fixture(scope="module")
+def mdp_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mdp")
+    rng = np.random.default_rng(11)
+    mdp = random_mdp(rng, num_states=3)
+    paths = {name: root / f"{name}.json"
+             for name in ("original", "perturbed", "profile")}
+    paths["original"].write_text(serialize_game(mdp))
+    paths["perturbed"].write_text(serialize_game(perturb_game(rng, mdp)))
+    paths["profile"].write_text(serialize_profile(random_profile(rng, mdp)))
+    return paths
 
 
 def run(capsys, argv):
@@ -171,9 +186,9 @@ def _profile_with_true(text):
     ("validate", _duplicate_transition, "duplicate key '1|1,1'"),
     ("certify", _profile_with_true,
      "probability of player 1 at state 0 must be a number"),
-    ("bound", lambda _: '{"values": [[0.5, "0.5", 0.5], [0.5, 0.5, 0.5]]}',
-     "value of player 1 at state 1 must be a number"),
-], ids=["huge-integer", "duplicate-key", "profile-true", "values-string"])
+    ("bound", _profile_with_true,
+     "probability of player 1 at state 0 must be a number"),
+], ids=["huge-integer", "duplicate-key", "profile-true", "bound-profile-true"])
 def test_malformed_documents_exit_two(capsys, game_files, profile_file,
                                       tmp_path, command, edit, message):
     original = str(game_files["original"])
@@ -184,7 +199,7 @@ def test_malformed_documents_exit_two(capsys, game_files, profile_file,
     argv = {"validate": ["validate", str(bad)],
             "certify": ["certify", original, str(bad)],
             "bound": ["bound", original, str(game_files["perturbed"]),
-                      "--ipm", "tv", "--values", str(bad)]}[command]
+                      "--ipm", "tv", "--profile", str(bad)]}[command]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -247,43 +262,46 @@ class TestBound:
             assert float(fields[2]) == 0.0
             assert float(fields[4]) == 0.0
 
-    def test_values_file_skips_solving(self, capsys, game_files, tmp_path,
-                                       perturbed_mpe):
-        values_path = tmp_path / "values.json"
-        values_path.write_text(json.dumps(
-            {"values": [list(v.values) for v
-                        in perturbed_mpe.certificate.per_player_value]}))
-        code, out, _ = run(capsys, [
-            "bound", str(game_files["original"]), str(game_files["perturbed"]),
-            "--ipm", "tv", "--values", str(values_path)])
-        assert code == 0
-        assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(
-            0.000784, abs=1e-6)
+    @pytest.mark.parametrize("ipm", ["tv", "w1"])
+    def test_profile_file_skips_solving(self, capsys, monkeypatch, game_files,
+                                        profile_file, ipm):
+        argv = ["bound", str(game_files["original"]),
+                str(game_files["perturbed"]), "--ipm", ipm]
+        solved = run(capsys, argv)
 
-    def test_values_file_with_wrong_player_count_exits_one(self, capsys,
-                                                           game_files,
-                                                           tmp_path):
-        values_path = tmp_path / "short_values.json"
-        values_path.write_text(json.dumps({"values": [[0.1, 0.2, 0.3]]}))
-        code, _, err = run(capsys, [
-            "bound", str(game_files["original"]), str(game_files["perturbed"]),
-            "--ipm", "tv", "--values", str(values_path)])
-        assert code == 1
-        assert "players" in err
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_mpe called")
 
-    def test_nan_in_values_file_exits_one(self, capsys, game_files, tmp_path,
-                                          perturbed_mpe):
-        values_path = tmp_path / "nan_values.json"
-        values = [list(v.values)
-                  for v in perturbed_mpe.certificate.per_player_value]
-        values[0][1] = float("nan")
-        values_path.write_text(json.dumps({"values": values}))
+        monkeypatch.setattr(cli, "solve_mpe", no_solve)
+        assert run(capsys, argv + ["--profile", str(profile_file)]) == solved
+
+    def test_one_player_pair_takes_a_profile(self, capsys, mdp_files):
         code, out, err = run(capsys, [
-            "bound", str(game_files["original"]), str(game_files["perturbed"]),
-            "--ipm", "tv", "--values", str(values_path)])
+            "bound", str(mdp_files["original"]), str(mdp_files["perturbed"]),
+            "--ipm", "tv", "--profile", str(mdp_files["profile"])])
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("1,")
+
+    def test_one_player_pair_without_profile_exits_one(self, capsys,
+                                                        mdp_files):
+        code, out, err = run(capsys, [
+            "bound", str(mdp_files["original"]), str(mdp_files["perturbed"]),
+            "--ipm", "tv"])
         assert code == 1
         assert out == ""
-        assert "player index 0 is not finite" in err
+        assert "two-player" in err
+
+    def test_profile_with_wrong_player_count_exits_one(self, capsys,
+                                                       game_files, mdp_files):
+        code, out, err = run(capsys, [
+            "bound", str(game_files["original"]), str(game_files["perturbed"]),
+            "--ipm", "tv", "--profile", str(mdp_files["profile"])])
+        assert code == 1
+        assert out == ""
+        assert err == "error: profile has 1 strategies for 2 players\n"
 
 
 class TestSolve:

@@ -21,7 +21,6 @@ from helpers import (
 )
 from mpekit.games import (
     STOCHASTIC_ATOL,
-    _parse_values,
     GameFormatError,
     GameValidationError,
     MarkovGame,
@@ -528,7 +527,7 @@ def profiles(draw):
 
 
 class TestReader:
-    """Games, profiles and values files: one loader, one number rule."""
+    """Games and profiles: one loader, one number rule."""
 
     @settings(max_examples=300, deadline=None)
     @given(faulty_game_documents())
@@ -581,29 +580,19 @@ class TestReader:
         doc = serialize_profile(profile)
         assert serialize_profile(parse_profile(doc)) == doc
 
-    def test_values_parse_as_floats(self):
-        values = _parse_values('{"values": [[1, 0.5], []], "note": 1}')
-        assert values == [[1.0, 0.5], []]
-        assert [type(v) for v in values[0]] == [float, float]
-
-    @pytest.mark.parametrize("fault", NOT_NUMBERS)
-    def test_values_numbers(self, fault):
-        text = json.dumps({"values": [[0.1, 0.2], [0.3, NOT_NUMBERS[fault]]]})
-        with pytest.raises(GameFormatError,
-                           match="value of player 2 at state 1"):
-            _parse_values(text)
-
     @pytest.mark.parametrize("text,message", [
-        ('{"value": [[0.1]]}', "missing field 'values'"),
-        ('{"values": [[0.1]], "values": [[0.2]]}', "duplicate key 'values'"),
-        ('{"values": [0.1]}', "field 'values' must be an array of arrays"),
-        ('{"values": {"1": [0.1]}}', "field 'values' must be an array"),
-        ('[[0.1]]', "top-level value must be an object"),
-        ('{"values": [[0.1]', "invalid JSON at line 1"),
-    ])
-    def test_values_document_faults(self, text, message):
+        ('{"strategy": [[[1.0]]]}', "missing field 'strategies'"),
+        ('{"strategies": [[[1.0]]], "strategies": [[[1.0]]]}',
+         "duplicate key 'strategies'"),
+        ('{"strategies": [1.0]}', "player 1 must be a non-empty array"),
+        ('{"strategies": {"1": [[1.0]]}}',
+         "field 'strategies' must be an array"),
+        ('[[[1.0]]]', "top-level value must be an object"),
+        ('{"strategies": [[[1.0]]', "invalid JSON at line 1"),
+    ], ids=["missing", "duplicate", "flat", "object", "top-level", "json"])
+    def test_profile_document_faults(self, text, message):
         with pytest.raises(GameFormatError, match=message):
-            _parse_values(text)
+            parse_profile(text)
 
     def test_non_finite_literals_reach_the_model_checks(self):
         # NaN, Infinity and a decimal beyond the float range are JSON
@@ -614,7 +603,6 @@ class TestReader:
             text = json.dumps(doc).replace('"__"', literal)
             with pytest.raises(GameValidationError, match="not finite"):
                 parse_game(text)
-        assert _parse_values('{"values": [[NaN, 1e400]]}')[0][1] == np.inf
 
 
 class TestStrategies:

@@ -452,22 +452,15 @@ class TestCheckedOnce:
         monkeypatch.setattr(metrics, "comparison_metric", comparison)
         monkeypatch.setattr(metrics, "_finite_values", finite_check)
         monkeypatch.setattr(bounds, "_finite_values", finite_check)
-        given_values = [f"value vector of player index {i}" for i in (0, 1)]
         for kind, metric_builds in ((TOTAL_VARIATION, 0), (WASSERSTEIN, 1)):
-            for inputs, vector_checks in (
-                    ({"profile": perturbed_mpe.profile}, []),
-                    ({"values": perturbed_mpe.certificate.per_player_value},
-                     given_values)):
-                checks.clear()
-                rows.clear()
-                metrics_built.clear()
-                vectors.clear()
-                robustness_report(original_game, perturbed_game, kind,
-                                  **inputs)
-                assert checks == []
-                assert rows == []
-                assert len(metrics_built) == metric_builds
-                assert vectors == vector_checks
+            checks.clear()
+            metrics_built.clear()
+            robustness_report(original_game, perturbed_game, kind,
+                              profile=perturbed_mpe.profile)
+            assert checks == []
+            assert rows == []
+            assert len(metrics_built) == metric_builds
+            assert vectors == []
 
     def test_grid_report_solves_few_transport_lps(self, monkeypatch):
         # One LP per row pair would be 36 for delta and 144 for L_P.

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -501,6 +502,19 @@ class TestStackedKernel:
                 assert np.array_equal(flat[cells], block_a[:, :, 0])
             else:
                 assert cells is None
+
+    def test_support_class_record_is_built_without_copies(self):
+        # The record's arrays are frozen where they are built: no stacked
+        # or read-only copy is held beside them while the class is built.
+        build = solver._support_class.__wrapped__
+        build(8, 8, 4, 4)
+        tracemalloc.start()
+        try:
+            record = build(8, 8, 4, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(array.nbytes for array in record)
 
     @pytest.mark.parametrize("limit", [1, 7])
     def test_stack_blocks_change_no_result(self, monkeypatch, limit):
