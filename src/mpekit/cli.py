@@ -92,7 +92,7 @@ def _cmd_bound(args) -> int:
     if args.profile:
         profile = _load(args.profile, games.parse_profile)
     else:
-        result = solve_mpe(approx, tol=args.tol, seed=args.seed)
+        result = solve_mpe(approx)
         if not result.converged:
             print("warning: solver did not certify an equilibrium of the "
                   "approximate game; bounds use its best iterate",
@@ -155,9 +155,8 @@ def _cmd_experiment(args) -> int:
     game = _load(args.game, games.parse_game)
     if game.num_players != 2:
         raise _Failure(EXIT_DOMAIN, "experiments need a two-player game")
-    records = experiments.run_experiments(
-        game, args.n, args.trials, args.seed, solver_tol=args.solver_tol
-    )
+    records = experiments.run_experiments(game, args.n, args.trials,
+                                          args.seed)
     records_doc = experiments.records_csv(records)
     summary_doc = experiments.summary_csv(experiments.summarize(records))
     summary_path = _summary_path(args.out)
@@ -194,10 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ipm", choices=sorted(_IPM_FLAGS), required=True)
     p.add_argument("--profile", help="profile file of the approximate game, "
                    "as certify reads it; without it, the approximate game is "
-                   "solved")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="solver tolerance when --profile is not given")
-    p.add_argument("--seed", type=int, default=0)
+                   "solved as solve does at its defaults")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("solve", help="solve a two-player game and certify "
@@ -230,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="records CSV path; the "
                    "summary lands next to it with a _summary suffix")
-    p.add_argument("--solver-tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

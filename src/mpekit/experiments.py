@@ -89,10 +89,13 @@ def estimate_model(game: MarkovGame, n: int,
     is n |S| |A| simulator calls in total.
 
     The game was checked when it was built, and the plug-in game is checked
-    when it is; a count n that is not a positive integer raises
-    ``ValueError``.
+    when it is; a count n that is not a positive integer, or an ``rng``
+    that is not a ``numpy.random.SeedSequence``, raises ``ValueError``.
     """
     _check_count(n, "n")
+    if not isinstance(rng, np.random.SeedSequence):
+        raise ValueError("rng must be a numpy.random.SeedSequence, got "
+                         f"{type(rng).__name__}")
     num_states = game.num_states
     num_pairs = game.num_joint_actions
     # The law of inverse-CDF sampling: increments of the running CDF, made
@@ -125,13 +128,14 @@ def trial_seed_sequence(master_seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
 
 
-def run_trial(game: MarkovGame, n: int, trial: int, master_seed: int,
-              solver_tol: float = 1e-8) -> ExperimentRecord:
-    """One estimate-solve-certify round; independent of every other trial."""
+def run_trial(game: MarkovGame, n: int, trial: int,
+              master_seed: int) -> ExperimentRecord:
+    """One estimate-solve-certify round; independent of every other trial.
+    The plug-in game is solved at ``solve_mpe``'s defaults."""
     root = trial_seed_sequence(master_seed, trial)
     derived_seed = int(root.generate_state(1, np.uint64)[0])
     estimated, _ = estimate_model(game, n, root)
-    result = solve_mpe(estimated, tol=solver_tol, seed=derived_seed)
+    result = solve_mpe(estimated, seed=derived_seed)
     certificate = certify_profile(game, result.profile)
     return ExperimentRecord(
         trial_index=trial,
@@ -142,8 +146,7 @@ def run_trial(game: MarkovGame, n: int, trial: int, master_seed: int,
 
 
 def run_experiments(game: MarkovGame, n: int, num_trials: int,
-                    master_seed: int,
-                    solver_tol: float = 1e-8) -> list[ExperimentRecord]:
+                    master_seed: int) -> list[ExperimentRecord]:
     """Run independently seeded trials; the list is ordered by trial index.
 
     Trials share nothing but the master seed, so they may be distributed
@@ -156,7 +159,7 @@ def run_experiments(game: MarkovGame, n: int, num_trials: int,
     """
     _check_count(n, "n")
     _check_count(num_trials, "num_trials", minimum=0)
-    return [run_trial(game, n, trial, master_seed, solver_tol)
+    return [run_trial(game, n, trial, master_seed)
             for trial in range(num_trials)]
 
 

@@ -307,7 +307,7 @@ def _violations(game: MarkovGame) -> list[str]:
     for i in np.flatnonzero(~finite.all(axis=(1, 2))):
         s, a = np.argwhere(~finite[i])[0]
         out.append(
-            f"reward of player {i} at (state {game.states[s]!r}, "
+            f"reward of player {i + 1} at (state {game.states[s]!r}, "
             f"action ({game.joint_action_label(int(a))})) is not finite"
         )
     non_finite, negative, off_sum, sums = _row_problems(game.transitions)
@@ -354,7 +354,7 @@ def check_profile(game: MarkovGame, profile: StrategyProfile) -> None:
         expected = (game.num_states, game.action_counts[i])
         if strat.probabilities.shape != expected:
             raise ValueError(
-                f"strategy of player {i} has shape "
+                f"strategy of player {i + 1} has shape "
                 f"{strat.probabilities.shape}, expected {expected}"
             )
 
@@ -392,7 +392,8 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile,
     """
     check_profile(game, profile)
     if not 0 <= player < game.num_players:
-        raise ValueError(f"player {player} out of range [0, {game.num_players})")
+        raise ValueError(
+            f"player index {player} out of range [0, {game.num_players})")
     trans, rew = _induced_model(
         game, [strat.probabilities for strat in profile.strategies], player)
     return MarkovGame(game.states, (game.action_sets[player],), trans,

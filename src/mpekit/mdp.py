@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import MarkovGame, MarkovStrategy, ValueFunction
+from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
+                    ValueFunction, check_profile)
 
 
 def _check_dims(mdp: MarkovGame, strategy: MarkovStrategy | None = None,
@@ -31,12 +32,7 @@ def _check_dims(mdp: MarkovGame, strategy: MarkovStrategy | None = None,
             f"an MDP is a one-player game, got {mdp.num_players} players"
         )
     if strategy is not None:
-        expected = (mdp.num_states, mdp.action_counts[0])
-        if strategy.probabilities.shape != expected:
-            raise ValueError(
-                f"strategy shape {strategy.probabilities.shape} does not "
-                f"match MDP shape {expected}"
-            )
+        check_profile(mdp, StrategyProfile((strategy,)))
     if v is not None and len(v) != mdp.num_states:
         raise ValueError(
             f"value function has {len(v)} entries for {mdp.num_states} states"

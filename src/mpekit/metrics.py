@@ -416,26 +416,20 @@ def _approx_params(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str):
     return ApproximationParams(epsilon, delta, ipm_kind), rows[1], metric
 
 
-def game_lipschitz_constants(game: MarkovGame,
-                             metric: np.ndarray | None = None
-                             ) -> tuple[float, float]:
-    """Smallest (L_r, L_P) making the game Lipschitz in the state.
+def game_lipschitz_constants(game: MarkovGame) -> tuple[float, float]:
+    """Smallest (L_r, L_P) making the game Lipschitz in its state metric.
 
     L_r bounds reward differences across states (same action, any player)
     relative to the metric; L_P bounds the Wasserstein distance between
     transition rows (clipped at zero) across states. The game must carry a
-    metric unless one is passed explicitly; the game, its own metric
-    included, was checked when it was built, and a passed metric is checked
-    here.
+    metric; the game, its metric included, was checked when it was built.
+    For another metric, pass ``dataclasses.replace(game, metric=m)``.
     """
-    if metric is not None:
-        metric = _check_metric(metric, game.num_states)
-    elif game.metric is None:
+    if game.metric is None:
         raise ValueError("game has no state metric")
-    else:
-        metric = game.metric
     return _lipschitz_constants(game.rewards,
-                                np.clip(game.transitions, 0.0, None), metric)
+                                np.clip(game.transitions, 0.0, None),
+                                game.metric)
 
 
 def _lipschitz_constants(rewards, rows, metric) -> tuple[float, float]:

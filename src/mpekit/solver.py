@@ -99,7 +99,8 @@ def stage_game(game: MarkovGame, values, state: int
     """
     if game.num_players != 2:
         raise ValueError("stage games are built for two-player games only")
-    if not 0 <= state < game.num_states:
+    _check_count(state, "state", minimum=0)
+    if state >= game.num_states:
         raise ValueError(f"state {state} out of range [0, {game.num_states})")
     if len(values) != 2:
         raise ValueError("need one value vector per player")

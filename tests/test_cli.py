@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (perturb_game, random_mdp, random_profile,
+from helpers import (perturb_game, random_game, random_mdp, random_profile,
                      with_duplicate)
 from mpekit import cli
 from mpekit.cli import main
@@ -206,6 +206,58 @@ def test_malformed_documents_exit_two(capsys, game_files, profile_file,
     assert err == f"error: {bad}: {message}\n"
 
 
+def _second_strategy_short(text):
+    doc = json.loads(text)
+    doc["strategies"][1] = doc["strategies"][1][:2]
+    return json.dumps(doc)
+
+
+def _second_strategy_with_true(text):
+    doc = json.loads(text)
+    doc["strategies"][1][0] = [True, 0]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["certify", "bound"])
+@pytest.mark.parametrize("edit,code,message", [
+    (_second_strategy_short, 1,
+     "strategy of player 2 has shape (2, 2), expected (3, 2)"),
+    (_second_strategy_with_true, 2,
+     "probability of player 2 at state 0 must be a number"),
+], ids=["short", "true"])
+def test_profile_messages_count_players_from_one(capsys, game_files,
+                                                 profile_file, tmp_path,
+                                                 command, edit, code,
+                                                 message):
+    # A shape fault named the second strategy "player 1", a number fault in
+    # it "player 2".
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(profile_file.read_text()))
+    original = str(game_files["original"])
+    argv = {"certify": ["certify", original, str(bad)],
+            "bound": ["bound", original, str(game_files["perturbed"]),
+                      "--ipm", "tv", "--profile", str(bad)]}[command]
+    got, out, err = run(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ")
+    assert err.endswith(f"{message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "original", "perturbed", "--ipm", "tv", "--tol", "1e-10"],
+    ["bound", "original", "perturbed", "--ipm", "tv", "--seed", "1"],
+    ["experiment", "original", "--n", "10", "--trials", "1", "--out",
+     "records.csv", "--solver-tol", "1e-8"],
+], ids=["bound-tol", "bound-seed", "experiment-solver-tol"])
+def test_retired_solver_flags_are_usage_errors(capsys, game_files, argv):
+    # bound solves as solve does at its defaults, and a trial solves at
+    # solve_mpe's: neither takes solver settings of its own.
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(game_files.get(arg, arg)) for arg in argv])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content,message", [
     (b'{"players": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
      "JSON nests too deeply"),
@@ -302,6 +354,28 @@ class TestBound:
         assert code == 1
         assert out == ""
         assert err == "error: profile has 1 strategies for 2 players\n"
+
+    def test_failed_solve_warns_and_bounds_the_solve_profile(self, capsys,
+                                                             tmp_path):
+        # The solver's sweeps cycle on this game: no profile is certified.
+        rng = np.random.default_rng(21)
+        approx = random_game(rng, 3, (2, 2), 0.9)
+        paths = {name: tmp_path / f"{name}.json"
+                 for name in ("game", "approx", "profile")}
+        paths["approx"].write_text(serialize_game(approx))
+        paths["game"].write_text(serialize_game(perturb_game(rng, approx)))
+        argv = ["bound", str(paths["game"]), str(paths["approx"]),
+                "--ipm", "tv"]
+        code, solved, err = run(capsys, argv)
+        assert code == 0
+        assert err.startswith("warning: solver did not certify an "
+                              "equilibrium of the approximate game")
+        code, _, _ = run(capsys, ["solve", str(paths["approx"]),
+                                  "--out", str(paths["profile"])])
+        assert code == 1
+        code, given, _ = run(capsys, argv + ["--profile",
+                                             str(paths["profile"])])
+        assert (code, given) == (0, solved)
 
 
 class TestSolve:

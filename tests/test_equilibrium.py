@@ -280,7 +280,7 @@ class TestFailFast:
         with pytest.raises(GameValidationError) as excinfo:
             dataclasses.replace(original_game, **{field: array})
         assert excinfo.value.violations == [{
-            "rewards": "reward of player 0 at (state '1', action (1,1)) is "
+            "rewards": "reward of player 1 at (state '1', action (1,1)) is "
                        "not finite",
             "transitions": "transition row (state '1', action (1,1)) has "
                            "non-finite entries",

@@ -108,6 +108,15 @@ class TestEstimateModel:
         with pytest.raises(ValueError, match=r"^n must be a positive integer"):
             estimate_model(original_game, n, np.random.SeedSequence(0))
 
+    @pytest.mark.parametrize("rng", [np.random.default_rng(0), 0, None],
+                             ids=["generator", "int", "none"])
+    def test_rejects_an_rng_that_is_not_a_seed_sequence(self, original_game,
+                                                        rng):
+        # Each failed with "has no attribute 'entropy'" at the first pair.
+        with pytest.raises(ValueError,
+                           match=r"^rng must be a numpy\.random\.SeedSequence"):
+            estimate_model(original_game, 10, rng)
+
     def test_accepts_numpy_integer_n(self, original_game):
         _, model = estimate_model(original_game, np.int64(40),
                                   np.random.SeedSequence(0))

@@ -143,7 +143,7 @@ def broken_part(rng, game: MarkovGame, part: str):
         intact = game.rewards.copy()
         intact[player, s, a] = rng.normal(scale=1e6)
         return ("rewards", rewards, intact, [
-            f"reward of player {player} at {row_name(game)(s, a)} is not "
+            f"reward of player {player + 1} at {row_name(game)(s, a)} is not "
             "finite"])
     if part == "discount":
         gamma = float(rng.choice([0.0, 1.0, -0.5, 1.5, np.nan, np.inf]))

@@ -76,7 +76,8 @@ class TestBellmanPolicy:
 
     def test_dimension_mismatch(self):
         mdp = single_state_mdp(0.0, 0.9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^strategy of player 1 has "
+                           r"shape \(1, 2\), expected \(1, 1\)$"):
             bellman_policy(mdp, MarkovStrategy([[0.5, 0.5]]),
                            ValueFunction([0.0]))
         with pytest.raises(ValueError):
@@ -221,7 +222,7 @@ class TestDiscountGuard:
 
 def test_policy_iteration_raises_on_a_revisited_policy(original_game):
     # A transition row that is not a distribution makes gamma P expand, and
-    # Howard's policies cycle (by step 2 for player 0, 3 for player 1). No
+    # Howard's policies cycle (by step 2 for player 1, 3 for player 2). No
     # game holds such a row, so the guard is reached on the raw arrays of
     # the model each player faces when the other plays uniformly. The timer
     # turns a spin into a failure instead of a hang.

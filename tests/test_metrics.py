@@ -309,13 +309,15 @@ class TestGameLipschitzConstants:
             transitions=[[row, row]] * 3,
             rewards=[[[0.5, 0.7]] * 3],
             discount=0.9,
+            metric=LINE3,
         )
-        l_r, l_p = game_lipschitz_constants(game, metric=LINE3)
+        l_r, l_p = game_lipschitz_constants(game)
         assert l_r == 0.0
         assert l_p == 0.0
 
     def test_bundled_game_matches_pairwise_enumeration(self, original_game):
-        l_r, l_p = game_lipschitz_constants(original_game, metric=LINE3)
+        l_r, l_p = game_lipschitz_constants(
+            replace(original_game, metric=LINE3))
         expected_r = 0.0
         expected_p = 0.0
         for s1 in range(3):
@@ -347,9 +349,9 @@ class TestGameLipschitzConstants:
             transitions=[[[1.0, 0.0]], [[0.0, 1.0]]],
             rewards=[[[0.0], [1.0]]],
             discount=0.9,
+            metric=default_line_metric(2),
         )
-        l_r, _ = game_lipschitz_constants(game,
-                                          metric=default_line_metric(2))
+        l_r, _ = game_lipschitz_constants(game)
         assert l_r == 1.0
 
     def test_missing_metric_rejected(self, original_game):
@@ -369,7 +371,7 @@ NAN_ROW = "transition row (state '2', action (2,1)) has non-finite entries"
 
 class TestCheckedOnce:
     """A game is checked once, when it is built: game-level calls check
-    neither its rows nor its own metric again, only a metric passed in."""
+    neither its rows nor its metric again."""
 
     @pytest.mark.parametrize("kind", [TOTAL_VARIATION, WASSERSTEIN])
     def test_nan_transition_row_rejected(self, original_game, perturbed_game,
@@ -395,7 +397,7 @@ class TestCheckedOnce:
         with pytest.raises(GameValidationError) as excinfo:
             replace(perturbed_game, rewards=rewards)
         assert excinfo.value.violations == [
-            "reward of player 0 at (state '2', action (2,1)) is not finite"]
+            "reward of player 1 at (state '2', action (2,1)) is not finite"]
 
     def test_metric_checked_once_and_no_per_row_calls(self, monkeypatch,
                                                       original_game,
@@ -417,10 +419,8 @@ class TestCheckedOnce:
         game_approx_params(original_game, perturbed_game, WASSERSTEIN)
         game_approx_params(original_game, on_line, WASSERSTEIN)
         assert checks == []
-        game_lipschitz_constants(perturbed_game, LINE3)
-        assert checks == [(3, 3)]
         game_lipschitz_constants(on_line)
-        assert checks == [(3, 3)]
+        assert checks == []
 
     def test_robustness_report_checks_each_input_once(self, monkeypatch,
                                                        original_game,

@@ -206,6 +206,15 @@ class TestStageGame:
         with pytest.raises(ValueError, match="two-player"):
             stage_game(solo, [np.zeros(3)], 0)
 
+    @pytest.mark.parametrize("state", [True, False, 1.0, -1, 3],
+                             ids=["true", "false", "float", "negative", "S"])
+    def test_rejects_a_state_that_is_not_a_state_index(self, perturbed_game,
+                                                       state):
+        # True gave every state's payoffs, False none and 1.0 a bare
+        # IndexError.
+        with pytest.raises(ValueError, match=r"^state "):
+            stage_game(perturbed_game, np.zeros((2, 3)), state)
+
     def test_rejects_short_and_non_finite_values(self, perturbed_game):
         # A short vector failed inside np.vecdot with a gufunc message, and
         # a NaN entry gave NaN payoffs.
@@ -640,7 +649,7 @@ class TestSolveMpe:
 
     @pytest.mark.parametrize("field, where, entry, message", [
         ("rewards", (0, 1, 2), np.nan,
-         "reward of player 0 at (state '2', action (2,1)) is not finite"),
+         "reward of player 1 at (state '2', action (2,1)) is not finite"),
         ("transitions", (1, 2), [0.5, 0.2, 0.2],
          "transition row (state '2', action (2,1)) sums to "
          "0.8999999999999999, not 1 within 1e-09"),
