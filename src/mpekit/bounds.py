@@ -132,8 +132,9 @@ def hoeffding_tail(n: int, gap: float, span_h: float) -> float:
     _check_count(n, "n")
     for name, value in (("gap", gap), ("span_h", span_h)):
         # NaN fails the comparison, so it is rejected too.
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value!r}")
     return 2.0 * math.exp(-2.0 * n * gap * gap / (span_h * span_h))
 
 

@@ -153,8 +153,6 @@ def _summary_path(records_path: str) -> Path:
 
 def _cmd_experiment(args) -> int:
     game = _load(args.game, games.parse_game)
-    if game.num_players != 2:
-        raise _Failure(EXIT_DOMAIN, "experiments need a two-player game")
     records = experiments.run_experiments(game, args.n, args.trials,
                                           args.seed)
     records_doc = experiments.records_csv(records)

@@ -152,11 +152,13 @@ def run_experiments(game: MarkovGame, n: int, num_trials: int,
     Trials share nothing but the master seed, so they may be distributed
     across processes without changing any record.
 
-    The game was checked when it was built, and both counts are checked
-    before the first trial, so a bad count raises ``ValueError`` whatever
-    ``num_trials`` is, zero included, with the message ``estimate_model``
-    gives for n.
+    The game was checked when it was built. A game that is not two-player
+    and a bad count are rejected before the first trial, so they raise
+    ``ValueError`` whatever ``num_trials`` is, zero included; a bad n with
+    the message ``estimate_model`` gives.
     """
+    if game.num_players != 2:
+        raise ValueError("experiments need a two-player game")
     _check_count(n, "n")
     _check_count(num_trials, "num_trials", minimum=0)
     return [run_trial(game, n, trial, master_seed)

@@ -70,12 +70,13 @@ class MarkovGame:
         discount: Discount factor in (0, 1).
         metric: Optional ``(S, S)`` state metric.
 
-    A game is checked when it is built, ``dataclasses.replace`` included: a
-    wrong shape raises ``ValueError``, and then every broken invariant is
-    listed by one ``GameValidationError``, in this order: a discount outside
-    (0, 1), each player's first reward that is not finite, each transition
-    row that breaks the row rule (naming its state and joint action and the
-    rule), then the metric axioms.
+    A game is checked when it is built, ``dataclasses.replace`` included:
+    no player, no state, a player without actions, a repeated state or
+    action name, or a wrong shape raises ``ValueError``, and then every
+    broken invariant is listed by one ``GameValidationError``, in this
+    order: a discount outside (0, 1), each player's first reward that is not
+    finite, each transition row that breaks the row rule (naming its state
+    and joint action and the rule), then the metric axioms.
     """
 
     states: tuple[str, ...]
@@ -90,6 +91,17 @@ class MarkovGame:
         object.__setattr__(
             self, "action_sets", tuple(tuple(a) for a in self.action_sets)
         )
+        if not self.action_sets:
+            raise ValueError("a game needs at least one player")
+        if not self.states:
+            raise ValueError("a game needs at least one state")
+        if len(set(self.states)) != len(self.states):
+            raise ValueError("states have duplicate identifiers")
+        for i, acts in enumerate(self.action_sets):
+            if not acts:
+                raise ValueError(f"player {i + 1} has no actions")
+            if len(set(acts)) != len(acts):
+                raise ValueError(f"actions of player {i + 1} have duplicates")
         s, a = len(self.states), self.num_joint_actions
         n = len(self.action_sets)
         trans = _frozen_array(self.transitions)

@@ -45,8 +45,9 @@ IPM_KINDS = (TOTAL_VARIATION, WASSERSTEIN)
 def _check_nonnegative(**values: float) -> None:
     for name, value in values.items():
         # NaN fails every comparison, so it is rejected too.
-        if not value >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        if not 0 <= value < np.inf:
+            raise ValueError(
+                f"{name} must be nonnegative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

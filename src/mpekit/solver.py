@@ -2,18 +2,19 @@
 
 Best-response dynamics in general-sum games are not a contraction, so no
 iterative scheme is guaranteed to converge. The contract here is therefore
-the certificate, not the iteration: the solver runs one scheme, certifies
-the profile it lands on against the input game, and falls back to a second
-scheme when the certificate fails. Non-convergence is reported, with the
+the certificate, not the iteration: the solver certifies candidate
+profiles one at a time against the input game, keeps the best, and stops at
+the first that meets the tolerance. Non-convergence is reported, with the
 best certified profile still returned so the caller can decide.
 
-The first scheme is game policy iteration (Pollatschek and Avi-Itzhak,
-*Management Science* 15(7), 1969): evaluate the current profile exactly
-with one linear solve, then re-solve every state's one-shot game whose
-payoffs fold in those values. It usually settles in a few dozen steps, but
-in general-sum games it can cycle. The fallback is equilibrium value
-iteration, which re-solves the one-shot games at its own running values
-until they settle, with seeded restarts.
+The first candidate comes from game policy iteration (Pollatschek and
+Avi-Itzhak, *Management Science* 15(7), 1969): evaluate the current profile
+exactly with one linear solve, then re-solve every state's one-shot game
+whose payoffs fold in those values. It usually settles in a few dozen
+steps, but in general-sum games it can cycle. The rest come from
+equilibrium value iteration, which re-solves the one-shot games at its own
+running values until they settle, with seeded restarts: each attempt gives
+its last profile, then its snapshots, latest first.
 
 Each step builds the stage games of every state in one vectorized pass and
 solves them by support enumeration with deterministic selection (smallest
@@ -61,10 +62,6 @@ _STACK_LIMIT = 1 << 14
 _WARM_SWEEPS = 3
 #: Exact profile evaluations allowed to policy iteration.
 _MAX_EVALUATIONS = 60
-
-#: A certified candidate: (gap, profile, certificate).
-_Certified = tuple[float, StrategyProfile, CertificateAlpha]
-
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -494,83 +491,68 @@ def _policy_iteration(game: MarkovGame, max_iter: int
     return pi1, pi2, steps
 
 
-def _value_iteration(game: MarkovGame, tol: float, max_iter: int, seed: int,
-                     best: _Certified) -> tuple[_Certified, int]:
-    """Equilibrium value iteration with seeded restarts; returns the best
-    (gap, profile, certificate) seen, ``best`` included, and the sweeps.
+def _candidates(game: MarkovGame, tol: float, max_iter: int, seed: int):
+    """The candidate profiles of ``solve_mpe``, in the order it documents:
+    (pi1, pi2, sweeps plus evaluations run so far).
 
-    Sweeps run from zero values until successive values differ by at most
-    tol (1 - gamma) / (2 gamma), or for max_iter sweeps. Up to ten snapshots
-    of the attempt are certified, latest first. If none meets tol, the
-    iteration restarts from seeded random values (up to two restarts).
+    Lazy: a value-iteration attempt, with its random draw, runs only when
+    the caller asks for more than the profiles before it. Snapshots are
+    taken every max_iter // 10 sweeps. Repeats are dropped within an
+    attempt only, so each attempt yields at least its last profile, whose
+    step count covers every sweep that ran.
     """
+    pi1, pi2, steps = _policy_iteration(game, max_iter)
+    yield pi1, pi2, steps
     gamma = game.discount
     threshold = tol * (1.0 - gamma) / (2.0 * gamma)
     rng = np.random.default_rng(seed)
     rmin, rmax = float(game.rewards.min()), float(game.rewards.max())
-
     snapshot_every = max(1, max_iter // 10)
-    iterations = 0
-
     for attempt in range(3):
         if attempt == 0:
             v = np.zeros((2, game.num_states))
         else:
             v = rng.uniform(rmin, rmax, size=(2, game.num_states))
-        candidates = []
+        # _stage_nash returns fresh arrays every sweep, so none is copied.
+        snapshots = []
         for sweep in range(max_iter):
             new_v, pi1, pi2 = _iterate(game, v)
             change = float(np.max(np.abs(new_v - v)))
             v = new_v
-            iterations += 1
+            steps += 1
             if change <= threshold:
                 break
             if (sweep + 1) % snapshot_every == 0:
-                candidates.append((pi1.copy(), pi2.copy()))
-        candidates.append((pi1, pi2))
-
+                snapshots.append((pi1, pi2))
+        snapshots.append((pi1, pi2))
         seen = set()
-        for cand1, cand2 in reversed(candidates):
-            key = (cand1.tobytes(), cand2.tobytes())
-            if key in seen:
-                continue
-            seen.add(key)
-            profile = StrategyProfile(
-                (MarkovStrategy(cand1), MarkovStrategy(cand2))
-            )
-            certificate = certify_profile(game, profile)
-            gap = certificate.max_alpha
-            if gap < best[0]:
-                best = (gap, profile, certificate)
-            if gap <= tol:
-                break
-        if best[0] <= tol:
-            break
-        # Either the sweeps cycled, or they settled on a profile that still
-        # fails the certificate; the next attempt restarts from random
-        # values inside the reward envelope.
-    return best, iterations
+        for pi1, pi2 in reversed(snapshots):
+            key = (pi1.tobytes(), pi2.tobytes())
+            if key not in seen:
+                seen.add(key)
+                yield pi1, pi2, steps
 
 
 def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
               seed: int = 0) -> SolveResult:
     """Compute and certify a Markov perfect equilibrium of a two-player game.
 
-    Game policy iteration first: three sweeps of equilibrium value
-    iteration from zero values, then up to 60 rounds of evaluating the
-    profile exactly and re-solving every stage game at those values, until
-    two evaluations agree within roundoff. Its profile is certified against
-    the input game. If the gap exceeds tol (policy iteration can cycle in
-    general-sum games), equilibrium value iteration runs: sweeps from zero
-    values until successive values differ by at most
-    tol (1 - gamma) / (2 gamma), then up to two restarts from seeded random
-    values when the sweep budget runs out. The best certified profile seen
-    anywhere, the policy-iteration one included, is returned; ``converged``
-    is true iff its certified gap is at most tol.
+    Candidates are certified against the input game in this order, and the
+    search stops at the first whose certified gap is at most tol: game
+    policy iteration's profile (three sweeps of equilibrium value iteration
+    from zero values, then up to 60 rounds of evaluating the profile exactly
+    and re-solving every stage game at those values, until two evaluations
+    agree within roundoff); then, for each of up to three attempts of
+    equilibrium value iteration, its last profile and its snapshots, latest
+    first, each distinct one once. An attempt sweeps until successive values
+    differ by at most tol (1 - gamma) / (2 gamma), from zero values and then
+    from seeded random ones, and runs only when every earlier candidate has
+    failed. The candidate of smallest gap, the earliest on ties, is
+    returned; ``converged`` is true iff its gap is at most tol.
 
     ``max_iter`` bounds the warm sweeps and the sweeps of each
     value-iteration attempt. ``SolveResult.iterations`` counts every sweep
-    plus every exact evaluation.
+    plus every exact evaluation that ran.
 
     The game was checked when it was built. Raises ``ValueError`` before
     any sweep for a game that is not two-player, a tol that is not positive
@@ -582,15 +564,16 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_count(max_iter, "max_iter")
 
-    pi1, pi2, iterations = _policy_iteration(game, max_iter)
-    profile = StrategyProfile((MarkovStrategy(pi1), MarkovStrategy(pi2)))
-    certificate = certify_profile(game, profile)
-    best = (certificate.max_alpha, profile, certificate)
-    if best[0] > tol:
-        best, sweeps = _value_iteration(game, tol, max_iter, seed, best)
-        iterations += sweeps
-
-    gap, profile, certificate = best
+    kept = None
+    for pi1, pi2, iterations in _candidates(game, tol, max_iter, seed):
+        profile = StrategyProfile((MarkovStrategy(pi1), MarkovStrategy(pi2)))
+        certificate = certify_profile(game, profile)
+        gap = certificate.max_alpha
+        if kept is None or gap < kept[0]:
+            kept = gap, profile, certificate
+        if gap <= tol:
+            break
+    gap, profile, certificate = kept
     return SolveResult(
         profile=profile,
         certificate=certificate,

@@ -157,6 +157,21 @@ class TestBoundArithmetic:
                                        match=f"^{name} must be nonnegative"):
                         function(bad)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: alpha_bound_ipm(0.1, np.inf, 0.0, 0.9), "delta"),
+        (lambda: alpha_bound_w(0.1, np.inf, 0.0, 0.0, 0.9), "delta"),
+        (lambda: ApproximationParams(np.inf, 0.0, TOTAL_VARIATION),
+         "epsilon"),
+        (lambda: hoeffding_tail(10, np.inf, np.inf), "gap"),
+        (lambda: hoeffding_tail(10, 0.1, np.inf), "span_h"),
+    ], ids=["ipm", "w", "params", "hoeffding-gap", "hoeffding-span"])
+    def test_rejects_infinite_inputs(self, call, name):
+        # An infinite input makes a bound NaN: inf times zero, or inf over
+        # inf.
+        with pytest.raises(ValueError, match=f"^{name} must be .* finite, "
+                                             f"got inf$"):
+            call()
+
     def test_instance_bound_reference_input(self):
         assert alpha_bound_instance(0.01, 0.000784, 0.9) == pytest.approx(
             0.034112, abs=1e-12)

@@ -524,6 +524,16 @@ class TestExperiment:
         assert (code, out, err) == (1, "", message + "\n")
         assert not out_path.exists()
 
+    def test_one_player_game_fails_before_any_trial(self, capsys, mdp_files,
+                                                    tmp_path):
+        out_path = tmp_path / "never.csv"
+        code, out, err = run(capsys, [
+            "experiment", str(mdp_files["original"]), "--n", "0",
+            "--trials", "1", "--out", str(out_path)])
+        assert (code, out, err) == (
+            1, "", "error: experiments need a two-player game\n")
+        assert not out_path.exists()
+
     def test_same_seed_is_byte_identical(self, capsys, game_files, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import random_game
 from mpekit.experiments import (
     estimate_model,
     pair_stream,
@@ -156,6 +157,14 @@ class TestEstimateModel:
 class TestRunExperiments:
     def test_zero_trials_is_empty(self, original_game):
         assert run_experiments(original_game, 10, 0, 0) == []
+
+    @pytest.mark.parametrize("num_trials", [0, 1])
+    def test_two_players_checked_before_any_trial(self, num_trials):
+        # Rejected before any sample is drawn, whatever num_trials is.
+        mdp = random_game(np.random.default_rng(0), action_counts=(2,))
+        with pytest.raises(ValueError,
+                           match="^experiments need a two-player game$"):
+            run_experiments(mdp, 10, num_trials, 0)
 
     @pytest.mark.parametrize("n", [0, 2.5, True])
     def test_n_checked_before_any_trial(self, original_game, n):

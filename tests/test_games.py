@@ -79,10 +79,12 @@ NAMES = st.text(st.sampled_from("a|,") | st.characters(), max_size=3)
 @st.composite
 def named_games(draw):
     """Games of up to 3 states and 2 players whose state and action names
-    are arbitrary text, repeats included."""
-    states = tuple(draw(st.lists(NAMES, min_size=1, max_size=3)))
-    action_sets = tuple(tuple(draw(st.lists(NAMES, min_size=1, max_size=2)))
-                        for _ in range(draw(st.integers(1, 2))))
+    are arbitrary text, distinct within each set (a game with a repeat
+    cannot be built)."""
+    states = tuple(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
+    action_sets = tuple(
+        tuple(draw(st.lists(NAMES, min_size=1, max_size=2, unique=True)))
+        for _ in range(draw(st.integers(1, 2))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     joint = int(np.prod([len(acts) for acts in action_sets]))
     return MarkovGame(states, action_sets,
@@ -169,6 +171,26 @@ def build_violations(build, **fields) -> list[str]:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("states, action_sets, message", [
+        (("a",), (), "a game needs at least one player"),
+        ((), (("x",), ("y",)), "a game needs at least one state"),
+        (("a",), ((),), "player 1 has no actions"),
+        (("a", "a"), (("x",),), "states have duplicate identifiers"),
+        (("a",), (("x",), ("y", "y")), "actions of player 2 have duplicates"),
+    ], ids=["no-player", "no-state", "no-action", "repeated-state",
+            "repeated-action"])
+    def test_rejects_the_sets_the_reader_rejects(self, states, action_sets,
+                                                 message):
+        # parse_game rejects the same documents. A game built from one
+        # fails later: in solve_optimal or solve_mpe on an empty set, in
+        # serialize_game on a repeated name.
+        s = len(states)
+        a = int(np.prod([len(acts) for acts in action_sets]))
+        transitions = np.full((s, a, s), 1.0 / max(s, 1))
+        rewards = np.zeros((len(action_sets), s, a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MarkovGame(states, action_sets, transitions, rewards, 0.5)
+
     def test_bundled_games_are_clean(self, original_game, perturbed_game):
         # Each was checked when it was parsed; building it again raises
         # nothing either.

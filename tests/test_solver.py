@@ -707,11 +707,31 @@ class TestSolveMpe:
         assert 0 < policy_steps <= (solver._WARM_SWEEPS
                                     + solver._MAX_EVALUATIONS)
 
-    def test_non_convergence_still_returns_certificate(self):
-        # Neither policy nor value iteration certifies this game: its best
-        # certified gap is about 0.035.
-        game = random_game(np.random.default_rng(21), 3, (2, 2), 0.9)
-        result = solve_mpe(game, max_iter=300)
+    @pytest.mark.parametrize("seed, num_states, counts, max_iter", [
+        (21, 3, (2, 2), 300),
+        (0, 5, (6, 6), 60),
+    ], ids=["value-iteration-kept", "policy-iteration-kept"])
+    def test_non_convergence_still_returns_certificate(
+            self, seed, num_states, counts, max_iter):
+        # Neither policy nor value iteration certifies these games. On the
+        # first the reference's profile is kept (gap about 0.035, against
+        # 0.074 for policy iteration's); on the second policy iteration's
+        # (about 0.0143, against 0.0236).
+        game = random_game(np.random.default_rng(seed), num_states, counts,
+                           0.9)
+        result = solve_mpe(game, max_iter=max_iter)
         assert not result.converged
         assert len(result.certificate.per_player_alpha) == 2
         assert np.all(np.isfinite(result.certificate.per_player_alpha))
+        # Every sweep of all three attempts ran, after policy iteration's
+        # full budget.
+        reference = reference_solve_mpe(game, max_iter=max_iter)
+        assert result.iterations == (reference.iterations
+                                     + solver._WARM_SWEEPS
+                                     + solver._MAX_EVALUATIONS)
+        same = all(
+            ours.probabilities.tobytes() == theirs.probabilities.tobytes()
+            for ours, theirs in zip(result.profile.strategies,
+                                    reference.profile.strategies))
+        assert same or (result.certificate.max_alpha
+                        < reference.certificate.max_alpha)
