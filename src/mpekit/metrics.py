@@ -4,12 +4,8 @@ Two integral probability metrics are implemented: total variation (paired
 with the span seminorm) and Wasserstein-1 (paired with the Lipschitz
 constant). Total variation is the half-L1 closed form. Wasserstein-1 uses
 the cumulative-mass formula whenever the metric embeds isometrically in the
-line, and otherwise a transportation LP solved by HiGHS on the metric
-scaled to a diameter of 1, which is exact only up to HiGHS's feasibility
-tolerance: on random planar pairs it was off the point-mass closed form by
-as much as 4.9e-7, about 1e-7 of the metric's diameter, at any scale.
-scipy is imported on the first transport LP, so the rest of the package
-runs on numpy alone.
+line, and otherwise an exact transport solve by successive shortest paths,
+exact up to roundoff. The package runs on numpy alone.
 
 Every W1 value is a maximum over rows: delta between two games, L_P of one
 game, and ``wasserstein1``, the maximum over one row. Off the line, rows
@@ -18,14 +14,13 @@ Then three steps. Bound: closed-form lower and upper bounds on every row
 drop the rows whose upper bound is below the largest lower bound by more
 than a margin. Bracket: a fixed number of Sinkhorn scalings, batched over
 the survivors, tighten both bounds and drop rows by the same rule. Confirm:
-the per-row LP on the rows that are left. The maximum equals the largest
-per-row LP value, and 0 when no row is left.
+the per-row transport solve on the rows that are left. The maximum equals
+the largest per-row value, and 0 when no row is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -123,54 +118,77 @@ def _line_embedding(metric: np.ndarray) -> np.ndarray | None:
     return None
 
 
-#: HiGHS's default primal and dual feasibility tolerance.
-_HIGHS_TOL = 1e-7
+def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A flow from positive supplies to positive demands (cost is sources x
+    sinks) moving all the demand, whose total is at most the supply's, and
+    potentials u >= 0 and v that certify it optimal up to roundoff: the
+    reduced cost, cost + u[:, None] - v, is >= 0, and 0 where there is flow,
+    and u is 0 where supply is left.
 
-#: Options for the one retry of a transport LP that does not succeed: rows
-#: with entries below about 1e-7 can read as infeasible at the default
-#: tolerances, and now and then at 1e-10 too unless presolve is off.
-_RETRY_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
-                  "dual_feasibility_tolerance": 1e-10, "presolve": False}
+    Successive shortest paths with node potentials (R. K. Ahuja, T. L.
+    Magnanti and J. B. Orlin, Network Flows, 1993, ch. 9). Each sink first
+    takes what its nearest source has left (u starts at 0, v at the column
+    minima of cost). Then each step labels distances from the sources with
+    supply left, raises each potential by min(distance, D), D the distance
+    of the nearest sink with demand left, and pushes along that sink's path
+    the least of its supply, its demand and each backward arc's flow,
+    emptying that one. How often a backward arc may empty is not bounded
+    here, so (sources + sinks)^2 steps end the solve in ``RuntimeError``.
+    """
+    (k, l), supply, demand = cost.shape, supply.copy(), demand.copy()
+    flow, nearest = np.zeros((k, l)), cost.argmin(0)
+    u, v = np.zeros(k), cost[nearest, np.arange(l)]
+    for j, i in enumerate(nearest):
+        flow[i, j] = amount = min(supply[i], demand[j])
+        supply[i] -= amount
+        demand[j] -= amount
+    for _ in range((k + l) ** 2 + 1):
+        if not (supply.any() and demand.any()):
+            return flow, u, v
+        reduced = np.maximum(cost + u[:, None] - v, 0.0)
+        backward = np.where(flow > 0.0, 0.0, np.inf)
+        du, dv = np.where(supply > 0.0, 0.0, np.inf), np.full(l, np.inf)
+        # Labels and predecessors change only on a strict decrease, so the
+        # predecessors form a forest rooted at the sources with supply.
+        pu, pv = np.zeros(k, int), np.zeros(l, int)
+        while True:
+            via = du[:, None] + reduced
+            low = via.min(0)
+            pv, dv = np.where(low < dv, via.argmin(0), pv), np.minimum(low, dv)
+            via = dv + backward
+            low = via.min(1)
+            if not (low < du).any():
+                break
+            pu, du = np.where(low < du, via.argmin(1), pu), np.minimum(low, du)
+        sink = np.where(demand > 0.0, dv, np.inf).argmin()
+        u += np.minimum(du, dv[sink])
+        v += np.minimum(dv, dv[sink])
+        path, i = [(pv[sink], sink)], pv[sink]
+        while not supply[i] > 0.0:
+            path += [(i, pu[i]), (pv[pu[i]], pu[i])]
+            i = pv[pu[i]]
+        arcs, sign = tuple(np.transpose(path)), (-1.0) ** np.arange(len(path))
+        amount = min(supply[i], demand[sink], *flow[arcs][1::2])
+        flow[arcs] += sign * amount
+        supply[i] -= amount
+        demand[sink] -= amount
+    raise RuntimeError(f"transport solve from {k} sources to {l} sinks took "
+                       f"over {(k + l) ** 2} augmentations")
 
 
-def linprog(*args, **kwargs):
-    """scipy's ``linprog``, imported on the first transport LP."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
-
-
-@lru_cache(maxsize=4)
-def _marginal_rows(n: int) -> np.ndarray:
-    """The read-only (2n, n * n) matrix whose rows sum a coupling, flattened
-    row by row, along its rows (the first n) and its columns (the last n)."""
-    cells = np.arange(n * n)
-    rows = np.zeros((2 * n, n * n))
-    rows[cells // n, cells] = 1.0
-    rows[n + cells % n, cells] = 1.0
-    rows.flags.writeable = False
-    return rows
-
-
-def _w1_lp(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
-    """Transportation LP over couplings with marginals mu, nu, solved on
-    the metric scaled to a diameter of 1, so that HiGHS's tolerances scale
-    with diam(d); a solve that does not succeed is retried once at
-    tolerances of 1e-10 without presolve. Equal marginals give exactly 0
-    without a solve."""
-    if np.array_equal(mu, nu):
+def _w1_exact(mu: np.ndarray, nu: np.ndarray, metric: np.ndarray) -> float:
+    """W1 of checked distributions by ``_transport`` from the larger part of
+    mu - nu to the smaller, on their supports: mass common to mu and nu
+    stays in place at cost 0, as d(i, i) = 0 and d obeys the triangle
+    inequality. When the parts' masses differ, the smaller mass moves, and
+    the value is off by at most that difference times diam(d)."""
+    diff = mu - nu if mu.sum() >= nu.sum() else nu - mu
+    src, snk = diff > 0.0, diff < 0.0
+    if not (src.any() and snk.any()):
         return 0.0
-    diameter = float(metric.max())
-    cost = (metric / diameter).reshape(-1)
-    a_eq = _marginal_rows(len(mu))
-    b_eq = np.concatenate([mu, nu])
-    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                     method="highs")
-    if not result.success:
-        result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                         method="highs", options=_RETRY_OPTIONS)
-    if not result.success:
-        raise RuntimeError(f"transport LP failed: {result.message}")
-    return diameter * float(result.fun)
+    cost = metric[src][:, snk]
+    return float((_transport(cost, diff[src], -diff[snk])[0] * cost).sum())
 
 
 def _w1_line(mu: np.ndarray, nu: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -186,7 +204,7 @@ def _w1_line(mu: np.ndarray, nu: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 #: The bracket's entropic regularisation, as a share of the metric's
 #: diameter, and its number of Sinkhorn scalings. Its bounds hold for any
-#: values; these decide only how many rows reach an LP.
+#: values; these decide only how many rows reach the transport solve.
 _BRACKET_EPSILON = 0.01
 _BRACKET_SCALINGS = 100
 
@@ -249,8 +267,8 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
 
     On a line metric every row takes the closed form. Otherwise rows whose
     mu equals nu entry for entry leave first, as their W1 is exactly 0, and
-    the result is the largest ``_w1_lp`` value over the other rows (0 when
-    there are none), found in three steps:
+    the result is the largest ``_w1_exact`` value over the other rows (0
+    when there are none), found in three steps:
 
     1. Bound: W1 >= max_k |(mu - nu) . d(., k)|, as each d(., k) is
        1-Lipschitz, and W1 <= min_k sum_i d(i, k) |mu_i - nu_i|, the cost of
@@ -262,19 +280,15 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
        bounds to the larger lower and the smaller upper one, and rows are
        dropped again by the same rule. A row whose bracket is not finite
        keeps its closed-form bounds.
-    3. Confirm: ``_w1_lp`` on each row that is left.
+    3. Confirm: ``_w1_exact`` on each row that is left.
 
-    The margin, 4 (2n + 1) 1e-7 diam(d) / min_scale, covers HiGHS's error,
-    not only roundoff: ``_w1_lp`` solves on d / diam(d), where each of the
-    LP's 2n balance rows may miss by its feasibility tolerance 1e-7 of
-    mass, costing at most 1 to move, and its reduced costs by 1e-7, so its
-    value scaled back is off by at most (2n + 1) 1e-7 diam(d); two values
-    are compared, each with an error from a bound and one from ``_w1_lp``.
-    The bracket's bounds are exact for the unit-mass parts up to a few ulps
-    of diam(d) per entry summed, and a checked row sums to 1 within
-    (n + 1) 1e-9 once its negative entries are clipped, so the masses of a
-    row's two parts differ by at most 2 (n + 1) 1e-9, which costs at most
-    that times diam(d): both far inside the margin.
+    The margin, 8 (n + 1) 1e-9 diam(d) / min_scale, covers mass mismatch
+    and roundoff. A checked row sums to 1 within (n + 1) 1e-9 once its
+    negative entries are clipped, so its two parts' masses differ by at most
+    2 (n + 1) 1e-9, and ``_w1_exact`` moves the smaller. Against its value a
+    lower bound may be high, or the bracket's upper bound low, by that times
+    diam(d) at most, so a dropped row is below the largest value by half the
+    margin, less roundoff: a few ulps of diam(d) per entry summed.
     """
     coords = _line_embedding(metric)
     if coords is not None:
@@ -283,7 +297,7 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
             best = max(best, float(np.max(_w1_line(mu, nu, coords) / scale)))
         return best
     n = len(metric)
-    margin = 4 * (2 * n + 1) * _HIGHS_TOL * float(metric.max()) / min_scale
+    margin = 8 * (n + 1) * 1e-9 * float(metric.max()) / min_scale
     lower = 0.0             # the largest lower bound so far
     # survivors, one row each: mu, nu, scale, upper bound
     kept = np.empty((0, 2 * n + 2))
@@ -307,7 +321,7 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
             lower = max(lower, float(np.max(low / block[:, 2 * n])))
             block[:, -1] = np.minimum(block[:, -1], high / block[:, 2 * n])
         kept = kept[kept[:, -1] >= lower - margin]
-    return max([0.0] + [float(_w1_lp(row[:n], row[n:2 * n], metric)
+    return max([0.0] + [float(_w1_exact(row[:n], row[n:2 * n], metric)
                               / row[2 * n]) for row in kept])
 
 
@@ -318,10 +332,10 @@ def wasserstein1(mu, nu, metric) -> float:
     computed as the one-row maximum of W1 that delta and L_P also take.
     When the metric embeds in the line (the default index metric always
     does), the cumulative-mass formula gives the exact answer directly.
-    Otherwise equal distributions give exactly 0 without an LP, and any
-    other pair a transportation LP solved on the metric scaled to a
-    diameter of 1, exact up to HiGHS's feasibility tolerance (off by about
-    1e-7 of the diameter at most on random planar pairs).
+    Otherwise equal distributions give exactly 0, and any other pair an
+    exact transport solve. It moves the smaller of the masses of mu - nu's
+    two parts, which checked distributions let differ by 2 (n + 1) 1e-9,
+    and is off by at most their difference times the metric's diameter.
     """
     mu, nu = _check_pair(mu, nu)
     return _max_w1([(mu, nu, 1.0)], _check_metric(metric, len(mu)))

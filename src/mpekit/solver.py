@@ -544,11 +544,11 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     and re-solving every stage game at those values, until two evaluations
     agree within roundoff); then, for each of up to three attempts of
     equilibrium value iteration, its last profile and its snapshots, latest
-    first, each distinct one once. An attempt sweeps until successive values
-    differ by at most tol (1 - gamma) / (2 gamma), from zero values and then
-    from seeded random ones, and runs only when every earlier candidate has
-    failed. The candidate of smallest gap, the earliest on ties, is
-    returned; ``converged`` is true iff its gap is at most tol.
+    first; no profile is certified twice. An attempt sweeps until successive
+    values differ by at most tol (1 - gamma) / (2 gamma), from zero values
+    and then from seeded random ones, and runs only when every earlier
+    candidate has failed. The candidate of smallest gap, the earliest on
+    ties, is returned; ``converged`` is true iff its gap is at most tol.
 
     ``max_iter`` bounds the warm sweeps and the sweeps of each
     value-iteration attempt. ``SolveResult.iterations`` counts every sweep
@@ -564,8 +564,13 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_count(max_iter, "max_iter")
 
-    kept = None
+    kept, certified = None, set()
     for pi1, pi2, iterations in _candidates(game, tol, max_iter, seed):
+        # A repeat is never strictly better, nor newly within tol.
+        key = pi1.tobytes(), pi2.tobytes()
+        if key in certified:
+            continue
+        certified.add(key)
         profile = StrategyProfile((MarkovStrategy(pi1), MarkovStrategy(pi2)))
         certificate = certify_profile(game, profile)
         gap = certificate.max_alpha

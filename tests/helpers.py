@@ -2,8 +2,8 @@
 
 Oracles here deliberately avoid the library's computation paths: policy
 values come from exhaustive enumeration or direct linear algebra, transport
-costs from scanning every basic coupling, and equilibrium checks from raw
-deviation enumeration.
+costs from scanning every basic coupling or from scipy's HiGHS LP, and
+equilibrium checks from raw deviation enumeration.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from mpekit.equilibrium import certify_profile
 from mpekit.games import (MarkovGame, MarkovStrategy, StrategyProfile,
                           ValueFunction, check_profile)
 from mpekit.mdp import (_action_values, _check_dims, _policy_values,
                         _profile_chain, _require_finite)
-from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding, _w1_lp
+from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding
 from mpekit.solver import SolveResult, bimatrix_nash
 
 
@@ -403,38 +404,73 @@ def _reference_row(p) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _reference_ipm(mu, nu, ipm_kind, metric) -> float:
+def reference_transport_lp(mu, nu, metric) -> float:
+    """Wasserstein-1 by scipy's HiGHS transportation LP over couplings of mu
+    and nu, solved on the metric scaled to a diameter of 1 at primal and
+    dual feasibility tolerances of 1e-10, without presolve (which can read
+    entries below 1e-7 as infeasible). The larger of the two masses is only
+    an upper bound on its marginal, so the smaller mass moves. Equal
+    marginals give exactly 0 without a solve."""
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    if np.array_equal(mu, nu):
+        return 0.0
+    n = len(mu)
+    cells = np.arange(n * n)
+    row_sums = np.zeros((n, n * n))
+    row_sums[cells // n, cells] = 1.0
+    col_sums = np.zeros((n, n * n))
+    col_sums[cells % n, cells] = 1.0
+    if mu.sum() >= nu.sum():
+        bounded = {"A_ub": row_sums, "b_ub": mu, "A_eq": col_sums, "b_eq": nu}
+    else:
+        bounded = {"A_ub": col_sums, "b_ub": nu, "A_eq": row_sums, "b_eq": mu}
+    diameter = float(metric.max())
+    result = linprog((metric / diameter).reshape(-1), bounds=(0, None),
+                     method="highs", options={
+                         "primal_feasibility_tolerance": 1e-10,
+                         "dual_feasibility_tolerance": 1e-10,
+                         "presolve": False}, **bounded)
+    if not result.success:
+        raise RuntimeError(f"reference transport LP failed: {result.message}")
+    return diameter * float(result.fun)
+
+
+def _reference_ipm(mu, nu, ipm_kind, metric, transport) -> float:
     """One row pair at a time, as ``tv_distance`` and ``wasserstein1`` were
     first written: half the L1 difference, the 1-D cumulative-mass dot
-    product on a line metric, else the transport LP."""
+    product on a line metric, else ``transport(mu, nu, metric)``."""
     mu, nu = _reference_row(mu), _reference_row(nu)
     if ipm_kind == TOTAL_VARIATION:
         return float(0.5 * np.abs(mu - nu).sum())
     coords = _line_embedding(metric)
     if coords is None:
-        return _w1_lp(mu, nu, metric)
+        return transport(mu, nu, metric)
     order = np.argsort(coords, kind="stable")
     gaps = np.diff(coords[order])
     cum = np.cumsum(mu[order] - nu[order])[:-1]
     return float(np.abs(cum) @ gaps)
 
 
-def reference_game_approx_params(g, g_hat, ipm_kind, metric):
+def reference_game_approx_params(g, g_hat, ipm_kind, metric,
+                                 transport=reference_transport_lp):
     """(epsilon, delta) by the per-row loop ``game_approx_params`` was first
-    written with."""
+    written with, each off-line W1 by ``transport``."""
     epsilon = float(np.max(np.abs(g.rewards - g_hat.rewards)))
     delta = 0.0
     for s in range(g.num_states):
         for j in range(g.num_joint_actions):
             delta = max(delta, _reference_ipm(g.transitions[s, j],
                                               g_hat.transitions[s, j],
-                                              ipm_kind, metric))
+                                              ipm_kind, metric, transport))
     return epsilon, delta
 
 
-def reference_game_lipschitz_constants(game, metric):
+def reference_game_lipschitz_constants(game, metric,
+                                       transport=reference_transport_lp):
     """(L_r, L_P) by the loop over state pairs and joint actions
-    ``game_lipschitz_constants`` was first written with."""
+    ``game_lipschitz_constants`` was first written with, each off-line W1
+    by ``transport``."""
     l_r = 0.0
     l_p = 0.0
     for s1 in range(game.num_states):
@@ -446,7 +482,7 @@ def reference_game_lipschitz_constants(game, metric):
                 l_r = max(l_r, gap / d)
                 w = _reference_ipm(game.transitions[s1, j],
                                    game.transitions[s2, j], WASSERSTEIN,
-                                   metric)
+                                   metric, transport)
                 l_p = max(l_p, w / d)
     return l_r, l_p
 

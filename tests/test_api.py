@@ -53,7 +53,8 @@ def test_count_parameters_take_numpy_integers():
 
 
 #: Run in a fresh interpreter, since the test session imports scipy itself.
-#: Prints, after each step, whether scipy.optimize is loaded.
+#: Prints whether scipy.optimize is loaded after each step, and how many
+#: transport solves ran.
 SCIPY_PROBE = """\
 import contextlib, io, json, sys
 from dataclasses import replace
@@ -62,9 +63,13 @@ from pathlib import Path
 import numpy as np
 
 import mpekit
+from mpekit import metrics
 from mpekit.cli import main
 
 steps = [("import mpekit", "scipy.optimize" in sys.modules)]
+solves = []
+transport = metrics._transport
+metrics._transport = lambda *args: solves.append(args) or transport(*args)
 
 
 def step(name, call):
@@ -105,13 +110,13 @@ uniform = mpekit.MarkovStrategy(np.full((9, 2), 0.5))
 step("grid robustness_report wasserstein", lambda: mpekit.robustness_report(
     grid_g, grid_hat, mpekit.WASSERSTEIN,
     profile=mpekit.StrategyProfile((uniform, uniform))))
-print(json.dumps(steps))
+print(json.dumps([steps, len(solves)]))
 """
 
 
-def test_scipy_optimize_loads_only_for_a_transport_lp(tmp_path):
-    # scipy.optimize took about 0.6 s of a 0.9 s `import mpekit`, and only
-    # a W1 off a line metric needs it.
+def test_no_step_loads_scipy_optimize(tmp_path):
+    # scipy.optimize took about 0.6 s of a 0.9 s `import mpekit`, and W1
+    # off a line metric is solved in numpy.
     src = str(Path(mpekit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -119,7 +124,9 @@ def test_scipy_optimize_loads_only_for_a_transport_lp(tmp_path):
                            capture_output=True, text=True, env=env,
                            timeout=120)
     assert child.returncode == 0, child.stderr
-    steps = dict(json.loads(child.stdout.splitlines()[-1]))
-    assert steps.pop("grid robustness_report wasserstein") is True
+    steps, solves = json.loads(child.stdout.splitlines()[-1])
+    steps = dict(steps)
     assert steps == {name: False for name in steps}
-    assert len(steps) == 12
+    assert len(steps) == 13
+    # The grid step's W1 maxima reach the transport solve.
+    assert solves >= 1

@@ -12,6 +12,7 @@ from helpers import (
     random_profile,
     reference_game_approx_params,
     reference_game_lipschitz_constants,
+    reference_transport_lp,
     transport_cost_tree_oracle,
 )
 from mpekit import bounds, metrics
@@ -22,7 +23,7 @@ from mpekit.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
     ApproximationParams,
-    _w1_lp,
+    _w1_exact,
     game_approx_params,
     game_lipschitz_constants,
     lipschitz_constant,
@@ -93,7 +94,7 @@ class TestWasserstein:
             mu = rng.dirichlet(np.ones(3))
             nu = rng.dirichlet(np.ones(3))
             assert wasserstein1(mu, nu, LINE3) == pytest.approx(
-                _w1_lp(mu, nu, LINE3), abs=1e-9)
+                reference_transport_lp(mu, nu, LINE3), abs=1e-9)
 
     @pytest.mark.parametrize("size,count", [(2, 40), (3, 40), (4, 12)])
     def test_matches_coupling_enumeration_oracle(self, size, count):
@@ -104,7 +105,7 @@ class TestWasserstein:
             nu = rng.dirichlet(np.ones(size))
             mine = wasserstein1(mu, nu, metric)
             oracle = transport_cost_tree_oracle(mu, nu, metric)
-            assert mine == pytest.approx(oracle, abs=1e-9)
+            assert mine == pytest.approx(oracle, abs=1e-14 * metric.max())
 
     @pytest.mark.parametrize("size,count", [(2, 40), (3, 40), (4, 12)])
     def test_line_metrics_match_oracle_too(self, size, count):
@@ -114,7 +115,7 @@ class TestWasserstein:
             mu = rng.dirichlet(np.ones(size))
             nu = rng.dirichlet(np.ones(size))
             assert wasserstein1(mu, nu, metric) == pytest.approx(
-                transport_cost_tree_oracle(mu, nu, metric), abs=1e-9)
+                transport_cost_tree_oracle(mu, nu, metric), abs=1e-14)
 
     def test_mixed_sign_line_embedding_detected(self):
         # states sit at coordinates 0, 2, -1: still a line metric, so the
@@ -139,7 +140,7 @@ class TestWasserstein:
                 transport_cost_tree_oracle(mu, nu, metric), abs=1e-9)
 
     def test_entries_below_1e7_solve_near_the_closed_form(self):
-        # At HiGHS's default tolerances this transport LP reads as
+        # At HiGHS's default tolerances this transport LP read as
         # infeasible; mu is a point mass, so W1 is d(4, .) . nu exactly.
         metric = planar_metric([[3, 0], [1, 4], [2, 3], [4, 4], [3, 2],
                                 [3, 4]])
@@ -148,7 +149,8 @@ class TestWasserstein:
                        3.680175428620209e-23, 2.8969348078008418e-11])
         exact = metric[4] @ nu
         assert exact == 2.235975750477892
-        assert abs(wasserstein1(np.eye(6)[4], nu, metric) - exact) <= 1e-9
+        assert abs(wasserstein1(np.eye(6)[4], nu, metric)
+                   - exact) <= 4 * np.spacing(exact)
 
     def test_rejects_broken_metric(self):
         with pytest.raises(ValueError, match="axioms"):
@@ -463,15 +465,15 @@ class TestCheckedOnce:
             assert vectors == []
 
     def test_grid_report_solves_few_transport_lps(self, monkeypatch):
-        # One LP per row pair would be 36 for delta and 144 for L_P.
+        # One solve per row pair would be 36 for delta and 144 for L_P.
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return transport_lp(*args)
+            return w1_exact(*args)
 
-        transport_lp = metrics._w1_lp
-        monkeypatch.setattr(metrics, "_w1_lp", counting)
+        w1_exact = metrics._w1_exact
+        monkeypatch.setattr(metrics, "_w1_exact", counting)
         rng = np.random.default_rng(3)
         game = replace(random_game(rng, 9, (2, 2), 0.95),
                        metric=grid_metric(3, 3))
@@ -507,9 +509,10 @@ def game_pairs(draw):
     """A game, a nearby game and the metric they share.
 
     Metrics are the index line, a shuffled and scaled line (both take the
-    closed form) or distances between random planar points (the LP; at most
-    5 states, to keep LPs few). Rows have exact zeros, entries of -1e-11 that
-    the check clips, and rows the nearby game leaves unchanged.
+    closed form) or distances between random planar points (the transport
+    solve; at most 5 states, to keep solves few). Rows have exact zeros,
+    entries of -1e-11 that the check clips, and rows the nearby game leaves
+    unchanged.
     """
     kind = draw(st.sampled_from(["line", "shuffled line", "plane"]))
     size = draw(st.integers(2, 5 if kind == "plane" else 13))
@@ -552,13 +555,13 @@ class TestMatchesPerRowReference:
         g, g_hat, metric = pair
         for kind in (TOTAL_VARIATION, WASSERSTEIN):
             params = game_approx_params(g, g_hat, kind)
-            epsilon, delta = reference_game_approx_params(g, g_hat, kind,
-                                                          metric)
+            epsilon, delta = reference_game_approx_params(
+                g, g_hat, kind, metric, transport=_w1_exact)
             assert same_bits(params.epsilon, epsilon)
             assert same_bits(params.delta, delta)
         for mine, ref in zip(game_lipschitz_constants(g_hat),
-                             reference_game_lipschitz_constants(g_hat,
-                                                                metric)):
+                             reference_game_lipschitz_constants(
+                                 g_hat, metric, transport=_w1_exact)):
             assert same_bits(mine, ref)
 
 
@@ -569,7 +572,7 @@ def off_line_game_pairs(draw):
     steps.
 
     Metrics are grids, distinct points of a 5 x 5 lattice (whose collinear
-    triples shortcut arcs of the flow LP) and random planar points, up to 9
+    triples tie transport paths) and random planar points, up to 9
     states. Rows include point masses, entries below 1e-7, rows the nearby
     game leaves unchanged, one row pair copied to every row (so every delta
     row ties) and the identity kernel (so every L_P quotient is 1).
@@ -608,17 +611,23 @@ def off_line_game_pairs(draw):
 
 
 class TestMaxW1MatchesPerRowLps:
-    """delta and L_P off the line equal the per-row LP maxima bit for bit."""
+    """delta and L_P off the line equal the per-row maxima of the exact
+    solve bit for bit, and delta the per-row HiGHS LP maximum within its
+    tolerance."""
 
     @settings(max_examples=25, deadline=None)
     @given(off_line_game_pairs())
     def test_delta_and_lipschitz(self, pair):
         g, g_hat, metric = pair
-        _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN, metric)
+        _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN, metric,
+                                                transport=_w1_exact)
         assert same_bits(game_approx_params(g, g_hat, WASSERSTEIN).delta,
                          delta)
-        _, l_p = reference_game_lipschitz_constants(g_hat, metric)
+        _, l_p = reference_game_lipschitz_constants(g_hat, metric,
+                                                    transport=_w1_exact)
         assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
+        _, highs = reference_game_approx_params(g, g_hat, WASSERSTEIN, metric)
+        assert abs(delta - highs) <= 1e-9 * metric.max()
 
 
 def planar_pair(rng, size, joint, noise=0.03):
@@ -639,16 +648,17 @@ def planar_pair(rng, size, joint, noise=0.03):
 class TestBracket:
     """The Sinkhorn bracket drops rows without changing a bit."""
 
-    # The per-row L_P reference solves S (S - 1) / 2 LPs: 4 s at 30 states.
+    # The per-row L_P reference makes S (S - 1) / 2 transport solves.
     @settings(max_examples=3, deadline=None)
     @given(st.integers(12, 30), st.integers(0, 2**32 - 1))
     def test_perturbed_planar_pairs_match_per_row_lps(self, size, seed):
         g, g_hat = planar_pair(np.random.default_rng(seed), size, 1)
         _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN,
-                                                g.metric)
+                                                g.metric, transport=_w1_exact)
         assert same_bits(game_approx_params(g, g_hat, WASSERSTEIN).delta,
                          delta)
-        _, l_p = reference_game_lipschitz_constants(g_hat, g.metric)
+        _, l_p = reference_game_lipschitz_constants(g_hat, g.metric,
+                                                    transport=_w1_exact)
         assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
 
     def test_bounds_hold_at_every_metric_scale(self):
@@ -663,16 +673,16 @@ class TestBracket:
         spread /= spread.sum(-1, keepdims=True)
         mu = np.concatenate([eye, eye, spread, spread, eye[:1]])
         nu = np.concatenate([eye[::-1], spread, eye, spread[::-1], eye[:1]])
-        # W1 scales with the metric: the reference is the unit metric's LP
-        # times the diameter.
-        unit_w1 = np.array([_w1_lp(m, v, unit) for m, v in zip(mu, nu)])
+        # W1 scales with the metric: the reference is the unit metric's
+        # exact solve times the diameter.
+        unit_w1 = np.array([_w1_exact(m, v, unit) for m, v in zip(mu, nu)])
         for diameter in (1e-8, 1e-4, 1.0, 1e4, 1e8):
             metric = diameter * unit
             low, high = metrics._bracket(mu - nu, metric)
             # Only the last row, mu = nu, has no bracket.
             assert np.isfinite(low[:-1]).all() and np.isfinite(high[:-1]).all()
             assert (low[-1], high[-1]) == (-np.inf, np.inf)
-            slack = 4 * (2 * size + 1) * 1e-7 * diameter
+            slack = 1e-14 * diameter
             assert np.all(low <= diameter * unit_w1 + slack)
             assert np.all(diameter * unit_w1 <= high + slack)
             g, g_hat = (MarkovGame(tuple(str(s) for s in range(size)),
@@ -680,8 +690,8 @@ class TestBracket:
                                    rows.reshape(size, 4, size),
                                    np.zeros((1, size, 4)), 0.9, metric)
                         for rows in (mu[:-1], nu[:-1]))
-            _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN,
-                                                    metric)
+            _, delta = reference_game_approx_params(
+                g, g_hat, WASSERSTEIN, metric, transport=_w1_exact)
             assert same_bits(game_approx_params(g, g_hat, WASSERSTEIN).delta,
                              delta)
 
@@ -692,12 +702,12 @@ class TestBracket:
         # actions, rows 0.95 P + 0.05 noise.
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return solve(*args, **kwargs)
+            return solve(*args)
 
-        solve = metrics.linprog
-        monkeypatch.setattr(metrics, "linprog", counting)
+        solve = metrics._transport
+        monkeypatch.setattr(metrics, "_transport", counting)
         rng = np.random.default_rng(seed)
         game = replace(random_game(rng, 9, (2, 2), 0.95),
                        metric=grid_metric(3, 3))
@@ -725,12 +735,12 @@ class TestTransportLp:
         # HiGHS gave such rows values of order 1e-17, one LP per row.
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return solve(*args, **kwargs)
+            return solve(*args)
 
-        solve = metrics.linprog
-        monkeypatch.setattr(metrics, "linprog", counting)
+        solve = metrics._transport
+        monkeypatch.setattr(metrics, "_transport", counting)
         grid = grid_metric(3, 3)
         game = replace(random_game(np.random.default_rng(0), 9, (2, 2)),
                        metric=grid)
@@ -744,15 +754,16 @@ class TestTransportLp:
 
     def test_rows_equal_in_every_state_take_no_transport_lp(self,
                                                             monkeypatch):
-        # Each such row used to reach _w1_lp: 20,200 calls, about 1 s.
+        # Each such row used to reach a transport LP: 20,200 calls, about
+        # 1 s.
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return w1_lp(*args)
+            return w1_exact(*args)
 
-        w1_lp = metrics._w1_lp
-        monkeypatch.setattr(metrics, "_w1_lp", counting)
+        w1_exact = metrics._w1_exact
+        monkeypatch.setattr(metrics, "_w1_exact", counting)
         rng = np.random.default_rng(0)
         game = replace(random_game(rng, 100, (2, 2)),
                        metric=planar_metric(rng.uniform(size=(100, 2))))
@@ -772,7 +783,7 @@ class TestTransportLp:
                 mu, nu = rng.dirichlet(np.full(len(metric), 0.5), size=2)
                 for pair in ((mu, nu), (mu, mu.copy())):
                     assert same_bits(wasserstein1(*pair, metric),
-                                     max(0.0, _w1_lp(*pair, metric)))
+                                     max(0.0, _w1_exact(*pair, metric)))
 
     def test_wasserstein1_is_the_closed_form_on_a_line(self):
         rng = np.random.default_rng(3)
@@ -790,9 +801,9 @@ class TestTransportLp:
                                  float(np.abs(cum) @ np.diff(coords[order])))
 
     def test_value_scales_with_the_metric(self):
-        # HiGHS's tolerances are absolute: solved on the metric as given,
-        # these rows were off by 1.58 times their value at a diameter of
-        # 1e-8.
+        # A transport LP solved at HiGHS's absolute tolerances on the metric
+        # as given was off by 1.58 times these rows' value at a diameter of
+        # 1e-8; the exact solve has no tolerance.
         rng = np.random.default_rng(7)
         size = 8
         unit = planar_metric(rng.uniform(size=(size, 2)))
@@ -800,19 +811,81 @@ class TestTransportLp:
         spread = rng.dirichlet(np.full(size, 0.3), size=size)
         mu = np.concatenate([np.eye(size), spread])
         nu = np.concatenate([spread, spread[::-1]])
-        unit_w1 = np.array([_w1_lp(m, v, unit) for m, v in zip(mu, nu)])
+        unit_w1 = np.array([_w1_exact(m, v, unit) for m, v in zip(mu, nu)])
         assert np.all(unit_w1 > 0.0)
         for diameter in (1e-8, 1e-4, 1e4, 1e8):
-            w1 = np.array([_w1_lp(m, v, diameter * unit)
+            w1 = np.array([_w1_exact(m, v, diameter * unit)
                            for m, v in zip(mu, nu)])
             assert np.abs(w1 / (diameter * unit_w1) - 1.0).max() < 1e-14
 
-    @pytest.mark.parametrize("size", [2, 9, 30])
-    def test_marginal_rows_sum_a_coupling_once_per_size(self, size):
-        # Integer entries, so that every order of summation is exact.
-        plan = np.random.default_rng(size).integers(0, 100, (size, size))
-        rows = metrics._marginal_rows(size)
-        assert rows is metrics._marginal_rows(size)
-        assert not rows.flags.writeable
-        assert np.array_equal(rows @ plan.reshape(-1),
-                              np.concatenate([plan.sum(1), plan.sum(0)]))
+
+@st.composite
+def transport_pairs(draw):
+    """Two checked distributions and a metric with many ties or none.
+
+    Metrics are L1 grids, distinct points of a 5 x 5 lattice under L1 (the
+    two tie-heavy kinds), a grid scaled by 1e-8 to 1e8 and random planar
+    points, up to 15 states. Rows include point masses, entries below 1e-7
+    and entries of about -1e-9 that the check clips, and their masses differ
+    from 1 by as much as the row rule lets them.
+    """
+    kind = draw(st.sampled_from(["grid", "lattice", "scaled grid", "plane"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("grid", "scaled grid"):
+        metric = grid_metric(*draw(st.sampled_from(
+            [(1, 2), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (3, 5)])))
+        if kind == "scaled grid":
+            metric *= 10.0 ** rng.uniform(-8.0, 8.0)
+    else:
+        size = draw(st.integers(2, 15))
+        cells = rng.choice(25, size, replace=False)
+        metric = (grid_metric(5, 5)[np.ix_(cells, cells)] if kind == "lattice"
+                  else planar_metric(rng.uniform(size=(size, 2))))
+    size = len(metric)
+    rows = rng.dirichlet(np.full(size, draw(st.sampled_from([0.2, 1.0]))),
+                         size=2)
+    masses = rng.random(2) < 0.3
+    rows[masses] = np.eye(size)[rng.integers(size, size=masses.sum())]
+    tiny = rng.random(rows.shape) < 0.2
+    rows[tiny] = 10.0 ** rng.uniform(-23.0, -7.0, size=tiny.sum())
+    rows /= rows.sum(-1, keepdims=True)
+    clipped = rng.random(rows.shape) < 0.1
+    rows[clipped] = -0.9e-9 * rng.random(clipped.sum())
+    rows[[0, 1], rows.argmax(-1)] += 1.0 - rows.sum(-1)
+    rows *= 1.0 + rng.uniform(-0.9e-9, 0.9e-9, size=(2, 1))
+    return (*(metrics._check_distribution("row", row) for row in rows),
+            metric)
+
+
+class TestExactTransport:
+    """The transport solve is exact: it matches an independent LP, and its
+    potentials certify its flow."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(transport_pairs())
+    def test_matches_highs_and_certifies_itself(self, pair):
+        mu, nu, metric = pair
+        diameter = metric.max()
+        value = _w1_exact(mu, nu, metric)
+        assert abs(value - reference_transport_lp(mu, nu, metric)) \
+            <= 1e-9 * diameter
+        diff = mu - nu if (mu - nu).sum() >= 0.0 else nu - mu
+        src, snk = diff > 0.0, diff < 0.0
+        if not (src.any() and snk.any()):
+            assert value == 0.0
+            return
+        cost = metric[src][:, snk]
+        supply, demand = diff[src], -diff[snk]
+        flow, u, v = metrics._transport(cost, supply, demand)
+        roundoff = 1e-13 * diameter
+        reduced = cost + u[:, None] - v
+        assert flow.min() >= 0.0 and u.min() >= 0.0
+        assert reduced.min() >= -roundoff
+        assert np.abs(reduced[flow > 0.0]).max() <= roundoff
+        assert np.abs(flow.sum(0) - demand).max() <= 1e-15
+        assert np.all(flow.sum(1) <= supply + 1e-15)
+        # With u >= 0, demand . v - supply . u bounds every transport of
+        # all the demand from below.
+        primal = (flow * cost).sum()
+        assert primal == value
+        assert abs(primal - (demand @ v - supply @ u)) <= roundoff

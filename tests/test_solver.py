@@ -15,7 +15,8 @@ from helpers import (nash_deviation_gain, random_game,
                      reference_solve_mpe)
 from mpekit import solver
 from mpekit.equilibrium import certify_profile, is_mpe
-from mpekit.games import GameValidationError, MarkovGame
+from mpekit.games import (GameValidationError, MarkovGame, MarkovStrategy,
+                          StrategyProfile)
 from mpekit.solver import bimatrix_nash, solve_mpe, stage_game
 
 #: One unit in the last place of 1e8 (about 1.5e-8).
@@ -558,6 +559,16 @@ class TestStackedKernel:
             theirs = reference_enumeration_sweep(game, theirs[0])
 
 
+def result_bytes(profile, certificate) -> list[bytes]:
+    """The bytes of a profile's strategies and of its certificate."""
+    return [a.tobytes() for a in (
+        *(strategy.probabilities for strategy in profile.strategies),
+        certificate.per_player_alpha,
+        *(value.values for value in (
+            *certificate.per_player_value,
+            *certificate.per_player_best_response_value)))]
+
+
 class TestSolveMpe:
     def test_bundled_perturbed_game_certifies(self, perturbed_game):
         result = solve_mpe(perturbed_game, tol=1e-6)
@@ -735,3 +746,26 @@ class TestSolveMpe:
                                     reference.profile.strategies))
         assert same or (result.certificate.max_alpha
                         < reference.certificate.max_alpha)
+
+    def test_certifies_each_distinct_candidate_once(self, monkeypatch):
+        # At the default max_iter the stream yields 10 candidates on this
+        # game, only 3 of them distinct, and each repeat was certified again.
+        game = random_game(np.random.default_rng(21), 3, (2, 2), 0.9)
+        candidates = list(solver._candidates(game, 1e-8, 10_000, 0))
+        assert len(candidates) == 10
+        kept = None
+        for pi1, pi2, _ in candidates:      # the loop that certified each
+            profile = StrategyProfile((MarkovStrategy(pi1),
+                                       MarkovStrategy(pi2)))
+            certificate = certify_profile(game, profile)
+            if kept is None or certificate.max_alpha < kept[1].max_alpha:
+                kept = profile, certificate
+        calls = []
+        monkeypatch.setattr(solver, "certify_profile", lambda *args: (
+            calls.append(args) or certify_profile(*args)))
+        result = solve_mpe(game)
+        assert len(calls) == 3
+        assert not result.converged
+        assert result.iterations == candidates[-1][2]
+        assert result_bytes(result.profile, result.certificate) == \
+            result_bytes(*kept)
