@@ -32,6 +32,8 @@ import numpy as np
 STOCHASTIC_ATOL = 1e-9
 #: Tolerance of the metric axioms (zero diagonal, symmetry, triangle).
 _METRIC_ATOL = 1e-12
+#: Most (i, j, k) entries one block of the triangle check holds: 8 MB.
+_TRIANGLE_ENTRIES = 2 ** 20
 
 
 class GameFormatError(ValueError):
@@ -282,12 +284,17 @@ def metric_violations(metric: np.ndarray) -> list[str]:
     if np.any(off <= 0):
         i, j = np.argwhere(off <= 0)[0]
         out.append(f"metric d(s,s') <= 0 for distinct states ({i}, {j})")
-    for i in range(n):
-        # bad[j, k]: d(i, k) > d(i, j) + d(j, k) + 1e-12, summed in that order
-        bad = metric[i] > metric[i][:, None] + metric + _METRIC_ATOL
+    size = max(1, _TRIANGLE_ENTRIES // (n * n))
+    for start in range(0, n, size):
+        rows = metric[start:start + size]
+        # bad[i, j, k]: d(i, k) > d(i, j) + d(j, k) + 1e-12, summed in that
+        # order, for the block's i; argwhere finds the first in (i, j, k)
+        # order.
+        bad = rows[:, None, :] > rows[:, :, None] + metric + _METRIC_ATOL
         if np.any(bad):
-            j, k = np.argwhere(bad)[0]
-            out.append(f"metric triangle inequality fails on ({i}, {j}, {k})")
+            i, j, k = np.argwhere(bad)[0]
+            out.append(f"metric triangle inequality fails on "
+                       f"({start + i}, {j}, {k})")
             return out
     return out
 

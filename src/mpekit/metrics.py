@@ -12,10 +12,11 @@ game, and ``wasserstein1``, the maximum over one row. Off the line, rows
 whose two distributions are equal leave first, as their W1 is exactly 0.
 Then three steps. Bound: closed-form lower and upper bounds on every row
 drop the rows whose upper bound is below the largest lower bound by more
-than a margin. Bracket: a fixed number of Sinkhorn scalings, batched over
-the survivors, tighten both bounds and drop rows by the same rule. Confirm:
-the per-row transport solve on the rows that are left. The maximum equals
-the largest per-row value, and 0 when no row is left.
+than a margin. Bracket: Sinkhorn scalings, batched over the survivors,
+tighten both bounds at a few checkpoints and drop rows by the same rule,
+and stop once at most one row is left in play. Confirm: the per-row
+transport solve on the rows that are left. The maximum equals the largest
+per-row value, and 0 when no row is left.
 """
 
 from __future__ import annotations
@@ -103,17 +104,19 @@ def tv_distance(mu, nu) -> float:
 
 
 def _line_embedding(metric: np.ndarray) -> np.ndarray | None:
-    """Coordinates x with d(i, j) = |x_i - x_j|, or None if none exist."""
+    """Coordinates x with d(i, j) = |x_i - x_j| within 1e-12 diam(d), or
+    None if none exist."""
     n = metric.shape[0]
+    tol = 1e-12 * metric.max()
     x = np.zeros(n)
     if n > 1:
         x[1] = metric[0, 1]
         for i in range(2, n):
             # candidate on the positive side unless inconsistent with x[1]
             pos = metric[0, i]
-            x[i] = pos if abs(abs(pos - x[1]) - metric[1, i]) <= 1e-12 else -pos
+            x[i] = pos if abs(abs(pos - x[1]) - metric[1, i]) <= tol else -pos
     recon = np.abs(x[:, None] - x[None, :])
-    if np.max(np.abs(recon - metric)) <= 1e-12:
+    if np.max(np.abs(recon - metric)) <= tol:
         return x
     return None
 
@@ -203,20 +206,24 @@ def _w1_line(mu: np.ndarray, nu: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 #: The bracket's entropic regularisation, as a share of the metric's
-#: diameter, and its number of Sinkhorn scalings. Its bounds hold for any
-#: values; these decide only how many rows reach the transport solve.
+#: diameter, its cap on Sinkhorn scalings, and the counts of scalings after
+#: which it bounds the rows still in play. Its bounds hold at every iterate;
+#: these decide only how many rows reach the transport solve, and how soon.
 _BRACKET_EPSILON = 0.01
 _BRACKET_SCALINGS = 100
+_BRACKET_CHECKPOINTS = (3, 10, 30, _BRACKET_SCALINGS)
 
 #: Most (row, state, state) entries one bracket block holds: 8 MB a plan.
 _BRACKET_ENTRIES = 2 ** 20
 
 
-def _bracket(diff: np.ndarray, metric: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on W1 of each row of diff (mu - nu) from a
-    fixed number of Sinkhorn scalings; -inf and inf where they are not
-    finite.
+def _bracket(diff: np.ndarray, metric: np.ndarray):
+    """Lower and upper bounds on W1 of the rows of diff (mu - nu) from
+    Sinkhorn scalings; -inf and inf where they are not finite.
+
+    A generator: after each of ``_BRACKET_CHECKPOINTS`` scalings it yields
+    the bounds of the rows still in play, and the caller sends back the
+    mask of those to keep scaling (None keeps them all).
 
     With a and b the positive and negative parts of a row, of masses m and
     m', W1 = W1(a, b) = m W1(p, q) for the unit-mass p = a / m, q = b / m'
@@ -224,40 +231,48 @@ def _bracket(diff: np.ndarray, metric: np.ndarray
     give a plan, rounded to an exact coupling of p and q (Altschuler, Weed
     and Rigollet, Alg. 2) whose price bounds W1 from above; and f = eps
     log u on supp p gives phi(x) = max_k (f_k - d(x, k)), 1-Lipschitz, so
-    (p - q) . phi bounds it from below.
+    (p - q) . phi bounds it from below. Both hold at every iterate.
     """
     a = np.clip(diff, 0.0, None)
     b = np.clip(-diff, 0.0, None)
     mass = a.sum(-1)
-    kernel = np.exp(-metric / (_BRACKET_EPSILON * metric.max()))
+    eps = _BRACKET_EPSILON * metric.max()
+    kernel = np.exp(-metric / eps)
     # A zero mass, an overflow or an underflow gives inf or NaN, and such a
-    # row keeps its closed-form bounds.
+    # row keeps its closed-form bounds. Errors are ignored only up to each
+    # yield, so the caller's arithmetic is not silenced.
     with np.errstate(all="ignore"):
         p = a / mass[:, None]
         q = b / b.sum(-1, keepdims=True)
-        v = np.ones_like(q)
-        for _ in range(_BRACKET_SCALINGS):
-            u = p / (v @ kernel)        # the kernel is symmetric
-            v = q / (u @ kernel)
-        plan = u[:, :, None] * kernel * v[:, None, :]
-        # fmin leaves the 0 / 0 of a state outside a support at 1.
-        plan *= np.fmin(p / plan.sum(-1), 1.0)[:, :, None]
-        plan *= np.fmin(q / plan.sum(-2), 1.0)[:, None, :]
-        short_p = np.clip(p - plan.sum(-1), 0.0, None)
-        short_q = np.clip(q - plan.sum(-2), 0.0, None)
-        missing = short_q.sum(-1)
-        upper = (plan * metric).sum((-2, -1)) + np.einsum(
-            "ri,ij,rj->r", short_p, metric, short_q) / np.where(
-                missing > 0.0, missing, 1.0)
-        # Centred so that the winning terms, and so phi, stay within
-        # diam(d) of 0, where their roundoff is a few ulps of diam(d).
-        f = _BRACKET_EPSILON * metric.max() * np.log(u)
-        f -= f.max(-1, keepdims=True)
-        phi = (f[:, None, :] - metric).max(-1)
-        lower = ((p - q) * phi).sum(-1)
-        upper, lower = mass * upper, mass * lower
-    return (np.where(np.isfinite(lower), lower, -np.inf),
-            np.where(np.isfinite(upper), upper, np.inf))
+    v = np.ones_like(q)
+    done = 0
+    for checkpoint in _BRACKET_CHECKPOINTS:
+        with np.errstate(all="ignore"):
+            for _ in range(checkpoint - done):
+                u = p / (v @ kernel)        # the kernel is symmetric
+                v = q / (u @ kernel)
+            plan = u[:, :, None] * kernel * v[:, None, :]
+            # fmin leaves the 0 / 0 of a state outside a support at 1.
+            plan *= np.fmin(p / plan.sum(-1), 1.0)[:, :, None]
+            plan *= np.fmin(q / plan.sum(-2), 1.0)[:, None, :]
+            short_p = np.clip(p - plan.sum(-1), 0.0, None)
+            short_q = np.clip(q - plan.sum(-2), 0.0, None)
+            missing = short_q.sum(-1)
+            upper = (plan * metric).sum((-2, -1)) + np.einsum(
+                "ri,ij,rj->r", short_p, metric, short_q) / np.where(
+                    missing > 0.0, missing, 1.0)
+            # Centred so that the winning terms, and so phi, stay within
+            # diam(d) of 0, where their roundoff is a few ulps of diam(d).
+            f = eps * np.log(u)
+            f -= f.max(-1, keepdims=True)
+            phi = (f[:, None, :] - metric).max(-1)
+            lower = ((p - q) * phi).sum(-1)
+            upper, lower = mass * upper, mass * lower
+        done = checkpoint
+        keep = yield (np.where(np.isfinite(lower), lower, -np.inf),
+                      np.where(np.isfinite(upper), upper, np.inf))
+        if keep is not None:
+            p, q, u, v, mass = p[keep], q[keep], u[keep], v[keep], mass[keep]
 
 
 def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
@@ -276,10 +291,13 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
        largest lower bound by more than the margin are dropped, block by
        block, so memory stays at one block plus the survivors.
     2. Bracket: ``_bracket``'s Sinkhorn bounds on the survivors, in blocks
-       of at most ``_BRACKET_ENTRIES`` plan entries, tighten each row's
-       bounds to the larger lower and the smaller upper one, and rows are
-       dropped again by the same rule. A row whose bracket is not finite
-       keeps its closed-form bounds.
+       of at most ``_BRACKET_ENTRIES`` plan entries. At each checkpoint of
+       its scalings they tighten the bounds of the block's rows still in
+       play to the larger lower and the smaller upper one, rows are dropped
+       by the same rule, and only the rest scale on. A block stops once at
+       most one of its rows is in play, or at the cap, and a last pass of
+       the rule drops rows against lower bounds found in later blocks. A
+       row whose bracket is not finite keeps its closed-form bounds.
     3. Confirm: ``_w1_exact`` on each row that is left.
 
     The margin, 8 (n + 1) 1e-9 diam(d) / min_scale, covers mass mismatch
@@ -316,10 +334,19 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
     if len(kept) > 1 and kept[:, -1].max() > margin:
         size = max(1, _BRACKET_ENTRIES // (n * n))
         for start in range(0, len(kept), size):
-            block = kept[start:start + size]
-            low, high = _bracket(block[:, :n] - block[:, n:2 * n], metric)
-            lower = max(lower, float(np.max(low / block[:, 2 * n])))
-            block[:, -1] = np.minimum(block[:, -1], high / block[:, 2 * n])
+            block = kept[start:start + size]    # a view: bounds land in kept
+            live, keep = np.flatnonzero(block[:, -1] >= lower - margin), None
+            bracket = _bracket(block[live, :n] - block[live, n:2 * n], metric)
+            while len(live) > 1:
+                try:
+                    low, high = bracket.send(keep)
+                except StopIteration:
+                    break
+                scale = block[live, 2 * n]
+                lower = max(lower, float(np.max(low / scale)))
+                block[live, -1] = np.minimum(block[live, -1], high / scale)
+                keep = block[live, -1] >= lower - margin
+                live = live[keep]
         kept = kept[kept[:, -1] >= lower - margin]
     return max([0.0] + [float(_w1_exact(row[:n], row[n:2 * n], metric)
                               / row[2 * n]) for row in kept])

@@ -362,9 +362,34 @@ def reference_solve_mpe(game, tol=1e-8, max_iter=10_000, seed=0):
                        iterations=iterations, converged=gap <= tol)
 
 
-def reference_metric_violations(metric, atol=1e-12) -> list[str]:
-    """``metric_violations`` as first written, with its triple-loop triangle
-    check: the oracle for the array form's list of messages."""
+def triple_loop_triangle(metric, atol):
+    """The first (i, j, k) with d(i, k) > d(i, j) + d(j, k) + atol, by a
+    triple loop, or None."""
+    n = len(metric)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if metric[i, k] > metric[i, j] + metric[j, k] + atol:
+                    return i, j, k
+    return None
+
+
+def per_row_triangle(metric, atol):
+    """``triple_loop_triangle`` one row i at a time, as ``metric_violations``
+    checked it before its block check."""
+    for i in range(len(metric)):
+        # bad[j, k]: d(i, k) > d(i, j) + d(j, k) + atol, summed in that order
+        bad = metric[i] > metric[i][:, None] + metric + atol
+        if np.any(bad):
+            j, k = np.argwhere(bad)[0]
+            return i, j, k
+    return None
+
+
+def reference_metric_violations(metric, atol=1e-12,
+                                triangle=triple_loop_triangle) -> list[str]:
+    """``metric_violations`` as first written, its triangle check by
+    ``triangle``: the oracle for the array form's list of messages."""
     out = []
     metric = np.asarray(metric, dtype=np.float64)
     if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
@@ -386,14 +411,10 @@ def reference_metric_violations(metric, atol=1e-12) -> list[str]:
     if np.any(off <= 0):
         i, j = np.argwhere(off <= 0)[0]
         out.append(f"metric d(s,s') <= 0 for distinct states ({i}, {j})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if metric[i, k] > metric[i, j] + metric[j, k] + atol:
-                    out.append(
-                        f"metric triangle inequality fails on ({i}, {j}, {k})"
-                    )
-                    return out
+    first = triangle(metric, atol)
+    if first is not None:
+        out.append("metric triangle inequality fails on ({}, {}, {})".format(
+            *first))
     return out
 
 

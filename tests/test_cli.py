@@ -9,6 +9,7 @@ from helpers import (perturb_game, random_game, random_mdp, random_profile,
 from mpekit import cli
 from mpekit.cli import main
 from mpekit.games import (
+    MarkovGame,
     bundled_game,
     parse_profile,
     serialize_game,
@@ -576,3 +577,28 @@ def test_bundled_pair_stdout_matches_golden(capsys, game_files, tmp_path):
             paths["profile.json"].write_text(out)
         transcript.append(f"$ mpekit {' '.join(argv)}\n{out}")
     assert "".join(transcript).encode() == GOLDEN_CLI.read_bytes()
+
+
+GOLDEN_PLANAR = Path(__file__).parent / "golden" / "bound_planar60_w1.txt"
+
+
+def test_planar_pair_w1_bound_matches_golden(capsys, tmp_path):
+    """``bound --ipm w1`` on the 60-state planar pair that CI builds prints
+    exactly the stored bytes: no line metric, so every W1 maximum takes the
+    bound, bracket and confirm steps."""
+    rng = np.random.default_rng(0)
+    points = rng.uniform(size=(60, 2))
+    metric = np.linalg.norm(points[:, None] - points[None], axis=2)
+    rows = rng.dirichlet(np.full(60, 0.3), size=(60, 4))
+    near = 0.97 * rows + 0.03 * rng.dirichlet(np.ones(60), size=(60, 4))
+    r = rng.uniform(size=(60, 4))
+    paths = []
+    for name, p in (("planar.json", rows), ("planar_hat.json", near)):
+        game = MarkovGame(tuple(str(s) for s in range(60)),
+                          (("a", "b"), ("a", "b")), p,
+                          np.stack([r, 1.0 - r]), 0.9, metric)
+        paths.append(tmp_path / name)
+        paths[-1].write_text(serialize_game(game))
+    code, out, _ = run(capsys, ["bound", *map(str, paths), "--ipm", "w1"])
+    assert code == 0
+    assert out.encode() == GOLDEN_PLANAR.read_bytes()

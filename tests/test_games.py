@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    per_row_triangle,
     random_game,
     random_profile,
     random_strategy,
@@ -19,6 +20,7 @@ from helpers import (
     reference_stochastic_violations,
     with_duplicate,
 )
+from mpekit import games
 from mpekit.games import (
     STOCHASTIC_ATOL,
     GameFormatError,
@@ -261,6 +263,36 @@ class TestValidation:
             metric = np.triu(metric, 1) + np.triu(metric, 1).T
         assert metric_violations(metric) == reference_metric_violations(
             metric)
+
+    @pytest.mark.parametrize("entries", [2 ** 20, 2 ** 10])
+    def test_same_messages_as_the_per_row_check(self, monkeypatch, entries):
+        # 2 ** 10 entries split every metric above 5 states into blocks of a
+        # few rows i, so the first violation may sit in any block.
+        monkeypatch.setattr(games, "_TRIANGLE_ENTRIES", entries)
+        rng = np.random.default_rng(5)
+        lattice = np.array([(r, c) for r in range(8) for c in range(5)])
+        for size in range(2, 41):
+            points = rng.uniform(size=(size, 2))
+            planar = np.linalg.norm(points[:, None] - points[None], axis=2)
+            cells = lattice[:size]
+            grid = np.abs(cells[:, None] - cells[None]).sum(-1).astype(float)
+            for metric in (planar, grid):
+                assert metric_violations(metric) == []
+                assert reference_metric_violations(
+                    metric, triangle=per_row_triangle) == []
+                if size < 3:
+                    continue
+                # One long edge, d(i, k) = d(k, i) > d(i, j) + d(j, k): the
+                # first violation may be on another j, or on (k, ., i).
+                i, j, k = rng.choice(size, 3, replace=False)
+                planted = metric.copy()
+                planted[i, k] = planted[k, i] = (
+                    metric[i, j] + metric[j, k] + 10.0 ** rng.uniform(-9, 0))
+                messages = metric_violations(planted)
+                assert messages == reference_metric_violations(
+                    planted, triangle=per_row_triangle)
+                assert messages == reference_metric_violations(planted)
+                assert len(messages) == 1 and "triangle" in messages[0]
 
     def test_game_with_bad_metric_reports_it(self):
         assert any("distinct" in v for v in build_violations(

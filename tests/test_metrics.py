@@ -139,6 +139,35 @@ class TestWasserstein:
             assert wasserstein1(mu, nu, metric) == pytest.approx(
                 transport_cost_tree_oracle(mu, nu, metric), abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["grid", "integer line", "line"])
+    def test_w1_and_lipschitz_scale_with_the_metric(self, kind):
+        # An absolute 1e-12 line check took the grid scaled by 1e-13 for a
+        # line (W1 up to 92% off, L_P 0.977 against 1.490) and missed the
+        # line of real points scaled by 1.1e4. That line fails the metric
+        # axioms' absolute 1e-12 at 1e8, so it stops at 1.1e4.
+        rng = np.random.default_rng(11)
+        if kind == "grid":
+            unit = grid_metric(3, 3)
+        else:
+            x = (rng.permutation(9) if kind == "integer line"
+                 else rng.uniform(size=9))
+            unit = np.abs(x[:, None] - x[None, :]).astype(float)
+        scales = (1e-13, 1e-8, 1e-4, 1.1e4) + ((1e8,) if kind != "line"
+                                                else ())
+        game = replace(random_game(rng, 9, (2, 2)), metric=unit)
+        mu, nu = rng.dirichlet(np.ones(9), size=(2, 20))
+        unit_w1 = np.array([wasserstein1(m, v, unit) for m, v in zip(mu, nu)])
+        unit_lp = game_lipschitz_constants(game)[1]
+        for scale in scales:
+            metric = scale * unit
+            on_line = metrics._line_embedding(metric) is not None
+            assert on_line == (kind != "grid")
+            w1 = np.array([wasserstein1(m, v, metric)
+                           for m, v in zip(mu, nu)])
+            assert np.abs(w1 / (scale * unit_w1) - 1.0).max() < 1e-12
+            l_p = game_lipschitz_constants(replace(game, metric=metric))[1]
+            assert abs(l_p / unit_lp - 1.0) < 1e-12
+
     def test_entries_below_1e7_solve_near_the_closed_form(self):
         # At HiGHS's default tolerances this transport LP read as
         # infeasible; mu is a point mass, so W1 is d(4, .) . nu exactly.
@@ -661,6 +690,38 @@ class TestBracket:
                                                     transport=_w1_exact)
         assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
 
+    @pytest.mark.parametrize("size,seed", [(12, 0), (20, 1), (30, 2)])
+    def test_blocks_of_a_few_rows_match_per_row_lps(self, monkeypatch, size,
+                                                    seed):
+        # Three rows a block: a row may be dropped by a lower bound found in
+        # another block, before, during or after its own scalings.
+        monkeypatch.setattr(metrics, "_BRACKET_ENTRIES", 3 * size * size)
+        blocks, solves = [], []
+
+        def recording(diff, metric):
+            blocks.append(len(diff))
+            return bracket(diff, metric)
+
+        def counting(*args):
+            solves.append(args)
+            return w1_exact(*args)
+
+        bracket, w1_exact = metrics._bracket, metrics._w1_exact
+        monkeypatch.setattr(metrics, "_bracket", recording)
+        monkeypatch.setattr(metrics, "_w1_exact", counting)
+        g, g_hat = planar_pair(np.random.default_rng(seed), size, 1)
+        _, delta = reference_game_approx_params(g, g_hat, WASSERSTEIN,
+                                                g.metric, transport=_w1_exact)
+        assert same_bits(game_approx_params(g, g_hat, WASSERSTEIN).delta,
+                         delta)
+        # Fewer rows than blocks reach the solve: whole blocks fell to lower
+        # bounds found for rows outside them.
+        assert 2 < len(blocks) and max(blocks) <= 3
+        assert len(solves) < len(blocks)
+        _, l_p = reference_game_lipschitz_constants(g_hat, g.metric,
+                                                    transport=_w1_exact)
+        assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
+
     def test_bounds_hold_at_every_metric_scale(self):
         rng = np.random.default_rng(7)
         size = 8
@@ -678,13 +739,17 @@ class TestBracket:
         unit_w1 = np.array([_w1_exact(m, v, unit) for m, v in zip(mu, nu)])
         for diameter in (1e-8, 1e-4, 1.0, 1e4, 1e8):
             metric = diameter * unit
-            low, high = metrics._bracket(mu - nu, metric)
-            # Only the last row, mu = nu, has no bracket.
-            assert np.isfinite(low[:-1]).all() and np.isfinite(high[:-1]).all()
-            assert (low[-1], high[-1]) == (-np.inf, np.inf)
-            slack = 1e-14 * diameter
-            assert np.all(low <= diameter * unit_w1 + slack)
-            assert np.all(diameter * unit_w1 <= high + slack)
+            # Every checkpoint's bounds, all rows kept in play to the cap.
+            iterates = list(metrics._bracket(mu - nu, metric))
+            assert len(iterates) == len(metrics._BRACKET_CHECKPOINTS)
+            for low, high in iterates:
+                # Only the last row, mu = nu, has no bracket.
+                assert np.isfinite(low[:-1]).all()
+                assert np.isfinite(high[:-1]).all()
+                assert (low[-1], high[-1]) == (-np.inf, np.inf)
+                slack = 1e-14 * diameter
+                assert np.all(low <= diameter * unit_w1 + slack)
+                assert np.all(diameter * unit_w1 <= high + slack)
             g, g_hat = (MarkovGame(tuple(str(s) for s in range(size)),
                                    (tuple(str(a) for a in range(4)),),
                                    rows.reshape(size, 4, size),
@@ -700,14 +765,25 @@ class TestBracket:
                                                           seed):
         # Built as the benchmark's bound_w1 grid pair: 9 states, 2 x 2
         # actions, rows 0.95 P + 0.05 noise.
-        calls = []
+        # Each maximum's bracket also stops before its cap.
+        calls, reached = [], []
 
         def counting(*args):
             calls.append(args)
             return solve(*args)
 
-        solve = metrics._transport
+        def recording(diff, metric):
+            # The scalings of the last checkpoint the caller resumed it to.
+            reached.append(0)
+            inner, keep = bracket(diff, metric), None
+            for checkpoint in metrics._BRACKET_CHECKPOINTS:
+                bounds = inner.send(keep)
+                reached[-1] = checkpoint
+                keep = yield bounds
+
+        solve, bracket = metrics._transport, metrics._bracket
         monkeypatch.setattr(metrics, "_transport", counting)
+        monkeypatch.setattr(metrics, "_bracket", recording)
         rng = np.random.default_rng(seed)
         game = replace(random_game(rng, 9, (2, 2), 0.95),
                        metric=grid_metric(3, 3))
@@ -716,9 +792,12 @@ class TestBracket:
                        + 0.05 * noise.transitions)
         game_approx_params(game, near, WASSERSTEIN)
         assert 1 <= len(calls) <= 2
+        assert 0 < max(reached) < metrics._BRACKET_SCALINGS, reached
         calls.clear()
+        reached.clear()
         game_lipschitz_constants(near)
         assert 1 <= len(calls) <= 2
+        assert 0 < max(reached) < metrics._BRACKET_SCALINGS, reached
 
     def test_hundred_planar_states_report_within_seconds(self):
         rng = np.random.default_rng(0)
