@@ -9,7 +9,6 @@ plug-in experiments.
 
 from .bounds import (
     RobustnessReport,
-    alpha_bound_instance,
     alpha_bound_ipm,
     alpha_bound_w,
     delta_term,
@@ -18,11 +17,7 @@ from .bounds import (
     robustness_report,
     sample_size_game,
 )
-from .equilibrium import (
-    CertificateAlpha,
-    certify_profile,
-    is_mpe,
-)
+from .equilibrium import CertificateAlpha, certify_profile
 from .experiments import (
     EmpiricalModel,
     ExperimentRecord,
@@ -86,7 +81,6 @@ __all__ = [
     "TOTAL_VARIATION",
     "ValueFunction",
     "WASSERSTEIN",
-    "alpha_bound_instance",
     "alpha_bound_ipm",
     "alpha_bound_w",
     "bellman_optimal",
@@ -102,7 +96,6 @@ __all__ = [
     "game_lipschitz_constants",
     "hoeffding_tail",
     "induced_mdp",
-    "is_mpe",
     "lipschitz_constant",
     "lipschitz_value_bound",
     "parse_game",

@@ -80,17 +80,13 @@ def _delta_term(g: MarkovGame, g_hat: MarkovGame, v: np.ndarray) -> float:
     return float(np.max(np.abs((g.transitions - g_hat.transitions) @ v)))
 
 
-def alpha_bound_instance(epsilon: float, delta_term: float,
-                         gamma: float) -> float:
-    """Instance bound 2 (epsilon + gamma Delta / (1 - gamma))."""
-    _check_nonnegative(epsilon=epsilon, delta_term=delta_term)
-    check_discount(gamma)
-    return 2.0 * (epsilon + gamma * delta_term / (1.0 - gamma))
-
-
 def alpha_bound_ipm(epsilon: float, delta: float, rho: float,
                     gamma: float) -> float:
-    """IPM bound 2 (epsilon + gamma delta rho / (1 - gamma))."""
+    """IPM bound 2 (epsilon + gamma delta rho / (1 - gamma)).
+
+    With rho = 1 and a ``delta_term`` as delta, this is the instance bound
+    2 (epsilon + gamma Delta / (1 - gamma)).
+    """
     _check_nonnegative(epsilon=epsilon, delta=delta, rho=rho)
     check_discount(gamma)
     return 2.0 * (epsilon + gamma * delta * rho / (1.0 - gamma))
@@ -201,7 +197,7 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
 
     deltas = np.array([_delta_term(g, g_hat, v) for v in value_vectors])
     instance = np.array([
-        alpha_bound_instance(params.epsilon, d, gamma) for d in deltas
+        alpha_bound_ipm(params.epsilon, d, 1.0, gamma) for d in deltas
     ])
     if ipm_kind == TOTAL_VARIATION:
         rhos = [_span(v) for v in value_vectors]

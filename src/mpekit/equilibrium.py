@@ -18,7 +18,7 @@ from .games import (MarkovGame, StrategyProfile, ValueFunction,
 from .mdp import (_best_response, _policy_values, _profile_chain,
                   _require_finite)
 
-#: Default tolerance for clamping noise and deciding equilibria.
+#: ``CertificateAlpha.alpha_clamped`` zeroes gaps in [-2 DEFAULT_TOL, 0).
 DEFAULT_TOL = 1e-10
 
 
@@ -76,12 +76,3 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile
     return CertificateAlpha(alphas, tuple(map(ValueFunction, values)),
                             tuple(map(ValueFunction, best_values)))
 
-
-def is_mpe(game: MarkovGame, profile: StrategyProfile,
-           tol: float = DEFAULT_TOL) -> bool:
-    """True iff no player can gain more than tol by deviating, judged on
-    the raw gaps."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    certificate = certify_profile(game, profile)
-    return bool(np.all(certificate.per_player_alpha <= tol))

@@ -26,19 +26,16 @@ from .solver import solve_mpe
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalModel:
-    """Next-state sample counts and the transition estimate they induce.
+    """The next-state sample counts behind a plug-in game.
 
     Every (state, action) slice of ``counts`` sums to exactly
-    ``samples_per_pair``, so the estimated rows are stochastic by
-    construction (exactly so in rational arithmetic).
+    ``samples_per_pair``, so the plug-in game's transitions, ``counts /
+    samples_per_pair``, are stochastic by construction (exactly so in
+    rational arithmetic).
     """
 
     counts: np.ndarray
     samples_per_pair: int
-
-    @property
-    def estimated_transitions(self) -> np.ndarray:
-        return self.counts / self.samples_per_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +112,7 @@ def estimate_model(game: MarkovGame, n: int,
     estimated = MarkovGame(
         states=game.states,
         action_sets=game.action_sets,
-        transitions=model.estimated_transitions,
+        transitions=counts / n,
         rewards=game.rewards,
         discount=game.discount,
         metric=game.metric,

@@ -52,6 +52,22 @@ class GameValidationError(ValueError):
         )
 
 
+def _check_names(states, action_sets) -> None:
+    """Raise ``ValueError`` for the first name rule broken: no player, no
+    state, a player without actions, a repeated state or action name."""
+    if not action_sets:
+        raise ValueError("a game needs at least one player")
+    if not states:
+        raise ValueError("a game needs at least one state")
+    if len(set(states)) != len(states):
+        raise ValueError("states have duplicate identifiers")
+    for i, acts in enumerate(action_sets):
+        if not acts:
+            raise ValueError(f"player {i + 1} has no actions")
+        if len(set(acts)) != len(acts):
+            raise ValueError(f"actions of player {i + 1} have duplicates")
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -93,17 +109,7 @@ class MarkovGame:
         object.__setattr__(
             self, "action_sets", tuple(tuple(a) for a in self.action_sets)
         )
-        if not self.action_sets:
-            raise ValueError("a game needs at least one player")
-        if not self.states:
-            raise ValueError("a game needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("states have duplicate identifiers")
-        for i, acts in enumerate(self.action_sets):
-            if not acts:
-                raise ValueError(f"player {i + 1} has no actions")
-            if len(set(acts)) != len(acts):
-                raise ValueError(f"actions of player {i + 1} have duplicates")
+        _check_names(self.states, self.action_sets)
         s, a = len(self.states), self.num_joint_actions
         n = len(self.action_sets)
         trans = _frozen_array(self.transitions)
@@ -539,8 +545,10 @@ def parse_game(text: str) -> MarkovGame:
     """Parse a game document into a checked :class:`MarkovGame`.
 
     Raises:
-        GameFormatError: malformed JSON, or missing, unknown, repeated or
-            ill-typed fields or keys; the message names the line or entry.
+        GameFormatError: malformed JSON, missing, unknown, repeated or
+            ill-typed fields or keys, or names that break the game's name
+            rules (in the constructor's words); the message names the line
+            or entry.
         GameValidationError: the document parses but violates invariants,
             as the game's constructor lists them (never silently repaired).
     """
@@ -549,23 +557,22 @@ def parse_game(text: str) -> MarkovGame:
     if players < 1:
         raise GameFormatError("field 'players' must be a positive integer")
     states = _require(doc, "states", list, "an array")
-    if not states or not all(isinstance(s, str) for s in states):
-        raise GameFormatError("field 'states' must be a non-empty string array")
-    if len(set(states)) != len(states):
-        raise GameFormatError("field 'states' has duplicate identifiers")
+    if not all(isinstance(s, str) for s in states):
+        raise GameFormatError("field 'states' must be a string array")
     actions = _require(doc, "actions", list, "an array")
     if len(actions) != players:
         raise GameFormatError(
             f"field 'actions' has {len(actions)} entries for {players} players"
         )
     for i, acts in enumerate(actions):
-        if (not isinstance(acts, list) or not acts
+        if (not isinstance(acts, list)
                 or not all(isinstance(a, str) for a in acts)):
             raise GameFormatError(
-                f"actions of player {i + 1} must be a non-empty string array"
-            )
-        if len(set(acts)) != len(acts):
-            raise GameFormatError(f"actions of player {i + 1} have duplicates")
+                f"actions of player {i + 1} must be a string array")
+    try:
+        _check_names(states, actions)
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
     gamma = _number(_require(doc, "gamma", (int, float), "a number"),
                     "field 'gamma'")
 

@@ -22,21 +22,17 @@ from __future__ import annotations
 import numpy as np
 
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    ValueFunction, check_profile)
+                    ValueFunction, _finite_values, check_profile)
 
 
-def _check_dims(mdp: MarkovGame, strategy: MarkovStrategy | None = None,
-                v: ValueFunction | None = None) -> None:
+def _check_dims(mdp: MarkovGame,
+                strategy: MarkovStrategy | None = None) -> None:
     if mdp.num_players != 1:
         raise ValueError(
             f"an MDP is a one-player game, got {mdp.num_players} players"
         )
     if strategy is not None:
         check_profile(mdp, StrategyProfile((strategy,)))
-    if v is not None and len(v) != mdp.num_states:
-        raise ValueError(
-            f"value function has {len(v)} entries for {mdp.num_states} states"
-        )
 
 
 def _require_finite(what: str, array: np.ndarray) -> np.ndarray:
@@ -64,17 +60,25 @@ def _action_values(game: MarkovGame, values, states=slice(None)
 
 
 def bellman_policy(mdp: MarkovGame, strategy: MarkovStrategy,
-                   v: ValueFunction) -> ValueFunction:
-    """One application of the fixed-strategy Bellman operator."""
-    _check_dims(mdp, strategy, v)
-    q = _action_values(mdp, [v.values])[0]
+                   v) -> ValueFunction:
+    """One application of the fixed-strategy Bellman operator.
+
+    ``v`` is a :class:`ValueFunction` or array of one finite entry per
+    state; anything else raises ``ValueError``.
+    """
+    _check_dims(mdp, strategy)
+    q = _action_values(mdp, [_finite_values(v, "value function",
+                                            mdp.num_states)])[0]
     return ValueFunction((strategy.probabilities * q).sum(axis=1))
 
 
-def bellman_optimal(mdp: MarkovGame, v: ValueFunction) -> ValueFunction:
-    """One application of the optimality Bellman operator (max over actions)."""
-    _check_dims(mdp, v=v)
-    return ValueFunction(_action_values(mdp, [v.values])[0].max(axis=1))
+def bellman_optimal(mdp: MarkovGame, v) -> ValueFunction:
+    """One application of the optimality Bellman operator (max over actions),
+    on ``v`` as ``bellman_policy`` takes it."""
+    _check_dims(mdp)
+    q = _action_values(mdp, [_finite_values(v, "value function",
+                                            mdp.num_states)])[0]
+    return ValueFunction(q.max(axis=1))
 
 
 def _profile_chain(transitions: np.ndarray, rewards: np.ndarray, strategies

@@ -497,9 +497,9 @@ def _candidates(game: MarkovGame, tol: float, max_iter: int, seed: int):
 
     Lazy: a value-iteration attempt, with its random draw, runs only when
     the caller asks for more than the profiles before it. Snapshots are
-    taken every max_iter // 10 sweeps. Repeats are dropped within an
-    attempt only, so each attempt yields at least its last profile, whose
-    step count covers every sweep that ran.
+    taken every max_iter // 10 sweeps. Repeats are yielded too, and the
+    caller skips them; every profile of an attempt carries the step count
+    of all the sweeps that ran.
     """
     pi1, pi2, steps = _policy_iteration(game, max_iter)
     yield pi1, pi2, steps
@@ -525,12 +525,8 @@ def _candidates(game: MarkovGame, tol: float, max_iter: int, seed: int):
             if (sweep + 1) % snapshot_every == 0:
                 snapshots.append((pi1, pi2))
         snapshots.append((pi1, pi2))
-        seen = set()
         for pi1, pi2 in reversed(snapshots):
-            key = (pi1.tobytes(), pi2.tobytes())
-            if key not in seen:
-                seen.add(key)
-                yield pi1, pi2, steps
+            yield pi1, pi2, steps
 
 
 def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,

@@ -20,7 +20,7 @@ from helpers import (
     transport_cost_tree_oracle,
 )
 from mpekit.bounds import (
-    alpha_bound_instance,
+    alpha_bound_ipm,
     delta_term,
     robustness_report,
     sample_size_game,
@@ -131,7 +131,7 @@ def test_criterion_5_bound_ladder(original_game, perturbed_game,
     # Instance tier at published precision: the reference constants encode
     # the plug-in arithmetic on the 6-decimal gap terms.
     plugged = np.array([
-        alpha_bound_instance(REF_EPSILON, d, 0.9) for d in REF_DELTA_TERMS
+        alpha_bound_ipm(REF_EPSILON, d, 1.0, 0.9) for d in REF_DELTA_TERMS
     ])
     check("criterion 5", "instance bounds (plug-in arithmetic) within 1e-6",
           np.allclose(plugged, REF_INSTANCE_BOUNDS, atol=1e-6))
@@ -355,9 +355,9 @@ def test_criterion_8_perturbation_soundness():
         certified = certify_profile(
             mdp, StrategyProfile((policy_hat,))).per_player_alpha[0]
         epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
-        bound = alpha_bound_instance(epsilon,
-                                     delta_term(mdp, approx, value_hat.values),
-                                     mdp.discount)
+        bound = alpha_bound_ipm(epsilon,
+                                delta_term(mdp, approx, value_hat.values),
+                                1.0, mdp.discount)
         ok &= certified <= bound + 1e-8
         if not ok:
             break

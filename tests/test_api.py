@@ -18,6 +18,29 @@ def test_every_public_name_resolves_once():
     assert missing == []
 
 
+def test_public_names_are_pinned():
+    # No name restates another; README's "Public names" gives the reason
+    # each name that could be spelled otherwise stays.
+    assert mpekit.__all__ == [
+        "ApproximationParams", "CertificateAlpha", "EmpiricalModel",
+        "ExperimentRecord", "ExperimentSummary", "GameFormatError",
+        "GameValidationError", "MarkovGame", "MarkovStrategy",
+        "RobustnessReport", "SolveResult", "StrategyProfile",
+        "TOTAL_VARIATION", "ValueFunction", "WASSERSTEIN", "alpha_bound_ipm",
+        "alpha_bound_w", "bellman_optimal", "bellman_policy", "bimatrix_nash",
+        "bundled_game", "certify_profile", "default_line_metric",
+        "delta_term", "estimate_model", "evaluate_policy",
+        "game_approx_params", "game_lipschitz_constants", "hoeffding_tail",
+        "induced_mdp", "lipschitz_constant", "lipschitz_value_bound",
+        "parse_game", "parse_profile", "records_csv", "robustness_report",
+        "run_experiments", "run_trial", "sample_size_game", "serialize_game",
+        "serialize_profile", "solve_mpe", "solve_optimal", "span",
+        "stage_game", "summarize", "summary_csv", "tv_distance",
+        "wasserstein1",
+    ]
+    assert mpekit.__all__ == sorted(mpekit.__all__)
+
+
 def budget(num_states=3, action_counts=(2, 2), num_players=2):
     return sample_size_game(0.1, 0.01, 0.9, num_states, list(action_counts),
                             num_players, 0.9)

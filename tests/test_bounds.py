@@ -10,7 +10,6 @@ from helpers import perturb_game, random_game, random_mdp, random_profile
 from mpekit import metrics
 from mpekit.bounds import (
     _sample_size_real,
-    alpha_bound_instance,
     alpha_bound_ipm,
     alpha_bound_w,
     delta_term,
@@ -93,14 +92,15 @@ class TestDeltaTerm:
 
 class TestBoundArithmetic:
     def test_instance_bound_reference_inputs(self):
-        assert alpha_bound_instance(0.01, 0.000784, 0.9) == pytest.approx(
+        # The instance bound is the IPM bound at rho = 1.
+        assert alpha_bound_ipm(0.01, 0.000784, 1.0, 0.9) == pytest.approx(
             0.034112, abs=1e-12)
-        assert alpha_bound_instance(0.01, 0.000550, 0.9) == pytest.approx(
+        assert alpha_bound_ipm(0.01, 0.000550, 1.0, 0.9) == pytest.approx(
             0.029900, abs=1e-12)
 
     def test_instance_bound_exact_model(self):
         for gamma in (0.1, 0.5, 0.99):
-            assert alpha_bound_instance(0.0, 0.0, gamma) == 0.0
+            assert alpha_bound_ipm(0.0, 0.0, 1.0, gamma) == 0.0
 
     def test_ipm_bound_reference_inputs(self):
         assert alpha_bound_ipm(0.01, 0.05, 0.015684, 0.9) == pytest.approx(
@@ -131,16 +131,14 @@ class TestBoundArithmetic:
     def test_gamma_range_enforced(self):
         for bad in (0.0, 1.0, -0.5, 2.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="discount"):
-                alpha_bound_instance(0.1, 0.1, bad)
+                alpha_bound_ipm(0.1, 0.1, 1.0, bad)
 
     def test_negative_inputs_rejected(self):
         # NaN fails "value < 0" as well as "value >= 0"; it must not pass.
         calls = {
-            "epsilon": [lambda x: alpha_bound_instance(x, 0.1, 0.9),
-                        lambda x: alpha_bound_ipm(x, 0.05, 1.0, 0.9),
+            "epsilon": [lambda x: alpha_bound_ipm(x, 0.05, 1.0, 0.9),
                         lambda x: alpha_bound_w(x, 0.1, 1.0, 0.5, 0.9),
                         lambda x: ApproximationParams(x, 0.1, WASSERSTEIN)],
-            "delta_term": [lambda x: alpha_bound_instance(0.1, x, 0.9)],
             "delta": [lambda x: alpha_bound_ipm(0.01, x, 1.0, 0.9),
                       lambda x: alpha_bound_w(0.01, x, 1.0, 0.5, 0.9),
                       lambda x: ApproximationParams(0.1, x, WASSERSTEIN)],
@@ -173,7 +171,7 @@ class TestBoundArithmetic:
             call()
 
     def test_instance_bound_reference_input(self):
-        assert alpha_bound_instance(0.01, 0.000784, 0.9) == pytest.approx(
+        assert alpha_bound_ipm(0.01, 0.000784, 1.0, 0.9) == pytest.approx(
             0.034112, abs=1e-12)
 
 
@@ -464,7 +462,7 @@ class TestSoundness:
                 mdp, StrategyProfile((policy_hat,))).per_player_alpha[0]
             epsilon = float(np.max(np.abs(mdp.rewards - approx.rewards)))
             gap = delta_term(mdp, approx, value_hat.values)
-            bound = alpha_bound_instance(epsilon, gap, mdp.discount)
+            bound = alpha_bound_ipm(epsilon, gap, 1.0, mdp.discount)
             assert certified <= bound + 1e-8
 
     def test_game_bound_covers_certified_equilibrium_gap(self, original_game,

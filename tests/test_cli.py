@@ -175,6 +175,12 @@ def _duplicate_transition(text):
     return with_duplicate(json.loads(text), "1|1,1", [0.4, 0.4, 0.2])
 
 
+def _repeated_state(text):
+    doc = json.loads(text)
+    doc["states"][1] = doc["states"][0]
+    return json.dumps(doc)
+
+
 def _profile_with_true(text):
     doc = json.loads(text)
     doc["strategies"][0][0] = [True, 0]
@@ -185,11 +191,13 @@ def _profile_with_true(text):
     ("validate", _huge_integer,
      "rewards[1]['1|1,1'] is outside the float range"),
     ("validate", _duplicate_transition, "duplicate key '1|1,1'"),
+    ("validate", _repeated_state, "states have duplicate identifiers"),
     ("certify", _profile_with_true,
      "probability of player 1 at state 0 must be a number"),
     ("bound", _profile_with_true,
      "probability of player 1 at state 0 must be a number"),
-], ids=["huge-integer", "duplicate-key", "profile-true", "bound-profile-true"])
+], ids=["huge-integer", "duplicate-key", "repeated-state", "profile-true",
+        "bound-profile-true"])
 def test_malformed_documents_exit_two(capsys, game_files, profile_file,
                                       tmp_path, command, edit, message):
     original = str(game_files["original"])

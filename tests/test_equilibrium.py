@@ -15,7 +15,7 @@ from helpers import (
     reference_solve_optimal,
     small_mdps,
 )
-from mpekit.equilibrium import CertificateAlpha, certify_profile, is_mpe
+from mpekit.equilibrium import CertificateAlpha, certify_profile
 from mpekit.games import (
     GameValidationError,
     MarkovGame,
@@ -265,11 +265,6 @@ class TestDiscountGuard:
 
 
 class TestFailFast:
-    def test_nan_tol_rejected_by_every_entry_point(self, perturbed_game,
-                                                   perturbed_mpe):
-        with pytest.raises(ValueError, match="tol"):
-            is_mpe(perturbed_game, perturbed_mpe.profile, np.nan)
-
     @pytest.mark.parametrize("field, index", [("rewards", (0, 0, 0)),
                                               ("transitions", (0, 0))])
     def test_non_finite_model_entry_raises(self, original_game, field, index):
@@ -288,13 +283,18 @@ class TestFailFast:
 
 
 class TestIsMpe:
+    """A profile is an MPE within tol when every raw gap is at most tol."""
+
     def test_equilibrium_is_accepted(self, perturbed_game, perturbed_mpe):
-        assert is_mpe(perturbed_game, perturbed_mpe.profile, 1e-6)
+        certificate = certify_profile(perturbed_game, perturbed_mpe.profile)
+        assert certificate.max_alpha <= 1e-6
 
     def test_nonequilibrium_is_rejected_at_tight_tolerance(self, original_game,
                                                            perturbed_mpe):
-        assert not is_mpe(original_game, perturbed_mpe.profile, 1e-6)
+        certificate = certify_profile(original_game, perturbed_mpe.profile)
+        assert certificate.max_alpha > 1e-6
 
     def test_loose_tolerance_covers_the_reference_gaps(self, original_game,
                                                        perturbed_mpe):
-        assert is_mpe(original_game, perturbed_mpe.profile, 0.01)
+        certificate = certify_profile(original_game, perturbed_mpe.profile)
+        assert certificate.max_alpha <= 0.01

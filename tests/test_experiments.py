@@ -68,6 +68,7 @@ class TestEstimateModel:
                                           np.random.SeedSequence(1))
         assert np.all(model.counts.sum(axis=2) == 357)
         assert model.samples_per_pair == 357
+        assert np.array_equal(estimated.transitions, model.counts / 357)
         # A plug-in game passes the row rule with room to spare.
         assert np.all(np.abs(estimated.transitions.sum(-1) - 1.0)
                       <= 1e-3 * STOCHASTIC_ATOL)

@@ -183,15 +183,24 @@ class TestValidation:
             "repeated-action"])
     def test_rejects_the_sets_the_reader_rejects(self, states, action_sets,
                                                  message):
-        # parse_game rejects the same documents. A game built from one
-        # fails later: in solve_optimal or solve_mpe on an empty set, in
-        # serialize_game on a repeated name.
+        # A game built from one would fail later: in solve_optimal or
+        # solve_mpe on an empty set, in serialize_game on a repeated name.
+        # parse_game words each rule alike, as a format error, before any
+        # key is built. A document states its player count, which is
+        # checked as a field first.
         s = len(states)
         a = int(np.prod([len(acts) for acts in action_sets]))
         transitions = np.full((s, a, s), 1.0 / max(s, 1))
         rewards = np.zeros((len(action_sets), s, a))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MarkovGame(states, action_sets, transitions, rewards, 0.5)
+        doc = json.loads(serialize_game(tiny_game()))
+        doc["players"] = len(action_sets)
+        doc["states"], doc["actions"] = list(states), list(action_sets)
+        if not action_sets:
+            message = "field 'players' must be a positive integer"
+        with pytest.raises(GameFormatError, match=f"^{re.escape(message)}$"):
+            parse_game(json.dumps(doc))
 
     def test_bundled_games_are_clean(self, original_game, perturbed_game):
         # Each was checked when it was parsed; building it again raises

@@ -267,6 +267,38 @@ def test_planners_reject_a_game_of_two_players():
             call()
 
 
+def bellman_calls(mdp, v):
+    """Both Bellman operators on ``v``, the fixed one under uniform play."""
+    num_states, num_actions = mdp.transitions.shape[:2]
+    uniform = MarkovStrategy(np.full((num_states, num_actions),
+                                     1.0 / num_actions))
+    return (lambda: bellman_policy(mdp, uniform, v),
+            lambda: bellman_optimal(mdp, v))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bellman_operators_reject_non_finite_values(bad):
+    # Like every value-taking function, not a NaN result or a warning.
+    mdp = random_mdp(np.random.default_rng(3))
+    for call in bellman_calls(mdp, ValueFunction([0.0, bad, 0.0])):
+        with pytest.raises(ValueError, match=r"^value function is not "
+                                             r"finite at entry \[1\]$"):
+            call()
+
+
+def test_bellman_operators_take_a_plain_array():
+    # A plain array is a value function, as for delta_term.
+    mdp = random_mdp(np.random.default_rng(3))
+    values = np.random.default_rng(4).uniform(size=3)
+    for plain, wrapped in zip(bellman_calls(mdp, values),
+                              bellman_calls(mdp, ValueFunction(values))):
+        assert plain().values.tobytes() == wrapped().values.tobytes()
+    for call in bellman_calls(mdp, values[:2]):
+        with pytest.raises(ValueError, match=r"^value function has shape "
+                                             r"\(2,\) for 3 states$"):
+            call()
+
+
 def optimality_gap(mdp, strategy):
     """An MDP strategy's optimality gap: its one-player certificate."""
     profile = StrategyProfile((strategy,))
