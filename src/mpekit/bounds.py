@@ -187,7 +187,7 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
     the profile induces.
     """
     check_profile(g_hat, profile)
-    params, rows_hat, metric = _approx_params(g, g_hat, ipm_kind)
+    params, rows, metric, coords = _approx_params(g, g_hat, ipm_kind)
     gamma = g.discount
     num_players = g.num_players
     chain = _profile_chain(g_hat.transitions, g_hat.rewards,
@@ -208,7 +208,7 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
         ])
     else:
         rhos = [_lipschitz(v, metric) for v in value_vectors]
-        l_r, l_p = _lipschitz_constants(g_hat.rewards, rows_hat, metric)
+        l_r, l_p = _lipschitz_constants(g_hat.rewards, rows, metric, coords)
         if gamma * l_p < 1.0:
             bound = alpha_bound_w(params.epsilon, params.delta, l_r, l_p, gamma)
             corollary = np.full(num_players, bound)

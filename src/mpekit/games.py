@@ -20,6 +20,7 @@ of the JSON file format.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from collections import Counter
@@ -54,11 +55,14 @@ class GameValidationError(ValueError):
 
 def _check_names(states, action_sets) -> None:
     """Raise ``ValueError`` for the first name rule broken: no player, no
-    state, a player without actions, a repeated state or action name."""
+    state, a non-string name, a repeated state, no or repeated actions."""
     if not action_sets:
         raise ValueError("a game needs at least one player")
     if not states:
         raise ValueError("a game needs at least one state")
+    for name in itertools.chain(states, *action_sets):
+        if not isinstance(name, str):
+            raise ValueError(f"state or action name {name!r} is not a string")
     if len(set(states)) != len(states):
         raise ValueError("states have duplicate identifiers")
     for i, acts in enumerate(action_sets):
@@ -89,8 +93,8 @@ class MarkovGame:
         metric: Optional ``(S, S)`` state metric.
 
     A game is checked when it is built, ``dataclasses.replace`` included:
-    no player, no state, a player without actions, a repeated state or
-    action name, or a wrong shape raises ``ValueError``, and then every
+    no player, no state, a player without actions, a name that is no string
+    or repeats, or a wrong shape raises ``ValueError``, and then every
     broken invariant is listed by one ``GameValidationError``, in this
     order: a discount outside (0, 1), each player's first reward that is not
     finite, each transition row that breaks the row rule (naming its state
@@ -525,6 +529,16 @@ def _number(value, where: str) -> float:
         raise GameFormatError(f"{where} is outside the float range") from exc
 
 
+def _numbers(rows: list, where) -> np.ndarray | list:
+    """Rows read as ``_number`` reads each entry, in one array call; else
+    the first bad entry raises, named by ``where(row, column)``."""
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        with contextlib.suppress(OverflowError, ValueError):  # 10**400; ragged
+            return np.array(rows, np.float64)
+    return [[_number(x, where(r, c)) for c, x in enumerate(row)]
+            for r, row in enumerate(rows)]
+
+
 def _keyed_values(entries, keys: list[str], where: str) -> list:
     """An object's values in key order. Raises ``GameFormatError`` for a
     non-object, the first missing key, then the first unknown key."""
@@ -585,18 +599,17 @@ def parse_game(text: str) -> MarkovGame:
 
     s_count = len(states)
     keys = _document_keys(states, actions)
-    trans = []
-    for key, row in zip(keys, _keyed_values(trans_doc, keys, "transitions")):
-        if not isinstance(row, list) or len(row) != s_count:
-            raise GameFormatError(
-                f"transition row '{key}' must be an array of {s_count} numbers"
-            )
-        where = f"transitions['{key}']"
-        trans.append([_number(x, where) for x in row])
-    rew = [[_number(x, f"rewards[{i + 1}]['{key}']")
-            for key, x in zip(keys, _keyed_values(
-                entries, keys, f"rewards of player {i + 1}"))]
-           for i, entries in enumerate(rew_doc)]
+    rows = _keyed_values(trans_doc, keys, "transitions")
+    # Entries before the first malformed row are read, so reported, first.
+    bad = next((r for r, row in enumerate(rows) if not isinstance(row, list)
+                or len(row) != s_count), len(rows))
+    trans = _numbers(rows[:bad], lambda r, c: f"transitions['{keys[r]}']")
+    if bad < len(rows):
+        raise GameFormatError(f"transition row '{keys[bad]}' must be an array "
+                              f"of {s_count} numbers")
+    rew = [_numbers([_keyed_values(row, keys, f"rewards of player {i + 1}")],
+                    lambda r, c: f"rewards[{i + 1}]['{keys[c]}']")
+           for i, row in enumerate(rew_doc)]
 
     metric = None
     if "metric" in doc:
@@ -607,9 +620,7 @@ def parse_game(text: str) -> MarkovGame:
             raise GameFormatError(
                 f"field 'metric' must be a {s_count}x{s_count} array"
             )
-        metric = [[_number(x, f"metric entry ({s}, {t})")
-                   for t, x in enumerate(row)]
-                  for s, row in enumerate(metric_doc)]
+        metric = _numbers(metric_doc, lambda s, t: f"metric entry ({s}, {t})")
 
     return MarkovGame(
         states=states,
@@ -650,8 +661,8 @@ def parse_profile(text: str) -> StrategyProfile:
             raise GameFormatError(
                 f"strategy of player {i + 1} must be a non-empty array of rows"
             )
-        probs = [[_number(p, f"probability of player {i + 1} at state {s}")
-                  for p in row] for s, row in enumerate(rows)]
+        probs = _numbers(rows, lambda s, a:
+                         f"probability of player {i + 1} at state {s}")
         try:
             parsed.append(MarkovStrategy(probs))
         except ValueError as exc:

@@ -21,6 +21,7 @@ per-row value, and 0 when no row is left.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .games import (
     MarkovGame,
     _finite_values,
+    _frozen_array,
     _row_problems,
     default_line_metric,
     metric_violations,
@@ -275,10 +277,12 @@ def _bracket(diff: np.ndarray, metric: np.ndarray):
             p, q, u, v, mass = p[keep], q[keep], u[keep], v[keep], mass[keep]
 
 
-def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
+def _max_w1(blocks, metric: np.ndarray, coords: np.ndarray | None,
+            min_scale: float = 1.0) -> float:
     """max(0, W1(mu_r, nu_r) / scale_r) over the rows r of an iterable of
-    (mu, nu, scale) blocks: checked distributions along the last axis, and
-    scales broadcasting against their other axes, none below min_scale.
+    (mu, nu, scale) blocks: checked distributions of one shape along the
+    last axis, and scales broadcasting against their other axes, none below
+    min_scale. coords is ``_line_embedding(metric)``, found by the caller.
 
     On a line metric every row takes the closed form. Otherwise rows whose
     mu equals nu entry for entry leave first, as their W1 is exactly 0, and
@@ -288,8 +292,9 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
     1. Bound: W1 >= max_k |(mu - nu) . d(., k)|, as each d(., k) is
        1-Lipschitz, and W1 <= min_k sum_i d(i, k) |mu_i - nu_i|, the cost of
        routing all surplus through k. Rows whose upper bound is below the
-       largest lower bound by more than the margin are dropped, block by
-       block, so memory stays at one block plus the survivors.
+       largest lower bound by more than the margin are dropped block by
+       block, so memory stays at one block plus the survivors (L_P: one
+       block up to 27 states with 4 joint actions, 26 pairs at 100).
     2. Bracket: ``_bracket``'s Sinkhorn bounds on the survivors, in blocks
        of at most ``_BRACKET_ENTRIES`` plan entries. At each checkpoint of
        its scalings they tighten the bounds of the block's rows still in
@@ -308,19 +313,15 @@ def _max_w1(blocks, metric: np.ndarray, min_scale: float = 1.0) -> float:
     diam(d) at most, so a dropped row is below the largest value by half the
     margin, less roundoff: a few ulps of diam(d) per entry summed.
     """
-    coords = _line_embedding(metric)
     if coords is not None:
-        best = 0.0
-        for mu, nu, scale in blocks:
-            best = max(best, float(np.max(_w1_line(mu, nu, coords) / scale)))
-        return best
+        return max([0.0] + [float(np.max(_w1_line(mu, nu, coords) / scale))
+                            for mu, nu, scale in blocks])
     n = len(metric)
     margin = 8 * (n + 1) * 1e-9 * float(metric.max()) / min_scale
     lower = 0.0             # the largest lower bound so far
     # survivors, one row each: mu, nu, scale, upper bound
     kept = np.empty((0, 2 * n + 2))
     for mu, nu, scale in blocks:
-        mu, nu = np.broadcast_arrays(mu, nu)
         scale = np.broadcast_to(scale, mu.shape[:-1]).reshape(-1)
         mu, nu = mu.reshape(-1, n), nu.reshape(-1, n)
         moved = np.any(mu != nu, axis=-1)
@@ -365,7 +366,8 @@ def wasserstein1(mu, nu, metric) -> float:
     and is off by at most their difference times the metric's diameter.
     """
     mu, nu = _check_pair(mu, nu)
-    return _max_w1([(mu, nu, 1.0)], _check_metric(metric, len(mu)))
+    metric = _check_metric(metric, len(mu))
+    return _max_w1([(mu, nu, 1.0)], metric, _line_embedding(metric))
 
 
 def span(f) -> float:
@@ -399,9 +401,15 @@ def lipschitz_constant(f, metric) -> float:
 def _lipschitz(f: np.ndarray, metric: np.ndarray) -> float:
     """Largest |f[..., s] - f[..., s']| / d(s, s') over states s < s' and
     the leading axes of a finite f, on a checked metric."""
-    s, t = np.triu_indices(len(metric), 1)
+    s, t = _state_pairs(len(metric))
     return float(np.max(np.abs(f[..., s] - f[..., t]) / metric[s, t],
                         initial=0.0))
+
+
+@functools.cache
+def _state_pairs(size: int) -> np.ndarray:
+    """The (2, P) pairs s < t in ``np.triu_indices`` order, read-only."""
+    return _frozen_array(np.triu_indices(size, 1), np.intp)
 
 
 def _shared_shape(g: MarkovGame, g_hat: MarkovGame) -> None:
@@ -444,7 +452,7 @@ def game_approx_params(g: MarkovGame, g_hat: MarkovGame,
 
 
 def _approx_params(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str):
-    """``game_approx_params``, clipped ``g_hat`` rows, metric (None for TV)."""
+    """``game_approx_params``, clipped ``g_hat`` rows, metric, its coords."""
     if ipm_kind not in IPM_KINDS:
         raise ValueError(f"unknown IPM kind {ipm_kind!r}")
     _shared_shape(g, g_hat)
@@ -453,9 +461,11 @@ def _approx_params(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str):
     epsilon = float(np.max(np.abs(g.rewards - g_hat.rewards)))
     metric = (None if ipm_kind == TOTAL_VARIATION
               else comparison_metric(g, g_hat))
+    coords = None if metric is None else _line_embedding(metric)
     delta = (max(0.0, float(_tv(*rows).max())) if metric is None
-             else _max_w1([(*rows, 1.0)], metric))
-    return ApproximationParams(epsilon, delta, ipm_kind), rows[1], metric
+             else _max_w1([(*rows, 1.0)], metric, coords))
+    return (ApproximationParams(epsilon, delta, ipm_kind), rows[1], metric,
+            coords)
 
 
 def game_lipschitz_constants(game: MarkovGame) -> tuple[float, float]:
@@ -471,13 +481,17 @@ def game_lipschitz_constants(game: MarkovGame) -> tuple[float, float]:
         raise ValueError("game has no state metric")
     return _lipschitz_constants(game.rewards,
                                 np.clip(game.transitions, 0.0, None),
-                                game.metric)
+                                game.metric, _line_embedding(game.metric))
 
 
-def _lipschitz_constants(rewards, rows, metric) -> tuple[float, float]:
-    """(L_r, L_P) from finite rewards, rows clipped at zero and a metric."""
-    s, t = np.triu_indices(len(metric), 1)
-    l_p = _max_w1(((rows[s1], rows[s1 + 1:], metric[s1, s1 + 1:, None])
-                   for s1 in range(len(metric) - 1)),
-                  metric, min_scale=np.min(metric[s, t], initial=np.inf))
+def _lipschitz_constants(rewards, rows, metric, coords
+                         ) -> tuple[float, float]:
+    """(L_r, L_P) from finite rewards, clipped rows, a metric, its coords.
+    L_P's blocks: whole state pairs, one or up to a bracket block's rows."""
+    s, t = _state_pairs(len(metric))
+    size = max(1, _BRACKET_ENTRIES // (len(metric) ** 2 * rows.shape[1]))
+    blocks = (slice(k, k + size) for k in range(0, len(s), size))
+    l_p = _max_w1(((rows[s[b]], rows[t[b]], metric[s[b], t[b], None])
+                   for b in blocks), metric, coords,
+                  min_scale=np.min(metric[s, t], initial=np.inf))
     return _lipschitz(np.swapaxes(rewards, 1, 2), metric), l_p

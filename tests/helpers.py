@@ -17,8 +17,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from mpekit.equilibrium import certify_profile
-from mpekit.games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                          ValueFunction, check_profile)
+from mpekit.games import (GameFormatError, MarkovGame, MarkovStrategy,
+                          StrategyProfile, ValueFunction, _check_names,
+                          _document_keys, _keyed_values, _load_object,
+                          _number, _require, check_profile)
 from mpekit.mdp import (_action_values, _check_dims, _policy_values,
                         _profile_chain, _require_finite)
 from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding
@@ -677,3 +679,100 @@ def reference_certify_profile(game: MarkovGame, profile: StrategyProfile
         values.append(achieved.values)
         best_values.append(best.values)
     return alphas, values, best_values
+
+
+# The document readers as first written: every number through ``_number``,
+# one entry at a time. Each hands its fields to a constructor that a test
+# may replace, to see the arrays a model check would reject.
+
+
+def reference_parse_game(text: str, build=MarkovGame):
+    """``parse_game`` as first written, building the game by ``build``."""
+    doc = _load_object(text)
+    players = _require(doc, "players", int, "an integer")
+    if players < 1:
+        raise GameFormatError("field 'players' must be a positive integer")
+    states = _require(doc, "states", list, "an array")
+    if not all(isinstance(s, str) for s in states):
+        raise GameFormatError("field 'states' must be a string array")
+    actions = _require(doc, "actions", list, "an array")
+    if len(actions) != players:
+        raise GameFormatError(
+            f"field 'actions' has {len(actions)} entries for {players} players"
+        )
+    for i, acts in enumerate(actions):
+        if (not isinstance(acts, list)
+                or not all(isinstance(a, str) for a in acts)):
+            raise GameFormatError(
+                f"actions of player {i + 1} must be a string array")
+    try:
+        _check_names(states, actions)
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
+    gamma = _number(_require(doc, "gamma", (int, float), "a number"),
+                    "field 'gamma'")
+    trans_doc = _require(doc, "transitions", dict, "an object")
+    rew_doc = _require(doc, "rewards", list, "an array")
+    if len(rew_doc) != players:
+        raise GameFormatError(
+            f"field 'rewards' has {len(rew_doc)} entries for {players} players"
+        )
+    s_count = len(states)
+    keys = _document_keys(states, actions)
+    trans = []
+    for key, row in zip(keys, _keyed_values(trans_doc, keys, "transitions")):
+        if not isinstance(row, list) or len(row) != s_count:
+            raise GameFormatError(
+                f"transition row '{key}' must be an array of {s_count} numbers"
+            )
+        where = f"transitions['{key}']"
+        trans.append([_number(x, where) for x in row])
+    rew = [[_number(x, f"rewards[{i + 1}]['{key}']")
+            for key, x in zip(keys, _keyed_values(
+                entries, keys, f"rewards of player {i + 1}"))]
+           for i, entries in enumerate(rew_doc)]
+    metric = None
+    if "metric" in doc:
+        metric_doc = doc["metric"]
+        if (not isinstance(metric_doc, list) or len(metric_doc) != s_count
+                or any(not isinstance(r, list) or len(r) != s_count
+                       for r in metric_doc)):
+            raise GameFormatError(
+                f"field 'metric' must be a {s_count}x{s_count} array"
+            )
+        metric = [[_number(x, f"metric entry ({s}, {t})")
+                   for t, x in enumerate(row)]
+                  for s, row in enumerate(metric_doc)]
+    return build(states=states, action_sets=[tuple(a) for a in actions],
+                 transitions=np.reshape(trans, (s_count, -1, s_count)),
+                 rewards=np.reshape(rew, (players, s_count, -1)),
+                 discount=gamma, metric=metric)
+
+
+def reference_parse_profile(text: str, build=MarkovStrategy):
+    """``parse_profile`` as first written, building strategies by ``build``.
+    """
+    doc = _load_object(text)
+    strategies = _require(doc, "strategies", list, "an array")
+    if ("players" in doc
+            and _number(doc["players"], "field 'players'") != len(strategies)):
+        raise GameFormatError(
+            f"field 'players' is {doc['players']} but 'strategies' has "
+            f"{len(strategies)} entries"
+        )
+    if not strategies:
+        raise GameFormatError("field 'strategies' must be non-empty")
+    parsed = []
+    for i, rows in enumerate(strategies):
+        if (not isinstance(rows, list) or not rows
+                or not all(isinstance(row, list) for row in rows)):
+            raise GameFormatError(
+                f"strategy of player {i + 1} must be a non-empty array of rows"
+            )
+        probs = [[_number(p, f"probability of player {i + 1} at state {s}")
+                  for p in row] for s, row in enumerate(rows)]
+        try:
+            parsed.append(build(probs))
+        except ValueError as exc:
+            raise GameFormatError(f"strategy of player {i + 1}: {exc}") from exc
+    return StrategyProfile(tuple(parsed))

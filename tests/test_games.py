@@ -16,6 +16,8 @@ from helpers import (
     random_strategy,
     reference_check_distribution,
     reference_metric_violations,
+    reference_parse_game,
+    reference_parse_profile,
     reference_strategy_rows,
     reference_stochastic_violations,
     with_duplicate,
@@ -201,6 +203,21 @@ class TestValidation:
             message = "field 'players' must be a positive integer"
         with pytest.raises(GameFormatError, match=f"^{re.escape(message)}$"):
             parse_game(json.dumps(doc))
+
+    @pytest.mark.parametrize("states, action_sets, message", [
+        ((0, 1), (("x",),), "state or action name 0 is not a string"),
+        (("a", "b"), (("x",), ("y", None)),
+         "state or action name None is not a string"),
+    ], ids=["state", "action"])
+    def test_names_must_be_strings(self, states, action_sets, message):
+        # Such a game would fail later with a bare TypeError: serialize_game
+        # and a bad row's message join the names. A document's names are
+        # checked as a field first, in the reader's own words.
+        a = int(np.prod([len(acts) for acts in action_sets]))
+        for transitions in (np.full((2, a, 2), 0.5), np.zeros((2, a, 2))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MarkovGame(states, action_sets, transitions,
+                           np.zeros((len(action_sets), 2, a)), 0.5)
 
     def test_bundled_games_are_clean(self, original_game, perturbed_game):
         # Each was checked when it was parsed; building it again raises
@@ -666,6 +683,142 @@ class TestReader:
             text = json.dumps(doc).replace('"__"', literal)
             with pytest.raises(GameValidationError, match="not finite"):
                 parse_game(text)
+
+
+#: Numbers that read in unusual ways: -0.0, subnormals, ints past 2^53 and
+#: up to 1e300, and literals (bare text between << and >>) beyond the float
+#: range or not finite, which the model checks, not the reader, reject.
+ODD_NUMBERS = (st.floats(-1e6, 1e6) | st.integers(-10 ** 6, 10 ** 6)
+               | st.integers(-10 ** 300, 10 ** 300)
+               | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308,
+                                  -1.5e-310])
+               | st.sampled_from(["<<1e400>>", "<<-1e400>>", "<<NaN>>",
+                                  "<<Infinity>>", "<<-Infinity>>"]))
+
+#: Planted in place of an entry: its row loses its last entry (a reward
+#: loses its key).
+SHORT = object()
+
+#: Entries that are no JSON number.
+BAD_ENTRIES = [True, "0.5", None, [0.5], 10 ** 400]
+
+
+def game_slots(doc: dict) -> list:
+    """(owner, index) of each number in a game document's transitions,
+    rewards and metric, in document order."""
+    return ([(row, t) for row in doc["transitions"].values()
+             for t in range(len(row))]
+            + [(entries, key) for entries in doc["rewards"]
+               for key in entries]
+            + [(row, t) for row in doc.get("metric", [])
+               for t in range(len(row))])
+
+
+def profile_slots(doc: dict) -> list:
+    return [(row, a) for rows in doc["strategies"] for row in rows
+            for a in range(len(row))]
+
+
+def plant(data, doc: dict, slots: list, values, count) -> str:
+    """The document with ``count`` slots set to drawn values, as JSON text
+    with each literal bare."""
+    picks = data.draw(st.lists(st.integers(0, len(slots) - 1), unique=True,
+                               min_size=count[0], max_size=count[1]))
+    short = []
+    for k in picks:
+        owner, at = slots[k]
+        value = data.draw(values)
+        if value is SHORT:
+            short.append(slots[k])
+        else:
+            owner[at] = value
+    for owner, at in short:
+        if isinstance(owner, dict):
+            owner.pop(at, None)
+        elif owner:
+            owner.pop()
+    return re.sub(r'"<<([^"]*)>>"', r"\1", json.dumps(doc))
+
+
+def same_array_bits(mine, reference) -> bool:
+    if mine is None or reference is None:
+        return mine is reference
+    mine, reference = (np.asarray(x, np.float64) for x in (mine, reference))
+    return (mine.shape == reference.shape
+            and mine.tobytes() == reference.tobytes())
+
+
+def read_outcome(read, text):
+    try:
+        read(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestBulkReader:
+    """Each field's numbers convert in one array call, with the per-entry
+    reader's bits and, on a fault, its message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(serializable_games(), st.data())
+    def test_game_numbers_keep_their_bits(self, game, data):
+        doc = json.loads(serialize_game(game))
+        text = plant(data, doc, game_slots(doc), ODD_NUMBERS, (0, 8))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(games, "MarkovGame", dict)
+            mine = parse_game(text)
+        reference = reference_parse_game(text, build=dict)
+        for field in ("transitions", "rewards", "metric"):
+            assert same_array_bits(mine[field], reference[field]), field
+        assert same_array_bits(mine["discount"], reference["discount"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles(), st.data())
+    def test_profile_numbers_keep_their_bits(self, profile, data):
+        doc = json.loads(serialize_profile(profile))
+        text = plant(data, doc, profile_slots(doc), ODD_NUMBERS, (0, 4))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(games, "MarkovStrategy", np.asarray)
+            mine = parse_profile(text).strategies
+        reference = reference_parse_profile(text, build=np.asarray).strategies
+        assert len(mine) == len(reference)
+        assert all(map(same_array_bits, mine, reference))
+
+    @settings(max_examples=400, deadline=None)
+    @given(serializable_games(), st.data())
+    def test_game_faults_get_the_per_entry_message(self, game, data):
+        doc = json.loads(serialize_game(game))
+        # A short row after a bad entry decides the order: draw it often.
+        faults = st.sampled_from([*BAD_ENTRIES, SHORT, SHORT])
+        text = plant(data, doc, game_slots(doc), faults, (1, 2))
+        mine = read_outcome(parse_game, text)
+        assert mine is not None and mine[0] == "GameFormatError"
+        assert mine == read_outcome(reference_parse_game, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles(), st.data())
+    def test_profile_faults_get_the_per_entry_message(self, profile, data):
+        doc = json.loads(serialize_profile(profile))
+        # A short row can leave a valid profile, so none is planted here.
+        text = plant(data, doc, profile_slots(doc),
+                     st.sampled_from(BAD_ENTRIES), (1, 2))
+        mine = read_outcome(parse_profile, text)
+        assert mine is not None and mine[0] == "GameFormatError"
+        assert mine == read_outcome(reference_parse_profile, text)
+
+    @pytest.mark.parametrize("first, message", [
+        ("entry", "transitions['a|y'] must be a number"),
+        ("short", "transition row 'a|y' must be an array of 2 numbers"),
+    ])
+    def test_the_first_fault_in_row_order_wins(self, first, message):
+        doc = json.loads(serialize_game(tiny_game()))
+        rows = list(doc["transitions"].values())   # a|x, a|y, b|x, b|y
+        entry, short = (1, 2) if first == "entry" else (2, 1)
+        rows[entry][0] = True
+        rows[short].pop()
+        with pytest.raises(GameFormatError, match=f"^{re.escape(message)}$"):
+            parse_game(json.dumps(doc))
 
 
 class TestStrategies:

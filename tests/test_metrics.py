@@ -662,7 +662,13 @@ class TestMaxW1MatchesPerRowLps:
 def planar_pair(rng, size, joint, noise=0.03):
     """A game on random points of the unit square with Dirichlet(0.3) rows,
     and the perturbed game with rows (1 - noise) P + noise Dirichlet(1)."""
-    metric = planar_metric(rng.uniform(size=(size, 2)))
+    return metric_pair(rng, planar_metric(rng.uniform(size=(size, 2))), joint,
+                       noise)
+
+
+def metric_pair(rng, metric, joint, noise=0.03):
+    """``planar_pair``'s two games on a given metric."""
+    size = len(metric)
     rows = rng.dirichlet(np.full(size, 0.3), size=(size, joint))
     near = ((1.0 - noise) * rows
             + noise * rng.dirichlet(np.ones(size), size=(size, joint)))
@@ -806,7 +812,54 @@ class TestBracket:
         report = robustness_report(g, g_hat, WASSERSTEIN,
                                    profile=random_profile(rng, g_hat))
         assert time.perf_counter() - start < 10.0
-        assert report.delta > 0.0
+        # The bits from before L_P came in blocks of whole state pairs.
+        assert float(report.delta).hex() == "0x1.f0682cd192849p-8"
+        assert [float(x).hex() for x in game_lipschitz_constants(g_hat)] == [
+            "0x1.bf4a175e9a7f0p+5", "0x1.1f4f94834eaa7p+4"]
+
+
+class TestPairBlocks:
+    """L_P's blocks of whole state pairs change no bit, from one pair a
+    block to all pairs in one."""
+
+    @pytest.mark.parametrize("kind, sizes", [
+        ("line", (2, 9, 30)),
+        ("grid", ((2, 2), (3, 3), (5, 6))),
+        ("planar", (3, 12, 30)),
+    ])
+    def test_any_budget_gives_the_per_row_bits(self, kind, sizes):
+        # The budget also sizes the bracket's blocks, which TestBracket
+        # shows change no bit either.
+        rng = np.random.default_rng(27)
+        max_w1, blocks = metrics._max_w1, []
+
+        def counting(rows, *args, **kwargs):
+            rows = list(rows)
+            blocks.append(len(rows))
+            return max_w1(rows, *args, **kwargs)
+
+        for size in sizes:
+            if kind == "line":
+                points = rng.uniform(-5.0, 5.0, size)
+                metric = np.abs(points[:, None] - points[None, :])
+            else:
+                metric = (grid_metric(*size) if kind == "grid"
+                          else planar_metric(rng.uniform(size=(size, 2))))
+            assert (metrics._line_embedding(metric) is None) == (kind != "line")
+            g, g_hat = metric_pair(rng, metric, 2)
+            _, delta = reference_game_approx_params(
+                g, g_hat, WASSERSTEIN, metric, transport=_w1_exact)
+            _, l_p = reference_game_lipschitz_constants(
+                g_hat, metric, transport=_w1_exact)
+            n = len(metric)
+            for entries, count in ((1, n * (n - 1) // 2), (2 ** 62, 1)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(metrics, "_BRACKET_ENTRIES", entries)
+                    patch.setattr(metrics, "_max_w1", counting)
+                    assert same_bits(
+                        game_approx_params(g, g_hat, WASSERSTEIN).delta, delta)
+                    assert same_bits(game_lipschitz_constants(g_hat)[1], l_p)
+                assert blocks[-1] == count
 
 
 class TestTransportLp:
