@@ -19,7 +19,7 @@ import numpy as np
 
 from .games import (MarkovGame, StrategyProfile, _check_count,
                     _finite_values, check_discount, check_profile)
-from .mdp import _policy_values, _profile_chain, _require_finite
+from .mdp import _profile_values, _require_finite
 from .metrics import (
     TOTAL_VARIATION,
     _approx_params,
@@ -190,10 +190,9 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
     params, rows, metric, coords = _approx_params(g, g_hat, ipm_kind)
     gamma = g.discount
     num_players = g.num_players
-    chain = _profile_chain(g_hat.transitions, g_hat.rewards,
-                           [s.probabilities for s in profile.strategies])
-    value_vectors = _require_finite(
-        "policy value", _policy_values(g_hat, *chain)).T
+    value_vectors = _profile_values(
+        g_hat, [s.probabilities for s in profile.strategies])
+    _require_finite("policy value", value_vectors.T)
 
     deltas = np.array([_delta_term(g, g_hat, v) for v in value_vectors])
     instance = np.array([

@@ -15,8 +15,7 @@ import numpy as np
 
 from .games import (MarkovGame, StrategyProfile, ValueFunction,
                     _induced_model, check_profile)
-from .mdp import (_best_response, _policy_values, _profile_chain,
-                  _require_finite)
+from .mdp import _best_response, _profile_values, _require_finite
 
 #: ``CertificateAlpha.alpha_clamped`` zeroes gaps in [-2 DEFAULT_TOL, 0).
 DEFAULT_TOL = 1e-10
@@ -27,7 +26,7 @@ class CertificateAlpha:
     """Per-player equilibrium gaps for a strategy profile.
 
     ``per_player_alpha`` holds raw gaps max_s (best-response value minus
-    achieved value); they can dip a hair below zero through numerics.
+    achieved value, each its own solve); numerics can dip them below zero.
     ``alpha_clamped`` zeroes that noise, any gap in [-2 DEFAULT_TOL, 0), for
     reporting while the raw values stay available.
     """
@@ -50,9 +49,10 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile
                     ) -> CertificateAlpha:
     """Measure each player's incentive to deviate from a profile.
 
-    Each player's induced MDP gives the value their own strategy achieves
-    (one linear solve stacked over all players) and the best-response value
-    (Howard policy iteration), bit for bit those of ``evaluate_policy`` and
+    Every player's achieved value comes from one solve of the profile's
+    Markov chain, the evaluation ``robustness_report`` makes: bit for bit
+    ``evaluate_policy`` for one player, within roundoff of it on each
+    ``induced_mdp`` otherwise. Each best-response value is bit for bit
     ``solve_optimal`` on ``induced_mdp``. The gap alpha_i = max_s (best -
     achieved) is nonnegative up to numerics and is zero for every player iff
     the profile is an equilibrium.
@@ -63,16 +63,11 @@ def certify_profile(game: MarkovGame, profile: StrategyProfile
     """
     check_profile(game, profile)
     strategies = [strat.probabilities for strat in profile.strategies]
-    models = [_induced_model(game, strategies, player)
-              for player in range(game.num_players)]
-    chains = zip(*(_profile_chain(trans, rew[None], [probs])
-                   for probs, (trans, rew) in zip(strategies, models)))
-    achieved = _policy_values(game, *map(np.stack, chains))[..., 0]
-    values, best_values = [], []
-    for player, (trans, rew) in enumerate(models):
-        values.append(_require_finite("policy value", achieved[player]))
-        best_values.append(_best_response(trans, rew, game.discount)[0])
-    alphas = np.array([np.max(b - a) for a, b in zip(values, best_values)])
-    return CertificateAlpha(alphas, tuple(map(ValueFunction, values)),
-                            tuple(map(ValueFunction, best_values)))
-
+    achieved = _profile_values(game, strategies)
+    _require_finite("policy value", achieved.T)
+    best = [_best_response(*_induced_model(game, strategies, player),
+                           game.discount)[0]
+            for player in range(game.num_players)]
+    alphas = np.array([np.max(b - a) for a, b in zip(achieved, best)])
+    return CertificateAlpha(alphas, tuple(map(ValueFunction, achieved)),
+                            tuple(map(ValueFunction, best)))

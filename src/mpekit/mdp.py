@@ -2,9 +2,10 @@
 
 Two private kernels here serve games of any number of players, and an MDP
 is their N = 1 case: ``_action_values`` gives each player's one-shot value
-(1 - gamma) r + gamma P v, and ``_profile_chain`` the Markov chain
-(P_pi, r_pi) that a stationary profile induces, which ``_policy_values``
-solves. The solver, ``stage_game`` and ``robustness_report`` use them too.
+(1 - gamma) r + gamma P v, and ``_profile_values`` the package's one profile
+evaluation, a solve of the chain (P_pi, r_pi) ``_profile_chain`` builds.
+The solver, ``stage_game``, ``certify_profile`` and ``robustness_report``
+use them too.
 
 An MDP is a one-player :class:`~mpekit.games.MarkovGame`: ``rewards`` has
 shape ``(1, S, A)`` and its one action set is the agent's. Every public
@@ -93,11 +94,13 @@ def _profile_chain(transitions: np.ndarray, rewards: np.ndarray, strategies
     return p_pi, r_pi
 
 
-def _policy_values(game: MarkovGame, p_pi: np.ndarray,
-                   r_pi: np.ndarray) -> np.ndarray:
+def _profile_values(game: MarkovGame, strategies) -> np.ndarray:
+    """Every player's values under a profile of (S, A_i) arrays, (N, S): a
+    transposed view of one solve of its chain, one column per player."""
+    p_pi, r_pi = _profile_chain(game.transitions, game.rewards, strategies)
     gamma = game.discount
     matrix = np.eye(game.num_states) - gamma * p_pi
-    return np.linalg.solve(matrix, (1.0 - gamma) * r_pi)
+    return np.linalg.solve(matrix, (1.0 - gamma) * r_pi).T
 
 
 def evaluate_policy(mdp: MarkovGame,
@@ -110,9 +113,8 @@ def evaluate_policy(mdp: MarkovGame,
     that come out non-finite (huge rewards) raise ``ValueError``.
     """
     _check_dims(mdp, strategy)
-    values = _policy_values(mdp, *_profile_chain(
-        mdp.transitions, mdp.rewards, [strategy.probabilities]))
-    return ValueFunction(_require_finite("policy value", values[:, 0]))
+    values = _profile_values(mdp, [strategy.probabilities])[0]
+    return ValueFunction(_require_finite("policy value", values))
 
 
 def _best_response(trans, rew, gamma: float) -> tuple[np.ndarray, np.ndarray]:

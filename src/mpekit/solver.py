@@ -49,7 +49,7 @@ import numpy as np
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
                     _check_count, _finite_values)
-from .mdp import _action_values, _policy_values, _profile_chain
+from .mdp import _action_values, _profile_values
 
 _NASH_TOL = 1e-9
 #: Relative margin by which a rectangular support's residual bound must
@@ -480,8 +480,7 @@ def _policy_iteration(game: MarkovGame, max_iter: int
         steps += 1
     previous = None
     for _ in range(_MAX_EVALUATIONS):
-        v = _policy_values(game, *_profile_chain(
-            game.transitions, game.rewards, (pi1, pi2))).T
+        v = _profile_values(game, (pi1, pi2))
         steps += 1
         if previous is not None and (np.abs(v - previous).max()
                                      <= 1e-13 * max(1.0, np.abs(v).max())):

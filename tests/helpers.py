@@ -21,8 +21,8 @@ from mpekit.games import (GameFormatError, MarkovGame, MarkovStrategy,
                           StrategyProfile, ValueFunction, _check_names,
                           _document_keys, _keyed_values, _load_object,
                           _number, _require, check_profile)
-from mpekit.mdp import (_action_values, _check_dims, _policy_values,
-                        _profile_chain, _require_finite)
+from mpekit.mdp import (_action_values, _check_dims, _profile_chain,
+                        _require_finite)
 from mpekit.metrics import TOTAL_VARIATION, WASSERSTEIN, _line_embedding
 from mpekit.solver import SolveResult, bimatrix_nash
 
@@ -578,13 +578,18 @@ def reference_stage_payoffs(game: MarkovGame, values, states=slice(None)
     return payoffs.reshape(payoffs.shape[:-1] + game.action_counts)
 
 
-def reference_profile_values(game: MarkovGame, pi1: np.ndarray,
-                             pi2: np.ndarray) -> np.ndarray:
-    """``solver._profile_values``, as first written: shape (2, S)."""
-    joint = (pi1[:, :, None] * pi2[:, None, :]).reshape(game.num_states, -1)
+def reference_profile_values(game: MarkovGame, strategies) -> np.ndarray:
+    """``solver._profile_values``, as first written for two players and
+    widened to N: one solve of the profile's chain, shape (N, S)."""
+    joint = strategies[0]
+    for probs in strategies[1:]:
+        joint = (joint[:, :, None] * probs[:, None, :]).reshape(
+            game.num_states, -1)
     p_pi = np.einsum("sj,sjt->st", joint, game.transitions)
     r_pi = np.einsum("sj,isj->si", joint, game.rewards)
-    return _policy_values(game, p_pi, r_pi).T
+    gamma = game.discount
+    return np.linalg.solve(np.eye(game.num_states) - gamma * p_pi,
+                           (1.0 - gamma) * r_pi).T
 
 
 def reference_action_values(mdp: MarkovGame, values: np.ndarray) -> np.ndarray:
@@ -638,8 +643,11 @@ def _reference_evaluate_policy(mdp: MarkovGame,
                                strategy: MarkovStrategy) -> ValueFunction:
     """``mdp.evaluate_policy``, one player's chain solved alone."""
     _check_dims(mdp, strategy)
-    values = _policy_values(mdp, *_profile_chain(
-        mdp.transitions, mdp.rewards, [strategy.probabilities]))
+    p_pi, r_pi = _profile_chain(mdp.transitions, mdp.rewards,
+                                [strategy.probabilities])
+    gamma = mdp.discount
+    values = np.linalg.solve(np.eye(mdp.num_states) - gamma * p_pi,
+                             (1.0 - gamma) * r_pi)
     return ValueFunction(_require_finite("policy value", values[:, 0]))
 
 
@@ -647,12 +655,13 @@ def reference_solve_optimal(mdp: MarkovGame
                             ) -> tuple[ValueFunction, MarkovStrategy]:
     """``mdp.solve_optimal``, forming gamma P and (1 - gamma) r each step."""
     _check_dims(mdp)
-    rewards = mdp.rewards[0]
+    rewards, gamma = mdp.rewards[0], mdp.discount
     states = np.arange(mdp.num_states)
     policy = np.argmax(rewards, axis=1)
     while True:
-        values = _policy_values(mdp, mdp.transitions[states, policy],
-                                rewards[states, policy])
+        values = np.linalg.solve(
+            np.eye(mdp.num_states) - gamma * mdp.transitions[states, policy],
+            (1.0 - gamma) * rewards[states, policy])
         q = _require_finite("action value",
                             _action_values(mdp, [values])[0])
         margin = 1e-13 * max(1.0, np.abs(q).max())
@@ -665,20 +674,18 @@ def reference_solve_optimal(mdp: MarkovGame
 
 
 def reference_certify_profile(game: MarkovGame, profile: StrategyProfile
-                              ) -> tuple[np.ndarray, list, list]:
-    """``equilibrium.certify_profile`` one player at a time: (alphas,
-    achieved values, best-response values) as arrays."""
-    alphas = np.zeros(game.num_players)
+                              ) -> tuple[list, list]:
+    """``equilibrium.certify_profile`` one player at a time, each achieved
+    value from that player's own induced chain: (achieved values,
+    best-response values) as arrays."""
     values = []
     best_values = []
     for player in range(game.num_players):
         mdp = reference_induced_mdp(game, profile, player)
-        achieved = _reference_evaluate_policy(mdp, profile.strategies[player])
-        best, _ = reference_solve_optimal(mdp)
-        alphas[player] = float(np.max(best.values - achieved.values))
-        values.append(achieved.values)
-        best_values.append(best.values)
-    return alphas, values, best_values
+        values.append(_reference_evaluate_policy(
+            mdp, profile.strategies[player]).values)
+        best_values.append(reference_solve_optimal(mdp)[0].values)
+    return values, best_values
 
 
 # The document readers as first written: every number through ``_number``,

@@ -12,6 +12,7 @@ from helpers import (
     random_profile,
     reference_certify_profile,
     reference_induced_mdp,
+    reference_profile_values,
     reference_solve_optimal,
     small_mdps,
 )
@@ -226,29 +227,42 @@ def profiled_games(draw):
 
 
 class TestOnePassCertificate:
-    """The array path gives the per-player path's bytes."""
+    """Achieved values are one solve of the profile's chain, within
+    roundoff of each induced MDP's own; best responses are the induced
+    MDPs', as the per-player path computed them."""
 
     @settings(max_examples=200, deadline=None)
     @given(profiled_games())
-    def test_matches_the_per_player_path_bit_for_bit(self, case):
+    def test_matches_the_joint_chain_bit_for_bit(self, case):
         game, profile = case
         certificate = certify_profile(game, profile)
-        alphas, values, best_values = reference_certify_profile(game, profile)
-        assert certificate.per_player_alpha.tobytes() == alphas.tobytes()
+        achieved = reference_profile_values(
+            game, [s.probabilities for s in profile.strategies])
+        per_player, best_values = reference_certify_profile(game, profile)
         for player in range(game.num_players):
             mdp = induced_mdp(game, profile, player)
             expected = reference_induced_mdp(game, profile, player)
             assert mdp.transitions.tobytes() == expected.transitions.tobytes()
             assert mdp.rewards.tobytes() == expected.rewards.tobytes()
-            assert (certificate.per_player_value[player].values.tobytes()
-                    == values[player].tobytes())
+            value = certificate.per_player_value[player].values
+            assert value.tobytes() == achieved[player].tobytes()
+            own = evaluate_policy(mdp, profile.strategies[player]).values
+            assert own.tobytes() == per_player[player].tobytes()
+            scale = max(1.0, np.abs(own).max())
+            assert np.max(np.abs(value - own)) <= 1e-12 * scale
+            if game.num_players == 1:
+                # An MDP's chain is its one induced model's: no bit moves.
+                assert value.tobytes() == own.tobytes()
             assert (certificate.per_player_best_response_value[player]
                     .values.tobytes() == best_values[player].tobytes())
             best, greedy = solve_optimal(mdp)
-            best_ref, greedy_ref = reference_solve_optimal(mdp)
+            best_ref, greedy_ref = reference_solve_optimal(expected)
             assert best.values.tobytes() == best_ref.values.tobytes()
             assert (greedy.probabilities.tobytes()
                     == greedy_ref.probabilities.tobytes())
+        gaps = np.array([np.max(best - value) for best, value
+                         in zip(best_values, achieved)])
+        assert certificate.per_player_alpha.tobytes() == gaps.tobytes()
 
 
 class TestDiscountGuard:

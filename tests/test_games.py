@@ -30,6 +30,7 @@ from mpekit.games import (
     MarkovGame,
     MarkovStrategy,
     StrategyProfile,
+    ValueFunction,
     default_line_metric,
     induced_mdp,
     metric_violations,
@@ -1097,3 +1098,52 @@ class TestRowRule:
             MarkovStrategy([row])
         with pytest.raises(ValueError, match="not a probability"):
             _check_distribution("row", np.array(row))
+
+
+def _game_text(**fields) -> str:
+    """A two-player game document with some top-level fields replaced."""
+    doc = json.loads(serialize_game(random_game(np.random.default_rng(0))))
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_game(_game_text(states=["0", 1, "2"])), GameFormatError,
+     "field 'states' must be a string array"),
+    (lambda: parse_game(_game_text(actions=[["0", "1"], ["0", 1]])),
+     GameFormatError, "actions of player 2 must be a string array"),
+    (lambda: parse_game(_game_text(actions=[["0", "1"]])), GameFormatError,
+     "field 'actions' has 1 entries for 2 players"),
+    (lambda: parse_game(_game_text(rewards=[{}])), GameFormatError,
+     "field 'rewards' has 1 entries for 2 players"),
+    (lambda: parse_game(_game_text(rewards=[[0.0], {}])), GameFormatError,
+     "rewards of player 1 must be an object"),
+    (lambda: parse_profile('{"players": 3, "strategies": [[[1.0]], [[1.0]]]}'),
+     GameFormatError, "field 'players' is 3 but 'strategies' has 2 entries"),
+    (lambda: tiny_game(transitions=np.ones((2, 2))), ValueError,
+     "transitions shape (2, 2) != expected (2, 2, 2)"),
+    (lambda: tiny_game(rewards=np.ones((2, 2))), ValueError,
+     "rewards shape (2, 2) != expected (1, 2, 2)"),
+    (lambda: tiny_game(metric=np.zeros((3, 3))), ValueError,
+     "metric shape (3, 3) != expected (2, 2)"),
+    (lambda: MarkovStrategy(np.ones(2)), ValueError,
+     "strategy must be 2-D, got shape (2,)"),
+    (lambda: ValueFunction(np.ones((2, 2))), ValueError,
+     "value function must be 1-D, got shape (2, 2)"),
+    (lambda: metric_violations(np.zeros((2, 3))), None,
+     "metric is not square: shape (2, 3)"),
+], ids=["states", "actions-of-player", "actions-count", "rewards-count",
+        "rewards-of-player", "profile-players", "transitions-shape",
+        "rewards-shape", "metric-shape", "strategy-ndim", "values-ndim",
+        "metric-square"])
+def test_each_shape_and_type_fault_is_named(call, error, message):
+    # The reader's type and count checks, the constructors' shape checks and
+    # metric_violations' shape rule, each with its whole message; a None
+    # error means the check returns its messages rather than raising.
+    if error is None:
+        assert call() == [message]
+        return
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -25,8 +25,7 @@ from mpekit.games import (GameValidationError, MarkovGame, MarkovStrategy,
 from mpekit.mdp import (
     _action_values,
     _best_response,
-    _policy_values,
-    _profile_chain,
+    _profile_values,
     bellman_optimal,
     bellman_policy,
     evaluate_policy,
@@ -427,18 +426,16 @@ class TestEvaluationKernels:
         assert (_action_values(game, values, state).tobytes()
                 == q[:, state].tobytes())
         pi1, pi2 = (s.probabilities for s in profile.strategies)
-        chain = _policy_values(game, *_profile_chain(
-            game.transitions, game.rewards, (pi1, pi2))).T
+        chain = _profile_values(game, (pi1, pi2))
         assert (chain.tobytes()
-                == reference_profile_values(game, pi1, pi2).tobytes())
+                == reference_profile_values(game, (pi1, pi2)).tobytes())
 
     @settings(max_examples=100, deadline=None)
     @given(games_with_profiles((1, 3), max_states=12, max_actions=3))
     def test_chain_value_matches_each_induced_mdp(self, case):
         game, profile, _ = case
-        chain = _policy_values(game, *_profile_chain(
-            game.transitions, game.rewards,
-            [s.probabilities for s in profile.strategies])).T
+        chain = _profile_values(
+            game, [s.probabilities for s in profile.strategies])
         for player, strategy in enumerate(profile.strategies):
             mdp = induced_mdp(game, profile, player)
             value = evaluate_policy(mdp, strategy).values
@@ -457,10 +454,12 @@ class TestEvaluationKernels:
         strategy = profile.strategies[0]
         v = ValueFunction(values[0])
         q = reference_action_values(mdp, v.values)
-        chain = (reference_strategy_transitions(mdp, strategy),
-                 reference_strategy_rewards(mdp, strategy))
+        p_pi = reference_strategy_transitions(mdp, strategy)
+        r_pi = reference_strategy_rewards(mdp, strategy)
+        gamma = mdp.discount
         old = [(strategy.probabilities * q).sum(axis=1), q.max(axis=1),
-               _policy_values(mdp, *chain)]
+               np.linalg.solve(np.eye(mdp.num_states) - gamma * p_pi,
+                               (1.0 - gamma) * r_pi)]
         new = [bellman_policy(mdp, strategy, v).values,
                bellman_optimal(mdp, v).values,
                evaluate_policy(mdp, strategy).values]

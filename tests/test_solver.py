@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 import warnings
@@ -634,6 +635,20 @@ class TestSolveMpe:
         assert np.array_equal(first.certificate.per_player_alpha,
                               second.certificate.per_player_alpha)
         assert first.iterations == second.iterations
+
+    def test_fifty_state_profile_bytes_are_pinned(self):
+        # The 3-state goldens cannot see memory layout; at 50 states 6x6,
+        # stage payoffs built from C-order values instead of the F-order
+        # transposed solve that policy iteration keeps round differently.
+        game = random_game(np.random.default_rng(0), 50, (6, 6), 0.99)
+        result = solve_mpe(game, max_iter=10)
+        digest = hashlib.sha256()
+        for strategy in result.profile.strategies:
+            digest.update(strategy.probabilities.tobytes())
+        assert digest.hexdigest() == (
+            "5aad3034cf1dc0453d540bc511de368914416abadc5b79aff31f47e5a9b568d2")
+        assert result.iterations == 18
+        assert result.converged
 
     def test_rejects_non_two_player(self):
         rng = np.random.default_rng(14)
