@@ -390,20 +390,25 @@ def check_profile(game: MarkovGame, profile: StrategyProfile) -> None:
 
 def _induced_model(game: MarkovGame, strategies, player: int):
     """The player's induced (S, A_i, S) transitions and (S, A_i) rewards,
-    each entry summed as a loop over joint actions would sum it."""
+    each entry summed as a loop over joint actions would sum it: from zero,
+    the others' joint actions in lexicographic order, each weighted by the
+    product of their probabilities in player order (formed for all of them
+    at once)."""
     s_count, counts = game.num_states, game.action_counts
     transitions = game.transitions.reshape(s_count, *counts, s_count)
     rewards = game.rewards[player].reshape(s_count, *counts)
+    weight = np.ones((s_count, 1))
+    for q, probs in enumerate(strategies):
+        if q != player:
+            weight = (weight[:, :, None] * probs[:, None, :]).reshape(
+                s_count, -1)
     trans = np.zeros((s_count, counts[player], s_count))
     rew = np.zeros(trans.shape[:2])
-    for joint in itertools.product(*([slice(None)] if q == player else range(c)
-                                     for q, c in enumerate(counts))):
-        weight = np.ones(s_count)
-        for q, act in enumerate(joint):
-            if q != player:
-                weight = weight * strategies[q][:, act]
-        trans += weight[:, None, None] * transitions[(slice(None), *joint)]
-        rew += weight[:, None] * rewards[(slice(None), *joint)]
+    for w, joint in zip(weight.T, itertools.product(
+            *([slice(None)] if q == player else range(c)
+              for q, c in enumerate(counts)))):
+        trans += w[:, None, None] * transitions[(slice(None), *joint)]
+        rew += w[:, None] * rewards[(slice(None), *joint)]
     return trans, rew
 
 

@@ -20,6 +20,8 @@ policy iteration, exact and finite (Puterman, *Markov Decision Processes*,
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
@@ -46,18 +48,29 @@ def _require_finite(what: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
+@functools.cache
+def _identity(size: int) -> np.ndarray:
+    """The identity matrix of a size, cached and read-only: for action and
+    support counts, not state counts, whose squares would stay pinned."""
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
+
+
 def _action_values(game: MarkovGame, values, states=slice(None)
                    ) -> np.ndarray:
     """Each player's one-shot values at ``states``: shape (N, ..., A).
 
     Entry [i, s, j] is (1 - gamma) r_i(s, j) + (gamma P[s, j]) @ values[i];
-    ``np.vecdot`` rounds each row as that ``@`` does, a batched matmul not.
+    ``np.vecdot`` rounds each row as that ``@`` does, a batched matmul not,
+    and it broadcasts over players with each value row's own strides.
     """
     gamma = game.discount
     cont = gamma * game.transitions[states]
-    return np.stack([(1.0 - gamma) * game.rewards[i, states]
-                     + np.vecdot(cont, values[i])
-                     for i in range(game.num_players)])
+    values = np.asarray(values)
+    return ((1.0 - gamma) * game.rewards[:, states]
+            + np.vecdot(cont, values[(slice(None),)
+                                     + (None,) * (cont.ndim - 1)]))
 
 
 def bellman_policy(mdp: MarkovGame, strategy: MarkovStrategy,
@@ -125,18 +138,22 @@ def _best_response(trans, rew, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     on a checked game's arrays; it raises rather than spins if it does."""
     cont, base = gamma * trans, (1.0 - gamma) * rew
     states, identity = np.arange(len(rew)), np.eye(len(rew))
-    policy = np.argmax(rew, axis=1)
+    policy = rew.argmax(axis=1)
     seen = set()
-    while policy.tobytes() not in seen:
-        seen.add(policy.tobytes())
+    while (key := policy.tobytes()) not in seen:
+        seen.add(key)
         values = np.linalg.solve(identity - cont[states, policy],
                                  base[states, policy])
-        q = _require_finite("action value", base + np.vecdot(cont, values))
-        margin = 1e-13 * max(1.0, np.abs(q).max())
-        improve = q.max(axis=1) > q[states, policy] + margin
+        q = base + np.vecdot(cont, values)
+        # The largest magnitude is NaN or infinite iff some entry is.
+        scale = np.abs(q).max()
+        if not np.isfinite(scale):
+            _require_finite("action value", q)
+        greedy = q.argmax(axis=1)
+        improve = q.max(axis=1) > q[states, policy] + 1e-13 * max(1.0, scale)
         if not improve.any():
-            return values, np.eye(rew.shape[1])[np.argmax(q, axis=1)]
-        policy = np.where(improve, np.argmax(q, axis=1), policy)
+            return values, _identity(rew.shape[1])[greedy]
+        policy = np.where(improve, greedy, policy)
     raise ValueError("policy iteration revisited a policy; the transition "
                      "rows are not all distributions")
 

@@ -28,7 +28,9 @@ least-squares residual is certified to exceed the tolerance (a closed-form
 or QR lower bound, with a margin for roundoff) is dropped unsolved, and the
 square supports are solved as one stack. Each class has one cached,
 read-only record: its supports and the cells of the payoff blocks its scan
-gathers, built when a scan first reaches it. The survivors are confirmed in
+gathers, built when a scan first reaches it; the record of a one-sided
+class (1, k) also holds the lines of its partner (k, 1), so one filter
+pass serves both. The survivors are confirmed in
 order by the exact support solve and deviation check, so each state gets
 the equilibrium the pair-by-pair scan selects (B. von Stengel, "Computing
 equilibria for two-person games", *Handbook of Game Theory* 3, 2002,
@@ -49,7 +51,7 @@ import numpy as np
 from .equilibrium import CertificateAlpha, certify_profile
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
                     _check_count, _finite_values)
-from .mdp import _action_values, _profile_values
+from .mdp import _action_values, _identity, _profile_values
 
 _NASH_TOL = 1e-9
 #: Relative margin by which a rectangular support's residual bound must
@@ -62,6 +64,9 @@ _STACK_LIMIT = 1 << 14
 _WARM_SWEEPS = 3
 #: Exact profile evaluations allowed to policy iteration.
 _MAX_EVALUATIONS = 60
+#: Relative margin by which a candidate's certified gap must undercut the
+#: kept one's to replace it (see ``solve_mpe``).
+_GAP_MARGIN = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -190,40 +195,43 @@ def _deviation_gain(payoff_a, payoff_b, x, y) -> float:
                float(col_payoffs.max() - col_payoffs @ y))
 
 
-@functools.cache
-def _identity(size: int) -> np.ndarray:
-    """The identity matrix of a size, cached and read-only."""
-    eye = np.eye(size)
-    eye.setflags(write=False)
-    return eye
-
-
-def _combinations(size: int, k: int) -> np.ndarray:
-    """The k-subsets of range(size) in lexicographic order, shape (C, k)."""
-    return np.array(list(itertools.combinations(range(size), k)),
-                    dtype=np.intp).reshape(-1, k)
+def _supports(m: int, n: int, k1: int, k2: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of one class of an m x n game in scan order
+    (lexicographic, rows outer): rows (N, k1) and cols (N, k2)."""
+    row_sets, col_sets = (
+        np.array(list(itertools.combinations(range(size), k)),
+                 dtype=np.intp).reshape(-1, k)
+        for size, k in ((m, k1), (n, k2)))
+    return (np.repeat(row_sets, len(col_sets), axis=0),
+            np.tile(col_sets, (len(row_sets), 1)))
 
 
 @functools.cache
 def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
-    """(rows, cols, cells) for one class of an m x n game: the index arrays
-    rows (N, k1) and cols (N, k2), one support per row in scan order
-    (lexicographic, rows outer), and the cells of the payoff blocks the
+    """(rows, cols, cells) for one class of an m x n game: its supports as
+    ``_supports`` gives them, and the cells of the payoff blocks the
     class's scan gathers from the flattened payoffs (2, m, n). A square
     class has both equalized blocks, A[R, C] and B[R, C].T, as
-    (2, N, k, k); a one-sided class its taller line, B[r, C] (the pure row
-    must equalize it) or A[R, c], as (N, k); any other class None. Built
-    in place when a scan first reaches the class; cached, read-only."""
-    row_sets, col_sets = _combinations(m, k1), _combinations(n, k2)
-    rows = np.repeat(row_sets, len(col_sets), axis=0)
-    cols = np.tile(col_sets, (len(row_sets), 1))
+    (2, N, k, k). A one-sided class has the taller lines that its pure
+    side must equalize, B[r, C] or A[R, c], as (N, k): a class (1, k)
+    holds its own and then those of its partner (k, 1), which the scan
+    reaches later in the same total, so one filter pass serves both; the
+    partner then holds None, as does any other class. Built in place when
+    a scan first reaches the class; cached, read-only."""
+    rows, cols = _supports(m, n, k1, k2)
     cells = None
     if k1 == k2:
         cells = np.empty((2, len(rows), k1, k1), dtype=np.intp)
         np.add(rows[:, :, None] * n, cols[:, None, :], out=cells[0])
         np.add(m * n + rows[:, None, :] * n, cols[:, :, None], out=cells[1])
-    elif min(k1, k2) == 1:
-        cells = (m * n if k1 == 1 else 0) + rows * n + cols
+    elif k1 == 1:
+        cells = m * n + rows * n + cols
+        if k2 <= m:
+            partner_rows, partner_cols = _supports(m, n, k2, 1)
+            cells = np.concatenate([cells, partner_rows * n + partner_cols])
+    elif k2 == 1 and k1 > n:
+        cells = rows * n + cols
     for arr in (rows, cols, cells):
         if arr is not None:
             arr.setflags(write=False)
@@ -270,18 +278,22 @@ def _clamped(payoffs: np.ndarray) -> np.ndarray:
 
 def _one_sided_survivors(flat, tol, cells) -> np.ndarray:
     """``_may_pass`` for one-sided rectangular supports, from the cells
-    (N, k) of their taller lines in the flattened payoffs ``flat``.
+    (N, k) of their taller lines in the flattened payoffs ``flat``, taken
+    ``_STACK_LIMIT`` lines at a time.
 
     The least-squares residual rho of a taller block b has
     rho^2 = S / (1 + S), S = sum((b - mean b)^2): a weight z on the pure
     side is best matched by the value z mean(b), which leaves
     z^2 S + (z - 1)^2, least at z = 1 / (1 + S).
     """
-    lines = _clamped(flat[cells])
-    k = lines.shape[1]
-    spread = lines - lines.sum(axis=1, keepdims=True) / k
-    total = (spread * spread).sum(axis=1)
-    return _may_pass(total / (1.0 + total), tol, k)
+    k = cells.shape[1]
+    masks = []
+    for start in range(0, len(cells), _STACK_LIMIT):
+        lines = _clamped(flat[cells[start:start + _STACK_LIMIT]])
+        spread = lines - lines.sum(axis=1, keepdims=True) / k
+        total = (spread * spread).sum(axis=1)
+        masks.append(_may_pass(total / (1.0 + total), tol, k))
+    return np.concatenate(masks)
 
 
 def _rectangular_survivors(payoffs, tol, rows, cols) -> np.ndarray:
@@ -351,17 +363,24 @@ def _mixed_supports(payoffs, tol, x, y, gain):
         for k1 in range(max(1, total - n), min(m, total - 1) + 1):
             k2 = total - k1
             rows, cols, cells = _support_class(m, n, k1, k2)
+            if k1 != k2 and min(k1, k2) == 1:
+                # One filter pass covers a class (1, k) and its partner
+                # (k, 1), whose record holds None: each takes its share.
+                if cells is not None:
+                    lines, taken = _one_sided_survivors(flat, tol, cells), 0
+                survivors = lines[taken:taken + len(rows)]
+                taken += len(rows)
             for start in range(0, len(rows), _STACK_LIMIT):
                 block = slice(start, start + _STACK_LIMIT)
                 solutions = None
                 if k1 == k2:
                     keep, solutions = _square_solutions(flat, cells[:, block])
-                elif cells is not None:
-                    keep = _one_sided_survivors(flat, tol, cells[block])
+                elif min(k1, k2) == 1:
+                    keep = survivors[block]
                 else:
                     keep = _rectangular_survivors(payoffs, tol, rows[block],
                                                   cols[block])
-                for j in np.flatnonzero(keep):
+                for j in keep.nonzero()[0]:
                     if solutions is None:
                         candidate = _support_candidate(
                             payoff_a, payoff_b, rows[start + j],
@@ -405,12 +424,15 @@ def _stage_nash(payoffs: np.ndarray
     cell = np.where(pure, passing.argmax(axis=1), pure_gain.argmin(axis=1))
     r, c = np.divmod(cell, n)
     x, y = _identity(m)[r], _identity(n)[c]
-    # C order, as the next sweep's matrix products round by the layout.
-    values = np.stack([payoff_a[states, r, c], payoff_b[states, r, c]]) + 0.0
-    gain = pure_gain[states, cell]
-    for s in np.flatnonzero(~pure):
-        x[s], y[s] = _mixed_supports(payoffs[:, s], tol[s], x[s], y[s],
-                                     gain[s])
+    # Written in C order (the gather alone comes out in F order), as the
+    # next sweep's matrix products round by the layout.
+    values = np.empty((2, num_states))
+    np.add(payoffs[:, states, r, c], 0.0, out=values)
+    for s in (~pure).nonzero()[0]:
+        # Python floats, which the scan's per-support tests take cheaper
+        # than numpy scalars; the same values, so the same decisions.
+        x[s], y[s] = _mixed_supports(payoffs[:, s], float(tol[s]), x[s],
+                                     y[s], float(pure_gain[s, cell[s]]))
         values[0, s] = x[s] @ payoff_a[s] @ y[s]
         values[1, s] = x[s] @ payoff_b[s] @ y[s]
     return x, y, values
@@ -542,8 +564,13 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     first; no profile is certified twice. An attempt sweeps until successive
     values differ by at most tol (1 - gamma) / (2 gamma), from zero values
     and then from seeded random ones, and runs only when every earlier
-    candidate has failed. The candidate of smallest gap, the earliest on
-    ties, is returned; ``converged`` is true iff its gap is at most tol.
+    candidate has failed. The first candidate within tol is returned;
+    failing that, the kept candidate: a later one replaces it only if its
+    gap is smaller by more than a roundoff margin, 1e-12 times the largest
+    reward magnitude (at least 1), which bounds every value. So gaps that
+    tie within roundoff keep the earliest candidate, and the one returned
+    is within that margin of the smallest gap. ``converged`` is true iff
+    the returned gap is at most tol.
 
     ``max_iter`` bounds the warm sweeps and the sweeps of each
     value-iteration attempt. ``SolveResult.iterations`` counts every sweep
@@ -559,9 +586,10 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_count(max_iter, "max_iter")
 
+    margin = _GAP_MARGIN * max(1.0, float(np.abs(game.rewards).max()))
     kept, certified = None, set()
     for pi1, pi2, iterations in _candidates(game, tol, max_iter, seed):
-        # A repeat is never strictly better, nor newly within tol.
+        # A repeat is never better by the margin, nor newly within tol.
         key = pi1.tobytes(), pi2.tobytes()
         if key in certified:
             continue
@@ -569,7 +597,7 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
         profile = StrategyProfile((MarkovStrategy(pi1), MarkovStrategy(pi2)))
         certificate = certify_profile(game, profile)
         gap = certificate.max_alpha
-        if kept is None or gap < kept[0]:
+        if kept is None or gap <= tol or gap < kept[0] - margin:
             kept = gap, profile, certificate
         if gap <= tol:
             break

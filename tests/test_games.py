@@ -15,6 +15,7 @@ from helpers import (
     random_profile,
     random_strategy,
     reference_check_distribution,
+    reference_induced_mdp,
     reference_metric_violations,
     reference_parse_game,
     reference_parse_profile,
@@ -858,7 +859,66 @@ class TestStrategies:
         assert game.joint_action_label(1) == "0,1"
 
 
+@st.composite
+def signed_zero_profiles(draw, num_players):
+    """A game of ``num_players`` players with 1-4 actions each and 1-6
+    states, and a profile. Transition rows are mixed or one-hot with -0.0
+    zeros; rewards come from a few values with both signed zeros, so a sum
+    of -0.0 terms shows whether it started from 0.0. Strategy rows are
+    mixed, one-hot with -0.0 zeros, or at the row rule's edge."""
+    counts = tuple(draw(st.integers(1, 4)) for _ in range(num_players))
+    num_states = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joint = int(np.prod(counts))
+    if draw(st.booleans()):
+        transitions = rng.dirichlet(np.ones(num_states),
+                                    size=(num_states, joint))
+    else:
+        hot = np.eye(num_states)[rng.integers(num_states,
+                                              size=(num_states, joint))]
+        transitions = np.where(hot > 0.0, 1.0, -0.0)
+    rewards = rng.choice([-0.0, 0.0, 1.0, -2.5, 0.3],
+                         size=(num_players, num_states, joint))
+    game = MarkovGame(tuple(str(s) for s in range(num_states)),
+                      tuple(tuple(str(a) for a in range(c)) for c in counts),
+                      transitions, rewards, draw(st.floats(0.05, 0.99)))
+    strategies = []
+    for count in counts:
+        probs = rng.dirichlet(np.ones(count), size=num_states)
+        kind = draw(st.sampled_from(["mixed", "one-hot", "edge"]))
+        if kind != "mixed":
+            own = probs.argmax(axis=1)
+            probs = np.where(np.eye(count)[own] > 0.0, 1.0, -0.0)
+            if kind == "edge" and count > 1:
+                states = np.arange(num_states)
+                probs[states, own] = 1.0 + 1e-9
+                probs[states, (own + 1) % count] = -1e-9
+        strategies.append(MarkovStrategy(probs))
+    return game, StrategyProfile(tuple(strategies))
+
+
 class TestInducedMdp:
+    @pytest.mark.parametrize("num_players", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bits_match_the_joint_action_loop(self, num_players, data):
+        # The induced model sums one joint action at a time from zero,
+        # in lexicographic order; every bit, signed zeros included, is
+        # the per-joint-action loop's. Two opponents' edge rows can
+        # average to a row the row rule rejects; then both reject it alike.
+        game, profile = data.draw(signed_zero_profiles(num_players))
+        for player in range(num_players):
+            try:
+                theirs = reference_induced_mdp(game, profile, player)
+            except GameValidationError as error:
+                with pytest.raises(GameValidationError) as ours:
+                    induced_mdp(game, profile, player)
+                assert ours.value.violations == error.violations
+                continue
+            ours = induced_mdp(game, profile, player)
+            assert ours.transitions.tobytes() == theirs.transitions.tobytes()
+            assert ours.rewards.tobytes() == theirs.rewards.tobytes()
+
     def test_single_player_game_is_its_own_mdp(self):
         rng = np.random.default_rng(1)
         game = random_game(rng, num_states=3, action_counts=(3,))
