@@ -1,10 +1,9 @@
 """Generative-model sampling and plug-in equilibrium experiments.
 
-The next-state counts of every pair are a pure function of (master seed,
-trial, state, joint action): each trial derives one counter-based stream per
-state-action pair from the master seed and draws that pair's counts from it,
-so results are bit-identical no matter how trials are scheduled or
-parallelized.
+A trial's next-state counts are a pure function of (master seed, trial,
+game): each trial derives one counter-based stream from the master seed and
+draws the counts of every state-action pair from it in one call, so results
+are bit-identical no matter how trials are scheduled or parallelized.
 
 A trial estimates the transition kernel from n samples per pair (rewards
 and discount are taken as known), solves the estimated game, and certifies
@@ -60,20 +59,6 @@ class ExperimentSummary:
     alpha_mean: np.ndarray | None
 
 
-def pair_stream(root: np.random.SeedSequence, state: int,
-                pair_index: int, num_pairs: int) -> np.random.Generator:
-    """Counter-based generator for one (state, action) pair under a root seed.
-
-    Children are derived statelessly by extending the root's spawn key, so
-    the same (root, state, pair) always yields the same stream.
-    """
-    child = np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=(*root.spawn_key, state * num_pairs + pair_index),
-    )
-    return np.random.Generator(np.random.Philox(child))
-
-
 def estimate_model(game: MarkovGame, n: int,
                    rng: np.random.SeedSequence
                    ) -> tuple[MarkovGame, EmpiricalModel]:
@@ -81,9 +66,12 @@ def estimate_model(game: MarkovGame, n: int,
 
     Returns the plug-in game (estimated transitions, original rewards and
     discount) together with the raw counts. Each (state, joint action)
-    pair's counts are one Multinomial(n, row) draw from that pair's stream,
-    equal in law to the next-state counts of n simulator calls: the budget
-    is n |S| |A| simulator calls in total.
+    pair's counts are one Multinomial(n, row) draw, equal in law to the
+    next-state counts of n simulator calls: the budget is n |S| |A|
+    simulator calls in total. All pairs draw from one stream, the root's
+    child with spawn key ``(*rng.spawn_key, 0)``, in one call, so the
+    counts are a pure function of the root and the game; the root itself
+    is not consumed.
 
     The game was checked when it was built, and the plug-in game is checked
     when it is; a count n that is not a positive integer, or an ``rng``
@@ -93,8 +81,6 @@ def estimate_model(game: MarkovGame, n: int,
     if not isinstance(rng, np.random.SeedSequence):
         raise ValueError("rng must be a numpy.random.SeedSequence, got "
                          f"{type(rng).__name__}")
-    num_states = game.num_states
-    num_pairs = game.num_joint_actions
     # The law of inverse-CDF sampling: increments of the running CDF, made
     # monotone and clipped to [0, 1], with the remainder on the last state.
     # Rows the row rule accepts (entries down to -1e-9, sums within 1e-9 of
@@ -103,11 +89,10 @@ def estimate_model(game: MarkovGame, n: int,
         np.cumsum(game.transitions, axis=-1), axis=-1), 0.0, 1.0)
     cdf[..., -1] = 1.0
     masses = np.diff(cdf, axis=-1, prepend=0.0)
-    counts = np.empty((num_states, num_pairs, num_states), dtype=np.int64)
-    for s in range(num_states):
-        for j in range(num_pairs):
-            counts[s, j] = pair_stream(rng, s, j, num_pairs).multinomial(
-                n, masses[s, j])
+    stream = np.random.SeedSequence(entropy=rng.entropy,
+                                    spawn_key=(*rng.spawn_key, 0))
+    counts = np.random.Generator(np.random.Philox(stream)).multinomial(
+        n, masses)
     model = EmpiricalModel(counts=counts, samples_per_pair=n)
     estimated = MarkovGame(
         states=game.states,

@@ -212,14 +212,6 @@ class MarkovStrategy:
             )
         object.__setattr__(self, "probabilities", probs)
 
-    @property
-    def num_states(self) -> int:
-        return self.probabilities.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.probabilities.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class StrategyProfile:
@@ -246,9 +238,6 @@ class ValueFunction:
         if vals.ndim != 1:
             raise ValueError(f"value function must be 1-D, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _finite_values(values, name: str, num_states: int | None = None

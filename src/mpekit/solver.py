@@ -57,8 +57,9 @@ _NASH_TOL = 1e-9
 #: Relative margin by which a rectangular support's residual bound must
 #: exceed tol before the support is dropped unsolved (see ``_may_pass``).
 _DROP_MARGIN = 1e-2
-#: Most supports one stacked step of the mixed-support scan holds: it
-#: bounds the temporary arrays of large games and changes no result.
+#: Most supports one stacked square solve or two-sided rectangular filter
+#: of the mixed-support scan holds: it bounds the temporary arrays of large
+#: games and changes no result.
 _STACK_LIMIT = 1 << 14
 #: Value-iteration sweeps from zero values before policy iteration starts.
 _WARM_SWEEPS = 3
@@ -148,15 +149,8 @@ def _support_candidate(payoff_a, payoff_b, rows, cols, tol):
     block_a = payoff_a[rows][:, cols]
     block_b = payoff_b[rows][:, cols].T
     try:
-        # On a rectangular support the taller block is overdetermined and
-        # usually fails its residual, so it goes first and spares the other
-        # least-squares solve. Both must pass, so the order decides nothing.
-        if len(rows) < len(cols):
-            sol2 = _equalizer(block_b, tol)
-            sol1 = None if sol2 is None else _equalizer(block_a, tol)
-        else:
-            sol1 = _equalizer(block_a, tol)
-            sol2 = None if sol1 is None else _equalizer(block_b, tol)
+        sol1 = _equalizer(block_a, tol)
+        sol2 = None if sol1 is None else _equalizer(block_b, tol)
     except np.linalg.LinAlgError:
         return None
     if sol1 is None or sol2 is None:
@@ -279,7 +273,7 @@ def _clamped(payoffs: np.ndarray) -> np.ndarray:
 def _one_sided_survivors(flat, tol, cells) -> np.ndarray:
     """``_may_pass`` for one-sided rectangular supports, from the cells
     (N, k) of their taller lines in the flattened payoffs ``flat``, taken
-    ``_STACK_LIMIT`` lines at a time.
+    in one pass: its temporaries are the size of the cached cells.
 
     The least-squares residual rho of a taller block b has
     rho^2 = S / (1 + S), S = sum((b - mean b)^2): a weight z on the pure
@@ -287,13 +281,10 @@ def _one_sided_survivors(flat, tol, cells) -> np.ndarray:
     z^2 S + (z - 1)^2, least at z = 1 / (1 + S).
     """
     k = cells.shape[1]
-    masks = []
-    for start in range(0, len(cells), _STACK_LIMIT):
-        lines = _clamped(flat[cells[start:start + _STACK_LIMIT]])
-        spread = lines - lines.sum(axis=1, keepdims=True) / k
-        total = (spread * spread).sum(axis=1)
-        masks.append(_may_pass(total / (1.0 + total), tol, k))
-    return np.concatenate(masks)
+    lines = _clamped(flat[cells])
+    spread = lines - lines.sum(axis=1, keepdims=True) / k
+    total = (spread * spread).sum(axis=1)
+    return _may_pass(total / (1.0 + total), tol, k)
 
 
 def _rectangular_survivors(payoffs, tol, rows, cols) -> np.ndarray:
@@ -353,8 +344,9 @@ def _mixed_supports(payoffs, tol, x, y, gain):
     tests and the deviation check: the first within tol is returned, and
     else the candidate of smallest gain (the earliest on ties). A dropped
     support is one the exact code rejects, so the result is that of the
-    pair-by-pair scan. A class is taken in blocks of at most
-    ``_STACK_LIMIT`` supports.
+    pair-by-pair scan. The one-sided filter takes a class's lines in one
+    pass; the other filters and the square solves take a class in blocks
+    of at most ``_STACK_LIMIT`` supports.
     """
     payoff_a, payoff_b = payoffs
     m, n = payoff_a.shape

@@ -6,7 +6,6 @@ import pytest
 from helpers import random_game
 from mpekit.experiments import (
     estimate_model,
-    pair_stream,
     records_csv,
     run_experiments,
     run_trial,
@@ -48,12 +47,16 @@ class TestGenerativeSample:
         sigma = np.sqrt(n * rows * (1 - rows))
         assert np.all(np.abs(model.counts - n * rows) <= 3 * sigma)
 
-    def test_fixed_seed_reproduces_sequence(self):
-        # Streams are derived from the root without consuming it.
-        root = np.random.SeedSequence(5)
-        first = pair_stream(root, 1, 1, 2).random(10)
-        assert np.array_equal(pair_stream(root, 1, 1, 2).random(10), first)
-        assert not np.array_equal(pair_stream(root, 1, 0, 2).random(10), first)
+    def test_fixed_seed_reproduces_sequence(self, original_game):
+        # The trial's one stream is derived from the root without consuming
+        # it: the same root object twice gives the same counts.
+        root = trial_seed_sequence(2024, 3)
+        _, first = estimate_model(original_game, 111_227, root)
+        _, second = estimate_model(original_game, 111_227, root)
+        assert np.array_equal(first.counts, second.counts)
+        # The stream is the root's child with spawn key 0, and the first
+        # pair draws first from it: its counts are pinned.
+        assert first.counts[0, 0].tolist() == [44436, 44512, 22279]
 
 
 class TestEstimateModel:
@@ -203,6 +206,10 @@ class TestRunExperiments:
         alone = run_trial(original_game, 400, 2, 99)
         assert np.array_equal(batch[2].alpha_pair, alone.alpha_pair)
         assert batch[2].rng_seed == alone.rng_seed
+        # Run backwards, trial by trial, the batch gives the same records.
+        backwards = [run_trial(original_game, 400, trial, 99)
+                     for trial in reversed(range(4))]
+        assert records_csv(backwards[::-1]) == records_csv(batch)
 
     def test_alphas_are_nonnegative_and_modest(self, original_game):
         records = run_experiments(original_game, 20_000, 4, 7)

@@ -1180,6 +1180,12 @@ def _game_text(**fields) -> str:
      "rewards of player 1 must be an object"),
     (lambda: parse_profile('{"players": 3, "strategies": [[[1.0]], [[1.0]]]}'),
      GameFormatError, "field 'players' is 3 but 'strategies' has 2 entries"),
+    (lambda: parse_profile('{"strategies": []}'), GameFormatError,
+     "field 'strategies' must be non-empty"),
+    (lambda: tiny_game().joint_action_index((0, 0)), ValueError,
+     "joint action has 2 entries for 1 players"),
+    (lambda: tiny_game().joint_action_index((2,)), ValueError,
+     "action index 2 out of range [0, 2)"),
     (lambda: tiny_game(transitions=np.ones((2, 2))), ValueError,
      "transitions shape (2, 2) != expected (2, 2, 2)"),
     (lambda: tiny_game(rewards=np.ones((2, 2))), ValueError,
@@ -1193,7 +1199,8 @@ def _game_text(**fields) -> str:
     (lambda: metric_violations(np.zeros((2, 3))), None,
      "metric is not square: shape (2, 3)"),
 ], ids=["states", "actions-of-player", "actions-count", "rewards-count",
-        "rewards-of-player", "profile-players", "transitions-shape",
+        "rewards-of-player", "profile-players", "profile-empty",
+        "joint-action-count", "joint-action-range", "transitions-shape",
         "rewards-shape", "metric-shape", "strategy-ndim", "values-ndim",
         "metric-square"])
 def test_each_shape_and_type_fault_is_named(call, error, message):

@@ -184,6 +184,9 @@ class TestWasserstein:
     def test_rejects_broken_metric(self):
         with pytest.raises(ValueError, match="axioms"):
             wasserstein1([0.5, 0.5], [0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^metric shape \(3, 3\) != "
+                                             r"expected \(2, 2\)$"):
+            wasserstein1([0.5, 0.5], [0.5, 0.5], LINE3)
 
     @pytest.mark.parametrize("row", NAN_ROWS)
     def test_nan_row_rejected(self, row):
@@ -235,6 +238,9 @@ class TestFunctionals:
     def test_lipschitz_rejects_zero_distance(self):
         with pytest.raises(ValueError, match="axioms"):
             lipschitz_constant([0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^metric shape \(3, 3\) != "
+                                             r"expected \(2, 2\)$"):
+            lipschitz_constant([0.0, 1.0], LINE3)
 
 
 class TestIpmProperties:
@@ -309,6 +315,15 @@ class TestGameApproxParams:
         other = random_game(np.random.default_rng(0), num_states=2)
         with pytest.raises(ValueError, match="state"):
             game_approx_params(original_game, other, TOTAL_VARIATION)
+        # Same states and shapes, other action names.
+        renamed = replace(original_game, action_sets=tuple(
+            tuple(f"{name}'" for name in names)
+            for names in original_game.action_sets))
+        with pytest.raises(ValueError,
+                           match="^games have different action sets$"):
+            game_approx_params(original_game, renamed, TOTAL_VARIATION)
+        with pytest.raises(ValueError, match="^unknown IPM kind 'bogus'$"):
+            game_approx_params(original_game, original_game, "bogus")
 
     def test_discount_mismatch_rejected(self, original_game):
         from mpekit.games import MarkovGame

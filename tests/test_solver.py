@@ -232,6 +232,9 @@ class TestStageGame:
         # A short vector failed inside np.vecdot with a gufunc message, and
         # a NaN entry gave NaN payoffs.
         with pytest.raises(ValueError,
+                           match="^need one value vector per player$"):
+            stage_game(perturbed_game, [np.zeros(3)], 0)
+        with pytest.raises(ValueError,
                            match="player index 1 has shape .2,. for 3 states"):
             stage_game(perturbed_game, [np.zeros(3), np.zeros(2)], 0)
         with pytest.raises(ValueError, match=r"player index 0 is not finite"):
@@ -598,7 +601,7 @@ class TestStackedKernel:
                     for array in (values, pi1, pi2):
                         digest.update(array.tobytes())
         assert digest.hexdigest() == (
-            "e6e66cfa8c794865aa34441e9f17d758cad6e0d43ea1b00d6505ab5834fc6dce")
+            "4dc1e7c29fd9729800d3c1b57e48ce3f8ae35ae293978791cd99a54df1fb61f1")
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_inputs())
