@@ -27,10 +27,12 @@ with the supports of a class batched: a rectangular support whose
 least-squares residual is certified to exceed the tolerance (a closed-form
 or QR lower bound, with a margin for roundoff) is dropped unsolved, and the
 square supports are solved as one stack. Each class has one cached,
-read-only record: its supports and the cells of the payoff blocks its scan
-gathers, built when a scan first reaches it; the record of a one-sided
-class (1, k) also holds the lines of its partner (k, 1), so one filter
-pass serves both. The survivors are confirmed in
+read-only record, built when a scan first reaches it: its row and column
+subsets, whose product in scan order is its supports, and the cells of
+the payoff blocks its scan gathers, which a square class keeps as a row
+part and a column part that sum to them; the record of a one-sided class
+(1, k) also holds the lines of its partner (k, 1), so one filter pass
+serves both. The survivors are confirmed in
 order by the exact support solve and deviation check, so each state gets
 the equilibrium the pair-by-pair scan selects (B. von Stengel, "Computing
 equilibria for two-person games", *Handbook of Game Theory* 3, 2002,
@@ -57,10 +59,6 @@ _NASH_TOL = 1e-9
 #: Relative margin by which a rectangular support's residual bound must
 #: exceed tol before the support is dropped unsolved (see ``_may_pass``).
 _DROP_MARGIN = 1e-2
-#: Most supports one stacked square solve or two-sided rectangular filter
-#: of the mixed-support scan holds: it bounds the temporary arrays of large
-#: games and changes no result.
-_STACK_LIMIT = 1 << 14
 #: Value-iteration sweeps from zero values before policy iteration starts.
 _WARM_SWEEPS = 3
 #: Exact profile evaluations allowed to policy iteration.
@@ -189,44 +187,43 @@ def _deviation_gain(payoff_a, payoff_b, x, y) -> float:
                float(col_payoffs.max() - col_payoffs @ y))
 
 
-def _supports(m: int, n: int, k1: int, k2: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The supports of one class of an m x n game in scan order
-    (lexicographic, rows outer): rows (N, k1) and cols (N, k2)."""
-    row_sets, col_sets = (
+@functools.cache
+def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
+    """(rows, cols, cells) for one class of an m x n game: its k1-subsets
+    of the rows, (R, k1), and k2-subsets of the columns, (C, k2), each in
+    lexicographic order, and the cells of the payoff blocks the class's
+    scan gathers from the flattened payoffs (2, m, n). Support j is
+    (rows[j // C], cols[j % C]): the scan runs rows outer. A square class
+    has a row part (2, R, 1, k, k) and a column part (2, 1, C, k, k), whose
+    sum, reshaped to (2, R C, k, k), holds both equalized blocks A[R, C]
+    and B[R, C].T of every support. A one-sided class has the taller lines
+    that its pure side must equalize, B[r, C] or A[R, c], as (R C, k): a
+    class (1, k) holds its own and then those of its partner (k, 1), which
+    the scan reaches later in the same total, so one filter pass serves
+    both; the partner then holds None, as does any other class. Built when
+    a scan first reaches the class; cached, read-only."""
+    rows, cols = (
         np.array(list(itertools.combinations(range(size), k)),
                  dtype=np.intp).reshape(-1, k)
         for size, k in ((m, k1), (n, k2)))
-    return (np.repeat(row_sets, len(col_sets), axis=0),
-            np.tile(col_sets, (len(row_sets), 1)))
-
-
-@functools.cache
-def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
-    """(rows, cols, cells) for one class of an m x n game: its supports as
-    ``_supports`` gives them, and the cells of the payoff blocks the
-    class's scan gathers from the flattened payoffs (2, m, n). A square
-    class has both equalized blocks, A[R, C] and B[R, C].T, as
-    (2, N, k, k). A one-sided class has the taller lines that its pure
-    side must equalize, B[r, C] or A[R, c], as (N, k): a class (1, k)
-    holds its own and then those of its partner (k, 1), which the scan
-    reaches later in the same total, so one filter pass serves both; the
-    partner then holds None, as does any other class. Built in place when
-    a scan first reaches the class; cached, read-only."""
-    rows, cols = _supports(m, n, k1, k2)
     cells = None
     if k1 == k2:
-        cells = np.empty((2, len(rows), k1, k1), dtype=np.intp)
-        np.add(rows[:, :, None] * n, cols[:, None, :], out=cells[0])
-        np.add(m * n + rows[:, None, :] * n, cols[:, :, None], out=cells[1])
-    elif k1 == 1:
-        cells = m * n + rows * n + cols
-        if k2 <= m:
-            partner_rows, partner_cols = _supports(m, n, k2, 1)
-            cells = np.concatenate([cells, partner_rows * n + partner_cols])
-    elif k2 == 1 and k1 > n:
-        cells = rows * n + cols
-    for arr in (rows, cols, cells):
+        row_part = np.empty((2, len(rows), 1, k1, k1), dtype=np.intp)
+        row_part[0] = (rows * n)[:, None, :, None]
+        row_part[1] = (m * n + rows * n)[:, None, None, :]
+        col_part = np.empty((2, 1, len(cols), k1, k1), dtype=np.intp)
+        col_part[0] = cols[None, :, None, :]
+        col_part[1] = cols[None, :, :, None]
+        cells = row_part, col_part
+    elif k1 == 1 or (k2 == 1 and k1 > n):
+        cells = (rows[:, None] * n + cols).reshape(-1, max(k1, k2))
+        if k1 == 1:
+            cells += m * n
+            if k2 <= m:
+                partner_rows, partner_cols = _support_class(m, n, k2, 1)[:2]
+                cells = np.concatenate([cells, (
+                    partner_rows[:, None] * n + partner_cols).reshape(-1, k2)])
+    for arr in (rows, cols, *(cells if k1 == k2 else [cells])):
         if arr is not None:
             arr.setflags(write=False)
     return rows, cols, cells
@@ -288,10 +285,11 @@ def _one_sided_survivors(flat, tol, cells) -> np.ndarray:
 
 
 def _rectangular_survivors(payoffs, tol, rows, cols) -> np.ndarray:
-    """``_may_pass`` for rectangular supports of one class with both sides
-    of size 2 or more: rho is the norm of the trailing entries of Q^T e
-    from a complete QR of the taller block's system."""
-    index = (rows[:, :, None], cols[:, None, :])
+    """``_may_pass`` for the rectangular supports of one class with both
+    sides of size 2 or more, from its row and column subsets, in scan
+    order: rho is the norm of the trailing entries of Q^T e from a
+    complete QR of the taller block's system."""
+    index = (rows[:, None, :, None], cols[None, :, None, :])
     if rows.shape[1] < cols.shape[1]:
         blocks = np.swapaxes(payoffs[1][index], -1, -2)
     else:
@@ -299,23 +297,24 @@ def _rectangular_survivors(payoffs, tol, rows, cols) -> np.ndarray:
     k, l = blocks.shape[-2:]
     systems = _equalizing_systems(_clamped(blocks))
     trailing = np.linalg.qr(systems, mode="complete")[0][..., k, l + 1:]
-    return _may_pass((trailing * trailing).sum(axis=-1), tol, k)
+    return _may_pass((trailing * trailing).sum(axis=-1), tol, k).reshape(-1)
 
 
-def _square_solutions(flat, cells):
+def _square_solutions(flat, row_part, col_part):
     """Both equalizing solutions of every square support of one class, from
-    the cells (2, N, k, k) of its blocks in the flattened payoffs ``flat``:
-    (keep (N,), solutions (2, N, k + 1)), where keep marks the supports
-    whose two systems are nonsingular with no support probability below
-    -1e-9, and solutions[0] solves the row player's block A[R, C].
+    the row and column parts of its cells in the flattened payoffs
+    ``flat``: (keep (N,), solutions (2, N, k + 1)), where keep marks the
+    supports whose two systems are nonsingular with no support probability
+    below -1e-9, and solutions[0] solves the row player's block A[R, C].
 
     The stacked ``np.linalg.solve`` runs the same LAPACK gesv on each
     matrix, copied into the same layout, as a one-system call, so it gives
     the same bits. A stack that holds a singular system raises as a whole;
-    it is then solved one system at a time.
+    the class is then solved one system at a time.
     """
-    k = cells.shape[-1]
-    systems = _equalizing_systems(flat[cells])
+    k = row_part.shape[-1]
+    systems = _equalizing_systems(
+        flat[row_part + col_part].reshape(2, -1, k, k))
     rhs = _identity(k + 1)[k]
     try:
         solutions = np.linalg.solve(systems, rhs)
@@ -344,9 +343,8 @@ def _mixed_supports(payoffs, tol, x, y, gain):
     tests and the deviation check: the first within tol is returned, and
     else the candidate of smallest gain (the earliest on ties). A dropped
     support is one the exact code rejects, so the result is that of the
-    pair-by-pair scan. The one-sided filter takes a class's lines in one
-    pass; the other filters and the square solves take a class in blocks
-    of at most ``_STACK_LIMIT`` supports.
+    pair-by-pair scan. Each filter and the square solves take a whole
+    class at once.
     """
     payoff_a, payoff_b = payoffs
     m, n = payoff_a.shape
@@ -355,39 +353,35 @@ def _mixed_supports(payoffs, tol, x, y, gain):
         for k1 in range(max(1, total - n), min(m, total - 1) + 1):
             k2 = total - k1
             rows, cols, cells = _support_class(m, n, k1, k2)
-            if k1 != k2 and min(k1, k2) == 1:
+            solutions = None
+            if k1 == k2:
+                keep, solutions = _square_solutions(flat, *cells)
+            elif min(k1, k2) == 1:
                 # One filter pass covers a class (1, k) and its partner
                 # (k, 1), whose record holds None: each takes its share.
                 if cells is not None:
                     lines, taken = _one_sided_survivors(flat, tol, cells), 0
-                survivors = lines[taken:taken + len(rows)]
-                taken += len(rows)
-            for start in range(0, len(rows), _STACK_LIMIT):
-                block = slice(start, start + _STACK_LIMIT)
-                solutions = None
-                if k1 == k2:
-                    keep, solutions = _square_solutions(flat, cells[:, block])
-                elif min(k1, k2) == 1:
-                    keep = survivors[block]
+                count = len(rows) * len(cols)
+                keep = lines[taken:taken + count]
+                taken += count
+            else:
+                keep = _rectangular_survivors(payoffs, tol, rows, cols)
+            for j in keep.nonzero()[0]:
+                r, c = divmod(j, len(cols))
+                if solutions is None:
+                    candidate = _support_candidate(payoff_a, payoff_b,
+                                                   rows[r], cols[c], tol)
                 else:
-                    keep = _rectangular_survivors(payoffs, tol, rows[block],
-                                                  cols[block])
-                for j in keep.nonzero()[0]:
-                    if solutions is None:
-                        candidate = _support_candidate(
-                            payoff_a, payoff_b, rows[start + j],
-                            cols[start + j], tol)
-                    else:
-                        candidate = _support_pair(
-                            solutions[1, j, :k1], solutions[0, j, :k2],
-                            rows[start + j], cols[start + j], (m, n))
-                    if candidate is None:
-                        continue
-                    found = _deviation_gain(payoff_a, payoff_b, *candidate)
-                    if found <= tol:
-                        return candidate
-                    if found < gain:
-                        (x, y), gain = candidate, found
+                    candidate = _support_pair(
+                        solutions[1, j, :k1], solutions[0, j, :k2],
+                        rows[r], cols[c], (m, n))
+                if candidate is None:
+                    continue
+                found = _deviation_gain(payoff_a, payoff_b, *candidate)
+                if found <= tol:
+                    return candidate
+                if found < gain:
+                    (x, y), gain = candidate, found
     return x, y
 
 

@@ -151,18 +151,35 @@ class TestCertify:
         assert "np.float64" not in err
 
 
+def _short_row(text):
+    doc = json.loads(text)
+    doc["gamma"] = 1.0
+    doc["transitions"]["2|1,2"] = [0.5, 0.2, 0.2]
+    return json.dumps(doc)
+
+
+#: The model faults of a game with gamma 1 and one short transition row.
+SHORT_FAULTS = ("discount 1.0 outside the open interval (0, 1); transition "
+                "row (state '2', action (1,2)) sums to 0.8999999999999999, "
+                "not 1 within 1e-09\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["solve", "perturbed", "--tol", "-1"], "error: tol must be positive"),
     (["solve", "perturbed", "--max-iter", "0"],
      "error: max_iter must be a positive integer"),
-], ids=["solve-tol", "solve-max-iter"])
+    (["solve", "short"], "error: {short}: " + SHORT_FAULTS),
+    (["certify", "short", "profile"], "error: {short}: " + SHORT_FAULTS),
+], ids=["solve-tol", "solve-max-iter", "solve-short", "certify-short"])
 def test_library_checks_surface_as_exit_one(capsys, game_files, profile_file,
-                                            argv, message):
-    paths = dict(game_files, profile=profile_file)
+                                            tmp_path, argv, message):
+    short = tmp_path / "short.json"
+    short.write_text(_short_row(game_files["original"].read_text()))
+    paths = dict(game_files, profile=profile_file, short=short)
     code, out, err = run(capsys, [str(paths.get(arg, arg)) for arg in argv])
     assert code == 1
     assert out == ""
-    assert err.startswith(message)
+    assert err.startswith(message.format(short=short))
 
 
 def _huge_integer(text):
@@ -281,6 +298,27 @@ def test_undecodable_documents_exit_two(capsys, tmp_path, content, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "perturbed", "--out", "missing/p.json"],
+     "error: cannot write {out}: "),
+    (["solve", "perturbed", "--out", "."], "error: cannot write {out}: "),
+    (["experiment", "original", "--n", "100", "--trials", "2", "--out",
+      "missing/r.csv"], "error: cannot write output: "),
+], ids=["solve-missing-directory", "solve-to-directory",
+        "experiment-missing-directory"])
+def test_unwritable_outputs_exit_two(capsys, game_files, tmp_path, argv,
+                                     message):
+    # The output path is taken under tmp_path: a directory that does not
+    # exist, or the directory itself. The work runs, then the write fails
+    # with one error line and nothing on stdout.
+    argv = [str(game_files.get(arg, arg)) for arg in argv]
+    argv[-1] = str(tmp_path / argv[-1])
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message.format(out=argv[-1]))
+    assert err.count("\n") == 1
 
 
 class TestBound:

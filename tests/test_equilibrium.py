@@ -295,6 +295,29 @@ class TestFailFast:
                            "non-finite entries",
         }[field]]
 
+    @pytest.mark.parametrize("call, what", [
+        (evaluate_policy, "policy"),
+        (lambda mdp, strategy: certify_profile(
+            mdp, StrategyProfile((strategy,))).per_player_value[0], "policy"),
+        (lambda mdp, strategy: solve_optimal(mdp)[0], "action"),
+    ], ids=["evaluate_policy", "certify_profile", "solve_optimal"])
+    def test_overflowing_values_raise(self, call, what):
+        # Every reward at the float maximum is finite, so the game is
+        # built, but its values overflow at gamma 0.999: each entry point
+        # names the first state whose value is not finite. A step below
+        # the maximum, the same calls return finite values.
+        def mdp(reward):
+            return MarkovGame(("a", "b"), (("x",),), np.full((2, 1, 2), 0.5),
+                              np.full((1, 2, 1), reward), 0.999)
+
+        strategy = MarkovStrategy(np.ones((2, 1)))
+        huge = np.finfo(float).max
+        with pytest.raises(ValueError, match=(
+                rf"^{what} value not finite at state 0; check the rewards "
+                r"and transitions for NaN, infinite or huge entries$")):
+            call(mdp(huge), strategy)
+        assert np.isfinite(call(mdp(0.999 * huge), strategy).values).all()
+
 
 class TestIsMpe:
     """A profile is an MPE within tol when every raw gap is at most tol."""
