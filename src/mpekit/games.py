@@ -377,20 +377,28 @@ def check_profile(game: MarkovGame, profile: StrategyProfile) -> None:
             )
 
 
+def _joint_weights(strategies, num_states: int) -> np.ndarray:
+    """Weights (S, J) of the joint actions of a sequence of (S, A_q)
+    probability arrays, lexicographic: their probabilities' product in
+    sequence order, formed from the first array (ones if there is none)."""
+    if not strategies:
+        return np.ones((num_states, 1))
+    joint = strategies[0]
+    for probs in strategies[1:]:
+        joint = (joint[:, :, None] * probs[:, None, :]).reshape(num_states, -1)
+    return joint
+
+
 def _induced_model(game: MarkovGame, strategies, player: int):
     """The player's induced (S, A_i, S) transitions and (S, A_i) rewards,
     each entry summed as a loop over joint actions would sum it: from zero,
-    the others' joint actions in lexicographic order, each weighted by the
-    product of their probabilities in player order (formed for all of them
-    at once)."""
+    the others' joint actions in lexicographic order, each weighted by
+    ``_joint_weights``."""
     s_count, counts = game.num_states, game.action_counts
     transitions = game.transitions.reshape(s_count, *counts, s_count)
     rewards = game.rewards[player].reshape(s_count, *counts)
-    weight = np.ones((s_count, 1))
-    for q, probs in enumerate(strategies):
-        if q != player:
-            weight = (weight[:, :, None] * probs[:, None, :]).reshape(
-                s_count, -1)
+    weight = _joint_weights(
+        [probs for q, probs in enumerate(strategies) if q != player], s_count)
     trans = np.zeros((s_count, counts[player], s_count))
     rew = np.zeros(trans.shape[:2])
     for w, joint in zip(weight.T, itertools.product(

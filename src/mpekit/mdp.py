@@ -25,7 +25,8 @@ import functools
 import numpy as np
 
 from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
-                    ValueFunction, _finite_values, check_profile)
+                    ValueFunction, _finite_values, _joint_weights,
+                    check_profile)
 
 
 def _check_dims(mdp: MarkovGame,
@@ -99,9 +100,7 @@ def _profile_chain(transitions: np.ndarray, rewards: np.ndarray, strategies
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(P_pi[s, s'], r_pi[s, i]) of the Markov chain that a profile of
     (S, A_i) probability arrays induces on transitions and rewards."""
-    joint = strategies[0]
-    for probs in strategies[1:]:
-        joint = (joint[:, :, None] * probs[:, None, :]).reshape(len(joint), -1)
+    joint = _joint_weights(strategies, len(transitions))
     p_pi = np.einsum("sj,sjt->st", joint, transitions)
     r_pi = np.einsum("sj,isj->si", joint, rewards)
     return p_pi, r_pi

@@ -13,8 +13,8 @@ exactly with one linear solve, then re-solve every state's one-shot game
 whose payoffs fold in those values. It usually settles in a few dozen
 steps, but in general-sum games it can cycle. The rest come from
 equilibrium value iteration, which re-solves the one-shot games at its own
-running values until they settle, with seeded restarts: each attempt gives
-its last profile, then its snapshots, latest first.
+running values until they settle or repeat bit for bit, with seeded
+restarts: each attempt gives its last profile, then its cycle's others.
 
 Each step builds the stage games of every state in one vectorized pass and
 solves them by support enumeration with deterministic selection (smallest
@@ -66,6 +66,9 @@ _MAX_EVALUATIONS = 60
 #: Relative margin by which a candidate's certified gap must undercut the
 #: kept one's to replace it (see ``solve_mpe``).
 _GAP_MARGIN = 1e-12
+#: Largest payoff or reward magnitude the solver takes: differences of two
+#: entries, or of two averages of entries, then stay within the float range.
+_PAYOFF_LIMIT = np.finfo(np.float64).max / 4
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -74,8 +77,8 @@ class SolveResult:
     ``certificate`` is always computed against the input game, and the
     profile's per-player values are ``certificate.per_player_value``;
     ``converged`` means the certified gap met the requested tolerance.
-    ``iterations`` counts value-iteration sweeps plus exact policy
-    evaluations.
+    ``iterations`` counts value-iteration sweeps, a cycle's lap included,
+    plus exact policy evaluations.
     """
 
     profile: StrategyProfile
@@ -458,8 +461,11 @@ def bimatrix_nash(payoff_a, payoff_b
     if not payoff_a.size:
         raise ValueError(f"payoff matrices of shape {payoff_a.shape} have "
                          f"no action pair")
-    if not (np.isfinite(payoff_a).all() and np.isfinite(payoff_b).all()):
-        raise ValueError("payoff entries must be finite")
+    largest = max(np.abs(payoff_a).max(), np.abs(payoff_b).max())
+    if not largest <= _PAYOFF_LIMIT:
+        raise ValueError(f"payoff entries must be finite and at most "
+                         f"{_PAYOFF_LIMIT:.6g} (a quarter of the largest "
+                         f"float) in magnitude")
     x, y, values = _stage_nash(np.stack([payoff_a, payoff_b])[:, None])
     return x[0], y[0], (float(values[0, 0]), float(values[1, 0]))
 
@@ -502,37 +508,36 @@ def _candidates(game: MarkovGame, tol: float, max_iter: int, seed: int):
     """The candidate profiles of ``solve_mpe``, in the order it documents:
     (pi1, pi2, sweeps plus evaluations run so far).
 
-    Lazy: a value-iteration attempt, with its random draw, runs only when
-    the caller asks for more than the profiles before it. Snapshots are
-    taken every max_iter // 10 sweeps. Repeats are yielded too, and the
-    caller skips them; every profile of an attempt carries the step count
-    of all the sweeps that ran.
+    Lazy: a value-iteration attempt runs only when the caller asks for more
+    than the profiles before it. A sweep is a pure function of its input
+    values, so once an input repeats bit for bit the attempt is on a cycle:
+    it stops there, and one more lap yields the period's other profiles.
+    Repeats are yielded too, and the caller skips them.
     """
     pi1, pi2, steps = _policy_iteration(game, max_iter)
     yield pi1, pi2, steps
     gamma = game.discount
     threshold = tol * (1.0 - gamma) / (2.0 * gamma)
-    rng = np.random.default_rng(seed)
     rmin, rmax = float(game.rewards.min()), float(game.rewards.max())
-    snapshot_every = max(1, max_iter // 10)
-    for attempt in range(3):
-        if attempt == 0:
-            v = np.zeros((2, game.num_states))
-        else:
-            v = rng.uniform(rmin, rmax, size=(2, game.num_states))
-        # _stage_nash returns fresh arrays every sweep, so none is copied.
-        snapshots = []
+    starts = np.random.default_rng(seed).uniform(
+        rmin, rmax, size=(2, 2, game.num_states))
+    for v in (np.zeros((2, game.num_states)), *starts):
+        # Every v is C-order, as sweeps round by the layout: equal bytes
+        # mean equal inputs.
+        seen, entered = {}, None
         for sweep in range(max_iter):
+            seen[v.tobytes()] = sweep
             new_v, pi1, pi2 = _iterate(game, v)
             change = float(np.max(np.abs(new_v - v)))
             v = new_v
             steps += 1
-            if change <= threshold:
+            entered = seen.get(v.tobytes())
+            if change <= threshold or entered is not None:
                 break
-            if (sweep + 1) % snapshot_every == 0:
-                snapshots.append((pi1, pi2))
-        snapshots.append((pi1, pi2))
-        for pi1, pi2 in reversed(snapshots):
+        yield pi1, pi2, steps
+        for _ in range(0 if entered is None else sweep - entered):
+            v, pi1, pi2 = _iterate(game, v)
+            steps += 1
             yield pi1, pi2, steps
 
 
@@ -546,11 +551,11 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     from zero values, then up to 60 rounds of evaluating the profile exactly
     and re-solving every stage game at those values, until two evaluations
     agree within roundoff); then, for each of up to three attempts of
-    equilibrium value iteration, its last profile and its snapshots, latest
-    first; no profile is certified twice. An attempt sweeps until successive
-    values differ by at most tol (1 - gamma) / (2 gamma), from zero values
-    and then from seeded random ones, and runs only when every earlier
-    candidate has failed. The first candidate within tol is returned;
+    equilibrium value iteration, its last profile and, after a repeat, its
+    cycle's others; no profile is certified twice. An attempt sweeps from
+    zero and then seeded random values until successive ones differ by at
+    most tol (1 - gamma) / (2 gamma) or repeat, and runs only when every
+    earlier candidate has failed. The first candidate within tol is returned;
     failing that, the kept candidate: a later one replaces it only if its
     gap is smaller by more than a roundoff margin, 1e-12 times the largest
     reward magnitude (at least 1), which bounds every value. So gaps that
@@ -558,13 +563,14 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     is within that margin of the smallest gap. ``converged`` is true iff
     the returned gap is at most tol.
 
-    ``max_iter`` bounds the warm sweeps and the sweeps of each
-    value-iteration attempt. ``SolveResult.iterations`` counts every sweep
-    plus every exact evaluation that ran.
+    ``max_iter`` bounds the warm sweeps and each attempt's sweeps to its
+    stop; a repeat's lap, one sweep short of the period, comes on top.
+    ``SolveResult.iterations`` counts every sweep and exact evaluation run.
 
     The game was checked when it was built. Raises ``ValueError`` before
-    any sweep for a game that is not two-player, a tol that is not positive
-    (NaN included) or a max_iter that is not a positive integer.
+    any sweep for a game that is not two-player, a reward beyond a quarter
+    of the largest float in magnitude, a tol that is not positive (NaN
+    included) or a max_iter that is not a positive integer.
     """
     if game.num_players != 2:
         raise ValueError("two-player solver only")
@@ -572,7 +578,12 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_count(max_iter, "max_iter")
 
-    margin = _GAP_MARGIN * max(1.0, float(np.abs(game.rewards).max()))
+    largest = float(np.abs(game.rewards).max())
+    if largest > _PAYOFF_LIMIT:
+        raise ValueError(f"rewards must be at most {_PAYOFF_LIMIT:.6g} (a "
+                         f"quarter of the largest float) in magnitude, got "
+                         f"{largest:.6g}")
+    margin = _GAP_MARGIN * max(1.0, largest)
     kept, certified = None, set()
     for pi1, pi2, iterations in _candidates(game, tol, max_iter, seed):
         # A repeat is never better by the margin, nor newly within tol.

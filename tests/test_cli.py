@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,21 @@ class TestSolve:
         assert code == 1
         assert "converged=false" in err
         assert "player,alpha" in err  # certificate still attached
+
+    def test_overflowing_rewards_exit_one_with_the_bound(self, capsys,
+                                                         tmp_path):
+        # validate accepts the game; solve died with an OverflowError
+        # traceback from its restart draw.
+        game = random_game(np.random.default_rng(1), 3, (2, 2), 0.9)
+        game = replace(game, rewards=(game.rewards - 0.5) * 1.8
+                       * np.finfo(float).max)
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize_game(game))
+        assert run(capsys, ["validate", str(path)])[0] == 0
+        code, out, err = run(capsys, ["solve", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: rewards must be at most 4.49423e+307 ")
 
     def test_three_player_game_rejected(self, capsys, tmp_path):
         from helpers import random_game

@@ -370,6 +370,34 @@ class TestBimatrixNash:
             assert (np.array(payoffs).tobytes()
                     == np.array(ref_payoffs).tobytes())
 
+    def test_payoffs_beyond_the_limit_fail_fast(self):
+        # Differences of payoffs near the float maximum overflowed: the
+        # call warned and returned x = y = (0.5, 0.5, 0), though the third
+        # row pays 0.15 M against that y.
+        big = np.finfo(float).max
+        payoffs = np.array([[1, -1, 0.5], [-1, 1, 0.25], [0.1, 0.2, -1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"at most 4\.49423e\+307 "):
+                bimatrix_nash(payoffs * big, -payoffs.T * big)
+            with pytest.raises(ValueError, match="finite"):
+                bimatrix_nash(np.full((2, 2), -np.inf), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4)])
+    def test_payoffs_at_the_limit_stay_finite(self, shape):
+        # At the limit every difference the scan forms stays finite, so no
+        # overflow warns and the pair returned is an equilibrium.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            payoff_a, payoff_b = (rng.integers(-2, 3, size=(2, *shape)) / 2
+                                  * solver._PAYOFF_LIMIT)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x, y, _ = bimatrix_nash(payoff_a, payoff_b)
+            gain = nash_deviation_gain(payoff_a / solver._PAYOFF_LIMIT,
+                                       payoff_b / solver._PAYOFF_LIMIT, x, y)
+            assert gain <= 1e-9
+
     #: A 2x2 game one unit in the last place from integer payoffs. At tol 0
     #: no pure cell passes: the best, (row 1, column 0), gains 2**-52. The
     #: scan's one candidate, row 1 against the mixture (2/3, 1/3), passes
@@ -846,16 +874,24 @@ class TestSolveMpe:
                         < reference.certificate.max_alpha)
 
     @pytest.mark.parametrize("seed, num_states, counts", [
-        (27, 3, (2, 2)), (6, 6, (3, 3))])
+        (27, 3, (2, 2)), (16, 6, (3, 3))])
     def test_kept_candidate_is_stable_under_roundoff(
             self, monkeypatch, seed, num_states, counts):
-        # No candidate converges on these games, and value iteration's
-        # snapshots have gaps that agree to 13 digits. Moving every gap by
-        # up to a tenth of the margin (rewards lie in [0, 1]), as an
-        # equally exact evaluation may, must not change the profile kept.
+        # No candidate converges on these games, and distinct profiles on
+        # value iteration's cycles have smallest gaps that agree to 13
+        # digits. Moving every gap by up to a tenth of the margin (rewards
+        # lie in [0, 1]), as an equally exact evaluation may, must not
+        # change the profile kept.
         game = random_game(np.random.default_rng(seed), num_states, counts,
                            0.9)
-        expected = solve_mpe(game, max_iter=300)
+        gaps = {pi1.tobytes() + pi2.tobytes(): certify_profile(
+                    game, StrategyProfile((MarkovStrategy(pi1),
+                                           MarkovStrategy(pi2)))).max_alpha
+                for pi1, pi2, _ in solver._candidates(game, 1e-8, 1000, 0)}
+        smallest = min(gaps.values())
+        assert sum(gap <= smallest + solver._GAP_MARGIN
+                   for gap in gaps.values()) >= 2
+        expected = solve_mpe(game, max_iter=1000)
         assert not expected.converged
         for noise_seed in range(4):
             rng = np.random.default_rng(noise_seed)
@@ -867,19 +903,21 @@ class TestSolveMpe:
                 return replace(certificate, per_player_alpha=alpha)
 
             monkeypatch.setattr(solver, "certify_profile", jittered)
-            result = solve_mpe(game, max_iter=300)
+            result = solve_mpe(game, max_iter=1000)
             for ours, theirs in zip(result.profile.strategies,
                                     expected.profile.strategies):
                 assert (ours.probabilities.tobytes()
                         == theirs.probabilities.tobytes()), noise_seed
 
     def test_certifies_each_distinct_candidate_once(self, monkeypatch):
-        # At the default max_iter the stream yields 34 candidates on this
-        # game, repeats included, only 3 of them distinct; a loop that
-        # certified each would certify the repeats again.
+        # At the default max_iter each value-iteration attempt on this game
+        # enters a cycle of period 3 after 339-343 sweeps: the stream yields
+        # policy iteration's profile and each attempt's 3, only 3 of the 10
+        # distinct; a loop that certified each would certify the repeats.
         game = random_game(np.random.default_rng(21), 3, (2, 2), 0.9)
         candidates = list(solver._candidates(game, 1e-8, 10_000, 0))
-        assert len(candidates) == 34
+        assert [steps for _, _, steps in candidates] == [
+            63, 406, 407, 408, 749, 750, 751, 1090, 1091, 1092]
         assert len({(pi1.tobytes(), pi2.tobytes())
                     for pi1, pi2, _ in candidates}) == 3
         margin = solver._GAP_MARGIN * max(1.0, np.abs(game.rewards).max())
@@ -901,3 +939,77 @@ class TestSolveMpe:
         assert result.iterations == candidates[-1][2]
         assert result_bytes(result.profile, result.certificate) == \
             result_bytes(*kept)
+
+    def test_restarts_are_two_draws_from_the_seed(self, monkeypatch):
+        # One (2, 2, S) draw gives the values two (2, S) draws gave, in
+        # order. At max_iter=1 each attempt is one sweep, and the last three
+        # sweeps are the attempts'.
+        game = random_game(np.random.default_rng(21), 3, (2, 2), 0.9)
+        inputs = []
+        iterate = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", lambda game, v: (
+            inputs.append(v) or iterate(game, v)))
+        list(solver._candidates(game, 1e-8, 1, 5))
+        rng = np.random.default_rng(5)
+        low, high = game.rewards.min(), game.rewards.max()
+        assert inputs[-3].tobytes() == np.zeros((2, 3)).tobytes()
+        for start in inputs[-2:]:
+            assert start.tobytes() == rng.uniform(low, high,
+                                                  size=(2, 3)).tobytes()
+
+    @pytest.mark.parametrize("seed, period", [(21, 3), (27, 20)])
+    def test_a_repeat_stop_leaves_no_profile_unyielded(self, seed, period):
+        # A sweep is a pure function of its input values, so after the
+        # first attempt's stop, two more periods of sweeps give only
+        # profiles the attempt has yielded: its last and its lap's.
+        game = random_game(np.random.default_rng(seed), 3, (2, 2), 0.9)
+        candidates = list(solver._candidates(game, 1e-8, 10_000, 0))
+        first = candidates[1:1 + period]
+        assert [steps for _, _, steps in first] == list(
+            range(first[0][2], first[0][2] + period))
+        assert candidates[1 + period][2] > first[-1][2] + 1
+        yielded = {(pi1.tobytes(), pi2.tobytes()) for pi1, pi2, _ in first}
+        v, seen = np.zeros((2, 3)), set()
+        while v.tobytes() not in seen:
+            seen.add(v.tobytes())
+            v = solver._iterate(game, v)[0]
+        assert len(seen) == first[0][2] - candidates[0][2]
+        for _ in range(2 * period):
+            v, pi1, pi2 = solver._iterate(game, v)
+            assert (pi1.tobytes(), pi2.tobytes()) in yielded
+
+    @pytest.mark.parametrize("num_states,counts,seeds", [
+        (3, (2, 2), range(40)),
+        (6, (3, 3), range(20)),
+    ])
+    def test_cycle_stop_is_within_the_margin_of_the_reference(
+            self, num_states, counts, seeds):
+        # At 1000 sweeps every attempt on these games that does not settle
+        # enters its cycle. The reference certifies snapshots of full
+        # attempts, which may precede the cycle; a snapshot on it is one of
+        # the profiles the lap yields.
+        for seed in seeds:
+            game = random_game(np.random.default_rng(seed), num_states,
+                               counts, 0.9)
+            result = solve_mpe(game, max_iter=1000)
+            if result.converged:
+                continue
+            reference = reference_solve_mpe(game, max_iter=1000)
+            assert not reference.converged, seed
+            margin = solver._GAP_MARGIN * max(1.0,
+                                              np.abs(game.rewards).max())
+            assert (result.certificate.max_alpha
+                    <= reference.certificate.max_alpha + margin), seed
+
+    def test_rewards_beyond_the_limit_fail_before_any_sweep(self,
+                                                           monkeypatch):
+        # The restart draw raised "high - low range exceeds valid bounds"
+        # after a full attempt; every sweep before it overflowed.
+        game = random_game(np.random.default_rng(1), 3, (2, 2), 0.9)
+        huge = replace(game, rewards=(game.rewards - 0.5) * 1.8
+                       * np.finfo(float).max)
+        monkeypatch.setattr(solver, "_iterate", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"at most 4\.49423e\+307 "):
+                solve_mpe(huge)
