@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=10_000,
                    help="most sweeps per value-iteration attempt (default "
                    "10000); an attempt whose values repeat bit for bit "
-                   "stops there, after one more lap of the cycle")
+                   "stops there, after one more lap of the cycle; one "
+                   "cut short by this budget yields only its last profile")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the profile here (default: stdout)")
     p.set_defaults(func=_cmd_solve)

@@ -68,6 +68,8 @@ _MAX_EVALUATIONS = 60
 _GAP_MARGIN = 1e-12
 #: Largest payoff or reward magnitude the solver takes: differences of two
 #: entries, or of two averages of entries, then stay within the float range.
+#: A square support's solve pivots, which can still overflow near the limit;
+#: its non-finite mixture is dropped, and the deviation check judges the rest.
 _PAYOFF_LIMIT = np.finfo(np.float64).max / 4
 
 @dataclass(frozen=True, eq=False)
@@ -461,12 +463,12 @@ def bimatrix_nash(payoff_a, payoff_b
     if not payoff_a.size:
         raise ValueError(f"payoff matrices of shape {payoff_a.shape} have "
                          f"no action pair")
-    largest = max(np.abs(payoff_a).max(), np.abs(payoff_b).max())
-    if not largest <= _PAYOFF_LIMIT:
+    payoffs = np.stack([payoff_a, payoff_b])
+    if not np.abs(payoffs).max() <= _PAYOFF_LIMIT:
         raise ValueError(f"payoff entries must be finite and at most "
                          f"{_PAYOFF_LIMIT:.6g} (a quarter of the largest "
                          f"float) in magnitude")
-    x, y, values = _stage_nash(np.stack([payoff_a, payoff_b])[:, None])
+    x, y, values = _stage_nash(payoffs[:, None])
     return x[0], y[0], (float(values[0, 0]), float(values[1, 0]))
 
 

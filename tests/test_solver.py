@@ -340,6 +340,9 @@ class TestBimatrixNash:
             bimatrix_nash([[1.0, 0.0]], [[1.0], [0.0]])
         with pytest.raises(ValueError, match="finite"):
             bimatrix_nash([[np.nan, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
+        # A NaN in the second matrix alone must fail too.
+        with pytest.raises(ValueError, match="finite"):
+            bimatrix_nash(np.zeros((2, 2)), [[np.nan, 0.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
     def test_rejects_an_empty_matrix(self, shape):
@@ -383,7 +386,8 @@ class TestBimatrixNash:
             with pytest.raises(ValueError, match="finite"):
                 bimatrix_nash(np.full((2, 2), -np.inf), np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (4, 4),
+                                       (6, 6)])
     def test_payoffs_at_the_limit_stay_finite(self, shape):
         # At the limit every difference the scan forms stays finite, so no
         # overflow warns and the pair returned is an equilibrium.
@@ -397,6 +401,23 @@ class TestBimatrixNash:
             gain = nash_deviation_gain(payoff_a / solver._PAYOFF_LIMIT,
                                        payoff_b / solver._PAYOFF_LIMIT, x, y)
             assert gain <= 1e-9
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_overflowing_square_solves_are_dropped(self, k):
+        # Wilkinson's growth matrix doubles its last column at each pivot,
+        # so at the limit the equalizing solves of its supports from 3x3 up
+        # come out non-finite, with no warning. Those supports are dropped,
+        # and the scan picks the support it picks at scale 1.
+        growth = np.eye(k) - np.tril(np.ones((k, k)), -1)
+        growth[:, -1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, y, _ = bimatrix_nash(growth * solver._PAYOFF_LIMIT,
+                                    -growth * solver._PAYOFF_LIMIT)
+        small_x, small_y, _ = bimatrix_nash(growth, -growth)
+        assert np.array_equal(x > 0, small_x > 0)
+        assert np.array_equal(y > 0, small_y > 0)
+        assert nash_deviation_gain(growth, -growth, x, y) <= 1e-9
 
     #: A 2x2 game one unit in the last place from integer payoffs. At tol 0
     #: no pure cell passes: the best, (row 1, column 0), gains 2**-52. The
