@@ -22,6 +22,9 @@ from .equilibrium import certify_profile
 from .games import MarkovGame, _check_count
 from .solver import solve_mpe
 
+#: Largest n numpy's multinomial sampler takes: it reads n as a C long.
+_MAX_SAMPLES = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalModel:
@@ -74,10 +77,11 @@ def estimate_model(game: MarkovGame, n: int,
     is not consumed.
 
     The game was checked when it was built, and the plug-in game is checked
-    when it is; a count n that is not a positive integer, or an ``rng``
-    that is not a ``numpy.random.SeedSequence``, raises ``ValueError``.
+    when it is; a count n that is not a positive integer of at most
+    2**63 - 1, or an ``rng`` that is not a ``numpy.random.SeedSequence``,
+    raises ``ValueError``.
     """
-    _check_count(n, "n")
+    _check_samples(n)
     if not isinstance(rng, np.random.SeedSequence):
         raise ValueError("rng must be a numpy.random.SeedSequence, got "
                          f"{type(rng).__name__}")
@@ -103,6 +107,15 @@ def estimate_model(game: MarkovGame, n: int,
         metric=game.metric,
     )
     return estimated, model
+
+
+def _check_samples(n) -> None:
+    """Raise ``ValueError`` unless n is a positive integer that numpy's
+    multinomial sampler takes."""
+    _check_count(n, "n")
+    if int(n) > _MAX_SAMPLES:
+        raise ValueError(f"n must be at most {_MAX_SAMPLES} (2**63 - 1), "
+                         f"got {n!r}")
 
 
 def trial_seed_sequence(master_seed: int, trial: int) -> np.random.SeedSequence:
@@ -134,15 +147,17 @@ def run_experiments(game: MarkovGame, n: int, num_trials: int,
     Trials share nothing but the master seed, so they may be distributed
     across processes without changing any record.
 
-    The game was checked when it was built. A game that is not two-player
-    and a bad count are rejected before the first trial, so they raise
-    ``ValueError`` whatever ``num_trials`` is, zero included; a bad n with
-    the message ``estimate_model`` gives.
+    The game was checked when it was built. A game that is not two-player,
+    a bad count and a master seed that is not a nonnegative integer are
+    rejected before the first trial, so they raise ``ValueError`` whatever
+    ``num_trials`` is, zero included; a bad n with the message
+    ``estimate_model`` gives.
     """
     if game.num_players != 2:
         raise ValueError("experiments need a two-player game")
-    _check_count(n, "n")
+    _check_samples(n)
     _check_count(num_trials, "num_trials", minimum=0)
+    _check_count(master_seed, "master_seed", minimum=0)
     return [run_trial(game, n, trial, master_seed)
             for trial in range(num_trials)]
 

@@ -30,13 +30,12 @@ square supports are solved as one stack. Each class has one cached,
 read-only record, built when a scan first reaches it: its row and column
 subsets, whose product in scan order is its supports, and the cells of
 the payoff blocks its scan gathers, which a square class keeps as a row
-part and a column part that sum to them; the record of a one-sided class
-(1, k) also holds the lines of its partner (k, 1), so one filter pass
-serves both. The survivors are confirmed in
-order by the exact support solve and deviation check, so each state gets
-the equilibrium the pair-by-pair scan selects (B. von Stengel, "Computing
-equilibria for two-person games", *Handbook of Game Theory* 3, 2002,
-ch. 45). Deviation gains and residuals are judged against 1e-9 times the
+part and a column part that sum to them, and a one-sided class (1, k) or
+(k, 1) as the taller lines its pure side must equalize. The survivors are
+confirmed in order by the exact support solve and deviation check, so each
+state gets the equilibrium the pair-by-pair scan selects (B. von Stengel,
+"Computing equilibria for two-person games", *Handbook of Game Theory* 3,
+2002, ch. 45). Deviation gains and residuals are judged against 1e-9 times the
 largest payoff magnitude (at least 1), so stage games with large payoffs
 keep their equilibria. The stage payoffs and the exact evaluations come
 from the two kernels :mod:`mpekit.mdp` shares.
@@ -201,12 +200,10 @@ def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
     (rows[j // C], cols[j % C]): the scan runs rows outer. A square class
     has a row part (2, R, 1, k, k) and a column part (2, 1, C, k, k), whose
     sum, reshaped to (2, R C, k, k), holds both equalized blocks A[R, C]
-    and B[R, C].T of every support. A one-sided class has the taller lines
-    that its pure side must equalize, B[r, C] or A[R, c], as (R C, k): a
-    class (1, k) holds its own and then those of its partner (k, 1), which
-    the scan reaches later in the same total, so one filter pass serves
-    both; the partner then holds None, as does any other class. Built when
-    a scan first reaches the class; cached, read-only."""
+    and B[R, C].T of every support. A one-sided class (1, k) or (k, 1) has
+    the taller lines that its pure side must equalize, B[r, C] or A[R, c],
+    as (R C, k) in scan order; any other class holds None. Built when a
+    scan first reaches the class; cached, read-only."""
     rows, cols = (
         np.array(list(itertools.combinations(range(size), k)),
                  dtype=np.intp).reshape(-1, k)
@@ -220,14 +217,10 @@ def _support_class(m: int, n: int, k1: int, k2: int) -> tuple:
         col_part[0] = cols[None, :, None, :]
         col_part[1] = cols[None, :, :, None]
         cells = row_part, col_part
-    elif k1 == 1 or (k2 == 1 and k1 > n):
+    elif min(k1, k2) == 1:
         cells = (rows[:, None] * n + cols).reshape(-1, max(k1, k2))
         if k1 == 1:
             cells += m * n
-            if k2 <= m:
-                partner_rows, partner_cols = _support_class(m, n, k2, 1)[:2]
-                cells = np.concatenate([cells, (
-                    partner_rows[:, None] * n + partner_cols).reshape(-1, k2)])
     for arr in (rows, cols, *(cells if k1 == k2 else [cells])):
         if arr is not None:
             arr.setflags(write=False)
@@ -238,7 +231,7 @@ def _may_pass(rho2, tol, rows) -> np.ndarray:
     """Mask of the rectangular supports that the exact residual test may
     accept, from the squared least-squares residual rho2 of each one's
     taller block of ``rows`` equalized rows; the rest are certified to
-    fail it. Where tol >= 1 every support may pass.
+    fail it.
 
     The exact test rejects a support when the least-squares solution s of
     the taller block's system M s = e (the equalized rows and the
@@ -257,25 +250,18 @@ def _may_pass(rho2, tol, rows) -> np.ndarray:
     stable (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2002, Thm 19.4): exact for columns moved by O(k l u) of their norms.
     As tol = 1e-9 max(1, max|A|, max|B|), both errors stay below 1e-3 tol
-    for any shape support enumeration can reach. No support is dropped
-    where tol >= 1 (payoffs of 1e9 and more): s = 0 gives rho <= 1. Only
-    there can payoffs pass 1e9, so the callers clamp them to +-1e9 and
-    nothing overflows.
+    for any shape support enumeration can reach. Where tol >= 1 (payoffs
+    of 1e9 and more) no support could be dropped, as s = 0 gives rho <= 1,
+    so the scan runs no filter there: every payoff a filter sees is below
+    1e9 in magnitude, and nothing overflows.
     """
-    if tol >= 1.0:
-        return np.ones(rho2.shape, dtype=bool)
     return ~(rho2 > (rows + 1.0) * ((1.0 + _DROP_MARGIN) * tol) ** 2)
 
 
-def _clamped(payoffs: np.ndarray) -> np.ndarray:
-    """Payoffs clamped to +-1e9, which changes none that tol < 1 allows."""
-    return np.minimum(np.maximum(payoffs, -1e9), 1e9)
-
-
 def _one_sided_survivors(flat, tol, cells) -> np.ndarray:
-    """``_may_pass`` for one-sided rectangular supports, from the cells
-    (N, k) of their taller lines in the flattened payoffs ``flat``, taken
-    in one pass: its temporaries are the size of the cached cells.
+    """``_may_pass`` for the supports of one one-sided class, from its
+    record's cells (N, k) of their taller lines in the flattened payoffs
+    ``flat``, in scan order: its temporaries are the size of those cells.
 
     The least-squares residual rho of a taller block b has
     rho^2 = S / (1 + S), S = sum((b - mean b)^2): a weight z on the pure
@@ -283,7 +269,7 @@ def _one_sided_survivors(flat, tol, cells) -> np.ndarray:
     z^2 S + (z - 1)^2, least at z = 1 / (1 + S).
     """
     k = cells.shape[1]
-    lines = _clamped(flat[cells])
+    lines = flat[cells]
     spread = lines - lines.sum(axis=1, keepdims=True) / k
     total = (spread * spread).sum(axis=1)
     return _may_pass(total / (1.0 + total), tol, k)
@@ -300,7 +286,7 @@ def _rectangular_survivors(payoffs, tol, rows, cols) -> np.ndarray:
     else:
         blocks = payoffs[0][index]
     k, l = blocks.shape[-2:]
-    systems = _equalizing_systems(_clamped(blocks))
+    systems = _equalizing_systems(blocks)
     trailing = np.linalg.qr(systems, mode="complete")[0][..., k, l + 1:]
     return _may_pass((trailing * trailing).sum(axis=-1), tol, k).reshape(-1)
 
@@ -342,8 +328,9 @@ def _mixed_supports(payoffs, tol, x, y, gain):
 
     x, y and gain are the fallback on entry: the pure pair of smallest
     deviation gain. Rectangular supports certified to fail their residual
-    test are dropped unsolved; square ones are solved as one stack and
-    kept if both systems are nonsingular with no negative probability. The
+    test are dropped unsolved, where tol < 1 (from tol 1 up none could be,
+    so no filter runs); square ones are solved as one stack and kept if
+    both systems are nonsingular with no negative probability. The
     survivors are confirmed in scan order by the exact residual and sign
     tests and the deviation check: the first within tol is returned, and
     else the candidate of smallest gain (the earliest on ties). A dropped
@@ -361,14 +348,11 @@ def _mixed_supports(payoffs, tol, x, y, gain):
             solutions = None
             if k1 == k2:
                 keep, solutions = _square_solutions(flat, *cells)
+            elif tol >= 1.0:
+                # Payoffs of 1e9 and more: no filter could drop a support.
+                keep = np.ones(len(rows) * len(cols), dtype=bool)
             elif min(k1, k2) == 1:
-                # One filter pass covers a class (1, k) and its partner
-                # (k, 1), whose record holds None: each takes its share.
-                if cells is not None:
-                    lines, taken = _one_sided_survivors(flat, tol, cells), 0
-                count = len(rows) * len(cols)
-                keep = lines[taken:taken + count]
-                taken += count
+                keep = _one_sided_survivors(flat, tol, cells)
             else:
                 keep = _rectangular_survivors(payoffs, tol, rows, cols)
             for j in keep.nonzero()[0]:
@@ -572,13 +556,15 @@ def solve_mpe(game: MarkovGame, tol: float = 1e-8, max_iter: int = 10_000,
     The game was checked when it was built. Raises ``ValueError`` before
     any sweep for a game that is not two-player, a reward beyond a quarter
     of the largest float in magnitude, a tol that is not positive (NaN
-    included) or a max_iter that is not a positive integer.
+    included), a max_iter that is not a positive integer or a seed that is
+    not a nonnegative integer.
     """
     if game.num_players != 2:
         raise ValueError("two-player solver only")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _check_count(max_iter, "max_iter")
+    _check_count(seed, "seed", minimum=0)
 
     largest = float(np.abs(game.rewards).max())
     if largest > _PAYOFF_LIMIT:

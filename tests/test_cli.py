@@ -169,9 +169,12 @@ SHORT_FAULTS = ("discount 1.0 outside the open interval (0, 1); transition "
     (["solve", "perturbed", "--tol", "-1"], "error: tol must be positive"),
     (["solve", "perturbed", "--max-iter", "0"],
      "error: max_iter must be a positive integer"),
+    (["solve", "perturbed", "--seed", "-1"],
+     "error: seed must be a nonnegative integer, got -1\n"),
     (["solve", "short"], "error: {short}: " + SHORT_FAULTS),
     (["certify", "short", "profile"], "error: {short}: " + SHORT_FAULTS),
-], ids=["solve-tol", "solve-max-iter", "solve-short", "certify-short"])
+], ids=["solve-tol", "solve-max-iter", "solve-seed", "solve-short",
+        "certify-short"])
 def test_library_checks_surface_as_exit_one(capsys, game_files, profile_file,
                                             tmp_path, argv, message):
     short = tmp_path / "short.json"
@@ -576,7 +579,10 @@ class TestExperiment:
     @pytest.mark.parametrize("n, trials, message", [
         ("0", "0", "error: n must be a positive integer, got 0"),
         ("10", "-1", "error: num_trials must be a nonnegative integer, "
-                     "got -1")])
+                     "got -1"),
+        # numpy's sampler printed an OverflowError traceback.
+        (str(10 ** 20), "1", f"error: n must be at most {2 ** 63 - 1} "
+                             f"(2**63 - 1), got {10 ** 20}")])
     def test_bad_counts_fail_with_the_library_message(self, capsys,
                                                       game_files, tmp_path,
                                                       n, trials, message):
@@ -585,6 +591,19 @@ class TestExperiment:
             "experiment", str(game_files["original"]), "--n", n,
             "--trials", trials, "--out", str(out_path)])
         assert (code, out, err) == (1, "", message + "\n")
+        assert not out_path.exists()
+
+    def test_negative_seed_fails_with_the_library_message(self, capsys,
+                                                          game_files,
+                                                          tmp_path):
+        # numpy's "expected non-negative integer" named no option.
+        out_path = tmp_path / "never.csv"
+        code, out, err = run(capsys, [
+            "experiment", str(game_files["original"]), "--n", "10",
+            "--trials", "1", "--seed", "-1", "--out", str(out_path)])
+        assert (code, out, err) == (
+            1, "", "error: master_seed must be a nonnegative integer, "
+                   "got -1\n")
         assert not out_path.exists()
 
     def test_one_player_game_fails_before_any_trial(self, capsys, mdp_files,

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ class TestEstimateModel:
                            match=r"^rng must be a numpy\.random\.SeedSequence"):
             estimate_model(original_game, 10, rng)
 
+    @pytest.mark.parametrize("n", [2 ** 63, np.uint64(2 ** 63), 10 ** 20],
+                             ids=["int", "uint64", "huge"])
+    def test_rejects_n_beyond_what_numpy_samples(self, original_game, n):
+        # numpy's multinomial raised "Python int too large to convert to C
+        # long", or for the uint64 "n < 0".
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"n must be at most {2 ** 63 - 1} (2**63 - 1), got {n!r}")
+                + "$"):
+            estimate_model(original_game, n, np.random.SeedSequence(0))
+
+    def test_accepts_n_at_the_limit(self, original_game):
+        _, model = estimate_model(original_game, 2 ** 63 - 1,
+                                  np.random.SeedSequence(0))
+        assert np.all(model.counts.sum(axis=2) == 2 ** 63 - 1)
+
     def test_accepts_numpy_integer_n(self, original_game):
         _, model = estimate_model(original_game, np.int64(40),
                                   np.random.SeedSequence(0))
@@ -174,6 +190,17 @@ class TestRunExperiments:
     def test_n_checked_before_any_trial(self, original_game, n):
         with pytest.raises(ValueError, match=r"^n must be a positive integer"):
             run_experiments(original_game, n, 0, 0)
+
+    @pytest.mark.parametrize("n, master_seed, message", [
+        (2 ** 63, 0, r"^n must be at most "),
+        (10, -1, r"^master_seed must be a nonnegative integer, got -1$"),
+        (10, 1.5, r"^master_seed must be a nonnegative integer, got 1\.5$"),
+    ], ids=["n-beyond-int64", "negative-seed", "float-seed"])
+    def test_values_numpy_cannot_take_fail_before_any_trial(
+            self, original_game, monkeypatch, n, master_seed, message):
+        monkeypatch.setattr("mpekit.experiments.run_trial", None)
+        with pytest.raises(ValueError, match=message):
+            run_experiments(original_game, n, 1, master_seed)
 
     @pytest.mark.parametrize("num_trials", [0, 1])
     def test_rows_checked_before_any_trial(self, original_game, num_trials):

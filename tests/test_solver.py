@@ -39,13 +39,8 @@ PAYOFF_ENTRIES = (
 
 def one_sided_cells(shape, k1, k2):
     """The cells of the taller lines of a one-sided class (k1, k2), in the
-    supports' scan order: a partner class (k, 1) has its lines at the end
-    of the record of (1, k)."""
-    rows, cols, cells = solver._support_class(*shape, k1, k2)
-    count = len(rows) * len(cols)
-    if cells is None:
-        cells = solver._support_class(*shape, 1, k1)[2][-count:]
-    return cells[:count]
+    supports' scan order: its own record's."""
+    return solver._support_class(*shape, k1, k2)[2]
 
 
 def class_supports(shape, k1, k2):
@@ -352,15 +347,17 @@ class TestBimatrixNash:
                                              rf"\({shape[0]}, {shape[1]}\)"):
             bimatrix_nash(np.zeros(shape), np.zeros(shape))
 
-    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e12, 1e200, 1e300])
     def test_huge_payoffs_raise_no_warning(self, scale):
         # At 1e200 a rectangular support's least-squares mixture came out
         # all zero, and normalizing it warned "invalid value encountered in
-        # divide"; the selection never used it.
+        # divide"; the selection never used it. From 1e9 up (tol >= 1) the
+        # scan keeps every non-square support unfiltered; the 3x4 and 4x3
+        # draws reach its two-sided rectangular classes there.
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            payoff_a = rng.uniform(-1, 1, size=(2, 2)) * scale
-            payoff_b = rng.uniform(-1, 1, size=(2, 2)) * scale
+        for shape in [(2, 2)] * 300 + [(3, 4), (4, 3)] * 100:
+            payoff_a = rng.uniform(-1, 1, size=shape) * scale
+            payoff_b = rng.uniform(-1, 1, size=shape) * scale
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 x, y, payoffs = bimatrix_nash(payoff_a, payoff_b)
@@ -567,10 +564,8 @@ class TestStackedKernel:
         # product in scan order (rows outer, lexicographic) is its
         # supports, and the cells its scan gathers: the row and column
         # parts of both equalized blocks of a square support; the taller
-        # lines of a pure-row class (1, k), then those of its partner
-        # (k, 1) where one exists, which then holds nothing, like the
-        # other rectangular classes; a pure-column class without a
-        # partner holds its own.
+        # lines of a one-sided class, B[r, C] for (1, k) and A[R, c] for
+        # (k, 1), its own only; nothing for the other rectangular classes.
         payoffs = np.random.default_rng(0).normal(size=(2,) + shape)
         flat = payoffs.reshape(-1)
         for k1, k2 in np.ndindex(shape[0] + 1, shape[1] + 1):
@@ -597,20 +592,13 @@ class TestStackedKernel:
                     flat[row_part + col_part].reshape(2, -1, k1, k1),
                     [block_a, block_b])
             elif k1 == 1:
-                assert np.array_equal(flat[cells[:len(supports)]],
-                                      block_b[:, :, 0])
-                partner = ([payoffs[0][r, c]
-                            for r, c in class_supports(shape, k2, 1)]
-                           if k2 <= shape[0] else np.empty((0, k2)))
-                assert np.array_equal(flat[cells[len(supports):]], partner)
-            elif k2 == 1 and k1 > shape[1]:
+                assert cells.shape == (len(supports), k2)
+                assert np.array_equal(flat[cells], block_b[:, :, 0])
+            elif k2 == 1:
+                assert cells.shape == (len(supports), k1)
                 assert np.array_equal(flat[cells], block_a[:, :, 0])
             else:
                 assert cells is None
-            if min(k1, k2) == 1 and k1 != k2:
-                assert np.array_equal(
-                    flat[one_sided_cells(shape, k1, k2)],
-                    block_b[:, :, 0] if k1 == 1 else block_a[:, :, 0])
 
     def test_support_class_records_stay_small(self, monkeypatch):
         # A record keeps the subsets of its supports, not their product:
@@ -784,6 +772,18 @@ class TestSolveMpe:
             solve_mpe(random_game(rng, action_counts=(2, 2, 2)))
         with pytest.raises(ValueError):
             solve_mpe(random_game(rng), tol=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_bad_seed_before_any_sweep(self, monkeypatch, seed):
+        # The seed was first used by value iteration: after policy
+        # iteration, -1 failed with numpy's "expected non-negative integer"
+        # and 1.5 with a TypeError, and where policy iteration certified,
+        # neither was looked at.
+        game = random_game(np.random.default_rng(21), 3, (2, 2), 0.9)
+        monkeypatch.setattr(solver, "_iterate", None)
+        with pytest.raises(ValueError, match=(
+                rf"^seed must be a nonnegative integer, got {seed!r}$")):
+            solve_mpe(game, max_iter=50, seed=seed)
 
     def test_rejects_nan_tol(self, perturbed_game):
         with pytest.raises(ValueError, match="tol"):
