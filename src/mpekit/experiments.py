@@ -14,7 +14,7 @@ whole point: it measures how good the plug-in equilibrium really is.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,15 +98,7 @@ def estimate_model(game: MarkovGame, n: int,
     counts = np.random.Generator(np.random.Philox(stream)).multinomial(
         n, masses)
     model = EmpiricalModel(counts=counts, samples_per_pair=n)
-    estimated = MarkovGame(
-        states=game.states,
-        action_sets=game.action_sets,
-        transitions=counts / n,
-        rewards=game.rewards,
-        discount=game.discount,
-        metric=game.metric,
-    )
-    return estimated, model
+    return replace(game, transitions=counts / n), model
 
 
 def _check_samples(n) -> None:
@@ -126,7 +118,12 @@ def trial_seed_sequence(master_seed: int, trial: int) -> np.random.SeedSequence:
 def run_trial(game: MarkovGame, n: int, trial: int,
               master_seed: int) -> ExperimentRecord:
     """One estimate-solve-certify round; independent of every other trial.
-    The plug-in game is solved at ``solve_mpe``'s defaults."""
+    The plug-in game is solved at ``solve_mpe``'s defaults.
+
+    A trial or master seed that is not a nonnegative integer raises
+    ``ValueError`` before any work, as a bad n does."""
+    _check_count(trial, "trial", minimum=0)
+    _check_count(master_seed, "master_seed", minimum=0)
     root = trial_seed_sequence(master_seed, trial)
     derived_seed = int(root.generate_state(1, np.uint64)[0])
     estimated, _ = estimate_model(game, n, root)

@@ -24,7 +24,7 @@ import contextlib
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -420,15 +420,17 @@ def induced_mdp(game: MarkovGame, profile: StrategyProfile,
     strategies mixes the induced model with the same weights. It is checked
     when built, like any game: game rows and strategy rows that each sum to
     within the row rule's tolerance of 1 can average to a row beyond it.
+    A player that is not an integer in [0, N) raises ``ValueError``.
     """
     check_profile(game, profile)
-    if not 0 <= player < game.num_players:
+    _check_count(player, "player", minimum=0)
+    if player >= game.num_players:
         raise ValueError(
             f"player index {player} out of range [0, {game.num_players})")
     trans, rew = _induced_model(
         game, [strat.probabilities for strat in profile.strategies], player)
-    return MarkovGame(game.states, (game.action_sets[player],), trans,
-                      rew[None], game.discount, game.metric)
+    return replace(game, action_sets=(game.action_sets[player],),
+                   transitions=trans, rewards=rew[None])
 
 
 # ---------------------------------------------------------------------------

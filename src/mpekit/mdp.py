@@ -63,12 +63,13 @@ def _action_values(game: MarkovGame, values, states=slice(None)
     """Each player's one-shot values at ``states``: shape (N, ..., A).
 
     Entry [i, s, j] is (1 - gamma) r_i(s, j) + (gamma P[s, j]) @ values[i];
-    ``np.vecdot`` rounds each row as that ``@`` does, a batched matmul not,
-    and it broadcasts over players with each value row's own strides.
+    ``np.vecdot`` rounds each row as that ``@`` does, a batched matmul not.
+    A dot rounds by its operands' strides, so the values are taken in C
+    order: the bits depend on the values alone, not on the caller's layout.
     """
     gamma = game.discount
     cont = gamma * game.transitions[states]
-    values = np.asarray(values)
+    values = np.ascontiguousarray(values)
     return ((1.0 - gamma) * game.rewards[:, states]
             + np.vecdot(cont, values[(slice(None),)
                                      + (None,) * (cont.ndim - 1)]))
@@ -107,8 +108,8 @@ def _profile_chain(transitions: np.ndarray, rewards: np.ndarray, strategies
 
 
 def _profile_values(game: MarkovGame, strategies) -> np.ndarray:
-    """Every player's values under a profile of (S, A_i) arrays, (N, S): a
-    transposed view of one solve of its chain, one column per player."""
+    """Every player's values under a profile of (S, A_i) arrays, (N, S),
+    from one solve of its chain."""
     p_pi, r_pi = _profile_chain(game.transitions, game.rewards, strategies)
     gamma = game.discount
     matrix = np.eye(game.num_states) - gamma * p_pi

@@ -399,10 +399,7 @@ def _stage_nash(payoffs: np.ndarray
     cell = np.where(pure, passing.argmax(axis=1), pure_gain.argmin(axis=1))
     r, c = np.divmod(cell, n)
     x, y = _identity(m)[r], _identity(n)[c]
-    # Written in C order (the gather alone comes out in F order), as the
-    # next sweep's matrix products round by the layout.
-    values = np.empty((2, num_states))
-    np.add(payoffs[:, states, r, c], 0.0, out=values)
+    values = payoffs[:, states, r, c] + 0.0
     for s in (~pure).nonzero()[0]:
         # Python floats, which the scan's per-support tests take cheaper
         # than numpy scalars; the same values, so the same decisions.
@@ -508,8 +505,6 @@ def _candidates(game: MarkovGame, tol: float, max_iter: int, seed: int):
     starts = np.random.default_rng(seed).uniform(
         rmin, rmax, size=(2, 2, game.num_states))
     for v in (np.zeros((2, game.num_states)), *starts):
-        # Every v is C-order, as sweeps round by the layout: equal bytes
-        # mean equal inputs.
         seen, entered = {}, None
         for sweep in range(max_iter):
             seen[v.tobytes()] = sweep

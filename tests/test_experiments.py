@@ -202,6 +202,20 @@ class TestRunExperiments:
         with pytest.raises(ValueError, match=message):
             run_experiments(original_game, n, 1, master_seed)
 
+    @pytest.mark.parametrize("trial, master_seed, message", [
+        (-1, 0, r"^trial must be a nonnegative integer, got -1$"),
+        (0.5, 0, r"^trial must be a nonnegative integer, got 0\.5$"),
+        (0, -1, r"^master_seed must be a nonnegative integer, got -1$"),
+        (0, 1.5, r"^master_seed must be a nonnegative integer, got 1\.5$"),
+    ], ids=["negative-trial", "float-trial", "negative-seed", "float-seed"])
+    def test_run_trial_checks_its_seeds_before_any_work(
+            self, original_game, monkeypatch, trial, master_seed, message):
+        # numpy's SeedSequence once rejected a negative one without naming
+        # it, and a float one with a TypeError.
+        monkeypatch.setattr("mpekit.experiments.trial_seed_sequence", None)
+        with pytest.raises(ValueError, match=message):
+            run_trial(original_game, 10, trial, master_seed)
+
     @pytest.mark.parametrize("num_trials", [0, 1])
     def test_rows_checked_before_any_trial(self, original_game, num_trials):
         # With no trial to run, a short row used to give [] while one trial

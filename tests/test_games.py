@@ -1006,6 +1006,11 @@ class TestInducedMdp:
         good = random_profile(rng, game)
         with pytest.raises(ValueError, match="player"):
             induced_mdp(game, good, 2)
+        # A float player once raised IndexError, and True read as a mask.
+        for player in (-1, 0.5, True):
+            with pytest.raises(ValueError, match=(
+                    "^player must be a nonnegative integer, got ")):
+                induced_mdp(game, good, player)
 
 
 def test_effective_metric_defaults_to_index_distance(original_game):

@@ -19,6 +19,7 @@ from mpekit.equilibrium import certify_profile
 from mpekit.experiments import run_trial
 from mpekit.games import (GameValidationError, MarkovGame, MarkovStrategy,
                           StrategyProfile, bundled_game)
+from mpekit.mdp import _action_values
 from mpekit.solver import bimatrix_nash, solve_mpe, stage_game
 
 #: One unit in the last place of 1e8 (about 1.5e-8).
@@ -624,12 +625,12 @@ class TestStackedKernel:
         # The corpus is every sweep input of the plug-in solves of desk
         # trials 0-7 at master seed 1, then seeded random 4x4 (20 states)
         # and 6x6 (3 states) games, integer rewards with zero values (tied
-        # payoffs) and uniform rewards with normal values. Each input runs
-        # from C-order and F-order values, and each result's values run one
-        # more sweep: values are kept in C order, and a sweep from them
-        # rounds by that layout (at 20 states a value row's stride moves
-        # the bits). It runs in well under a second, so a kernel change
-        # that moves any bit of any sweep fails here first.
+        # payoffs) and uniform rewards with normal values. Each input's
+        # result runs one more sweep. Each input runs from C-order and
+        # F-order values, which must give the same bytes (at 20 states a
+        # value row's stride once moved them), so the digest hashes one
+        # run. It runs in well under a second, so a kernel change that
+        # moves any bit of any sweep fails here first.
         inputs = []
         sweep = solver._iterate
         monkeypatch.setattr(solver, "_iterate", lambda game, v: (
@@ -648,14 +649,39 @@ class TestStackedKernel:
                        (game, rng.normal(size=(2, num_states)))]
         digest = hashlib.sha256()
         for game, v in inputs:
+            runs = []
             for values in (np.ascontiguousarray(v), np.asfortranarray(v)):
+                run = b""
                 for _ in range(2):
                     values, pi1, pi2 = solver._iterate(game, values)
-                    assert values.flags.c_contiguous
-                    for array in (values, pi1, pi2):
-                        digest.update(array.tobytes())
+                    run += b"".join(a.tobytes() for a in (values, pi1, pi2))
+                runs.append(run)
+            assert runs[1] == runs[0]
+            digest.update(runs[0])
         assert digest.hexdigest() == (
-            "4dc1e7c29fd9729800d3c1b57e48ce3f8ae35ae293978791cd99a54df1fb61f1")
+            "8aefdc334bbfc9ab24418429235809f9cd4f56420356eb6eb2a845fe47385b8d")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 9, 20, 50]), st.integers(2, 5),
+           st.integers(2, 5), st.sampled_from([0.5, 0.9, 0.99]),
+           st.integers(0, 2**32 - 1))
+    def test_sweeps_round_by_values_not_layout(self, num_states, m, n,
+                                               discount, seed):
+        # A dot rounds by its operands' strides; action values, a sweep and
+        # a stage game must come out of C-order, F-order and strided values
+        # with the same bytes.
+        rng = np.random.default_rng(seed)
+        game = random_game(rng, num_states, (m, n), discount)
+        v = rng.normal(size=(2, num_states))
+        wide = np.zeros((2, 3 * num_states))
+        wide[:, ::3] = v
+        state = int(rng.integers(num_states))
+        runs = [[array.tobytes() for array in (
+            _action_values(game, values), *solver._iterate(game, values),
+            *stage_game(game, values, state))]
+            for values in (v, np.asfortranarray(v), wide[:, ::3])]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_inputs())
@@ -753,16 +779,16 @@ class TestSolveMpe:
         assert first.iterations == second.iterations
 
     def test_fifty_state_profile_bytes_are_pinned(self):
-        # The 3-state goldens cannot see memory layout; at 50 states 6x6,
-        # stage payoffs built from C-order values instead of the F-order
-        # transposed solve that policy iteration keeps round differently.
+        # The 3-state goldens cannot see every rounding of the sweeps: this
+        # pins the profile of a 50-state 6x6 solve at gamma 0.99, whose
+        # policy iteration sweeps from exact profile evaluations.
         game = random_game(np.random.default_rng(0), 50, (6, 6), 0.99)
         result = solve_mpe(game, max_iter=10)
         digest = hashlib.sha256()
         for strategy in result.profile.strategies:
             digest.update(strategy.probabilities.tobytes())
         assert digest.hexdigest() == (
-            "5aad3034cf1dc0453d540bc511de368914416abadc5b79aff31f47e5a9b568d2")
+            "946f0b3016f68c75ae60fc64ad6049aa350dae76d6d4f685bb6055574d5e2ccb")
         assert result.iterations == 18
         assert result.converged
 
