@@ -10,7 +10,6 @@ plug-in experiments.
 from .bounds import (
     RobustnessReport,
     alpha_bound_ipm,
-    alpha_bound_w,
     delta_term,
     hoeffding_tail,
     lipschitz_value_bound,
@@ -82,7 +81,6 @@ __all__ = [
     "ValueFunction",
     "WASSERSTEIN",
     "alpha_bound_ipm",
-    "alpha_bound_w",
     "bellman_optimal",
     "bellman_policy",
     "bimatrix_nash",

@@ -1,11 +1,12 @@
 """Closed-form robustness and sample-complexity bounds.
 
 Three nested bounds connect a certified equilibrium of a perturbed game to
-the original game: an instance bound built from the worst expected-value gap
-of the perturbed equilibrium values under the two transition kernels, an
-IPM bound that replaces that gap with (transition IPM) x (functional of the
-value), and worst-case specializations that need only the perturbed game's
-reward span (total variation) or Lipschitz constants (Wasserstein).
+the original game, each the one formula ``alpha_bound_ipm`` at its own
+(delta, rho): the instance bound at (worst expected-value gap of the
+perturbed equilibrium values under the two transition kernels, 1), the IPM
+bound at (transition IPM, functional of the value), and the worst case at
+(transition IPM, worst value functional): the perturbed game's reward span
+under total variation, ``lipschitz_value_bound`` under Wasserstein.
 
 Sample sizes invert a Hoeffding tail; logarithms are natural.
 """
@@ -34,20 +35,22 @@ from .metrics import (
 class RobustnessReport:
     """The full bound ladder for a game pair and a profile of the second game.
 
-    ``alpha_instance`` uses the exact per-player expected-value gaps
-    (``per_player_delta_term``); ``alpha_ipm`` relaxes each gap to
-    delta x rho(value); ``alpha_corollary`` further relaxes rho to its
-    worst case over value functions, and is None for the Wasserstein kind
-    when the Lipschitz specialization does not apply (gamma L_P >= 1).
+    Each tier is ``alpha_bound_ipm`` at its own (delta, rho).
+    ``alpha_instance`` takes the exact per-player expected-value gaps
+    (``per_player_delta_term``) with rho = 1; ``alpha_ipm`` relaxes each gap
+    to delta x rho(value); ``alpha_corollary`` further relaxes rho to its
+    worst case over value functions, the player's reward span or
+    ``lipschitz_value_bound``, and is None for the Wasserstein kind when
+    the Lipschitz specialization does not apply (gamma L_P >= 1).
 
     ``alpha_instance <= alpha_ipm`` always holds, since each IPM bounds the
     expected-value gap of any vector by delta x rho(vector). Under total
     variation ``alpha_ipm <= alpha_corollary`` holds too: a normalized
     value's span is at most its player's reward span. Under Wasserstein
-    the corollary rests on the Lipschitz bound for an MDP's optimal value,
-    which a player's value against state-dependent opponent strategies need
-    not obey, so for two-player profiles ``alpha_corollary`` can fall below
-    ``alpha_ipm``.
+    the corollary rests on ``lipschitz_value_bound``, the Lipschitz bound
+    for an MDP's optimal value, which a player's value against
+    state-dependent opponent strategies need not obey, so for two-player
+    profiles ``alpha_corollary`` can fall below ``alpha_ipm``.
     """
 
     epsilon: float
@@ -84,27 +87,15 @@ def alpha_bound_ipm(epsilon: float, delta: float, rho: float,
                     gamma: float) -> float:
     """IPM bound 2 (epsilon + gamma delta rho / (1 - gamma)).
 
-    With rho = 1 and a ``delta_term`` as delta, this is the instance bound
-    2 (epsilon + gamma Delta / (1 - gamma)).
+    Every tier of the ladder is this formula. With rho = 1 and a
+    ``delta_term`` as delta, it is the instance bound
+    2 (epsilon + gamma Delta / (1 - gamma)); with rho the reward span or
+    ``lipschitz_value_bound(l_r, l_p, gamma)``, the total-variation or
+    Wasserstein worst case.
     """
     _check_nonnegative(epsilon=epsilon, delta=delta, rho=rho)
     check_discount(gamma)
     return 2.0 * (epsilon + gamma * delta * rho / (1.0 - gamma))
-
-
-def alpha_bound_w(epsilon: float, delta: float, l_r: float, l_p: float,
-                  gamma: float) -> float:
-    """Wasserstein worst case 2 (epsilon + gamma L_r delta / (1 - gamma L_P)).
-
-    Only meaningful when gamma L_P < 1; otherwise raises.
-    """
-    _check_nonnegative(epsilon=epsilon, delta=delta, l_r=l_r, l_p=l_p)
-    check_discount(gamma)
-    if gamma * l_p >= 1.0:
-        raise ValueError(
-            f"bound inapplicable: gamma * L_P = {gamma * l_p!r} >= 1"
-        )
-    return 2.0 * (epsilon + gamma * l_r * delta / (1.0 - gamma * l_p))
 
 
 def lipschitz_value_bound(l_r: float, l_p: float, gamma: float) -> float:
@@ -194,35 +185,27 @@ def robustness_report(g: MarkovGame, g_hat: MarkovGame, ipm_kind: str, *,
         g_hat, [s.probabilities for s in profile.strategies])
     _require_finite("policy value", value_vectors.T)
 
-    deltas = np.array([_delta_term(g, g_hat, v) for v in value_vectors])
-    instance = np.array([
-        alpha_bound_ipm(params.epsilon, d, 1.0, gamma) for d in deltas
-    ])
+    deltas = [_delta_term(g, g_hat, v) for v in value_vectors]
     if ipm_kind == TOTAL_VARIATION:
         rhos = [_span(v) for v in value_vectors]
-        corollary = np.array([
-            alpha_bound_ipm(params.epsilon, params.delta,
-                            _span(g_hat.rewards[i]), gamma)
-            for i in range(num_players)
-        ])
+        worst = [_span(r) for r in g_hat.rewards]
     else:
         rhos = [_lipschitz(v, metric) for v in value_vectors]
         l_r, l_p = _lipschitz_constants(g_hat.rewards, rows, metric, coords)
-        if gamma * l_p < 1.0:
-            bound = alpha_bound_w(params.epsilon, params.delta, l_r, l_p, gamma)
-            corollary = np.full(num_players, bound)
-        else:
-            corollary = None
-    ipm_bounds = np.array([
-        alpha_bound_ipm(params.epsilon, params.delta, rho, gamma)
-        for rho in rhos
-    ])
+        worst = ([lipschitz_value_bound(l_r, l_p, gamma)] * num_players
+                 if gamma * l_p < 1.0 else None)
+
+    def tier(tier_deltas, tier_rhos):
+        return np.array([alpha_bound_ipm(params.epsilon, d, rho, gamma)
+                         for d, rho in zip(tier_deltas, tier_rhos)])
+
+    ipm_deltas = [params.delta] * num_players
     return RobustnessReport(
         epsilon=params.epsilon,
         delta=params.delta,
-        per_player_delta_term=deltas,
-        alpha_instance=instance,
-        alpha_ipm=ipm_bounds,
-        alpha_corollary=corollary,
+        per_player_delta_term=np.array(deltas),
+        alpha_instance=tier(deltas, [1.0] * num_players),
+        alpha_ipm=tier(ipm_deltas, rhos),
+        alpha_corollary=None if worst is None else tier(ipm_deltas, worst),
         ipm_kind=ipm_kind,
     )

@@ -168,13 +168,18 @@ class MarkovGame:
             )
         index = 0
         for count, act in zip(self.action_counts, actions):
-            if not 0 <= act < count:
+            _check_count(act, "action index", minimum=0)
+            if act >= count:
                 raise ValueError(f"action index {act} out of range [0, {count})")
             index = index * count + act
         return index
 
     def joint_action_label(self, index: int) -> str:
         """Comma-separated action names for a joint action rank."""
+        _check_count(index, "joint action rank", minimum=0)
+        if index >= self.num_joint_actions:
+            raise ValueError(f"joint action rank {index} out of range "
+                             f"[0, {self.num_joint_actions})")
         names = []
         for count, acts in zip(reversed(self.action_counts),
                                reversed(self.action_sets)):
@@ -256,6 +261,7 @@ def _finite_values(values, name: str, num_states: int | None = None
 
 def default_line_metric(num_states: int) -> np.ndarray:
     """The index-distance metric d(s, s') = |index(s) - index(s')|."""
+    _check_count(num_states, "num_states")
     idx = np.arange(num_states)
     return np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
 

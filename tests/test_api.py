@@ -27,7 +27,7 @@ def test_public_names_are_pinned():
         "GameValidationError", "MarkovGame", "MarkovStrategy",
         "RobustnessReport", "SolveResult", "StrategyProfile",
         "TOTAL_VARIATION", "ValueFunction", "WASSERSTEIN", "alpha_bound_ipm",
-        "alpha_bound_w", "bellman_optimal", "bellman_policy", "bimatrix_nash",
+        "bellman_optimal", "bellman_policy", "bimatrix_nash",
         "bundled_game", "certify_profile", "default_line_metric",
         "delta_term", "estimate_model", "evaluate_policy",
         "game_approx_params", "game_lipschitz_constants", "hoeffding_tail",

@@ -11,7 +11,6 @@ from mpekit import metrics
 from mpekit.bounds import (
     _sample_size_real,
     alpha_bound_ipm,
-    alpha_bound_w,
     delta_term,
     hoeffding_tail,
     lipschitz_value_bound,
@@ -25,7 +24,9 @@ from mpekit.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
     ApproximationParams,
+    comparison_metric,
     game_approx_params,
+    game_lipschitz_constants,
     lipschitz_constant,
     span,
     wasserstein1,
@@ -116,15 +117,22 @@ class TestBoundArithmetic:
         assert alpha_bound_ipm(0.01, 0.05, 0.9, 0.9) == pytest.approx(0.83)
 
     def test_w_bound_plug_in(self):
-        assert alpha_bound_w(0.0, 0.0, 1.0, 0.5, 0.9) == 0.0
-        assert alpha_bound_w(0.01, 0.10, 1.0, 0.5, 0.9) == pytest.approx(
+        # The Wasserstein worst case is the IPM bound with rho the
+        # Lipschitz value bound: 2 (epsilon + gamma L_r delta / (1 - gamma L_P)).
+        def w_bound(epsilon, delta, l_r, l_p, gamma):
+            return alpha_bound_ipm(epsilon, delta,
+                                   lipschitz_value_bound(l_r, l_p, gamma),
+                                   gamma)
+
+        assert w_bound(0.0, 0.0, 1.0, 0.5, 0.9) == 0.0
+        assert w_bound(0.01, 0.10, 1.0, 0.5, 0.9) == pytest.approx(
             2 * (0.01 + 0.09 / 0.55), abs=1e-12)
-        assert alpha_bound_w(0.01, 0.10, 1.0, 0.5, 0.9) == pytest.approx(
+        assert w_bound(0.01, 0.10, 1.0, 0.5, 0.9) == pytest.approx(
             0.34727, abs=1e-5)
 
     def test_w_bound_inapplicable_at_boundary(self):
         with pytest.raises(ValueError, match="inapplicable"):
-            alpha_bound_w(0.01, 0.1, 1.0, 1.0 / 0.9, 0.9)
+            lipschitz_value_bound(1.0, 1.0 / 0.9, 0.9)
         with pytest.raises(ValueError, match="inapplicable"):
             lipschitz_value_bound(1.0, 2.0, 0.9)
 
@@ -137,16 +145,12 @@ class TestBoundArithmetic:
         # NaN fails "value < 0" as well as "value >= 0"; it must not pass.
         calls = {
             "epsilon": [lambda x: alpha_bound_ipm(x, 0.05, 1.0, 0.9),
-                        lambda x: alpha_bound_w(x, 0.1, 1.0, 0.5, 0.9),
                         lambda x: ApproximationParams(x, 0.1, WASSERSTEIN)],
             "delta": [lambda x: alpha_bound_ipm(0.01, x, 1.0, 0.9),
-                      lambda x: alpha_bound_w(0.01, x, 1.0, 0.5, 0.9),
                       lambda x: ApproximationParams(0.1, x, WASSERSTEIN)],
             "rho": [lambda x: alpha_bound_ipm(0.01, 0.05, x, 0.9)],
-            "l_r": [lambda x: alpha_bound_w(0.01, 0.1, x, 0.5, 0.9),
-                    lambda x: lipschitz_value_bound(x, 0.5, 0.9)],
-            "l_p": [lambda x: alpha_bound_w(0.01, 0.1, 1.0, x, 0.9),
-                    lambda x: lipschitz_value_bound(1.0, x, 0.9)],
+            "l_r": [lambda x: lipschitz_value_bound(x, 0.5, 0.9)],
+            "l_p": [lambda x: lipschitz_value_bound(1.0, x, 0.9)],
         }
         for name, functions in calls.items():
             for function in functions:
@@ -157,12 +161,12 @@ class TestBoundArithmetic:
 
     @pytest.mark.parametrize("call, name", [
         (lambda: alpha_bound_ipm(0.1, np.inf, 0.0, 0.9), "delta"),
-        (lambda: alpha_bound_w(0.1, np.inf, 0.0, 0.0, 0.9), "delta"),
+        (lambda: lipschitz_value_bound(np.inf, 0.0, 0.9), "l_r"),
         (lambda: ApproximationParams(np.inf, 0.0, TOTAL_VARIATION),
          "epsilon"),
         (lambda: hoeffding_tail(10, np.inf, np.inf), "gap"),
         (lambda: hoeffding_tail(10, 0.1, np.inf), "span_h"),
-    ], ids=["ipm", "w", "params", "hoeffding-gap", "hoeffding-span"])
+    ], ids=["ipm", "l_r", "params", "hoeffding-gap", "hoeffding-span"])
     def test_rejects_infinite_inputs(self, call, name):
         # An infinite input makes a bound NaN: inf times zero, or inf over
         # inf.
@@ -436,6 +440,41 @@ def test_bound_ladder_is_monotone(case):
     if report.alpha_corollary is not None and (kind == TOTAL_VARIATION
                                                or game.num_players == 1):
         assert np.all(report.alpha_ipm <= report.alpha_corollary + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladder_cases())
+def test_every_tier_is_the_ipm_formula_at_its_delta_and_rho(case):
+    # Each tier is alpha_bound_ipm, bit for bit, at the (delta, rho) that
+    # public names give: the instance tier at (delta_term, 1), the IPM tier
+    # at (delta, rho(value)) and the corollary at (delta, worst-case rho).
+    game, near, profile, kind = case
+    report = robustness_report(game, near, kind, profile=profile)
+    params = game_approx_params(game, near, kind)
+    assert (report.epsilon, report.delta) == (params.epsilon, params.delta)
+    gamma = game.discount
+    values = [v.values for v in certify_profile(near, profile).per_player_value]
+    if kind == TOTAL_VARIATION:
+        rhos = [span(v) for v in values]
+        worst = [span(r) for r in near.rewards]
+    else:
+        metric = comparison_metric(game, near)
+        rhos = [lipschitz_constant(v, metric) for v in values]
+        l_r, l_p = game_lipschitz_constants(replace(near, metric=metric))
+        worst = ([lipschitz_value_bound(l_r, l_p, gamma)] * game.num_players
+                 if gamma * l_p < 1.0 else None)
+    instance = [alpha_bound_ipm(params.epsilon, delta_term(game, near, v),
+                                1.0, gamma) for v in values]
+    ipm = [alpha_bound_ipm(params.epsilon, params.delta, rho, gamma)
+           for rho in rhos]
+    assert report.alpha_instance.tolist() == instance
+    assert report.alpha_ipm.tolist() == ipm
+    if worst is None:
+        assert report.alpha_corollary is None
+    else:
+        assert report.alpha_corollary.tolist() == [
+            alpha_bound_ipm(params.epsilon, params.delta, rho, gamma)
+            for rho in worst]
 
 
 class TestSoundness:

@@ -32,6 +32,7 @@ from mpekit.games import (
     MarkovStrategy,
     StrategyProfile,
     ValueFunction,
+    bundled_game,
     default_line_metric,
     induced_mdp,
     metric_violations,
@@ -857,6 +858,9 @@ class TestStrategies:
         for rank, joint in enumerate(listed):
             assert game.joint_action_index(joint) == rank
         assert game.joint_action_label(1) == "0,1"
+        # numpy integers, as np.argwhere hands them over, map the same way.
+        assert game.joint_action_index((np.int64(1), np.int64(2))) == 5
+        assert game.joint_action_label(np.int64(5)) == "1,2"
 
 
 @st.composite
@@ -1191,6 +1195,28 @@ def _game_text(**fields) -> str:
      "joint action has 2 entries for 1 players"),
     (lambda: tiny_game().joint_action_index((2,)), ValueError,
      "action index 2 out of range [0, 2)"),
+    (lambda: bundled_game("two_player_original").joint_action_index((0.5, 0)),
+     ValueError, "action index must be a nonnegative integer, got 0.5"),
+    (lambda: bundled_game("two_player_original").joint_action_index((1, 1.0)),
+     ValueError, "action index must be a nonnegative integer, got 1.0"),
+    (lambda: bundled_game("two_player_original").joint_action_index((True, 1)),
+     ValueError, "action index must be a nonnegative integer, got True"),
+    (lambda: bundled_game("two_player_original").joint_action_label(4),
+     ValueError, "joint action rank 4 out of range [0, 4)"),
+    (lambda: bundled_game("two_player_original").joint_action_label(99),
+     ValueError, "joint action rank 99 out of range [0, 4)"),
+    (lambda: bundled_game("two_player_original").joint_action_label(-1),
+     ValueError, "joint action rank must be a nonnegative integer, got -1"),
+    (lambda: bundled_game("two_player_original").joint_action_label(1.0),
+     ValueError, "joint action rank must be a nonnegative integer, got 1.0"),
+    (lambda: default_line_metric(0), ValueError,
+     "num_states must be a positive integer, got 0"),
+    (lambda: default_line_metric(-1), ValueError,
+     "num_states must be a positive integer, got -1"),
+    (lambda: default_line_metric(2.5), ValueError,
+     "num_states must be a positive integer, got 2.5"),
+    (lambda: default_line_metric(True), ValueError,
+     "num_states must be a positive integer, got True"),
     (lambda: tiny_game(transitions=np.ones((2, 2))), ValueError,
      "transitions shape (2, 2) != expected (2, 2, 2)"),
     (lambda: tiny_game(rewards=np.ones((2, 2))), ValueError,
@@ -1205,11 +1231,16 @@ def _game_text(**fields) -> str:
      "metric is not square: shape (2, 3)"),
 ], ids=["states", "actions-of-player", "actions-count", "rewards-count",
         "rewards-of-player", "profile-players", "profile-empty",
-        "joint-action-count", "joint-action-range", "transitions-shape",
+        "joint-action-count", "joint-action-range", "joint-action-float",
+        "joint-action-float-integral", "joint-action-bool",
+        "joint-rank-at-count", "joint-rank-beyond", "joint-rank-negative",
+        "joint-rank-float", "line-metric-zero", "line-metric-negative",
+        "line-metric-float", "line-metric-bool", "transitions-shape",
         "rewards-shape", "metric-shape", "strategy-ndim", "values-ndim",
         "metric-square"])
 def test_each_shape_and_type_fault_is_named(call, error, message):
-    # The reader's type and count checks, the constructors' shape checks and
+    # The reader's type and count checks, the constructors' shape checks,
+    # the joint-action maps' and default_line_metric's integer checks and
     # metric_violations' shape rule, each with its whole message; a None
     # error means the check returns its messages rather than raising.
     if error is None:
