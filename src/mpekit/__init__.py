@@ -18,7 +18,6 @@ from .bounds import (
 )
 from .equilibrium import CertificateAlpha, certify_profile
 from .experiments import (
-    EmpiricalModel,
     ExperimentRecord,
     ExperimentSummary,
     estimate_model,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproximationParams",
     "CertificateAlpha",
-    "EmpiricalModel",
     "ExperimentRecord",
     "ExperimentSummary",
     "GameFormatError",

@@ -14,6 +14,7 @@ Sample sizes invert a Hoeffding tail; logarithms are natural.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,10 @@ def hoeffding_tail(n: int, gap: float, span_h: float) -> float:
         if not 0 < value < math.inf:
             raise ValueError(
                 f"{name} must be positive and finite, got {value!r}")
+    if n > sys.float_info.max:
+        # float(n) would overflow. From n ~ 9e307 on, -2.0 * n is already
+        # -inf and the tail reads 0.0; beyond the float range it does too.
+        return 0.0
     return 2.0 * math.exp(-2.0 * n * gap * gap / (span_h * span_h))
 
 
@@ -160,11 +165,14 @@ def sample_size_game(alpha: float, p: float, span_reward: float,
         raise ValueError("action_counts must list one count per player")
     for player, count in enumerate(action_counts):
         _check_count(count, f"action_counts[{player}]")
-    joint = 1
-    for count in action_counts:
-        joint *= count
-    real = _sample_size_real(alpha, p, span_reward,
-                             num_states * joint * num_players, gamma)
+    # Python ints, so numpy integers neither wrap nor overflow.
+    union_count = math.prod(map(int, (num_states, *action_counts,
+                                      num_players)))
+    if union_count > sys.float_info.max:
+        raise ValueError(
+            "num_states * joint actions * num_players is at least "
+            f"2**{union_count.bit_length() - 1}, beyond the float range")
+    real = _sample_size_real(alpha, p, span_reward, union_count, gamma)
     return max(1, math.ceil(real))
 
 

@@ -1,9 +1,10 @@
 """Generative-model sampling and plug-in equilibrium experiments.
 
-A trial's next-state counts are a pure function of (master seed, trial,
-game): each trial derives one counter-based stream from the master seed and
-draws the counts of every state-action pair from it in one call, so results
-are bit-identical no matter how trials are scheduled or parallelized.
+A trial's record is a pure function of (master seed, trial, game):
+``run_trial`` derives the trial's solver seed and its counter-based sampler
+from one root, and the sampler draws the counts of every state-action pair
+in one call, so results are bit-identical no matter how trials are
+scheduled or parallelized.
 
 A trial estimates the transition kernel from n samples per pair (rewards
 and discount are taken as known), solves the estimated game, and certifies
@@ -24,20 +25,6 @@ from .solver import solve_mpe
 
 #: Largest n numpy's multinomial sampler takes: it reads n as a C long.
 _MAX_SAMPLES = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalModel:
-    """The next-state sample counts behind a plug-in game.
-
-    Every (state, action) slice of ``counts`` sums to exactly
-    ``samples_per_pair``, so the plug-in game's transitions, ``counts /
-    samples_per_pair``, are stochastic by construction (exactly so in
-    rational arithmetic).
-    """
-
-    counts: np.ndarray
-    samples_per_pair: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,27 +50,26 @@ class ExperimentSummary:
 
 
 def estimate_model(game: MarkovGame, n: int,
-                   rng: np.random.SeedSequence
-                   ) -> tuple[MarkovGame, EmpiricalModel]:
-    """Estimate the transition kernel from n generative samples per pair.
+                   rng: np.random.Generator) -> MarkovGame:
+    """The plug-in game: transitions estimated from n generative samples
+    per pair, original rewards and discount.
 
-    Returns the plug-in game (estimated transitions, original rewards and
-    discount) together with the raw counts. Each (state, joint action)
-    pair's counts are one Multinomial(n, row) draw, equal in law to the
-    next-state counts of n simulator calls: the budget is n |S| |A|
-    simulator calls in total. All pairs draw from one stream, the root's
-    child with spawn key ``(*rng.spawn_key, 0)``, in one call, so the
-    counts are a pure function of the root and the game; the root itself
-    is not consumed.
+    Each (state, joint action) pair's counts are one Multinomial(n, row)
+    draw, equal in law to the next-state counts of n simulator calls: the
+    budget is n |S| |A| simulator calls in total. All pairs draw from
+    ``rng`` in one call, so the counts are a pure function of the
+    generator's state and the game. Each row is its counts over n, so below
+    n = 2**52 ``np.rint(plug_in.transitions * n)`` gives the counts back
+    exactly.
 
     The game was checked when it was built, and the plug-in game is checked
     when it is; a count n that is not a positive integer of at most
-    2**63 - 1, or an ``rng`` that is not a ``numpy.random.SeedSequence``,
+    2**63 - 1, or an ``rng`` that is not a ``numpy.random.Generator``,
     raises ``ValueError``.
     """
     _check_samples(n)
-    if not isinstance(rng, np.random.SeedSequence):
-        raise ValueError("rng must be a numpy.random.SeedSequence, got "
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError("rng must be a numpy.random.Generator, got "
                          f"{type(rng).__name__}")
     # The law of inverse-CDF sampling: increments of the running CDF, made
     # monotone and clipped to [0, 1], with the remainder on the last state.
@@ -93,12 +79,7 @@ def estimate_model(game: MarkovGame, n: int,
         np.cumsum(game.transitions, axis=-1), axis=-1), 0.0, 1.0)
     cdf[..., -1] = 1.0
     masses = np.diff(cdf, axis=-1, prepend=0.0)
-    stream = np.random.SeedSequence(entropy=rng.entropy,
-                                    spawn_key=(*rng.spawn_key, 0))
-    counts = np.random.Generator(np.random.Philox(stream)).multinomial(
-        n, masses)
-    model = EmpiricalModel(counts=counts, samples_per_pair=n)
-    return replace(game, transitions=counts / n), model
+    return replace(game, transitions=rng.multinomial(n, masses) / n)
 
 
 def _check_samples(n) -> None:
@@ -120,13 +101,19 @@ def run_trial(game: MarkovGame, n: int, trial: int,
     """One estimate-solve-certify round; independent of every other trial.
     The plug-in game is solved at ``solve_mpe``'s defaults.
 
+    Both of the trial's streams come from its root,
+    ``trial_seed_sequence(master_seed, trial)``: the solver seed is the
+    root's first ``uint64`` word, and the sampler is Philox on the root's
+    first child, spawn key ``(trial, 0)``.
+
     A trial or master seed that is not a nonnegative integer raises
     ``ValueError`` before any work, as a bad n does."""
     _check_count(trial, "trial", minimum=0)
     _check_count(master_seed, "master_seed", minimum=0)
     root = trial_seed_sequence(master_seed, trial)
     derived_seed = int(root.generate_state(1, np.uint64)[0])
-    estimated, _ = estimate_model(game, n, root)
+    sampler = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
+    estimated = estimate_model(game, n, sampler)
     result = solve_mpe(estimated, seed=derived_seed)
     certificate = certify_profile(game, result.profile)
     return ExperimentRecord(

@@ -53,9 +53,17 @@ class GameValidationError(ValueError):
         )
 
 
-def _check_names(states, action_sets) -> None:
-    """Raise ``ValueError`` for the first name rule broken: no player, no
-    state, a non-string name, a repeated state, no or repeated actions."""
+def _check_names(states, action_sets):
+    """The names as tuples; ``ValueError`` for the first name rule broken:
+    a string or a set where an ordered collection of names belongs, no
+    player, no state, a non-string name, a repeated state, no or repeated
+    actions."""
+    _check_ordered(states, "states")
+    _check_ordered(action_sets, "action_sets")
+    states, action_sets = tuple(states), tuple(action_sets)
+    for i, acts in enumerate(action_sets):
+        _check_ordered(acts, f"actions of player {i + 1}")
+    action_sets = tuple(tuple(acts) for acts in action_sets)
     if not action_sets:
         raise ValueError("a game needs at least one player")
     if not states:
@@ -70,6 +78,15 @@ def _check_names(states, action_sets) -> None:
             raise ValueError(f"player {i + 1} has no actions")
         if len(set(acts)) != len(acts):
             raise ValueError(f"actions of player {i + 1} have duplicates")
+    return states, action_sets
+
+
+def _check_ordered(names, field: str) -> None:
+    """A string would be split into characters, and a set iterates in hash
+    order, which can differ from one process to the next."""
+    if isinstance(names, (str, bytes, set, frozenset)):
+        raise ValueError(f"{field} must be an ordered collection, got "
+                         f"{type(names).__name__} {names!r}")
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -93,12 +110,14 @@ class MarkovGame:
         metric: Optional ``(S, S)`` state metric.
 
     A game is checked when it is built, ``dataclasses.replace`` included:
-    no player, no state, a player without actions, a name that is no string
-    or repeats, or a wrong shape raises ``ValueError``, and then every
-    broken invariant is listed by one ``GameValidationError``, in this
-    order: a discount outside (0, 1), each player's first reward that is not
-    finite, each transition row that breaks the row rule (naming its state
-    and joint action and the rule), then the metric axioms.
+    a string or a set in place of the states or an action set, no player,
+    no state, a player without actions, a name that is no string or
+    repeats, a wrong shape or a string discount raises ``ValueError``, and
+    then every broken invariant is listed by one ``GameValidationError``,
+    in this order: a discount outside (0, 1), each player's first reward
+    that is not finite, each transition row that breaks the row rule
+    (naming its state and joint action and the rule), then the metric
+    axioms.
     """
 
     states: tuple[str, ...]
@@ -109,11 +128,9 @@ class MarkovGame:
     metric: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(
-            self, "action_sets", tuple(tuple(a) for a in self.action_sets)
-        )
-        _check_names(self.states, self.action_sets)
+        states, action_sets = _check_names(self.states, self.action_sets)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "action_sets", action_sets)
         s, a = len(self.states), self.num_joint_actions
         n = len(self.action_sets)
         trans = _frozen_array(self.transitions)
@@ -126,6 +143,9 @@ class MarkovGame:
             raise ValueError(f"rewards shape {rew.shape} != expected {(n, s, a)}")
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "rewards", rew)
+        if isinstance(self.discount, (str, bytes)):
+            raise ValueError(
+                f"discount must be a number, got {self.discount!r}")
         object.__setattr__(self, "discount", float(self.discount))
         if self.metric is not None:
             metric = _frozen_array(self.metric)
@@ -225,7 +245,12 @@ class StrategyProfile:
     strategies: tuple[MarkovStrategy, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+        strategies = tuple(self.strategies)
+        for i, strategy in enumerate(strategies):
+            if not isinstance(strategy, MarkovStrategy):
+                raise ValueError(f"strategies[{i}] must be a MarkovStrategy, "
+                                 f"got {type(strategy).__name__}")
+        object.__setattr__(self, "strategies", strategies)
 
     @property
     def num_players(self) -> int:
@@ -656,8 +681,8 @@ def parse_profile(text: str) -> StrategyProfile:
     """Parse a strategy-profile document; raises ``GameFormatError``."""
     doc = _load_object(text)
     strategies = _require(doc, "strategies", list, "an array")
-    if ("players" in doc
-            and _number(doc["players"], "field 'players'") != len(strategies)):
+    if ("players" in doc and _require(doc, "players", int, "an integer")
+            != len(strategies)):
         raise GameFormatError(
             f"field 'players' is {doc['players']} but 'strategies' has "
             f"{len(strategies)} entries"

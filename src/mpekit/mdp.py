@@ -29,14 +29,13 @@ from .games import (MarkovGame, MarkovStrategy, StrategyProfile,
                     check_profile)
 
 
-def _check_dims(mdp: MarkovGame,
-                strategy: MarkovStrategy | None = None) -> None:
+def _check_dims(mdp: MarkovGame, *strategy: MarkovStrategy) -> None:
     if mdp.num_players != 1:
         raise ValueError(
             f"an MDP is a one-player game, got {mdp.num_players} players"
         )
-    if strategy is not None:
-        check_profile(mdp, StrategyProfile((strategy,)))
+    if strategy:
+        check_profile(mdp, StrategyProfile(strategy))
 
 
 def _require_finite(what: str, array: np.ndarray) -> np.ndarray:

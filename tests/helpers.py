@@ -756,9 +756,10 @@ def reference_parse_game(text: str, build=MarkovGame):
                  discount=gamma, metric=metric)
 
 
-def reference_parse_profile(text: str, build=MarkovStrategy):
-    """``parse_profile`` as first written, building strategies by ``build``.
-    """
+def reference_parse_profile(text: str, build=MarkovStrategy,
+                            profile=StrategyProfile):
+    """``parse_profile`` as first written, building strategies by ``build``
+    and the profile by ``profile``."""
     doc = _load_object(text)
     strategies = _require(doc, "strategies", list, "an array")
     if ("players" in doc
@@ -782,4 +783,4 @@ def reference_parse_profile(text: str, build=MarkovStrategy):
             parsed.append(build(probs))
         except ValueError as exc:
             raise GameFormatError(f"strategy of player {i + 1}: {exc}") from exc
-    return StrategyProfile(tuple(parsed))
+    return profile(tuple(parsed))

@@ -22,7 +22,7 @@ def test_public_names_are_pinned():
     # No name restates another; README's "Public names" gives the reason
     # each name that could be spelled otherwise stays.
     assert mpekit.__all__ == [
-        "ApproximationParams", "CertificateAlpha", "EmpiricalModel",
+        "ApproximationParams", "CertificateAlpha",
         "ExperimentRecord", "ExperimentSummary", "GameFormatError",
         "GameValidationError", "MarkovGame", "MarkovStrategy",
         "RobustnessReport", "SolveResult", "StrategyProfile",

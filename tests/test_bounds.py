@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,11 @@ class TestHoeffdingTail:
         with pytest.raises(ValueError, match="^span_h must"):
             hoeffding_tail(10, 0.1, np.nan)
 
+    def test_counts_beyond_the_float_range_give_zero(self):
+        # 10**400 raised OverflowError where 10**308 gave 0.0.
+        assert hoeffding_tail(10 ** 308, 0.1, 1.0) == 0.0
+        assert hoeffding_tail(10 ** 400, 0.1, 1.0) == 0.0
+
     def test_bernoulli_deviation_frequency_below_bound(self):
         # Empirical mean of n coin flips: the observed frequency of
         # |mean - p| >= gap over many repetitions must stay below the tail.
@@ -321,6 +327,26 @@ class TestSampleSizes:
         # naming no operand.
         with pytest.raises(ValueError, match=match):
             sample_size_game(alpha, 0.01, span_reward, 3, [2, 2], 2, 0.9)
+
+    @pytest.mark.parametrize("num_states, action_counts, bits", [
+        (10 ** 400, [2, 2], 1331),
+        (np.int64(3), [10 ** 400, 2], 1332),
+    ], ids=["states", "numpy-times-huge"])
+    def test_union_count_beyond_the_float_range_is_named(
+            self, num_states, action_counts, bits):
+        # Each raised OverflowError converting the count to a float.
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "num_states * joint actions * num_players is at least "
+                f"2**{bits}, beyond the float range") + "$"):
+            sample_size_game(0.1, 0.01, 0.9, num_states, action_counts, 2,
+                             0.9)
+
+    def test_numpy_counts_do_not_wrap(self):
+        # The int64 product wrapped to 0 (with a RuntimeWarning); as Python
+        # ints the counts give the budget of 2**101 pairs.
+        counts = (np.int64(2 ** 40), [np.int64(2 ** 30)] * 2, np.int64(2))
+        assert sample_size_game(0.1, 0.01, 0.9, *counts, 0.9) == \
+            sample_size_game(0.1, 0.01, 0.9, 2 ** 40, [2 ** 30] * 2, 2, 0.9)
 
 class TestRobustnessReport:
     def test_bundled_pair_total_variation(self, original_game, perturbed_game,

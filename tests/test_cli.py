@@ -550,6 +550,18 @@ class TestSampleSize:
         assert ("alpha" in err or "span" in err) and "Traceback" not in err
 
 
+    def test_union_count_beyond_the_float_range_exits_one(self, capsys):
+        # The float conversion of the count printed a traceback.
+        code, out, err = run(capsys, [
+            "sample-size", "--alpha", "0.1", "--p", "0.01", "--span", "0.9",
+            "--states", str(10 ** 400), "--actions", "2", "2",
+            "--gamma", "0.9"])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: num_states * joint actions * num_players is "
+                       "at least 2**1331, beyond the float range\n")
+
+
 class TestExperiment:
     def test_writes_records_and_summary(self, capsys, game_files, tmp_path):
         out_path = tmp_path / "records.csv"

@@ -14,8 +14,20 @@ from mpekit.experiments import (
     summary_csv,
     trial_seed_sequence,
 )
-from mpekit.games import STOCHASTIC_ATOL, GameValidationError, MarkovGame
+from mpekit.games import (STOCHASTIC_ATOL, GameValidationError, MarkovGame,
+                          _row_problems)
 from mpekit.metrics import tv_distance
+
+
+def sampler(root):
+    """The generator ``run_trial`` gives ``estimate_model`` for a trial
+    whose root is ``root``: Philox on the root's first child."""
+    return np.random.Generator(np.random.Philox(root.spawn(1)[0]))
+
+
+def counts(plug_in, n):
+    """A plug-in game's next-state counts, exact below n = 2**52."""
+    return np.rint(plug_in.transitions * n)
 
 
 def delta_row_game():
@@ -37,42 +49,52 @@ def delta_row_game():
 class TestGenerativeSample:
     def test_deterministic_row_always_hits_its_state(self):
         game = delta_row_game()
-        _, model = estimate_model(game, 100, np.random.SeedSequence(0))
-        assert np.array_equal(model.counts[:, 0], 100 * game.transitions[:, 0])
+        plug_in = estimate_model(game, 100, sampler(np.random.SeedSequence(0)))
+        assert np.array_equal(counts(plug_in, 100)[:, 0],
+                              100 * game.transitions[:, 0])
 
     def test_frequencies_match_row_within_three_sigma(self):
         n = 1_000_000
         game = delta_row_game()
-        _, model = estimate_model(game, n, np.random.SeedSequence(1))
+        plug_in = estimate_model(game, n, sampler(np.random.SeedSequence(1)))
         rows = game.transitions
         sigma = np.sqrt(n * rows * (1 - rows))
-        assert np.all(np.abs(model.counts - n * rows) <= 3 * sigma)
+        assert np.all(np.abs(counts(plug_in, n) - n * rows) <= 3 * sigma)
 
-    def test_fixed_seed_reproduces_sequence(self, original_game):
-        # The trial's one stream is derived from the root without consuming
-        # it: the same root object twice gives the same counts.
-        root = trial_seed_sequence(2024, 3)
-        _, first = estimate_model(original_game, 111_227, root)
-        _, second = estimate_model(original_game, 111_227, root)
-        assert np.array_equal(first.counts, second.counts)
-        # The stream is the root's child with spawn key 0, and the first
-        # pair draws first from it: its counts are pinned.
-        assert first.counts[0, 0].tolist() == [44436, 44512, 22279]
+    def test_fixed_seed_reproduces_sequence(self, original_game,
+                                            monkeypatch):
+        # The trial's sampler is Philox on its root's child with spawn key
+        # (trial, 0), and the first pair draws first from it: its counts
+        # are pinned, read from the plug-in game run_trial solves.
+        drawn = []
+
+        def recording(game, n, rng):
+            drawn.append(estimate_model(game, n, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr("mpekit.experiments.estimate_model", recording)
+        run_trial(original_game, 111_227, 3, 2024)
+        [plug_in] = drawn
+        assert counts(plug_in, 111_227)[0, 0].tolist() == [44436, 44512, 22279]
+        # The same root gives the same sampler, so the same counts.
+        again = estimate_model(original_game, 111_227,
+                               sampler(trial_seed_sequence(2024, 3)))
+        assert np.array_equal(again.transitions, plug_in.transitions)
 
 
 class TestEstimateModel:
     def test_single_sample_gives_unit_rows(self, original_game):
-        estimated, model = estimate_model(original_game, 1,
-                                          np.random.SeedSequence(0))
-        assert np.all(model.counts.sum(axis=2) == 1)
+        estimated = estimate_model(original_game, 1,
+                                   sampler(np.random.SeedSequence(0)))
+        assert np.all(counts(estimated, 1).sum(axis=2) == 1)
         assert set(np.unique(estimated.transitions)) <= {0.0, 1.0}
 
     def test_counts_conserved_and_rows_stochastic(self, original_game):
-        estimated, model = estimate_model(original_game, 357,
-                                          np.random.SeedSequence(1))
-        assert np.all(model.counts.sum(axis=2) == 357)
-        assert model.samples_per_pair == 357
-        assert np.array_equal(estimated.transitions, model.counts / 357)
+        estimated = estimate_model(original_game, 357,
+                                   sampler(np.random.SeedSequence(1)))
+        assert np.all(counts(estimated, 357).sum(axis=2) == 357)
+        assert np.array_equal(estimated.transitions,
+                              counts(estimated, 357) / 357)
         # A plug-in game passes the row rule with room to spare.
         assert np.all(np.abs(estimated.transitions.sum(-1) - 1.0)
                       <= 1e-3 * STOCHASTIC_ATOL)
@@ -83,8 +105,8 @@ class TestEstimateModel:
         def mean_gap(n, seeds):
             gaps = []
             for seed in seeds:
-                estimated, _ = estimate_model(original_game, n,
-                                              np.random.SeedSequence(seed))
+                estimated = estimate_model(
+                    original_game, n, sampler(np.random.SeedSequence(seed)))
                 gap = max(
                     tv_distance(original_game.transitions[s, j],
                                 estimated.transitions[s, j])
@@ -100,27 +122,28 @@ class TestEstimateModel:
         assert fine >= 0.10 * coarse
 
     def test_same_root_reproduces_exactly(self, original_game):
-        _, first = estimate_model(original_game, 100, np.random.SeedSequence(7))
-        _, second = estimate_model(original_game, 100,
-                                   np.random.SeedSequence(7))
-        assert np.array_equal(first.counts, second.counts)
+        first = estimate_model(original_game, 100,
+                               sampler(np.random.SeedSequence(7)))
+        second = estimate_model(original_game, 100,
+                                sampler(np.random.SeedSequence(7)))
+        assert np.array_equal(first.transitions, second.transitions)
 
     def test_rejects_nonpositive_n(self, original_game):
         with pytest.raises(ValueError):
-            estimate_model(original_game, 0, np.random.SeedSequence(0))
+            estimate_model(original_game, 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [2.5, 100.0, True])
     def test_rejects_non_integer_n(self, original_game, n):
         with pytest.raises(ValueError, match=r"^n must be a positive integer"):
-            estimate_model(original_game, n, np.random.SeedSequence(0))
+            estimate_model(original_game, n, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("rng", [np.random.default_rng(0), 0, None],
-                             ids=["generator", "int", "none"])
-    def test_rejects_an_rng_that_is_not_a_seed_sequence(self, original_game,
-                                                        rng):
-        # Each failed with "has no attribute 'entropy'" at the first pair.
-        with pytest.raises(ValueError,
-                           match=r"^rng must be a numpy\.random\.SeedSequence"):
+    @pytest.mark.parametrize("rng, kind", [
+        (np.random.SeedSequence(0), "SeedSequence"), (0, "int"),
+        (None, "NoneType")], ids=["seed-sequence", "int", "none"])
+    def test_rejects_an_rng_that_is_not_a_generator(self, original_game, rng,
+                                                    kind):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"rng must be a numpy.random.Generator, got {kind}") + "$"):
             estimate_model(original_game, 10, rng)
 
     @pytest.mark.parametrize("n", [2 ** 63, np.uint64(2 ** 63), 10 ** 20],
@@ -131,17 +154,21 @@ class TestEstimateModel:
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"n must be at most {2 ** 63 - 1} (2**63 - 1), got {n!r}")
                 + "$"):
-            estimate_model(original_game, n, np.random.SeedSequence(0))
+            estimate_model(original_game, n, np.random.default_rng(0))
 
     def test_accepts_n_at_the_limit(self, original_game):
-        _, model = estimate_model(original_game, 2 ** 63 - 1,
-                                  np.random.SeedSequence(0))
-        assert np.all(model.counts.sum(axis=2) == 2 ** 63 - 1)
+        # Counts are no longer exact in float64 from n = 2**53, but the
+        # plug-in game builds, so its rows pass the row rule.
+        plug_in = estimate_model(original_game, 2 ** 63 - 1,
+                                 sampler(np.random.SeedSequence(0)))
+        assert isinstance(plug_in, MarkovGame)
+        non_finite, negative, off_sum, _ = _row_problems(plug_in.transitions)
+        assert not (non_finite | negative | off_sum).any()
 
     def test_accepts_numpy_integer_n(self, original_game):
-        _, model = estimate_model(original_game, np.int64(40),
-                                  np.random.SeedSequence(0))
-        assert np.all(model.counts.sum(axis=2) == 40)
+        plug_in = estimate_model(original_game, np.int64(40),
+                                 sampler(np.random.SeedSequence(0)))
+        assert np.all(counts(plug_in, 40).sum(axis=2) == 40)
 
     def test_rows_at_the_row_rule_edge(self, original_game):
         # Both rows pass the row rule, so the game builds; a bare
@@ -150,9 +177,10 @@ class TestEstimateModel:
         transitions[0, 0] = [0.5, 0.5 + 5e-10, 0.0]
         transitions[1, 2] = [-5e-10, 0.5, 0.5 + 5e-10]
         game = dataclasses.replace(original_game, transitions=transitions)
-        _, model = estimate_model(game, 10_000, np.random.SeedSequence(3))
-        assert np.all(model.counts.sum(axis=2) == 10_000)
-        assert np.all(model.counts[transitions <= 0.0] == 0)
+        plug_in = estimate_model(game, 10_000,
+                                 sampler(np.random.SeedSequence(3)))
+        assert np.all(counts(plug_in, 10_000).sum(axis=2) == 10_000)
+        assert np.all(counts(plug_in, 10_000)[transitions <= 0.0] == 0)
 
 
     @pytest.mark.parametrize("row, rule", [
@@ -259,11 +287,11 @@ class TestRunExperiments:
             assert np.all(record.alpha_pair <= 0.05)
 
     def test_distinct_trials_use_distinct_streams(self, original_game):
-        seq_a = trial_seed_sequence(5, 0)
-        seq_b = trial_seed_sequence(5, 1)
-        _, model_a = estimate_model(original_game, 50, seq_a)
-        _, model_b = estimate_model(original_game, 50, seq_b)
-        assert not np.array_equal(model_a.counts, model_b.counts)
+        plug_in_a = estimate_model(original_game, 50,
+                                   sampler(trial_seed_sequence(5, 0)))
+        plug_in_b = estimate_model(original_game, 50,
+                                   sampler(trial_seed_sequence(5, 1)))
+        assert not np.array_equal(plug_in_a.transitions, plug_in_b.transitions)
 
 
 class TestSummaries:

@@ -41,6 +41,7 @@ from mpekit.games import (
     serialize_game,
     serialize_profile,
 )
+from mpekit.mdp import bellman_policy, evaluate_policy
 from mpekit.metrics import _check_distribution, comparison_metric
 
 #: d(0, 2) is exactly (d(0, 1) + d(1, 2)) + 1e-12, the triangle bound at the
@@ -636,7 +637,7 @@ class TestReader:
         doc = serialized_profile(np.random.default_rng(5), num_players=1)
         doc["players"] = True
         with pytest.raises(GameFormatError,
-                           match="field 'players' must be a number"):
+                           match="field 'players' must be an integer"):
             parse_profile(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["players", "strategies"])
@@ -781,10 +782,15 @@ class TestBulkReader:
     def test_profile_numbers_keep_their_bits(self, profile, data):
         doc = json.loads(serialize_profile(profile))
         text = plant(data, doc, profile_slots(doc), ODD_NUMBERS, (0, 4))
+        # Unchecked strategies in a bare tuple, since a profile holds only
+        # checked ones: no row rule drops a planted number before its bits
+        # are compared.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(games, "MarkovStrategy", np.asarray)
-            mine = parse_profile(text).strategies
-        reference = reference_parse_profile(text, build=np.asarray).strategies
+            patch.setattr(games, "StrategyProfile", tuple)
+            mine = parse_profile(text)
+        reference = reference_parse_profile(text, build=np.asarray,
+                                            profile=tuple)
         assert len(mine) == len(reference)
         assert all(map(same_array_bits, mine, reference))
 
@@ -1229,6 +1235,35 @@ def _game_text(**fields) -> str:
      "value function must be 1-D, got shape (2, 2)"),
     (lambda: metric_violations(np.zeros((2, 3))), None,
      "metric is not square: shape (2, 3)"),
+    (lambda: parse_profile('{"players": 1.0, "strategies": [[[1.0]]]}'),
+     GameFormatError, "field 'players' must be an integer"),
+    (lambda: StrategyProfile((np.ones((1, 1)),)), ValueError,
+     "strategies[0] must be a MarkovStrategy, got ndarray"),
+    (lambda: StrategyProfile([MarkovStrategy([[1.0]]), None]), ValueError,
+     "strategies[1] must be a MarkovStrategy, got NoneType"),
+    (lambda: evaluate_policy(tiny_game(), np.full((2, 2), 0.5)), ValueError,
+     "strategies[0] must be a MarkovStrategy, got ndarray"),
+    (lambda: evaluate_policy(tiny_game(), None), ValueError,
+     "strategies[0] must be a MarkovStrategy, got NoneType"),
+    (lambda: bellman_policy(tiny_game(), [[0.5, 0.5]] * 2, np.zeros(2)),
+     ValueError, "strategies[0] must be a MarkovStrategy, got list"),
+    (lambda: tiny_game(states="ab"), ValueError,
+     "states must be an ordered collection, got str 'ab'"),
+    (lambda: MarkovGame({"a"}, (("x",),), [[[1.0]]], [[[0.0]]], 0.9),
+     ValueError, "states must be an ordered collection, got set {'a'}"),
+    (lambda: tiny_game(action_sets="xy"), ValueError,
+     "action_sets must be an ordered collection, got str 'xy'"),
+    (lambda: tiny_game(action_sets=("xy",)), ValueError,
+     "actions of player 1 must be an ordered collection, got str 'xy'"),
+    (lambda: tiny_game(action_sets=(frozenset({"x"}),),
+                       transitions=[[[0.5, 0.5]], [[0.0, 1.0]]],
+                       rewards=[[[1.0], [3.0]]]),
+     ValueError, "actions of player 1 must be an ordered collection, got "
+     "frozenset frozenset({'x'})"),
+    (lambda: tiny_game(discount="0.9"), ValueError,
+     "discount must be a number, got '0.9'"),
+    (lambda: tiny_game(discount=b"0.9"), ValueError,
+     "discount must be a number, got b'0.9'"),
 ], ids=["states", "actions-of-player", "actions-count", "rewards-count",
         "rewards-of-player", "profile-players", "profile-empty",
         "joint-action-count", "joint-action-range", "joint-action-float",
@@ -1237,7 +1272,11 @@ def _game_text(**fields) -> str:
         "joint-rank-float", "line-metric-zero", "line-metric-negative",
         "line-metric-float", "line-metric-bool", "transitions-shape",
         "rewards-shape", "metric-shape", "strategy-ndim", "values-ndim",
-        "metric-square"])
+        "metric-square", "profile-players-float", "profile-array-entry",
+        "profile-none-entry", "evaluate-array-strategy",
+        "evaluate-none-strategy", "bellman-list-strategy", "states-str",
+        "states-set", "action-sets-str", "action-set-str",
+        "action-set-frozenset", "discount-str", "discount-bytes"])
 def test_each_shape_and_type_fault_is_named(call, error, message):
     # The reader's type and count checks, the constructors' shape checks,
     # the joint-action maps' and default_line_metric's integer checks and
@@ -1250,3 +1289,14 @@ def test_each_shape_and_type_fault_is_named(call, error, message):
         call()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+def test_names_and_discount_are_taken_as_given():
+    # Ordered collections of any kind keep their order, and a numpy scalar
+    # discount is a number.
+    game = tiny_game(states=np.array(["b", "a"]),
+                     action_sets=[(name for name in ("y", "x"))],
+                     discount=np.float32(0.5))
+    assert game.states == ("b", "a")
+    assert game.action_sets == (("y", "x"),)
+    assert game.discount == 0.5
